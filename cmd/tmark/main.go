@@ -14,7 +14,9 @@
 // solve is interrupted) to DIR/<input>-<confighash>.ckpt. -resume
 // restarts a solve from a snapshot — bitwise identical to a run that
 // was never interrupted; "auto" resumes from the file -checkpoint-dir
-// would write when it exists and matches, and starts cold otherwise.
+// would write when it exists and matches, and starts cold otherwise (a
+// damaged or mismatching file is reported on stderr, and the run's own
+// snapshots overwrite it).
 //
 // The input is a graph in the JSON format written by cmd/datagen or
 // hin.Graph.SaveFile; with -csv it is a from,to,relation[,weight] edge
@@ -36,9 +38,11 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"log"
 	"math/rand"
 	"os"
@@ -194,29 +198,15 @@ func main() {
 		if *warm != "" {
 			log.Fatal("-resume and -warm are mutually exclusive: a checkpoint restores mid-solve state, a warm start begins a new solve")
 		}
-		path := *resume
-		auto := path == "auto"
-		if auto {
-			if *ckptDir == "" {
-				log.Fatal("-resume auto requires -checkpoint-dir")
-			}
-			path = filepath.Join(*ckptDir, checkpointName(*in, model))
+		if *resume == "auto" && *ckptDir == "" {
+			log.Fatal("-resume auto requires -checkpoint-dir")
 		}
-		switch cp, err := tmark.LoadCheckpointFile(path); {
-		case err == nil:
-			if verr := model.ValidateCheckpoint(cp); verr != nil {
-				if !auto {
-					log.Fatalf("resume %s: %v", path, verr)
-				}
-				fmt.Fprintf(os.Stderr, "checkpoint %s ignored (%v); starting cold\n", path, verr)
-			} else {
-				opts = append(opts, tmark.ResumeFrom(cp))
-				fmt.Fprintf(os.Stderr, "resuming from %s (iteration %d)\n", path, cp.Iter)
-			}
-		case auto && os.IsNotExist(err):
-			// No snapshot yet: a cold start that will write one.
-		default:
-			log.Fatalf("resume %s: %v", path, err)
+		opt, err := resumeOption(*resume, filepath.Join(*ckptDir, checkpointName(*in, model)), model, os.Stderr)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if opt != nil {
+			opts = append(opts, opt)
 		}
 	}
 	var res *tmark.Result
@@ -295,6 +285,36 @@ func (ew *errWriter) Write(p []byte) (int, error) {
 func checkpointName(in string, model *tmark.Model) string {
 	base := strings.TrimSuffix(filepath.Base(in), filepath.Ext(in))
 	return fmt.Sprintf("%s-%016x.ckpt", base, model.ConfigHash())
+}
+
+// resumeOption resolves the -resume flag into a ResumeFrom option; nil
+// with a nil error means a cold start. spec is a checkpoint path, or
+// "auto" for autoPath, the file -checkpoint-dir writes. An explicit path
+// must load and match the model, and any failure is an error. In auto
+// mode a missing file starts cold silently, and a file that fails to
+// decode or does not match the model is reported on stderr and skipped:
+// the run starts cold and its own snapshots overwrite the file.
+func resumeOption(spec, autoPath string, model *tmark.Model, stderr io.Writer) (tmark.RunOption, error) {
+	path, auto := spec, spec == "auto"
+	if auto {
+		path = autoPath
+	}
+	cp, err := tmark.LoadCheckpointFile(path)
+	if err == nil {
+		err = model.ValidateCheckpoint(cp)
+	}
+	switch {
+	case err == nil:
+		fmt.Fprintf(stderr, "resuming from %s (iteration %d)\n", path, cp.Iter)
+		return tmark.ResumeFrom(cp), nil
+	case !auto:
+		return nil, fmt.Errorf("resume %s: %w", path, err)
+	case errors.Is(err, fs.ErrNotExist):
+		return nil, nil // no snapshot yet: a cold start that will write one
+	default:
+		fmt.Fprintf(stderr, "checkpoint %s ignored (%v); starting cold\n", path, err)
+		return nil, nil
+	}
 }
 
 func load(path string, csvIn bool) (*hin.Graph, error) {

@@ -100,20 +100,9 @@ func (c *Collector) StopKernel(k Kernel, start time.Time) {
 	c.kernels[k].calls.Inc()
 }
 
-// AddKernelItems credits n processed items and one applied column to
-// kernel k; no-op when nil.
-func (c *Collector) AddKernelItems(k Kernel, n int64) {
-	if c == nil || k >= NumKernels {
-		return
-	}
-	c.kernels[k].probe.items.Add(n)
-	c.kernels[k].probe.cols.Add(1)
-}
-
-// AddKernelCols credits n processed items applied across cols class
-// columns to kernel k — the batched-kernel variant of AddKernelItems,
-// where one streamed pass over the items serves cols right-hand sides.
-// No-op when nil.
+// AddKernelCols credits n processed items applied across cols columns
+// to kernel k — one streamed pass over the items serves cols right-hand
+// sides. No-op when nil.
 func (c *Collector) AddKernelCols(k Kernel, n, cols int64) {
 	if c == nil || k >= NumKernels {
 		return

@@ -105,7 +105,7 @@ func TestCollectorDisabled(t *testing.T) {
 		t.Errorf("nil collector clock = %v", start)
 	}
 	c.StopKernel(KernelO, start)
-	c.AddKernelItems(KernelR, 5)
+	c.AddKernelCols(KernelR, 5, 1)
 	if p := c.KernelProbe(KernelW); p != nil {
 		t.Errorf("nil collector returned a probe")
 	}
@@ -120,7 +120,7 @@ func TestCollectorRecordsKernels(t *testing.T) {
 	start := c.Clock()
 	time.Sleep(time.Millisecond)
 	c.StopKernel(KernelO, start)
-	c.AddKernelItems(KernelO, 100)
+	c.AddKernelCols(KernelO, 100, 1)
 	c.KernelProbe(KernelW).Observe(40)
 	ps := c.AttachPool(2)
 	ps.Dispatch()

@@ -2,8 +2,8 @@ package serve
 
 // The coalescing-correctness integration test: tmarkd serving on a real
 // ephemeral TCP port, 64 concurrent /classify requests (with a cancel
-// mix), against the bitwise reference of sequential Model.RunContext
-// class results. Meant to run under -race (`make race` / the CI race
+// mix), against the bitwise reference of offline Model.RunContext class
+// results. Meant to run under -race (`make race` / the CI race
 // job): the coalescer, cache and drain paths are the concurrent code
 // this PR adds.
 
@@ -25,21 +25,21 @@ import (
 // TestServingCoalescedBitwiseEqualUnderRace fires 64 concurrent mixed
 // /classify + cancel requests at an in-process tmarkd on a random port
 // and asserts every completed response carries scores bitwise identical
-// to the corresponding class of a sequential Model.RunContext solve.
+// to the corresponding class of an offline Model.RunContext solve.
 // JSON's shortest-round-trip float64 formatting makes the comparison
 // exact across the wire.
 func TestServingCoalescedBitwiseEqualUnderRace(t *testing.T) {
 	g := testGraph(100)
 	cfg := fastConfig() // Workers=1, ICA off: deterministic, query ≡ class solve
 
-	// The sequential reference: one full multi-class RunContext; class
-	// c's result is what a query seeded with class c's labelled nodes
-	// must reproduce.
+	// The offline reference: one full multi-class RunContext; class c's
+	// result is what a query seeded with class c's labelled nodes must
+	// reproduce.
 	model, err := tmark.New(g, cfg)
 	if err != nil {
 		t.Fatalf("tmark.New: %v", err)
 	}
-	full := model.RunContext(context.Background(), tmark.WithBatchedClasses(false))
+	full := model.RunContext(context.Background())
 	seeds := make([][]int, g.Q())
 	for c := 0; c < g.Q(); c++ {
 		seeds[c] = classSeeds(g, c)

@@ -1,21 +1,22 @@
 package tensor
 
-// Blocked (multi-class) variants of the transition-tensor contractions:
-// the SpMV → SpMM upgrade of the batched solver. The per-class node
-// distributions are interleaved into one node-major block X (entry
-// (i, c) at i*b+c for b active classes) and each COO entry is streamed
-// once per iteration, applying to every class column — the kernels are
-// memory-bandwidth-bound, so the b-fold reuse of each loaded entry is
-// where the batched solver's speedup comes from.
+// Blocked (multi-column) variants of the transition-tensor contractions:
+// the SpMV → SpMM upgrade the solver's lockstep engine runs on. The
+// column distributions are interleaved into one node-major block X
+// (entry (i, c) at i*b+c for b active columns) and each COO entry is
+// streamed once per iteration, applying to every column — the kernels
+// are memory-bandwidth-bound, so the b-fold reuse of each loaded entry
+// is where the engine's speedup comes from.
 //
 // Bitwise contract: column c of a batched result equals the
 // single-vector kernel run on column c alone, path by path. The serial
 // ApplyBatch visits entries, stored columns/tubes and nodes in exactly
-// the order of the serial Apply; the parallel ApplyBatchParallel reuses
-// the single-vector shard boundaries (par.Split over entry, node and
-// stored-column counts — all independent of b) and reduces per-worker
-// partials in worker order, like ApplyParallel. The dangling-mass closed
-// form keeps its per-column `> 1e-15` guard, and columns without
+// the order of the serial Apply; the parallel ApplyBatchParallel uses
+// shard boundaries that depend only on the tensor and the shard count
+// (par.Split over entry, node and stored-column counts — all independent
+// of b) and reduces per-worker partials in worker order, like the
+// single-vector sharded reference in the package tests. The dangling-mass
+// closed form keeps its per-column `> 1e-15` guard, and columns without
 // dangling mass skip the uniform add entirely, so no column ever sees an
 // extra floating-point operation relative to its single-vector run.
 
@@ -622,8 +623,9 @@ func (t *nodeBatchTask) RunShard(shard, shards int) {
 // with the entry shards spread across the pool. Shard boundaries are the
 // single-vector ones (they depend only on the tensor and the shard
 // count, never on b) and the per-worker partials reduce in worker order,
-// so for a fixed worker count column c of the result is bitwise equal to
-// ApplyParallel run on column c alone. A nil/serial pool or single-shard
+// so for a fixed worker count column c of the result is bitwise
+// independent of b and equal to the single-vector sharded reference run
+// on column c alone. A nil/serial pool or single-shard
 // scratch falls back to the serial path.
 func (o *NodeTransition) ApplyBatchParallel(p *par.Pool, s *NodeBatchScratch, x, z, dst []float64, b int) {
 	if p.Serial() || s == nil || s.shards <= 1 {
@@ -795,9 +797,10 @@ func (t *relationBatchTask) RunShard(shard, shards int) {
 
 // ApplyBatchParallel computes the blocked contraction like ApplyBatch
 // with the entry shards spread across the pool, reducing the m×b output
-// serially in the caller like the single-vector ApplyPairParallel. For a
-// fixed worker count column c of the result is bitwise equal to
-// ApplyParallel run on column c alone. A nil/serial pool or single-shard
+// serially in the caller. For a fixed worker count column c of the
+// result is bitwise independent of b and equal to the single-vector
+// sharded reference run on column c alone. A nil/serial pool or
+// single-shard
 // scratch falls back to the serial path.
 func (r *RelationTransition) ApplyBatchParallel(p *par.Pool, s *RelationBatchScratch, x, dst []float64, b int) {
 	if p.Serial() || s == nil || s.shards <= 1 {

@@ -1,12 +1,13 @@
 package tensor
 
-// Parallel paths for the transition-tensor contractions. The COO entry
-// arrays are already sorted, so a shard is just a contiguous index range;
-// each shard contracts into a per-worker output buffer and a strided
-// reduction folds the buffers into dst. No worker ever writes another
-// worker's memory, so there are no atomics and no races, and because shard
-// boundaries and the reduction order depend only on the shard count, the
-// result is bit-for-bit deterministic for a fixed scratch size.
+// The single-vector sharded contractions: the independent reference the
+// blocked kernels are checked against column by column (see
+// TestApplyBatchParallelMatchesSingleColumns). The COO entry arrays are
+// already sorted, so a shard is just a contiguous index range; each
+// shard contracts into a per-worker output buffer and a strided
+// reduction folds the buffers into dst. Shard boundaries and the
+// reduction order depend only on the shard count, so the result is
+// bit-for-bit deterministic for a fixed scratch size.
 
 import (
 	"fmt"

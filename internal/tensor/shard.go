@@ -11,7 +11,7 @@ package tensor
 // in ascending shard order with the same dangling-mass closed form —
 // so a distributed apply at M workers is bitwise identical to
 // ApplyBatchParallel on an M-worker pool, which in turn is bitwise
-// identical per column to the single-vector parallel path.
+// independent of the column count.
 
 import (
 	"fmt"

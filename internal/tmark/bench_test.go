@@ -83,14 +83,14 @@ func benchGraphQ(n, q int) *hin.Graph {
 	return g
 }
 
-// BenchmarkBatchedVsSequential compares the blocked multi-class solver
-// against the sequential per-class reference on the O-contraction-
-// dominated configuration (Gamma = 0), sweeping the class count and the
-// tensor size. Epsilon is unreachable so both paths perform the same
-// fixed iteration count, and Workers is pinned to 1 so the ratio isolates
-// the kernel fusion rather than pool scheduling. The batched path streams
-// each tensor entry once per iteration instead of q times, so its edge
-// should grow with q.
+// BenchmarkBatchedVsSequential compares the lockstep engine against the
+// sequential oracle (one class at a time through the single-vector
+// kernels) on the O-contraction-dominated configuration (Gamma = 0),
+// sweeping the class count and the tensor size. Epsilon is unreachable
+// so both perform the same fixed iteration count, and Workers is pinned
+// to 1 so the ratio isolates the kernel fusion rather than pool
+// scheduling. The engine streams each tensor entry once per iteration
+// instead of q times, so its edge should grow with q.
 func BenchmarkBatchedVsSequential(b *testing.B) {
 	for _, nnz := range []int{10_000, 100_000} {
 		n := nnz / 15
@@ -106,18 +106,19 @@ func BenchmarkBatchedVsSequential(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			for _, batched := range []bool{true, false} {
-				mode := "sequential"
-				if batched {
-					mode = "batched"
+			b.Run(fmt.Sprintf("nnz=%dk/q=%d/batched", nnz/1000, q), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					m.RunContext(context.Background())
 				}
-				b.Run(fmt.Sprintf("nnz=%dk/q=%d/%s", nnz/1000, q, mode), func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						m.RunContext(context.Background(), WithBatchedClasses(batched))
-					}
-				})
-			}
+			})
+			b.Run(fmt.Sprintf("nnz=%dk/q=%d/sequential", nnz/1000, q), func(b *testing.B) {
+				o := newOracle(b, m)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					o.run(nil)
+				}
+			})
 		}
 	}
 }

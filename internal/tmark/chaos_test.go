@@ -211,36 +211,3 @@ func TestChaosCheckpointSaveFailureDoesNotStopRun(t *testing.T) {
 	}
 	assertResultsBitwise(t, "failing-sink", res, ref)
 }
-
-// The sequential step() carries the same always-on corruption guard:
-// a poisoned iterate makes it return NaN and leave x/z untouched at the
-// last healthy iteration (the sequential kernels expose no batch fault
-// points, so the guard is driven directly).
-func TestSequentialStepDiscardsCorruptIterate(t *testing.T) {
-	m, err := New(benchGraph(100), ckConfig(false, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs := m.newRunScratch(runOptions{sequential: true})
-	defer rs.close()
-	l, seeds := m.seedVector(0)
-	s := classState{
-		x: vec.Clone(l), z: vec.Uniform(m.graph.M()), l: l,
-		xNext: vec.New(m.graph.N()), zNext: vec.New(m.graph.M()), tmp: vec.New(m.graph.N()),
-		seeds: seeds,
-	}
-	if rho := m.step(&s, rs); math.IsNaN(rho) {
-		t.Fatal("clean step returned NaN")
-	}
-	before := vec.Clone(s.x)
-	s.x[3] = math.NaN() // poison the committed state; next step must fault
-	before[3] = math.NaN()
-	if rho := m.step(&s, rs); !math.IsNaN(rho) {
-		t.Fatalf("poisoned step returned %v, want NaN", rho)
-	}
-	for i, v := range s.x {
-		if v != before[i] && !(math.IsNaN(v) && math.IsNaN(before[i])) {
-			t.Fatalf("faulted step committed x[%d]", i)
-		}
-	}
-}

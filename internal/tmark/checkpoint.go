@@ -1,7 +1,7 @@
 package tmark
 
-// Checkpoint/resume for the blocked lockstep solvers. Every K iterations
-// the batched loop snapshots its entire working set — the interleaved
+// Checkpoint/resume for the lockstep engine. Every K iterations the
+// engine snapshots its entire working set — the interleaved
 // x/z blocks, the live-column map, the per-class verdicts, iteration
 // counters, restart vectors and residual traces — into a Checkpoint,
 // and a later run started with ResumeFrom continues bitwise identically
@@ -50,10 +50,10 @@ import (
 	"sync"
 )
 
-// Checkpoint kinds: which lockstep loop wrote the snapshot.
+// Checkpoint kinds: which engine caller wrote the snapshot.
 const (
-	ckKindClasses uint8 = 1 // RunContext / RunWarmContext batched run
-	ckKindColumns uint8 = 2 // SolveColumns batched run
+	ckKindClasses uint8 = 1 // RunContext / RunWarmContext class run
+	ckKindColumns uint8 = 2 // SolveColumns column run
 )
 
 var ckMagic = [8]byte{'T', 'M', 'A', 'R', 'K', 'C', 'P', '1'}
@@ -64,7 +64,7 @@ var crcTable = crc64.MakeTable(crc64.ECMA)
 // does not belong to the model or call it was offered to.
 var ErrCheckpointMismatch = errors.New("tmark: checkpoint does not match model")
 
-// Checkpoint is one recoverable snapshot of a batched lockstep solve.
+// Checkpoint is one recoverable snapshot of a lockstep engine solve.
 // All slices are owned by the checkpoint (deep copies of the solver
 // state), so a snapshot stays valid while the run continues.
 type Checkpoint struct {
@@ -342,15 +342,24 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 // checkpoints are validated by SolveColumns against the resubmitted
 // query set instead.
 func (m *Model) ValidateCheckpoint(cp *Checkpoint) error {
+	return m.validateCheckpoint(cp, ckKindClasses, m.graph.Q())
+}
+
+// validateCheckpoint reports whether the checkpoint can resume an engine
+// run of the given kind over q columns on this model: q classes for a
+// class run, or q resubmitted queries for a column run — the queries
+// must be resubmitted unchanged, since the checkpoint stores their
+// restart vectors and verdicts by position.
+func (m *Model) validateCheckpoint(cp *Checkpoint, kind uint8, q int) error {
 	if cp == nil {
 		return fmt.Errorf("%w: nil checkpoint", ErrCheckpointMismatch)
 	}
-	if cp.Kind != ckKindClasses {
-		return fmt.Errorf("%w: kind %d is not a class-run checkpoint", ErrCheckpointMismatch, cp.Kind)
+	if cp.Kind != kind {
+		return fmt.Errorf("%w: kind %d, want %d", ErrCheckpointMismatch, cp.Kind, kind)
 	}
-	if cp.N != m.graph.N() || cp.M != m.graph.M() || cp.Q != m.graph.Q() {
-		return fmt.Errorf("%w: checkpoint %dx%dx%d, model %dx%dx%d",
-			ErrCheckpointMismatch, cp.N, cp.M, cp.Q, m.graph.N(), m.graph.M(), m.graph.Q())
+	if cp.N != m.graph.N() || cp.M != m.graph.M() || cp.Q != q {
+		return fmt.Errorf("%w: checkpoint %dx%dx%d, want %dx%dx%d",
+			ErrCheckpointMismatch, cp.N, cp.M, cp.Q, m.graph.N(), m.graph.M(), q)
 	}
 	if cp.ConfigHash != m.cfg.checkpointHash() {
 		return fmt.Errorf("%w: config hash %016x, model %016x",

@@ -9,6 +9,7 @@ package tmark
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -246,6 +247,74 @@ func TestSolveColumnsKillAndResume(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// SolveColumn is SolveColumns with one query, so the checkpoint options
+// apply to a solo exact query exactly as to a batch: WithCheckpoint
+// saves column-run snapshots, a class-run checkpoint is rejected as a
+// mismatch, and a resume continues at the snapshot's iteration and ends
+// bitwise on the uninterrupted answer.
+func TestSolveColumnHonoursCheckpointOptions(t *testing.T) {
+	g := benchGraph(120)
+	m, err := New(g, ckConfig(false, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := ColumnQuery{Seeds: []int{0, 4, 8, 12}, Quality: QualityExact}
+	ref, err := m.SolveColumn(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sink := &MemorySink{}
+	if _, err := m.SolveColumn(context.Background(), q, WithCheckpoint(sink, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if cp := sink.Last(); cp == nil || cp.Kind != ckKindColumns || cp.Q != 1 {
+		t.Errorf("WithCheckpoint(sink, 1) saved %+v, want a one-column column-run snapshot", cp)
+	}
+
+	classSink := &MemorySink{}
+	m.RunContext(context.Background(), WithCheckpoint(classSink, 2))
+	if _, err := m.SolveColumn(context.Background(), q, ResumeFrom(reloop(t, classSink.Last()))); !errors.Is(err, ErrCheckpointMismatch) {
+		t.Errorf("resume from a class-run checkpoint: err = %v, want ErrCheckpointMismatch", err)
+	}
+
+	// The snapshot comes from a batch of one, so this leg checks the
+	// resume alone.
+	at4 := &MemorySink{}
+	ctx, cancel := context.WithCancel(context.Background())
+	_, err = m.SolveColumns(ctx, []ColumnQuery{q}, WithCheckpoint(at4, 4), WithProgress(func(_, iter int, _ float64) {
+		if iter == 4 {
+			cancel()
+		}
+	}))
+	cancel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := reloop(t, at4.Last())
+	if cp.Iter != 4 {
+		t.Fatalf("interrupted solve snapshotted iteration %d, want 4", cp.Iter)
+	}
+	first := 0
+	resumed, err := m.SolveColumn(context.Background(), q, ResumeFrom(cp), WithProgress(func(_, iter int, _ float64) {
+		if first == 0 {
+			first = iter
+		}
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first != 5 {
+		t.Errorf("resumed solve started at iteration %d, want 5", first)
+	}
+	sameVec(t, "resumed.X", resumed.X, ref.X)
+	sameVec(t, "resumed.Z", resumed.Z, ref.Z)
+	if resumed.Iterations != ref.Iterations || resumed.Converged != ref.Converged {
+		t.Errorf("resumed iterations/converged %d/%v, want %d/%v",
+			resumed.Iterations, resumed.Converged, ref.Iterations, ref.Converged)
 	}
 }
 

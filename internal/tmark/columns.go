@@ -4,27 +4,19 @@ package tmark
 // one independent single-class solve: a restart vector (usually uniform
 // over a caller-chosen seed set) iterated through eq. (10) and eq. (8)
 // until convergence. Queries against the same model share O, R and W, so
-// q concurrent queries can advance in lockstep through the blocked
-// SpMM-style kernels of the batched solver — SolveColumns streams every
-// tensor entry once per iteration and applies it to all q query columns,
-// exactly like the multi-class Run does for the graph's own classes.
+// SolveColumns hands them to the lockstep engine as one block — every
+// tensor entry is streamed once per iteration and applied to all query
+// columns, exactly like the multi-class Run does for the graph's own
+// classes — and a column's answer does not depend on the batch it rides
+// in. Unlike the multi-class Run, queries are never coupled by the
+// cross-class ICA reseed — eq. (12) is a statement about one prediction
+// matrix over one label set, and independent queries share neither. A
+// query may instead opt into a per-query self-training reseed
+// (ColumnQuery.ICA) whose "labelled" set is the query's own seed set.
 //
-// Per column the batched SolveColumns is bitwise identical to the
-// sequential SolveColumn for a fixed worker count: the blocked kernels
-// accumulate each column in single-vector order, the per-column simplex
-// projection and residual mirror vec.Normalize1/Diff1, and retirement
-// (convergence or per-column cancellation) only removes a column's
-// storage, never touching another column's arithmetic. Unlike the
-// multi-class Run, queries are never coupled by the cross-class ICA
-// reseed — eq. (12) is a statement about one prediction matrix over one
-// label set, and independent queries share neither. A query may instead
-// opt into a per-query self-training reseed (ColumnQuery.ICA) whose
-// "labelled" set is the query's own seed set.
-//
-// Each column carries an optional context: the lockstep loop checks it
-// every iteration and retires cancelled columns mid-batch (the same
-// column compaction that retires converged classes), so one impatient
-// caller never stops the rest of the batch. The run-level context still
+// Each column carries an optional context: the engine checks it every
+// iteration and retires a cancelled column mid-batch, so one impatient
+// caller never stops the rest of the batch. The run context still
 // cancels every column at once.
 
 import (
@@ -32,7 +24,6 @@ import (
 	"fmt"
 	"math"
 
-	"tmark/internal/accel"
 	"tmark/internal/vec"
 )
 
@@ -53,7 +44,7 @@ type ColumnQuery struct {
 	// score exceeds Lambda times the best non-seed score join the restart
 	// set. The query's own seed set plays the role of the labelled set.
 	ICA bool
-	// Ctx, when non-nil, cancels this column alone: the lockstep loop
+	// Ctx, when non-nil, cancels this column alone: the engine
 	// checks it every iteration and retires the column mid-batch with
 	// ColumnResult.Stopped set, leaving the other columns untouched.
 	Ctx context.Context
@@ -107,17 +98,18 @@ type ColumnResult struct {
 	Stopped error
 }
 
-// columnState is one validated query: the restart vector, the seed mask
-// of the per-query reseed (nil when ICA is off), the column context,
-// and the resolved solve tier.
+// columnState is one validated column of the engine: the restart
+// vector, the per-node roles of its reseed (nil when it never reseeds),
+// the column context, the resolved solve tier and the start state.
 type columnState struct {
 	l       vec.Vector
-	isSeed  []bool
+	label   []uint8 // nodeSeed / nodeFree / nodeExcluded per node
 	ctx     context.Context
 	seeds   int
-	quality Quality // resolved: never QualityDefault after SolveColumns
+	quality Quality // resolved: never QualityDefault once solving starts
 
-	// warmX/warmZ replace the cold start when non-nil (both or neither).
+	// warmX/warmZ replace the cold start (l, uniform z) when non-nil
+	// (both or neither).
 	warmX, warmZ vec.Vector
 }
 
@@ -165,10 +157,12 @@ func (m *Model) buildColumnState(q ColumnQuery) (columnState, error) {
 		return cs, fmt.Errorf("tmark: query needs seeds or a restart vector")
 	}
 	if q.ICA {
-		cs.isSeed = make([]bool, n)
+		// The query's own seed set plays the labelled set: seeds stay,
+		// every other node is free to join.
+		cs.label = make([]uint8, n)
 		for i, v := range cs.l {
 			if v > 0 {
-				cs.isSeed[i] = true
+				cs.label[i] = nodeSeed
 			}
 		}
 	}
@@ -214,141 +208,34 @@ func columnErr(runCtx, colCtx context.Context) error {
 	return nil
 }
 
-// queryReseed is the per-query self-training reseed shared by the
-// sequential and batched column paths: non-seed node i joins the restart
-// set when its score clears λ times the best non-seed score. at reads
-// the column's current score of node i, so both layouts (vector and
-// blocked) run the identical float comparisons and the identical
-// renormalisation.
-func queryReseed(lambda float64, isSeed []bool, at func(i int) float64, l vec.Vector) {
-	maxFree := 0.0
-	for i := range l {
-		if v := at(i); !isSeed[i] && v > maxFree {
-			maxFree = v
-		}
-	}
-	threshold := lambda * maxFree
-	count := 0
-	for i := range l {
-		accept := isSeed[i]
-		if !accept && maxFree > 0 {
-			accept = at(i) > threshold
-		}
-		if accept {
-			l[i] = 1
-			count++
-		} else {
-			l[i] = 0
-		}
-	}
-	if count == 0 {
-		vec.Fill(l, 1/float64(len(l)))
-		return
-	}
-	vec.Scale(1/float64(count), l)
-}
-
-// SolveColumn solves one query through the sequential single-vector
-// kernels — the reference path of SolveColumns. The run context and the
-// query's own context are both checked before every iteration; a
-// cancelled solve returns the state of the last completed iteration with
-// Stopped set. A nil ctx is treated as context.Background().
+// SolveColumn solves one query: SolveColumns with a batch of one, so the
+// answer is bitwise the query's answer inside any SolveColumns batch, on
+// every tier, and WithCheckpoint and ResumeFrom apply exactly as they do
+// to a batch. A nil ctx is treated as context.Background().
 func (m *Model) SolveColumn(ctx context.Context, q ColumnQuery, opts ...RunOption) (ColumnResult, error) {
-	ctx = orBackground(ctx)
-	cs, err := m.buildColumnState(q)
+	out, err := m.SolveColumns(ctx, []ColumnQuery{q}, opts...)
 	if err != nil {
 		return ColumnResult{}, err
 	}
-	ro := resolveOptions(opts)
-	ro.sequential = true
-	cs.quality = q.Quality.resolve(ro)
-	if cs.quality == QualityAccelerated && ro.resume == nil {
-		// The extrapolated vet pass lives in the blocked lockstep loop, so
-		// an accelerated query runs as a batch of one — the per-column
-		// trajectory is batch-size-invariant, making the solo result
-		// bitwise identical to the same query inside any SolveColumns
-		// batch. (A resumed solo query stays on the sequential reference
-		// path, where acceleration degrades to exact iteration.)
-		ro.sequential = false
-		rs := m.newRunScratchCols(ro, 1)
-		defer rs.close()
-		out := make([]ColumnResult, 1)
-		m.iterateColumns(ctx, []columnState{cs}, out, rs)
-		return out[0], nil
-	}
-	rs := m.newRunScratchCols(ro, 1)
-	defer rs.close()
-	if cs.quality == QualityFast {
-		return m.solveFastColumn(ctx, cs, rs.linScratch(), rs), nil
-	}
-	return m.solveColumnSeq(ctx, 0, cs, rs), nil
+	return out[0], nil
 }
 
-// solveColumnSeq iterates one validated query with the single-vector
-// kernels, mirroring solveClassSeeded step for step (ctx check, reseed
-// from t = 3, step, trace, convergence test).
-func (m *Model) solveColumnSeq(ctx context.Context, idx int, cs columnState, rs *runScratch) ColumnResult {
-	x0, z0 := cs.l, vec.Uniform(m.graph.M())
-	if cs.warmX != nil {
-		x0, z0 = cs.warmX, cs.warmZ
-	}
-	s := classState{
-		x: vec.Clone(x0), z: vec.Clone(z0), l: cs.l,
-		xNext: vec.New(m.graph.N()), zNext: vec.New(m.graph.M()), tmp: vec.New(m.graph.N()),
-		seeds: cs.seeds,
-	}
-	progress := rs.progressFn()
-	cr := ColumnResult{Seeds: cs.seeds}
-	for t := 1; t <= m.cfg.MaxIterations; t++ {
-		if err := columnErr(ctx, cs.ctx); err != nil {
-			cr.Stopped = err
-			break
-		}
-		if cs.isSeed != nil && t > 2 {
-			rs.reseed(m.graph.N(), func() {
-				queryReseed(m.cfg.Lambda, cs.isSeed, func(i int) float64 { return s.x[i] }, s.l)
-			})
-		}
-		rho := m.step(&s, rs)
-		if math.IsNaN(rho) {
-			// step discarded the corrupted iterate, so x/z hold the last
-			// healthy iteration — the partial solution the stopped column
-			// reports.
-			regNumericalFaults.Inc()
-			cr.Stopped = ErrNumericalFault
-			break
-		}
-		cr.Trace = append(cr.Trace, rho)
-		cr.Iterations = t
-		if progress != nil {
-			progress(idx, t, rho)
-		}
-		if rho < m.cfg.Epsilon {
-			cr.Converged = true
-			break
-		}
-	}
-	cr.X, cr.Z, cr.Restart = s.x, s.z, s.l
-	return cr
-}
-
-// SolveColumns solves the queries together through the blocked lockstep
-// kernels: one n×q node block and one m×q link block advance per
-// iteration, so every tensor entry and CSR row is streamed once and
-// applied to all active query columns. Columns retire mid-batch when
-// they converge or when their own context is cancelled; the run context
-// cancels every remaining column at once. Per column the result is
-// bitwise identical to SolveColumn on the same query for a fixed worker
-// count; WithBatchedClasses(false) selects that sequential path
-// column by column instead. Query validation errors fail the whole call
-// before any solving happens.
+// SolveColumns solves the queries together in one lockstep engine block:
+// one n×q node block and one m×q link block advance per iteration, so
+// every tensor entry and CSR row is streamed once and applied to all
+// active query columns. Columns retire mid-batch when they converge,
+// fault, or when their own context is cancelled; the run context
+// cancels every remaining column at once. Fast-tier queries are answered
+// by the linear solve and never enter the block. Per column the result
+// is independent of the batch for a fixed worker count. Query validation
+// errors fail the whole call before any solving happens.
 func (m *Model) SolveColumns(ctx context.Context, queries []ColumnQuery, opts ...RunOption) ([]ColumnResult, error) {
 	ctx = orBackground(ctx)
 	if len(queries) == 0 {
 		return nil, nil
 	}
 	ro := resolveOptions(opts)
-	states := make([]columnState, len(queries))
+	cols := make([]engineCol, len(queries))
 	anyFast := false
 	for i, q := range queries {
 		cs, err := m.buildColumnState(q)
@@ -357,521 +244,41 @@ func (m *Model) SolveColumns(ctx context.Context, queries []ColumnQuery, opts ..
 		}
 		cs.quality = q.Quality.resolve(ro)
 		anyFast = anyFast || cs.quality == QualityFast
-		states[i] = cs
+		cols[i].columnState = cs
 	}
 	if cp := ro.resume; cp != nil {
-		if ro.sequential {
-			return nil, fmt.Errorf("%w: resume requires the batched path", ErrCheckpointMismatch)
-		}
 		if anyFast {
 			return nil, fmt.Errorf("%w: resume requires iterative queries, not quality=fast", ErrCheckpointMismatch)
 		}
-		if err := m.validateColumnCheckpoint(cp, len(queries)); err != nil {
+		if err := m.validateCheckpoint(cp, ckKindColumns, len(queries)); err != nil {
 			return nil, err
 		}
 	}
-	rs := m.newRunScratchCols(ro, len(queries))
+	rs := m.newRunScratch(ro, len(queries))
 	defer rs.close()
-	out := make([]ColumnResult, len(queries))
 	// Fast-tier queries never enter the iterative block: each is one
-	// linear solve against the shared collapsed system.
+	// linear solve against the shared collapsed system, and the engine
+	// takes the answered column as already retired.
 	if anyFast {
 		ms := rs.linScratch()
-		for i := range states {
-			if states[i].quality == QualityFast {
-				out[i] = m.solveFastColumn(ctx, states[i], ms, rs)
+		for i := range cols {
+			if cols[i].quality == QualityFast {
+				cols[i].res = m.solveFastColumn(ctx, cols[i].columnState, ms, rs)
 			}
 		}
 	}
-	if ro.sequential {
-		for i := range states {
-			if states[i].quality == QualityFast {
-				continue
-			}
-			out[i] = m.solveColumnSeq(ctx, i, states[i], rs)
-		}
-		return out, nil
+	e := m.newEngine(rs, cols, ckKindColumns)
+	if cp := ro.resume; cp != nil {
+		e.restore(cp)
 	}
-	m.iterateColumns(ctx, states, out, rs)
+	e.run(ctx)
+	// Column solves are the serving path, so the registry counters must
+	// see their extrapolation activity just like finishRun publishes a
+	// class run's.
+	publishAccel(&rs.accel)
+	out := make([]ColumnResult, len(cols))
+	for i := range cols {
+		out[i] = cols[i].res
+	}
 	return out, nil
-}
-
-// validateColumnCheckpoint reports whether the checkpoint can resume a
-// SolveColumns call over nq resubmitted queries on this model. The
-// queries themselves must be resubmitted unchanged — the checkpoint
-// stores their restart vectors and verdicts by position.
-func (m *Model) validateColumnCheckpoint(cp *Checkpoint, nq int) error {
-	if cp.Kind != ckKindColumns {
-		return fmt.Errorf("%w: kind %d is not a column-run checkpoint", ErrCheckpointMismatch, cp.Kind)
-	}
-	if cp.N != m.graph.N() || cp.M != m.graph.M() {
-		return fmt.Errorf("%w: checkpoint %dx%d, model %dx%d",
-			ErrCheckpointMismatch, cp.N, cp.M, m.graph.N(), m.graph.M())
-	}
-	if cp.Q != nq {
-		return fmt.Errorf("%w: checkpoint has %d query columns, call has %d", ErrCheckpointMismatch, cp.Q, nq)
-	}
-	if cp.ConfigHash != m.cfg.checkpointHash() {
-		return fmt.Errorf("%w: config hash %016x, model %016x",
-			ErrCheckpointMismatch, cp.ConfigHash, m.cfg.checkpointHash())
-	}
-	if cp.Iter >= m.cfg.MaxIterations && cp.B > 0 {
-		return fmt.Errorf("%w: checkpoint already at the iteration cap (%d)", ErrCheckpointMismatch, cp.Iter)
-	}
-	return nil
-}
-
-// columnBlock is the working set of one batched column solve: the
-// blocked iterates plus the active-column bookkeeping. colOf maps the
-// active column to its query index; retirement compacts the block
-// in place exactly like the multi-class batchRun.
-type columnBlock struct {
-	n, m  int
-	b     int   // active column count
-	colOf []int // column -> query index, ascending; len b
-	x, z  []float64
-	xn    []float64
-	zn    []float64
-	tmp   []float64
-	keep  []int
-
-	rhos []float64 // per-column residuals of the current iteration
-	bad  []string  // per-column corruption verdicts ("" = healthy)
-	best []float64 // per-query best residual seen (divergence guard)
-
-	t0   int // completed iterations restored from a checkpoint
-	done int // last completed iteration (snapshot cursor)
-}
-
-// retire gathers every column with a pending verdict (converged or
-// stopped) into its final per-query vectors and left-packs the
-// survivors, shrinking the active stride.
-func (st *columnBlock) retire(out []ColumnResult, done func(i int) bool) {
-	st.keep = st.keep[:0]
-	for col := 0; col < st.b; col++ {
-		i := st.colOf[col]
-		if done(i) {
-			x, z := vec.New(st.n), vec.New(st.m)
-			vec.GatherCol(st.x, col, st.b, x)
-			vec.GatherCol(st.z, col, st.b, z)
-			out[i].X, out[i].Z = x, z
-			continue
-		}
-		st.keep = append(st.keep, col)
-	}
-	if len(st.keep) == st.b {
-		return
-	}
-	vec.CompactCols(st.x, st.n, st.b, st.keep)
-	vec.CompactCols(st.z, st.m, st.b, st.keep)
-	for nc, oc := range st.keep {
-		st.colOf[nc] = st.colOf[oc]
-	}
-	st.b = len(st.keep)
-	st.colOf = st.colOf[:st.b]
-}
-
-// iterateColumns is the blocked lockstep loop over query columns. The
-// per-iteration order mirrors solveColumnSeq per column — cancellation
-// check, per-query reseed from t = 3, the eq. (10)/(8) step — so column
-// c stays bitwise equal to its sequential solve.
-//
-// Numerical faults are isolated per column: the kernels never mix
-// columns, so a corrupted column retires with its last healthy state and
-// Stopped = ErrNumericalFault while the rest of the batch carries on —
-// one poisoned query never spoils its batchmates.
-func (m *Model) iterateColumns(ctx context.Context, states []columnState, out []ColumnResult, rs *runScratch) {
-	n, mm := m.graph.N(), m.graph.M()
-	nq := len(states)
-	// Fast-tier queries were answered through the linear solve before
-	// this loop; only the iterative queries enter the block.
-	iterQ := make([]int, 0, nq)
-	for i := range states {
-		if states[i].quality != QualityFast {
-			iterQ = append(iterQ, i)
-		}
-	}
-	nb := len(iterQ)
-	if nb == 0 {
-		return
-	}
-	st := &columnBlock{
-		n: n, m: mm, b: nb,
-		colOf: make([]int, nb),
-		x:     make([]float64, n*nb),
-		z:     make([]float64, mm*nb),
-		xn:    make([]float64, n*nb),
-		zn:    make([]float64, mm*nb),
-		tmp:   make([]float64, n*nb),
-		keep:  make([]int, 0, nb),
-		rhos:  make([]float64, nb),
-		bad:   make([]string, nb),
-		best:  make([]float64, nq),
-	}
-	uniformZ := vec.Uniform(mm)
-	var ex []*accel.Extrapolator
-	var jumped, vetoed []bool // by query index, valid within one pass
-	for col, i := range iterQ {
-		st.colOf[col] = i
-		st.best[i] = math.Inf(1)
-		if states[i].warmX != nil {
-			vec.ScatterCol(states[i].warmX, st.x, col, nb)
-			vec.ScatterCol(states[i].warmZ, st.z, col, nb)
-		} else {
-			vec.ScatterCol(states[i].l, st.x, col, nb)
-			vec.ScatterCol(uniformZ, st.z, col, nb)
-		}
-		out[i] = ColumnResult{Seeds: states[i].seeds, Restart: states[i].l}
-		if states[i].quality == QualityAccelerated {
-			if ex == nil {
-				ex = make([]*accel.Extrapolator, nq)
-				jumped = make([]bool, nq)
-				vetoed = make([]bool, nq)
-			}
-			ex[i] = accel.NewExtrapolator(n, mm, &rs.accel)
-		}
-	}
-	if cp := rs.opts.resume; cp != nil {
-		restoreColumns(st, cp, states, out)
-	}
-	alpha, beta := m.cfg.Alpha, m.cfg.Beta()
-	rel := 1 - alpha - beta
-	g := rs.opts.guards
-	progress := rs.progressFn()
-	for t := st.t0 + 1; t <= m.cfg.MaxIterations && st.b > 0; t++ {
-		// A run-level cancellation breaks out before any column is marked:
-		// the drain flush below must snapshot the survivors as still
-		// active, or a resumed run would treat them as permanently stopped.
-		if ctx.Err() != nil {
-			break
-		}
-		// Per-column cancellation next, like the sequential loop's
-		// top-of-iteration check: a cancelled column keeps the state of
-		// the last completed iteration and retires alone.
-		stopped := false
-		for col := 0; col < st.b; col++ {
-			i := st.colOf[col]
-			if states[i].ctx != nil {
-				if err := states[i].ctx.Err(); err != nil {
-					out[i].Stopped = err
-					stopped = true
-				}
-			}
-		}
-		if stopped {
-			st.retire(out, func(i int) bool { return out[i].Stopped != nil })
-			if st.b == 0 {
-				break
-			}
-		}
-		if t > 2 {
-			for col := 0; col < st.b; col++ {
-				i := st.colOf[col]
-				if states[i].isSeed == nil {
-					continue
-				}
-				col := col
-				rs.reseed(n, func() {
-					b := st.b
-					queryReseed(m.cfg.Lambda, states[i].isSeed,
-						func(r int) float64 { return st.x[r*b+col] }, states[i].l)
-				})
-			}
-		}
-		b := st.b
-		x, z, xn, zn := st.x[:n*b], st.z[:mm*b], st.xn[:n*b], st.zn[:mm*b]
-		// Scatter pending extrapolated candidates — after the per-query
-		// reseed, which must read committed state only.
-		anyJump := false
-		if ex != nil {
-			for col := 0; col < b; col++ {
-				i := st.colOf[col]
-				if ex[i].Pending() {
-					ex[i].ScatterCandidate(x, z, col, b)
-					jumped[i], vetoed[i] = true, false
-					anyJump = true
-				}
-			}
-		}
-		if rel > 0 {
-			rs.applyNodeBatch(m.o, x, z, xn, b)
-			vec.Scale(rel, xn)
-		} else {
-			vec.Fill(xn, 0)
-		}
-		if beta > 0 && m.w != nil {
-			tmp := st.tmp[:n*b]
-			rs.mulFeatureBatch(x, tmp, b)
-			vec.Axpy(beta, tmp, xn)
-		}
-		bad := st.bad[:b]
-		for col := 0; col < b; col++ {
-			i := st.colOf[col]
-			bad[col] = ""
-			vec.AxpyCol(alpha, states[i].l, xn, col, b)
-			mass, ok := vec.Normalize1ColMass(xn, col, b)
-			if kind, isBad := badMass(mass, ok, g); isBad {
-				// A candidate under vet faults only its own jump: the
-				// proposal is rejected below instead of the column retiring.
-				if ex != nil && jumped[i] {
-					vetoed[i] = true
-				} else {
-					bad[col] = kind
-				}
-			}
-		}
-		rs.applyRelationBatch(m.r, xn, zn, b)
-		for col := 0; col < b; col++ {
-			i := st.colOf[col]
-			if bad[col] != "" || (ex != nil && jumped[i] && vetoed[i]) {
-				continue
-			}
-			mass, ok := vec.Normalize1ColMass(zn, col, b)
-			if kind, isBad := badMass(mass, ok, g); isBad {
-				if ex != nil && jumped[i] {
-					vetoed[i] = true
-				} else {
-					bad[col] = kind
-				}
-			}
-		}
-		rhos := st.rhos[:b]
-		anyBad := false
-		for col := 0; col < b; col++ {
-			i := st.colOf[col]
-			if bad[col] != "" {
-				anyBad = true
-				continue
-			}
-			if ex != nil && jumped[i] && vetoed[i] {
-				continue
-			}
-			rho := vec.Diff1Col(x, xn, col, b) + vec.Diff1Col(z, zn, col, b)
-			if nonFinite(rho) {
-				if ex != nil && jumped[i] {
-					vetoed[i] = true
-					continue
-				}
-				bad[col] = faultNonFinite
-				anyBad = true
-				continue
-			}
-			rhos[col] = rho
-		}
-		// Vet verdicts for the jumped columns: accept exactly when the
-		// pass stayed healthy and d(u, F(u)) strictly improves on the
-		// query's last committed residual; otherwise restore the pre-jump
-		// column into the next block so the commit re-installs it.
-		if anyJump {
-			for col := 0; col < b; col++ {
-				i := st.colOf[col]
-				if !jumped[i] {
-					continue
-				}
-				last := math.Inf(1)
-				if tr := out[i].Trace; len(tr) > 0 {
-					last = tr[len(tr)-1]
-				}
-				if !vetoed[i] && rhos[col] < last {
-					ex[i].Accept()
-				} else {
-					ex[i].RestoreInto(xn, zn, col, b)
-					ex[i].Reject()
-					vetoed[i] = true
-				}
-				jumped[i] = false
-			}
-		}
-		// Faulted columns get their pre-iteration (healthy) state written
-		// back into the next block before the wholesale commit below, so
-		// the block never holds a corrupted column and the faulted query
-		// retires with the last healthy iterate.
-		if anyBad {
-			for col := 0; col < b; col++ {
-				if bad[col] == "" {
-					continue
-				}
-				i := st.colOf[col]
-				regNumericalFaults.Inc()
-				out[i].Stopped = ErrNumericalFault
-				for r := 0; r < n; r++ {
-					xn[r*b+col] = x[r*b+col]
-				}
-				for r := 0; r < mm; r++ {
-					zn[r*b+col] = z[r*b+col]
-				}
-			}
-		}
-		done := anyBad
-		for col := 0; col < b; col++ {
-			i := st.colOf[col]
-			if bad[col] != "" || (ex != nil && vetoed[i]) {
-				// Faulted, or a rejected vet pass: nothing committed for
-				// this query, so no trace entry and no convergence test.
-				continue
-			}
-			rho := rhos[col]
-			out[i].Trace = append(out[i].Trace, rho)
-			out[i].Iterations++
-			if progress != nil {
-				progress(i, out[i].Iterations, rho)
-			}
-			if rho < m.cfg.Epsilon {
-				out[i].Converged = true
-				done = true
-			}
-		}
-		copy(x, xn)
-		copy(z, zn)
-		st.done = t
-		// The opt-in series probes run post-commit per column: divergence
-		// and stagnation are verdicts about the (valid) residual series,
-		// so the committed state is what the stopped column reports.
-		for col := 0; col < b; col++ {
-			i := st.colOf[col]
-			if bad[col] != "" || (ex != nil && vetoed[i]) {
-				continue
-			}
-			if out[i].Converged {
-				continue
-			}
-			rho := rhos[col]
-			if diverged(rho, st.best[i], g) {
-				regNumericalFaults.Inc()
-				out[i].Stopped = ErrNumericalFault
-				done = true
-				continue
-			}
-			if rho < st.best[i] {
-				st.best[i] = rho
-			}
-			if stagnated(out[i].Trace, g) {
-				regStagnations.Inc()
-				out[i].Stopped = ErrStagnated
-				done = true
-			}
-		}
-		// Feed the extrapolators the freshly committed iterates and let
-		// them propose for the next pass — before retirement compacts the
-		// column mapping.
-		if ex != nil {
-			for col := 0; col < b; col++ {
-				i := st.colOf[col]
-				vetoed[i] = false
-				e := ex[i]
-				if e == nil || out[i].Converged || out[i].Stopped != nil {
-					continue
-				}
-				// Observe runs even through a shutoff cooldown — the committed
-				// iterates are what count the cooldown down; Propose no-ops
-				// until it expires.
-				e.Observe(x, z, col, b)
-				e.Propose()
-			}
-		}
-		if done {
-			st.retire(out, func(i int) bool { return out[i].Converged || out[i].Stopped != nil })
-		}
-		if sink := rs.opts.ckSink; sink != nil && rs.opts.ckEvery > 0 && t%rs.opts.ckEvery == 0 && st.b > 0 {
-			m.saveCheckpoint(sink, m.snapshotColumns(st, states, out))
-		}
-	}
-	// Drain flush before the leftovers are marked: the snapshot keeps the
-	// surviving columns active, so a resumed call continues them from
-	// exactly the state this interrupted call reports.
-	if rs.opts.ckSink != nil && st.b > 0 && ctx.Err() != nil {
-		m.saveCheckpoint(rs.opts.ckSink, m.snapshotColumns(st, states, out))
-	}
-	// Gather the leftovers: iteration cap, or a run-context cancellation
-	// noticed by the loop condition.
-	err := ctx.Err()
-	st.retire(out, func(i int) bool {
-		if err != nil && out[i].Stopped == nil {
-			out[i].Stopped = err
-		}
-		return true
-	})
-	// Publish extrapolator activity from this batch — column solves are
-	// the serving path, so the registry counters must see their proposals
-	// just like finishRun publishes the full-solve ones.
-	if rs.accel.Proposed > 0 {
-		regAccelProposed.Add(rs.accel.Proposed)
-		regAccelAccepted.Add(rs.accel.Accepted)
-		regAccelRejected.Add(rs.accel.Rejected)
-	}
-}
-
-// snapshotColumns deep-copies the batched column working set into a
-// Checkpoint. The resubmitted queries supply the restart vectors on
-// restore, so the snapshot stores states[i].l (which the per-query
-// reseed may have rewritten) rather than re-deriving them.
-func (m *Model) snapshotColumns(st *columnBlock, states []columnState, out []ColumnResult) *Checkpoint {
-	nq := len(states)
-	cp := &Checkpoint{
-		ConfigHash: m.cfg.checkpointHash(),
-		Kind:       ckKindColumns,
-		N:          st.n, M: st.m, Q: nq,
-		Iter:    st.done,
-		B:       st.b,
-		ClassOf: append([]int(nil), st.colOf[:st.b]...),
-		State:   make([]uint8, nq),
-		Iters:   make([]int, nq),
-		Seeds:   make([]int, nq),
-		X:       append([]float64(nil), st.x[:st.n*st.b]...),
-		Z:       append([]float64(nil), st.z[:st.m*st.b]...),
-		L:       make([]float64, nq*st.n),
-		XOut:    make([][]float64, nq),
-		ZOut:    make([][]float64, nq),
-		Trace:   make([][]float64, nq),
-	}
-	for i := 0; i < nq; i++ {
-		copy(cp.L[i*st.n:(i+1)*st.n], states[i].l)
-		cp.Iters[i] = out[i].Iterations
-		cp.Seeds[i] = out[i].Seeds
-		cp.Trace[i] = append([]float64(nil), out[i].Trace...)
-		if out[i].X != nil { // retired: converged, per-column cancel, or fault
-			if out[i].Converged {
-				cp.State[i] = 1
-			} else {
-				cp.State[i] = 2
-			}
-			cp.XOut[i] = append([]float64(nil), out[i].X...)
-			cp.ZOut[i] = append([]float64(nil), out[i].Z...)
-		}
-	}
-	return cp
-}
-
-// restoreColumns loads a validated column-run checkpoint into the
-// freshly initialised working set. Columns the original call retired
-// keep their verdicts: converged columns return as converged, stopped
-// columns (per-column cancellation or numerical fault in the original
-// call) return with Stopped = context.Canceled since the precise
-// original error is not serialised.
-func restoreColumns(st *columnBlock, cp *Checkpoint, states []columnState, out []ColumnResult) {
-	st.b = cp.B
-	st.colOf = st.colOf[:st.b]
-	copy(st.colOf, cp.ClassOf)
-	copy(st.x[:st.n*st.b], cp.X)
-	copy(st.z[:st.m*st.b], cp.Z)
-	for i := range states {
-		copy(states[i].l, cp.L[i*st.n:(i+1)*st.n])
-		out[i].Iterations = cp.Iters[i]
-		out[i].Trace = append([]float64(nil), cp.Trace[i]...)
-		st.best[i] = math.Inf(1)
-		for _, r := range out[i].Trace {
-			if r < st.best[i] {
-				st.best[i] = r
-			}
-		}
-		if cp.State[i] != 0 {
-			out[i].Converged = cp.State[i] == 1
-			if !out[i].Converged {
-				out[i].Stopped = context.Canceled
-			}
-			out[i].X = vec.Vector(append([]float64(nil), cp.XOut[i]...))
-			out[i].Z = vec.Vector(append([]float64(nil), cp.ZOut[i]...))
-		}
-	}
-	st.t0, st.done = cp.Iter, cp.Iter
 }

@@ -42,9 +42,8 @@ func TestColumnWarmStartSameModel(t *testing.T) {
 }
 
 // TestColumnWarmStartBatchMatchesSequential: warm queries through the
-// blocked SolveColumns path must behave exactly like the sequential
-// SolveColumn path (the batch-vs-seq bitwise contract extends to warm
-// starts).
+// engine must behave exactly like the oracle's warm solve (the bitwise
+// contract extends to warm starts).
 func TestColumnWarmStartBatchMatchesSequential(t *testing.T) {
 	m, err := New(labelledChain(40, 5), DefaultConfig())
 	if err != nil {
@@ -65,11 +64,9 @@ func TestColumnWarmStartBatchMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatalf("warm SolveColumns: %v", err)
 	}
+	o := newOracle(t, m)
 	for i, q := range queries {
-		seq, err := m.SolveColumn(context.Background(), q)
-		if err != nil {
-			t.Fatalf("warm SolveColumn %d: %v", i, err)
-		}
+		seq := o.solveColumn(t, q)
 		for j := range seq.X {
 			if batch[i].X[j] != seq.X[j] {
 				t.Fatalf("query %d x[%d]: batch %v, seq %v (bitwise)", i, j, batch[i].X[j], seq.X[j])

@@ -64,44 +64,6 @@ func TestRunContextCancelStopsWithinOneIteration(t *testing.T) {
 	}
 }
 
-func TestRunContextSequentialCancelSkipsRemainingClasses(t *testing.T) {
-	g := benchGraph(120)
-	cfg := slowConfig(1)
-	cfg.ICAUpdate = false // sequential per-class path
-	m, err := New(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	// This test pins down the sequential path's class-skipping semantics;
-	// the batched path advances all classes in lockstep instead.
-	res := m.RunContext(ctx, WithBatchedClasses(false), WithProgress(func(class, iter int, rho float64) {
-		if class == 1 && iter >= 2 {
-			cancel()
-		}
-	}))
-	if !errors.Is(res.Stopped, context.Canceled) {
-		t.Fatalf("Stopped = %v", res.Stopped)
-	}
-	if got := res.Classes[1].Iterations; got > 3 {
-		t.Errorf("class 1 ran %d iterations after cancel", got)
-	}
-	for c := 2; c < g.Q(); c++ {
-		cr := res.Classes[c]
-		if cr.Iterations != 0 {
-			t.Errorf("unreached class %d ran %d iterations", c, cr.Iterations)
-		}
-		// Unreached classes hold their seed state so Predict still works.
-		if len(cr.X) != g.N() || len(cr.Z) != g.M() {
-			t.Errorf("unreached class %d missing seed state", c)
-		}
-	}
-	if pred := res.Predict(); len(pred) != g.N() {
-		t.Errorf("Predict on partial result returned %d predictions", len(pred))
-	}
-}
-
 func TestRunContextExpiredDeadline(t *testing.T) {
 	g := benchGraph(60)
 	m, err := New(g, slowConfig(1))

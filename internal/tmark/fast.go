@@ -146,14 +146,14 @@ func (m *Model) solveFastColumn(ctx context.Context, cs columnState, ms *sparse.
 // is one linear solve plus one relation contraction. Classes are
 // independent here — the ICA cross-class coupling is dropped by design —
 // so a cancelled context simply leaves the remaining classes at their
-// seed state, like the sequential path.
+// seed state.
 func (m *Model) runApproximate(ctx context.Context, res *Result, rs *runScratch) error {
 	sys, err := m.linearSystem()
 	if err != nil {
 		return err
 	}
 	ms := rs.linScratch()
-	progress := rs.progressFn()
+	progress := rs.opts.progress
 	for c := 0; c < m.graph.Q(); c++ {
 		l, seeds := m.seedVector(c)
 		cr := ClassResult{Class: c, Seeds: seeds, Restart: l}

@@ -10,8 +10,8 @@ package tmark
 // Always on (every path, free): the per-column simplex projection
 // already computes the column mass, so a zero/NaN/Inf mass is detected
 // at no extra cost, and the residual ρ is checked for finiteness as it
-// is computed. Both fire BEFORE the iterate is committed (the blocked
-// loops copy xn→x only after the checks pass), so at detection time the
+// is computed. Both fire BEFORE the iterate is committed (the engine
+// copies xn→x only after the checks pass), so at detection time the
 // solver still holds the last healthy iteration — which is exactly the
 // state the automatic retry resumes from, and exactly the state an
 // interrupted Result reports.
@@ -22,15 +22,15 @@ package tmark
 // marginal run stops (a stagnating run that used to grind to
 // MaxIterations now stops early with ReasonStagnated).
 //
-// Recovery: a corruption fault in a batched class run triggers one
+// Recovery: a corruption fault in a class run triggers one
 // automatic retry from the last good state with the AVX2 kernels
 // demoted to the scalar reference bodies (WithScalarKernels) — if the
 // fault came from the vectorised path, the retry completes on the
 // reference path; a deterministic fault reproduces and the run stops
 // with ReasonNumericalFault and the last healthy state. Stagnation and
 // divergence are properties of the data, not the hardware, so they stop
-// the run without a retry. In batched column solves (SolveColumns)
-// faults are isolated per column instead: the faulting column retires
+// the run without a retry. In column solves (SolveColumns) faults are
+// isolated per column instead: the faulting column retires
 // with ColumnResult.Stopped = ErrNumericalFault and its last healthy
 // state, and the other columns continue unharmed.
 

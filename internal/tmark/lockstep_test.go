@@ -7,9 +7,8 @@ import (
 	"tmark/internal/vec"
 )
 
-// With the ICA update disabled, Run (parallel per-class) and the lockstep
-// machinery must be irrelevant: stepping a classState by hand reproduces
-// solveClass exactly.
+// With the ICA update disabled the reseed is irrelevant: stepping the
+// oracle by hand reproduces RunClass.
 func TestStepMatchesSolveClass(t *testing.T) {
 	g := paperGraph()
 	cfg := DefaultConfig()
@@ -20,16 +19,14 @@ func TestStepMatchesSolveClass(t *testing.T) {
 	}
 	want := m.RunClass(0)
 
+	o := newOracle(t, m)
 	l, _ := m.seedVector(0)
-	s := classState{
-		x: vec.Clone(l), z: vec.Uniform(g.M()), l: l,
-		xNext: vec.New(g.N()), zNext: vec.New(g.M()), tmp: vec.New(g.N()),
-	}
+	s := o.newState(vec.Clone(l), vec.Uniform(g.M()), l)
 	for it := 0; it < want.Iterations; it++ {
-		m.step(&s, nil)
+		o.step(&s)
 	}
 	if d := vec.Diff1(s.x, want.X); d > 1e-12 {
-		t.Errorf("manual stepping diverged from solveClass: %v", d)
+		t.Errorf("manual stepping diverged from RunClass: %v", d)
 	}
 	if d := vec.Diff1(s.z, want.Z); d > 1e-12 {
 		t.Errorf("manual z diverged: %v", d)
@@ -65,6 +62,16 @@ func TestLockstepRunInvariants(t *testing.T) {
 	}
 }
 
+// seedScores is every class's seed vector, the scores a reseed test
+// starts from.
+func seedScores(m *Model) []vec.Vector {
+	xs := make([]vec.Vector, m.graph.Q())
+	for c := range xs {
+		xs[c], _ = m.seedVector(c)
+	}
+	return xs
+}
+
 // Cross-class exclusivity: after a reseed, an unlabelled node may carry
 // pseudo-seed mass in at most one class.
 func TestIcaReseedAllExclusive(t *testing.T) {
@@ -73,20 +80,16 @@ func TestIcaReseedAllExclusive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, q := g.N(), g.Q()
-	states := make([]classState, q)
-	for c := 0; c < q; c++ {
-		l, _ := m.seedVector(c)
-		states[c] = classState{x: vec.Clone(l), l: l}
-	}
+	q := g.Q()
+	xs := seedScores(m)
 	// Give p3 (unlabelled) high confidence in both classes; only its
 	// argmax class may seed it.
-	states[0].x[2] = 0.4
-	states[1].x[2] = 0.5
-	m.icaReseedAll(states)
+	xs[0][2] = 0.4
+	xs[1][2] = 0.5
+	ls := reseedClasses(t, m, xs)
 	seeded := 0
 	for c := 0; c < q; c++ {
-		if states[c].l[2] > 0 {
+		if ls[c][2] > 0 {
 			seeded++
 			if c != 1 {
 				t.Errorf("p3 seeded class %d, want its argmax class 1", c)
@@ -97,11 +100,10 @@ func TestIcaReseedAllExclusive(t *testing.T) {
 		t.Errorf("p3 seeded %d classes, want at most 1", seeded)
 	}
 	for c := 0; c < q; c++ {
-		if !vec.IsStochastic(states[c].l, 1e-12) {
-			t.Errorf("class %d reseeded l not a distribution: %v", c, states[c].l)
+		if !vec.IsStochastic(ls[c], 1e-12) {
+			t.Errorf("class %d reseeded l not a distribution: %v", c, ls[c])
 		}
 	}
-	_ = n
 }
 
 // Labelled nodes never become pseudo-seeds of a different class.
@@ -111,18 +113,14 @@ func TestIcaReseedAllRespectsLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	states := make([]classState, g.Q())
-	for c := 0; c < g.Q(); c++ {
-		l, _ := m.seedVector(c)
-		states[c] = classState{x: vec.Clone(l), l: l}
-	}
+	xs := seedScores(m)
 	// p2 is labelled CV; even with huge DM confidence it must not seed DM.
-	states[0].x[1] = 0.99
-	m.icaReseedAll(states)
-	if states[0].l[1] != 0 {
+	xs[0][1] = 0.99
+	ls := reseedClasses(t, m, xs)
+	if ls[0][1] != 0 {
 		t.Errorf("labelled node crossed classes in reseed")
 	}
-	if states[1].l[1] == 0 {
+	if ls[1][1] == 0 {
 		t.Errorf("labelled node lost its own-class seed")
 	}
 }

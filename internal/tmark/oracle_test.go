@@ -1,0 +1,337 @@
+package tmark
+
+// The sequential reference solver: the bitwise oracle every engine path
+// is checked against. It steps one class or query at a time through
+// single-vector kernels — the serial Apply and MulVec at Workers = 1, the
+// blocked kernels at b = 1 on a worker pool otherwise (the single-vector
+// parallel kernels live in internal/tensor's tests as the reference of
+// the blocked ones) — and carries its own copy of the three reseed rules
+// of eq. (12), so it shares no loop, no block layout and no reseed code
+// with the engine.
+
+import (
+	"math"
+	"testing"
+
+	"tmark/internal/par"
+	"tmark/internal/sparse"
+	"tmark/internal/tensor"
+	"tmark/internal/vec"
+)
+
+type oracle struct {
+	m    *Model
+	pool *par.Pool // nil: serial single-vector kernels
+	ob   *tensor.NodeBatchScratch
+	rb   *tensor.RelationBatchScratch
+	wS   *sparse.MulBatchScratch
+	wD   *vec.MulBatchScratch
+}
+
+// newOracle builds the reference solver at the model's worker count.
+func newOracle(t testing.TB, m *Model) *oracle {
+	o := &oracle{m: m}
+	if w := m.cfg.workerCount(); w > 1 {
+		o.pool = par.New(w)
+		o.ob = tensor.NewNodeBatchScratch(m.o, w, 1)
+		o.rb = tensor.NewRelationBatchScratch(m.r, w, 1)
+		o.wS = sparse.NewMulBatchScratch(w)
+		o.wD = vec.NewMulBatchScratch(w)
+	}
+	t.Cleanup(o.pool.Close)
+	return o
+}
+
+// oracleState is the working set of one class or query.
+type oracleState struct {
+	x, z, l    vec.Vector
+	xNext      vec.Vector
+	zNext      vec.Vector
+	tmp        vec.Vector
+	converged  bool
+	iterations int
+	trace      []float64
+}
+
+func (o *oracle) newState(x, z, l vec.Vector) oracleState {
+	n, mm := o.m.graph.N(), o.m.graph.M()
+	return oracleState{x: x, z: z, l: l, xNext: vec.New(n), zNext: vec.New(mm), tmp: vec.New(n)}
+}
+
+func (o *oracle) applyNode(x, z, dst vec.Vector) {
+	if o.pool == nil {
+		o.m.o.Apply(x, z, dst)
+		return
+	}
+	o.m.o.ApplyBatchParallel(o.pool, o.ob, x, z, dst, 1)
+}
+
+func (o *oracle) applyRelation(x, dst vec.Vector) {
+	if o.pool == nil {
+		o.m.r.Apply(x, dst)
+		return
+	}
+	o.m.r.ApplyBatchParallel(o.pool, o.rb, x, dst, 1)
+}
+
+func (o *oracle) mulFeature(x, dst vec.Vector) {
+	switch w := o.m.w.(type) {
+	case *sparse.Matrix:
+		if o.pool != nil {
+			w.MulVecBatchParallel(o.pool, o.wS, x, dst, 1)
+			return
+		}
+	case *vec.Matrix:
+		if o.pool != nil {
+			w.MulVecBatchParallel(o.pool, o.wD, x, dst, 1)
+			return
+		}
+	}
+	o.m.w.MulVec(x, dst)
+}
+
+// step performs one iteration of eq. (10) and eq. (8) and returns ρ. A
+// corrupted iterate is discarded — x and z keep iteration t−1 — and
+// signalled with a NaN residual.
+func (o *oracle) step(s *oracleState) float64 {
+	alpha, beta := o.m.cfg.Alpha, o.m.cfg.Beta()
+	if rel := 1 - alpha - beta; rel > 0 {
+		o.applyNode(s.x, s.z, s.xNext)
+		vec.Scale(rel, s.xNext)
+	} else {
+		vec.Fill(s.xNext, 0)
+	}
+	if beta > 0 && o.m.w != nil {
+		o.mulFeature(s.x, s.tmp)
+		vec.Axpy(beta, s.tmp, s.xNext)
+	}
+	vec.Axpy(alpha, s.l, s.xNext)
+	okX := vec.Normalize1(s.xNext)
+	o.applyRelation(s.xNext, s.zNext)
+	okZ := vec.Normalize1(s.zNext)
+	rho := vec.Diff1(s.x, s.xNext) + vec.Diff1(s.z, s.zNext)
+	if !okX || !okZ || nonFinite(rho) {
+		return math.NaN()
+	}
+	copy(s.x, s.xNext)
+	copy(s.z, s.zNext)
+	return rho
+}
+
+// advance commits one step's bookkeeping and reports whether the state
+// is finished (converged or faulted).
+func (o *oracle) advance(s *oracleState) bool {
+	rho := o.step(s)
+	if math.IsNaN(rho) {
+		return true
+	}
+	s.trace = append(s.trace, rho)
+	s.iterations++
+	s.converged = rho < o.m.cfg.Epsilon
+	return s.converged
+}
+
+// run solves every class in lockstep: under the ICA update each
+// iteration from t = 3 first rebuilds every class's restart vector from
+// the prediction matrix (eq. 12), converged classes included; then each
+// unconverged class takes one step. warm, when non-nil, supplies a
+// class's start state and (optionally) its restart vector.
+func (o *oracle) run(warm warmFn) *Result {
+	m := o.m
+	n, mm, q := m.graph.N(), m.graph.M(), m.graph.Q()
+	states := make([]oracleState, q)
+	seeds := make([]int, q)
+	for c := range states {
+		l, k := m.seedVector(c)
+		seeds[c] = k
+		x, z := vec.Clone(l), vec.Uniform(mm)
+		if warm != nil {
+			if wx, wz, wl, ok := warm(c); ok {
+				x, z = wx, wz
+				if wl != nil {
+					l = wl
+				}
+			}
+		}
+		states[c] = o.newState(x, z, l)
+	}
+	argmax := make([]int, n)
+	for t := 1; t <= m.cfg.MaxIterations; t++ {
+		if m.cfg.ICAUpdate && t > 2 {
+			o.reseedAll(states, argmax)
+		}
+		active := false
+		for c := range states {
+			if s := &states[c]; !s.converged {
+				if o.advance(s) && !s.converged {
+					return o.result(states, seeds) // fault: stop with the last healthy state
+				}
+				active = active || !s.converged
+			}
+		}
+		if !active {
+			break
+		}
+	}
+	return o.result(states, seeds)
+}
+
+func (o *oracle) result(states []oracleState, seeds []int) *Result {
+	m := o.m
+	res := &Result{Classes: make([]ClassResult, len(states)), n: m.graph.N(), m: m.graph.M(), q: len(states)}
+	for c := range states {
+		s := &states[c]
+		res.Classes[c] = ClassResult{
+			Class: c, X: s.x, Z: s.z, Iterations: s.iterations, Converged: s.converged,
+			Trace: s.trace, Seeds: seeds[c], Restart: s.l,
+		}
+	}
+	return res
+}
+
+// runClass solves class c alone; under the ICA update it reseeds from
+// its own scores, with no cross-class argmax.
+func (o *oracle) runClass(c int) ClassResult {
+	m := o.m
+	l, seeds := m.seedVector(c)
+	s := o.newState(vec.Clone(l), vec.Uniform(m.graph.M()), l)
+	for t := 1; t <= m.cfg.MaxIterations; t++ {
+		if m.cfg.ICAUpdate && t > 2 {
+			o.reseedClass(c, s.x, s.l)
+		}
+		if o.advance(&s) {
+			break
+		}
+	}
+	return ClassResult{
+		Class: c, X: s.x, Z: s.z, Iterations: s.iterations, Converged: s.converged,
+		Trace: s.trace, Seeds: seeds, Restart: s.l,
+	}
+}
+
+// solveColumn solves one query on its own; with ICA it reseeds with the
+// query's seed set as the labelled set.
+func (o *oracle) solveColumn(t testing.TB, q ColumnQuery) ColumnResult {
+	t.Helper()
+	m := o.m
+	cs, err := m.buildColumnState(q)
+	if err != nil {
+		t.Fatalf("oracle: %v", err)
+	}
+	x0, z0 := cs.l, vec.Uniform(m.graph.M())
+	if cs.warmX != nil {
+		x0, z0 = cs.warmX, cs.warmZ
+	}
+	isSeed := make([]bool, len(cs.l))
+	for i, v := range cs.l {
+		isSeed[i] = v > 0
+	}
+	s := o.newState(vec.Clone(x0), vec.Clone(z0), cs.l)
+	for it := 1; it <= m.cfg.MaxIterations; it++ {
+		if q.ICA && it > 2 {
+			o.reseedQuery(isSeed, s.x, s.l)
+		}
+		if o.advance(&s) {
+			break
+		}
+	}
+	return ColumnResult{
+		X: s.x, Z: s.z, Restart: s.l, Seeds: cs.seeds,
+		Iterations: s.iterations, Converged: s.converged, Trace: s.trace,
+	}
+}
+
+// reseedAll rebuilds every class's restart vector from the prediction
+// matrix (eq. 12): unlabelled node i joins class c's seeds when c is
+// i's argmax class and x[i] clears λ times the best unlabelled
+// probability of class c.
+func (o *oracle) reseedAll(states []oracleState, argmax []int) {
+	g := o.m.graph
+	for i := range argmax {
+		best, bestC := -1.0, -1
+		for c := range states {
+			if v := states[c].x[i]; v > best {
+				best, bestC = v, c
+			}
+		}
+		argmax[i] = bestC
+	}
+	for c := range states {
+		s := &states[c]
+		maxUnlabeled := 0.0
+		for i, v := range s.x {
+			if !g.Labeled(i) && v > maxUnlabeled {
+				maxUnlabeled = v
+			}
+		}
+		threshold := o.m.cfg.Lambda * maxUnlabeled
+		count := 0
+		for i := range s.l {
+			accept := g.HasLabel(i, c)
+			if !accept && !g.Labeled(i) && maxUnlabeled > 0 {
+				accept = argmax[i] == c && s.x[i] > threshold
+			}
+			if accept {
+				s.l[i] = 1
+				count++
+			} else {
+				s.l[i] = 0
+			}
+		}
+		normaliseRestart(s.l, count)
+	}
+}
+
+// reseedClass is reseedAll for one class on its own: no argmax filter.
+func (o *oracle) reseedClass(c int, x, l vec.Vector) {
+	g := o.m.graph
+	maxUnlabeled := 0.0
+	for i, v := range x {
+		if !g.Labeled(i) && v > maxUnlabeled {
+			maxUnlabeled = v
+		}
+	}
+	threshold := o.m.cfg.Lambda * maxUnlabeled
+	count := 0
+	for i := range l {
+		if g.HasLabel(i, c) || (maxUnlabeled > 0 && x[i] > threshold && !g.Labeled(i)) {
+			l[i] = 1
+			count++
+		} else {
+			l[i] = 0
+		}
+	}
+	normaliseRestart(l, count)
+}
+
+// reseedQuery is the per-query self-training reseed: non-seed node i
+// joins when its score clears λ times the best non-seed score.
+func (o *oracle) reseedQuery(isSeed []bool, x, l vec.Vector) {
+	maxFree := 0.0
+	for i, v := range x {
+		if !isSeed[i] && v > maxFree {
+			maxFree = v
+		}
+	}
+	threshold := o.m.cfg.Lambda * maxFree
+	count := 0
+	for i := range l {
+		if isSeed[i] || (maxFree > 0 && x[i] > threshold) {
+			l[i] = 1
+			count++
+		} else {
+			l[i] = 0
+		}
+	}
+	normaliseRestart(l, count)
+}
+
+// normaliseRestart scales a 0/1 restart set to a distribution, or falls
+// back to uniform when it is empty.
+func normaliseRestart(l vec.Vector, count int) {
+	if count == 0 {
+		vec.Fill(l, 1/float64(len(l)))
+		return
+	}
+	vec.Scale(1/float64(count), l)
+}

@@ -1,13 +1,13 @@
 package tmark
 
 // The context-aware run API. RunContext is the solver's real entry point:
-// Run, RunWarm and RunClass are thin wrappers over it. The functional
-// options select per-run behaviour — telemetry collection (WithStats),
-// an iteration callback (WithProgress), a worker-count override
+// Run and RunWarm are thin wrappers over it. The functional options
+// select per-run behaviour — telemetry collection (WithStats), an
+// iteration callback (WithProgress), a worker-count override
 // (WithWorkers) — without widening the method signature, and the context
-// makes every run cancellable: the iteration loops check ctx between
-// iterations, so a cancelled or expired context stops the solver within
-// one iteration and the partial Result (with Stopped/Reason set) remains
+// makes every run cancellable: the engine checks ctx between iterations,
+// so a cancelled or expired context stops the solver within one
+// iteration and the partial Result (with Stopped/Reason set) remains
 // fully usable for prediction.
 
 import (
@@ -86,11 +86,8 @@ type runOptions struct {
 	stats    *RunStats
 	progress func(class, iter int, rho float64)
 	workers  int // 0 keeps Config.Workers
-	// sequential selects the per-class reference solver instead of the
-	// default batched (blocked multi-class) path; see WithBatchedClasses.
-	sequential bool
-	// ckSink/ckEvery enable periodic checkpointing of the batched loops;
-	// resume restores a prior snapshot. See WithCheckpoint / ResumeFrom.
+	// ckSink/ckEvery enable periodic checkpointing of the engine; resume
+	// restores a prior snapshot. See WithCheckpoint / ResumeFrom.
 	ckSink  CheckpointSink
 	ckEvery int
 	resume  *Checkpoint
@@ -99,8 +96,8 @@ type runOptions struct {
 	noASM bool
 	// guards enables the optional numerical-health probes; see WithGuards.
 	guards *GuardConfig
-	// accelerate turns on the extrapolated power method in the batched
-	// lockstep loops; see WithAcceleration.
+	// accelerate turns on the extrapolated power method in the engine;
+	// see WithAcceleration.
 	accelerate bool
 	// approximate replaces the fixed-point loop with the linearized
 	// single-solve tier; see WithApproximate.
@@ -115,8 +112,8 @@ type runOptions struct {
 	eqRestart bool
 }
 
-// DistApplier computes the blocked kernel passes of the batched
-// lockstep loops out of process — the hook the shard coordinator
+// DistApplier computes the blocked kernel passes of the lockstep engine
+// out of process — the hook the shard coordinator
 // (internal/shard) implements. NodeBatch and RelationBatch must fill
 // dst with results bitwise identical to the in-process parallel kernels
 // at the applier's worker count; FeatureBatch may decline (handled
@@ -130,12 +127,12 @@ type DistApplier interface {
 	FeatureBatch(x, dst []float64, b int) (handled bool, err error)
 }
 
-// WithDistributedApply routes the batched lockstep kernel passes
-// through d (the shard coordinator). The extrapolator, health guards,
-// ICA reseed, normalisation and convergence logic all keep running
-// locally on the reduced iterate — only the O/R contractions and the
-// W matvec move across processes. The sequential reference paths and
-// the approximate tier ignore the option. On any applier error the run
+// WithDistributedApply routes the engine's kernel passes through d (the
+// shard coordinator). The extrapolator, health guards, ICA reseed,
+// normalisation and convergence logic all keep running locally on the
+// reduced iterate — only the O/R contractions and the W matvec move
+// across processes. The approximate tier ignores the option, as does
+// RunClass, which takes no options. On any applier error the run
 // degrades permanently to the local kernels (counted in
 // tmark_dist_degraded_total) — the caller still holds the full model,
 // so correctness never depends on the workers.
@@ -177,33 +174,14 @@ func WithWorkers(n int) RunOption {
 	}
 }
 
-// WithBatchedClasses selects between the batched multi-class solver (on,
-// the default) and the sequential per-class reference path (off). The
-// batched path stores the per-class distributions as one blocked n×q
-// matrix and advances every class per kernel pass, so each tensor entry
-// and CSR row is streamed once per iteration instead of q times; classes
-// that converge retire from the active column set, so late iterations
-// only pay for stragglers. Per class the two paths produce bitwise
-// identical X, Z, residual traces and iteration counts for a fixed
-// worker count. The only observable difference is cancellation order
-// with the ICA update disabled: the sequential path finishes class c
-// before starting class c+1 (classes after the cancellation point keep
-// their seed state), while the batched path advances all classes in
-// lockstep (every class holds the same partial iteration count).
-func WithBatchedClasses(on bool) RunOption {
-	return func(o *runOptions) { o.sequential = !on }
-}
-
-// WithCheckpoint has the batched lockstep loops hand a snapshot of
-// their full working set to sink every `every` iterations, plus a final
-// snapshot when the run is interrupted by its context — so a killed or
-// drained process can later continue from the last checkpoint with
-// ResumeFrom. Snapshots are deep copies; Save runs on the solver
-// goroutine. Checkpointing applies to the batched paths (the default);
-// the sequential reference paths ignore it. Save errors never stop the
-// solve — they are counted in the metrics registry and the run carries
-// on, since a failing checkpoint disk must not take down a healthy
-// computation.
+// WithCheckpoint has the engine hand a snapshot of its full working set
+// to sink every `every` iterations, plus a final snapshot when the run
+// is interrupted by its context — so a killed or drained process can
+// later continue from the last checkpoint with ResumeFrom. Snapshots
+// are deep copies; Save runs on the solver goroutine. Save errors never
+// stop the solve — they are counted in the metrics registry and the run
+// carries on, since a failing checkpoint disk must not take down a
+// healthy computation.
 func WithCheckpoint(sink CheckpointSink, every int) RunOption {
 	return func(o *runOptions) {
 		if sink != nil && every > 0 {
@@ -219,13 +197,13 @@ func WithCheckpoint(sink CheckpointSink, every int) RunOption {
 // probe first, and SolveColumns returns the mismatch as an error). The
 // resumed run continues at the snapshot's iteration and, for a fixed
 // worker count, is bitwise identical to the uninterrupted run. Resume
-// requires the batched path and overrides any warm start.
+// overrides any warm start.
 func ResumeFrom(cp *Checkpoint) RunOption {
 	return func(o *runOptions) { o.resume = cp }
 }
 
 // WithAcceleration(true) turns on the extrapolated power method in the
-// batched lockstep loops (class runs and SolveColumns): every three
+// engine (class runs and SolveColumns): every three
 // committed iterates the solver proposes a SQUAREM-extrapolated
 // candidate for each active column, projects it back onto the simplex,
 // and vets it through one ordinary iteration pass under the same health
@@ -236,8 +214,8 @@ func ResumeFrom(cp *Checkpoint) RunOption {
 // the guarantees of the unaccelerated solve (it converges in at most as
 // many committed iterations, typically far fewer on slow-mixing
 // configurations). A column whose proposals keep failing stops
-// proposing, bounding the vet overhead. The sequential reference paths
-// ignore this option. Checkpoints snapshot only committed state, so
+// proposing, bounding the vet overhead. Checkpoints snapshot only
+// committed state, so
 // WithCheckpoint composes: a resumed run simply restarts extrapolation
 // from plain-iteration state.
 func WithAcceleration(on bool) RunOption {
@@ -286,10 +264,10 @@ func WithScalarKernels(on bool) RunOption {
 
 // Run solves the tensor equations for every class; it is RunContext with
 // a background context and no options. All classes advance in lockstep
-// through the batched kernels: the per-class distributions live in one
-// blocked n×q matrix, so every tensor entry and CSR row is streamed once
-// per iteration and applied to all active classes (see
-// WithBatchedClasses). The kernels are additionally sharded across a
+// through the engine: the per-class distributions live in one blocked
+// n×q matrix, so every tensor entry and CSR row is streamed once per
+// iteration and applied to all active classes, and classes that converge
+// retire from the block. The kernels are additionally sharded across a
 // worker pool of cfg.Workers goroutines, so the solver scales with cores
 // even when the class count is small (q = 4–5 on the paper's datasets).
 // With the ICA update the lockstep order is also semantically required,
@@ -301,14 +279,14 @@ func (m *Model) Run() *Result {
 	return m.RunContext(context.Background())
 }
 
-// RunContext is Run with cancellation and per-run options. The iteration
-// loops check ctx between iterations: when it is cancelled or its
-// deadline expires, the solver returns within one iteration with the
-// partial solution, Result.Stopped set to the context's error, and
-// Result.Reason set to ReasonCanceled or ReasonDeadline. Classes the run
-// never reached hold their seed state, so Predict and the other Result
-// accessors stay usable on a partial result. A nil ctx is treated as
-// context.Background().
+// RunContext is Run with cancellation and per-run options. The engine
+// checks ctx between iterations: when it is cancelled or its deadline
+// expires, the solver returns within one iteration with the partial
+// solution, Result.Stopped set to the context's error, and Result.Reason
+// set to ReasonCanceled or ReasonDeadline. Every class holds the state
+// of the last completed lockstep iteration (its seed state when the run
+// never started), so Predict and the other Result accessors stay usable
+// on a partial result. A nil ctx is treated as context.Background().
 func (m *Model) RunContext(ctx context.Context, opts ...RunOption) *Result {
 	return m.runClasses(orBackground(ctx), nil, resolveOptions(opts))
 }
@@ -320,8 +298,8 @@ func (m *Model) RunContext(ctx context.Context, opts ...RunOption) *Result {
 // opens (t > 2) do not drag a warm x̄ away from its stationary point.
 type warmFn func(c int) (x, z, l vec.Vector, ok bool)
 
-// runClasses runs the class solve once and, when a batched attempt hits
-// a retryable corruption fault, retries exactly once from the fault's
+// runClasses runs the class solve once and, when the attempt hits a
+// retryable corruption fault, retries exactly once from the fault's
 // last-good snapshot with the AVX2 kernels demoted to the scalar
 // reference bodies — the recovery path for a misbehaving vector unit.
 // A fault that reproduces on the demoted attempt (it is deterministic)
@@ -344,20 +322,17 @@ func (m *Model) runClasses(ctx context.Context, warm warmFn, ro runOptions) *Res
 	return res2
 }
 
-// runClassesOnce is one full solve attempt: scratch build, path
-// dispatch, fault bookkeeping, finishRun. The returned runFault is
-// non-nil only for batched-path guard verdicts (the input to the retry
-// decision); sequential-path faults are recorded on the Result alone.
+// runClassesOnce is one full solve attempt: scratch build, the engine
+// (or the approximate tier), fault bookkeeping, finishRun. The returned
+// runFault is the guard verdict that stopped the engine, the input to
+// the retry decision.
 func (m *Model) runClassesOnce(ctx context.Context, warm warmFn, ro runOptions) (*Result, *runFault) {
-	if ro.resume != nil && ro.sequential {
-		panic("tmark: ResumeFrom requires the batched path (WithBatchedClasses(true))")
-	}
 	if ro.resume != nil && ro.approximate {
 		panic("tmark: ResumeFrom requires the iterative path, not WithApproximate")
 	}
-	rs := m.newRunScratch(ro)
-	defer rs.close()
 	q := m.graph.Q()
+	rs := m.newRunScratch(ro, q)
+	defer rs.close()
 	res := &Result{
 		Classes: make([]ClassResult, q),
 		n:       m.graph.N(),
@@ -369,30 +344,83 @@ func (m *Model) runClassesOnce(ctx context.Context, warm warmFn, ro runOptions) 
 		if err := m.runApproximate(ctx, res, rs); err != nil {
 			res.Reason, res.Stopped = ReasonNumericalFault, err
 		}
-	} else if !ro.sequential {
-		flt = m.runBatched(ctx, res, warm, rs)
-	} else if m.cfg.ICAUpdate {
-		m.runLockstepFrom(ctx, res, warm, rs)
 	} else {
-		for c := 0; c < q; c++ {
-			if warm != nil {
-				if x, z, wl, ok := warm(c); ok {
-					res.Classes[c] = m.solveClassFrom(ctx, c, x, z, wl, rs)
-					continue
-				}
-			}
-			res.Classes[c] = m.solveClass(ctx, c, rs)
-		}
+		flt = m.solveClasses(ctx, res, warm, rs)
 	}
 	if flt != nil {
 		res.Faults = append(res.Faults, flt.fault)
 		res.Reason, res.Stopped = flt.reason()
-	} else if len(rs.faults) > 0 {
-		res.Faults = append(res.Faults, rs.faults...)
-		res.Reason, res.Stopped = ReasonNumericalFault, ErrNumericalFault
 	}
 	m.finishRun(ctx, res, rs)
 	return res, flt
+}
+
+// solveClasses runs every class through one coupled engine block; a nil
+// warm starts every class cold from its seed vector.
+func (m *Model) solveClasses(ctx context.Context, res *Result, warm warmFn, rs *runScratch) *runFault {
+	cols := make([]engineCol, m.graph.Q())
+	for c := range cols {
+		cols[c].columnState = m.classColumn(c, warm, rs.opts.accelerate)
+	}
+	e := m.newEngine(rs, cols, ckKindClasses)
+	e.stopOnFault = true
+	if m.cfg.ICAUpdate {
+		e.argmax = make([]int, m.graph.N())
+	}
+	if cp := rs.opts.resume; cp != nil {
+		// ResumeFrom documents the panic; ValidateCheckpoint probes first.
+		if err := m.ValidateCheckpoint(cp); err != nil {
+			panic(err.Error())
+		}
+		e.restore(cp)
+	}
+	flt := e.run(ctx)
+	for c := range cols {
+		res.Classes[c] = cols[c].classResult(c)
+	}
+	return flt
+}
+
+// classColumn builds class c's engine column: the eq. (11) seed restart
+// vector, the class's reseed roles under the ICA update (its own labels
+// seed, other classes' labels are excluded), and — when warm supplies
+// them — the warm start and equilibrium restart.
+func (m *Model) classColumn(c int, warm warmFn, accelerate bool) columnState {
+	l, seeds := m.seedVector(c)
+	cs := columnState{l: l, seeds: seeds, quality: QualityExact}
+	if accelerate {
+		cs.quality = QualityAccelerated
+	}
+	if m.cfg.ICAUpdate {
+		cs.label = make([]uint8, len(l))
+		for i := range cs.label {
+			switch {
+			case m.graph.HasLabel(i, c):
+				cs.label[i] = nodeSeed
+			case m.graph.Labeled(i):
+				cs.label[i] = nodeExcluded
+			}
+		}
+	}
+	if warm != nil {
+		if x, z, wl, ok := warm(c); ok {
+			cs.warmX, cs.warmZ = x, z
+			if wl != nil {
+				cs.l = wl
+			}
+		}
+	}
+	return cs
+}
+
+// classResult reports a finished engine column as class c's solution.
+func (c *engineCol) classResult(class int) ClassResult {
+	r := &c.res
+	return ClassResult{
+		Class: class, X: r.X, Z: r.Z,
+		Iterations: r.Iterations, Converged: r.Converged,
+		Trace: r.Trace, Seeds: r.Seeds, Restart: c.l,
+	}
 }
 
 func orBackground(ctx context.Context) context.Context {
@@ -458,12 +486,17 @@ func (m *Model) finishRun(ctx context.Context, res *Result, rs *runScratch) {
 			})
 		}
 	}
-	if rs.accel.Proposed > 0 {
-		regAccelProposed.Add(rs.accel.Proposed)
-		regAccelAccepted.Add(rs.accel.Accepted)
-		regAccelRejected.Add(rs.accel.Rejected)
-	}
+	publishAccel(&rs.accel)
 	publishRun(res, st)
+}
+
+// publishAccel adds one run's extrapolation activity to the registry.
+func publishAccel(c *accel.Counters) {
+	if c.Proposed > 0 {
+		regAccelProposed.Add(c.Proposed)
+		regAccelAccepted.Add(c.Accepted)
+		regAccelRejected.Add(c.Rejected)
+	}
 }
 
 // The solver's standing metrics in the process-wide registry. Cheap
@@ -488,7 +521,7 @@ var (
 	// Distributed-apply degradations: runs that lost their shard
 	// coordinator mid-solve and fell back to the local kernels.
 	regDistDegraded = obs.Default().Counter("tmark_dist_degraded_total")
-	regKernels       = func() [obs.NumKernels]*obs.Timer {
+	regKernels      = func() [obs.NumKernels]*obs.Timer {
 		var ts [obs.NumKernels]*obs.Timer
 		for _, k := range obs.Kernels() {
 			ts[k] = obs.Default().Timer("tmark_kernel_" + k.String())
@@ -537,29 +570,22 @@ func publishRun(res *Result, st *RunStats) {
 	}
 }
 
-// runScratch bundles one run's worker pool, per-kernel scratch buffers,
+// runScratch bundles one run's worker pool, blocked kernel scratch,
 // telemetry collector and options. The buffers are reused across
-// iterations and classes, so steady-state iterations allocate nothing in
-// the kernels. A runScratch is owned by one goroutine; concurrent Run
-// calls each build their own, which keeps the Model itself read-only
-// during solving. A nil pool selects the serial kernel paths; a nil
-// collector (the default) reduces every telemetry touch to a branch.
+// iterations, so steady-state iterations allocate nothing in the
+// kernels. A runScratch is owned by one goroutine; concurrent runs each
+// build their own, which keeps the Model itself read-only during
+// solving. A nil pool selects the serial kernel paths; a nil collector
+// (the default) reduces every telemetry touch to a branch.
 type runScratch struct {
-	pool *par.Pool
-	o    *tensor.NodeApplyScratch
-	r    *tensor.RelationApplyScratch
-	wCSR *sparse.MulScratch
-	wDen *vec.MulScratch
-
-	// Batched-path scratch: blocked contraction buffers and multi-RHS
-	// matvec dispatch state, built only when the run is batched.
+	pool  *par.Pool
 	ob    *tensor.NodeBatchScratch
 	rb    *tensor.RelationBatchScratch
 	wCSRb *sparse.MulBatchScratch
 	wDenb *vec.MulBatchScratch
 
 	// wS/wD are the feature matrix's resolved dynamic type, fixed once per
-	// run so the per-step wrappers dispatch on a nil check instead of
+	// run so the per-pass wrapper dispatches on a nil check instead of
 	// re-running a type switch every iteration. At most one is non-nil.
 	wS *sparse.Matrix
 	wD *vec.Matrix
@@ -568,27 +594,15 @@ type runScratch struct {
 	opts    runOptions
 	workers int
 
-	// faults collects the numerical-health events of the sequential
-	// paths (the batched loops report theirs through runFault instead).
-	faults []Fault
-
 	// accel aggregates the run's extrapolation activity (WithAcceleration);
-	// filled by the lockstep loops, published by finishRun.
+	// filled by the engine, published by finishRun and SolveColumns.
 	accel accel.Counters
 }
 
 // newRunScratch builds the pool, kernel scratch and collector for one
-// solver run. The result is never nil — a serial run simply leaves the
-// pool unset, and only the scratch of the selected path (batched or
-// sequential) is allocated.
-func (m *Model) newRunScratch(ro runOptions) *runScratch {
-	return m.newRunScratchCols(ro, m.graph.Q())
-}
-
-// newRunScratchCols is newRunScratch with an explicit column capacity for
-// the blocked buffers: a class run blocks over the graph's q classes,
-// while a column-query run (SolveColumns) blocks over the query count.
-func (m *Model) newRunScratchCols(ro runOptions, maxCols int) *runScratch {
+// solver run whose engine block holds at most maxCols columns: the
+// graph's q classes for a class run, the query count for SolveColumns.
+func (m *Model) newRunScratch(ro runOptions, maxCols int) *runScratch {
 	w := m.cfg.workerCount()
 	if ro.workers > 0 {
 		w = ro.workers
@@ -606,40 +620,22 @@ func (m *Model) newRunScratchCols(ro runOptions, maxCols int) *runScratch {
 	if w > 1 {
 		rs.pool = par.NewObserved(w, rs.col.AttachPool(w))
 	}
-	if !ro.sequential {
-		// The serial blocked kernels need the per-column sum buffers too,
-		// so the batch scratch exists for every worker count.
-		q := maxCols
-		rs.ob = tensor.NewNodeBatchScratch(m.o, w, q)
-		rs.ob.Probe = rs.col.KernelProbe(obs.KernelO)
-		rs.ob.NoASM = ro.noASM
-		rs.rb = tensor.NewRelationBatchScratch(m.r, w, q)
-		rs.rb.Probe = rs.col.KernelProbe(obs.KernelR)
-		rs.rb.NoASM = ro.noASM
-		if w > 1 {
-			switch {
-			case rs.wS != nil:
-				rs.wCSRb = sparse.NewMulBatchScratch(w)
-				rs.wCSRb.Probe = rs.col.KernelProbe(obs.KernelW)
-			case rs.wD != nil:
-				rs.wDenb = vec.NewMulBatchScratch(w)
-				rs.wDenb.Probe = rs.col.KernelProbe(obs.KernelW)
-			}
-		}
-		return rs
-	}
+	// The serial blocked kernels need the per-column sum buffers too, so
+	// the batch scratch exists for every worker count.
+	rs.ob = tensor.NewNodeBatchScratch(m.o, w, maxCols)
+	rs.ob.Probe = rs.col.KernelProbe(obs.KernelO)
+	rs.ob.NoASM = ro.noASM
+	rs.rb = tensor.NewRelationBatchScratch(m.r, w, maxCols)
+	rs.rb.Probe = rs.col.KernelProbe(obs.KernelR)
+	rs.rb.NoASM = ro.noASM
 	if w > 1 {
-		rs.o = tensor.NewNodeApplyScratch(m.o, w)
-		rs.o.Probe = rs.col.KernelProbe(obs.KernelO)
-		rs.r = tensor.NewRelationApplyScratch(m.r, w)
-		rs.r.Probe = rs.col.KernelProbe(obs.KernelR)
 		switch {
 		case rs.wS != nil:
-			rs.wCSR = sparse.NewMulScratch(w)
-			rs.wCSR.Probe = rs.col.KernelProbe(obs.KernelW)
+			rs.wCSRb = sparse.NewMulBatchScratch(w)
+			rs.wCSRb.Probe = rs.col.KernelProbe(obs.KernelW)
 		case rs.wD != nil:
-			rs.wDen = vec.NewMulScratch(w)
-			rs.wDen.Probe = rs.col.KernelProbe(obs.KernelW)
+			rs.wDenb = vec.NewMulBatchScratch(w)
+			rs.wDenb.Probe = rs.col.KernelProbe(obs.KernelW)
 		}
 	}
 	return rs
@@ -651,86 +647,9 @@ func (rs *runScratch) close() {
 	}
 }
 
-// progressFn returns the per-iteration callback, or nil.
-func (rs *runScratch) progressFn() func(class, iter int, rho float64) {
-	if rs == nil {
-		return nil
-	}
-	return rs.opts.progress
-}
-
-func (rs *runScratch) applyNode(o *tensor.NodeTransition, x, z, dst vec.Vector) {
-	if rs == nil {
-		o.Apply(x, z, dst)
-		return
-	}
-	start := rs.col.Clock()
-	if rs.pool == nil {
-		o.Apply(x, z, dst)
-		rs.col.AddKernelItems(obs.KernelO, int64(o.NNZ()))
-	} else {
-		o.ApplyParallel(rs.pool, rs.o, x, z, dst)
-	}
-	rs.col.StopKernel(obs.KernelO, start)
-}
-
-func (rs *runScratch) applyRelation(r *tensor.RelationTransition, x, dst vec.Vector) {
-	if rs == nil {
-		r.Apply(x, dst)
-		return
-	}
-	start := rs.col.Clock()
-	if rs.pool == nil {
-		r.Apply(x, dst)
-		rs.col.AddKernelItems(obs.KernelR, int64(r.NNZ()))
-	} else {
-		r.ApplyParallel(rs.pool, rs.r, x, dst)
-	}
-	rs.col.StopKernel(obs.KernelR, start)
-}
-
-func (rs *runScratch) mulFeature(w matvec, x, dst vec.Vector) {
-	if rs == nil {
-		w.MulVec(x, dst)
-		return
-	}
-	start := rs.col.Clock()
-	switch {
-	case rs.wS != nil:
-		if rs.pool == nil {
-			rs.wS.MulVec(x, dst)
-			rs.col.AddKernelItems(obs.KernelW, int64(rs.wS.NNZ()))
-		} else {
-			rs.wS.MulVecParallel(rs.pool, rs.wCSR, x, dst)
-		}
-	case rs.wD != nil:
-		if rs.pool == nil {
-			rs.wD.MulVec(x, dst)
-			rs.col.AddKernelItems(obs.KernelW, int64(rs.wD.Rows*rs.wD.Cols))
-		} else {
-			rs.wD.MulVecParallel(rs.pool, rs.wDen, x, dst)
-		}
-	default:
-		w.MulVec(x, dst)
-	}
-	rs.col.StopKernel(obs.KernelW, start)
-}
-
-// reseed times one ICA reseed pass (fn) under the reseed kernel.
-func (rs *runScratch) reseed(items int, fn func()) {
-	if rs == nil || rs.col == nil {
-		fn()
-		return
-	}
-	start := rs.col.Clock()
-	fn()
-	rs.col.StopKernel(obs.KernelReseed, start)
-	rs.col.AddKernelItems(obs.KernelReseed, int64(items))
-}
-
-// The blocked wrappers of the batched path. The batch scratch always
-// exists on a batched run (newRunScratch builds it for every worker
-// count), so unlike the sequential wrappers there is no nil-rs form.
+// The engine's kernel wrappers: the distributed applier when one is
+// set, else the serial or pool-sharded blocked kernels, timed under the
+// collector.
 
 // distDegrade permanently downgrades the run to the local kernels after
 // a distributed-apply failure. The local kernels fully overwrite their
@@ -814,13 +733,13 @@ func (rs *runScratch) mulFeatureBatch(x, dst []float64, b int) {
 	default:
 		// New only ever builds a CSR or dense W; failing loudly beats
 		// silently leaving dst stale.
-		panic("tmark: batched run requires a CSR or dense feature matrix")
+		panic("tmark: the engine requires a CSR or dense feature matrix")
 	}
 	rs.col.StopKernel(obs.KernelW, start)
 }
 
-// reseedCols times one batched ICA reseed pass (fn) under the reseed
-// kernel, crediting the streamed items and the class columns they cover.
+// reseedCols times one reseed pass (fn) under the reseed kernel,
+// crediting the streamed items and the columns they cover.
 func (rs *runScratch) reseedCols(items, cols int, fn func()) {
 	if rs.col == nil {
 		fn()

@@ -19,7 +19,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 
@@ -242,175 +241,20 @@ type Result struct {
 	n, m, q int
 }
 
-// classState is the per-class working set of the lockstep solver.
-type classState struct {
-	x, z, l    vec.Vector
-	xNext      vec.Vector
-	zNext      vec.Vector
-	tmp        vec.Vector
-	converged  bool
-	iterations int
-	trace      []float64
-	seeds      int
-}
-
-// iterateLockstep runs the shared lockstep loop over prepared states. The
-// classes are stepped one after another — the worker pool inside the
-// kernels is the parallelism, so the actual concurrency is bounded by
-// cfg.Workers instead of the per-iteration goroutine-plus-semaphore churn
-// this loop used to spawn (which kept all q goroutines live regardless of
-// the Workers setting). The context is checked once per lockstep
-// iteration: a cancelled run keeps whatever the states held when it
-// noticed, so the caller still gets the partial solution.
-func (m *Model) iterateLockstep(ctx context.Context, res *Result, states []classState, rs *runScratch) {
-	q := len(states)
-	progress := rs.progressFn()
-	argmax := make([]int, m.graph.N()) // reseed scratch, hoisted out of the pass
-loop:
-	for t := 1; t <= m.cfg.MaxIterations; t++ {
-		if ctx.Err() != nil {
-			break
-		}
-		if t > 2 {
-			rs.reseed(q*m.graph.N(), func() { m.icaReseedInto(states, argmax) })
-		}
-		allDone := true
-		for c := 0; c < q; c++ {
-			s := &states[c]
-			if s.converged {
-				continue
-			}
-			rho := m.step(s, rs)
-			if math.IsNaN(rho) {
-				// One corrupted class stops the whole lockstep run: the ICA
-				// reseed couples the classes through the prediction matrix,
-				// so advancing the others on a poisoned matrix helps nobody.
-				// step discarded the iterate, so every class still holds the
-				// last healthy iteration.
-				rs.faults = append(rs.faults, Fault{Class: c, Iter: t, Kind: faultNonFinite})
-				regNumericalFaults.Inc()
-				break loop
-			}
-			s.trace = append(s.trace, rho)
-			s.iterations++
-			if progress != nil {
-				progress(c, s.iterations, rho)
-			}
-			if rho < m.cfg.Epsilon {
-				s.converged = true
-			} else {
-				allDone = false
-			}
-		}
-		if allDone {
-			break
-		}
-	}
-	for c := 0; c < q; c++ {
-		s := &states[c]
-		res.Classes[c] = ClassResult{
-			Class: c, X: s.x, Z: s.z,
-			Iterations: s.iterations, Converged: s.converged,
-			Trace: s.trace, Seeds: s.seeds, Restart: s.l,
-		}
-	}
-}
-
-// step performs one iteration of eq. (10) and eq. (8) on the state and
-// returns ρ. A nil rs runs the serial kernels.
-func (m *Model) step(s *classState, rs *runScratch) float64 {
-	alpha, beta := m.cfg.Alpha, m.cfg.Beta()
-	rel := 1 - alpha - beta
-	if rel > 0 {
-		rs.applyNode(m.o, s.x, s.z, s.xNext)
-		vec.Scale(rel, s.xNext)
-	} else {
-		vec.Fill(s.xNext, 0)
-	}
-	if beta > 0 && m.w != nil {
-		rs.mulFeature(m.w, s.x, s.tmp)
-		vec.Axpy(beta, s.tmp, s.xNext)
-	}
-	vec.Axpy(alpha, s.l, s.xNext)
-	// Rounding in the dangling-mass closed forms compounds across
-	// iterations (the error dynamics amplify by ≈ 3·(1−α−β)+β per step),
-	// so project back onto the simplex; the fixed point itself has unit
-	// mass, so this changes nothing mathematically.
-	okX := vec.Normalize1(s.xNext)
-	rs.applyRelation(m.r, s.xNext, s.zNext)
-	okZ := vec.Normalize1(s.zNext)
-	rho := vec.Diff1(s.x, s.xNext) + vec.Diff1(s.z, s.zNext)
-	if !okX || !okZ || nonFinite(rho) {
-		// Corrupted iterate: discard it — x/z keep iteration t−1, which
-		// is exactly the state a stopped run must report — and signal the
-		// caller with a NaN residual.
-		return math.NaN()
-	}
-	copy(s.x, s.xNext)
-	copy(s.z, s.zNext)
-	return rho
-}
-
-// icaReseedAll rebuilds every class's restart vector from the prediction
-// matrix: unlabelled node i joins class c's seeds when c is i's argmax
-// class and x[i] clears the confidence threshold λ·(best unlabelled
-// probability of class c).
-func (m *Model) icaReseedAll(states []classState) {
-	m.icaReseedInto(states, make([]int, m.graph.N()))
-}
-
-// icaReseedInto is icaReseedAll with caller-owned argmax scratch, so the
-// lockstep loop reseeds without a per-iteration allocation.
-func (m *Model) icaReseedInto(states []classState, argmax []int) {
-	n, q := m.graph.N(), len(states)
-	for i := 0; i < n; i++ {
-		best, bestC := -1.0, -1
-		for c := 0; c < q; c++ {
-			if v := states[c].x[i]; v > best {
-				best, bestC = v, c
-			}
-		}
-		argmax[i] = bestC
-	}
-	for c := 0; c < q; c++ {
-		s := &states[c]
-		maxUnlabeled := 0.0
-		for i, v := range s.x {
-			if !m.graph.Labeled(i) && v > maxUnlabeled {
-				maxUnlabeled = v
-			}
-		}
-		threshold := m.cfg.Lambda * maxUnlabeled
-		count := 0
-		for i := range s.l {
-			accept := m.graph.HasLabel(i, c)
-			if !accept && !m.graph.Labeled(i) && maxUnlabeled > 0 {
-				accept = argmax[i] == c && s.x[i] > threshold
-			}
-			if accept {
-				s.l[i] = 1
-				count++
-			} else {
-				s.l[i] = 0
-			}
-		}
-		if count == 0 {
-			vec.Fill(s.l, 1/float64(len(s.l)))
-			continue
-		}
-		vec.Scale(1/float64(count), s.l)
-	}
-}
-
-// RunClass solves a single class; exposed for experiments that sweep
-// parameters on one class at a time.
+// RunClass solves a single class on its own; exposed for experiments
+// that sweep parameters on one class at a time (Fig. 10). The class is
+// one uncoupled engine column: under the ICA update it reseeds on its
+// own scores alone (eq. 12 without the cross-class argmax), since there
+// is no prediction matrix to consult.
 func (m *Model) RunClass(c int) ClassResult {
 	if c < 0 || c >= m.graph.Q() {
 		panic(fmt.Sprintf("tmark: class %d out of range %d", c, m.graph.Q()))
 	}
-	rs := m.newRunScratch(runOptions{sequential: true})
+	rs := m.newRunScratch(runOptions{}, 1)
 	defer rs.close()
-	return m.solveClass(context.Background(), c, rs)
+	cols := []engineCol{{columnState: m.classColumn(c, nil, false)}}
+	m.newEngine(rs, cols, ckKindClasses).run(context.Background())
+	return cols[0].classResult(c)
 }
 
 // seedVector builds the initial restart vector l for class c (eq. 11):
@@ -431,45 +275,4 @@ func (m *Model) seedVector(c int) (vec.Vector, int) {
 	}
 	vec.Scale(1/float64(count), l)
 	return l, count
-}
-
-// solveClass runs one class cold: from the seed restart vector and the
-// uniform relation distribution. It shares the iteration loop (and hence
-// the context check, telemetry and progress reporting) with the
-// warm-start path.
-func (m *Model) solveClass(ctx context.Context, c int, rs *runScratch) ClassResult {
-	l, seeds := m.seedVector(c)
-	return m.solveClassSeeded(ctx, c, vec.Clone(l), vec.Uniform(m.graph.M()), l, seeds, rs)
-}
-
-// icaReseed rebuilds l from the training labels plus the currently
-// confident nodes (eq. 12): unlabelled node i is accepted when x[i]
-// exceeds Lambda times the largest unlabelled-node probability. The
-// threshold is relative to the unlabelled maximum because the labelled
-// seeds hold most of the stationary mass (the α·l restart feeds them
-// directly), so a global-max threshold would never admit anyone. The
-// result is renormalised to a distribution.
-func (m *Model) icaReseed(c int, x, l vec.Vector) {
-	maxUnlabeled := 0.0
-	for i, v := range x {
-		if !m.graph.Labeled(i) && v > maxUnlabeled {
-			maxUnlabeled = v
-		}
-	}
-	threshold := m.cfg.Lambda * maxUnlabeled
-	count := 0
-	for i := range l {
-		if m.graph.HasLabel(i, c) || (maxUnlabeled > 0 && x[i] > threshold && !m.graph.Labeled(i)) {
-			l[i] = 1
-			count++
-		} else {
-			l[i] = 0
-		}
-	}
-	if count == 0 {
-		// No seeds at all (empty class): fall back to uniform.
-		vec.Fill(l, 1/float64(len(l)))
-		return
-	}
-	vec.Scale(1/float64(count), l)
 }

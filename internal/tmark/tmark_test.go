@@ -207,8 +207,9 @@ func TestStationaryPositivity(t *testing.T) {
 	}
 }
 
-// Theorem 3 (uniqueness): RunClass is deterministic and Run (parallel)
-// agrees with sequential per-class solves.
+// Theorem 3 (uniqueness): RunClass is deterministic and the coupled
+// multi-class Run agrees with the per-class solves on the worked
+// example.
 func TestRunMatchesRunClass(t *testing.T) {
 	g := paperGraph()
 	m, err := New(g, DefaultConfig())
@@ -219,10 +220,10 @@ func TestRunMatchesRunClass(t *testing.T) {
 	for c := 0; c < g.Q(); c++ {
 		single := m.RunClass(c)
 		if vec.Diff1(single.X, res.Classes[c].X) > 1e-12 {
-			t.Errorf("class %d: parallel and sequential X differ", c)
+			t.Errorf("class %d: Run and RunClass X differ", c)
 		}
 		if vec.Diff1(single.Z, res.Classes[c].Z) > 1e-12 {
-			t.Errorf("class %d: parallel and sequential Z differ", c)
+			t.Errorf("class %d: Run and RunClass Z differ", c)
 		}
 	}
 }

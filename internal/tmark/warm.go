@@ -3,7 +3,6 @@ package tmark
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"tmark/internal/vec"
 )
@@ -76,88 +75,4 @@ func (m *Model) reconcileRestart(c int, prev vec.Vector) vec.Vector {
 	}
 	vec.Scale(1/float64(count), l)
 	return l
-}
-
-// solveClassFrom iterates one class from explicit starting vectors. A
-// non-nil wl replaces the seed restart vector (warm equilibrium
-// restart); the seed count still reports the labelled set. The context
-// is checked before every iteration, so a cancelled run returns the
-// state reached so far (at worst the starting vectors themselves) with
-// zero or more iterations recorded.
-func (m *Model) solveClassFrom(ctx context.Context, c int, x, z, wl vec.Vector, rs *runScratch) ClassResult {
-	l, seeds := m.seedVector(c)
-	if wl != nil {
-		l = wl
-	}
-	return m.solveClassSeeded(ctx, c, x, z, l, seeds, rs)
-}
-
-// solveClassSeeded is solveClassFrom with the restart vector already
-// built, so the cold path (which derives its starting x from l) computes
-// the seed vector once instead of twice.
-func (m *Model) solveClassSeeded(ctx context.Context, c int, x, z, l vec.Vector, seeds int, rs *runScratch) ClassResult {
-	s := classState{
-		x: x, z: z, l: l,
-		xNext: vec.New(m.graph.N()), zNext: vec.New(m.graph.M()), tmp: vec.New(m.graph.N()),
-		seeds: seeds,
-	}
-	progress := rs.progressFn()
-	cr := ClassResult{Class: c, Seeds: seeds}
-	for t := 1; t <= m.cfg.MaxIterations; t++ {
-		if ctx.Err() != nil {
-			break
-		}
-		if m.cfg.ICAUpdate && t > 2 {
-			rs.reseed(m.graph.N(), func() { m.icaReseed(c, s.x, s.l) })
-		}
-		rho := m.step(&s, rs)
-		if math.IsNaN(rho) {
-			// step discarded the corrupted iterate, so x/z hold the last
-			// healthy iteration; the class stops there and the run reports
-			// the fault.
-			rs.faults = append(rs.faults, Fault{Class: c, Iter: t, Kind: faultNonFinite})
-			regNumericalFaults.Inc()
-			break
-		}
-		cr.Trace = append(cr.Trace, rho)
-		cr.Iterations = t
-		if progress != nil {
-			progress(c, t, rho)
-		}
-		if rho < m.cfg.Epsilon {
-			cr.Converged = true
-			break
-		}
-	}
-	cr.X, cr.Z = s.x, s.z
-	cr.Restart = s.l
-	return cr
-}
-
-// runLockstepFrom runs the sequential ICA lockstep loop, starting each
-// class from its warm vectors when warm supplies them (a nil warm starts
-// every class cold from its seed vector).
-func (m *Model) runLockstepFrom(ctx context.Context, res *Result, warm warmFn, rs *runScratch) {
-	n, mm, q := m.graph.N(), m.graph.M(), m.graph.Q()
-	states := make([]classState, q)
-	for c := 0; c < q; c++ {
-		l, seeds := m.seedVector(c)
-		var x, z, wl vec.Vector
-		ok := false
-		if warm != nil {
-			x, z, wl, ok = warm(c)
-		}
-		if !ok {
-			x, z = vec.Clone(l), vec.Uniform(mm)
-		}
-		if ok && wl != nil {
-			l = wl
-		}
-		states[c] = classState{
-			x: x, z: z, l: l,
-			xNext: vec.New(n), zNext: vec.New(mm), tmp: vec.New(n),
-			seeds: seeds,
-		}
-	}
-	m.iterateLockstep(ctx, res, states, rs)
 }

@@ -51,7 +51,9 @@ func (m *Matrix) mulBatchRows(x, dst []float64, b, lo, hi int) {
 }
 
 // MulBatchScratch holds the reusable dispatch state of the dense
-// MulVecBatchParallel; see MulScratch for the contract.
+// MulVecBatchParallel. Build one per solver run with NewMulBatchScratch;
+// steady-state calls then allocate nothing. A scratch must not be shared
+// by concurrent calls.
 type MulBatchScratch struct {
 	shards int
 	task   denseMulBatchTask
@@ -83,8 +85,8 @@ func (t *denseMulBatchTask) RunShard(shard, shards int) {
 }
 
 // MulVecBatchParallel is MulVecBatch with the rows sharded across the
-// pool, using the same row split as MulVecParallel (boundaries depend
-// only on Rows and the shard count, never on b). Each row is computed by
+// pool in equal ranges (dense rows cost the same; boundaries depend only
+// on Rows and the shard count, never on b). Each row is computed by
 // exactly one worker with the serial arithmetic, so the result is
 // bitwise identical to MulVecBatch. A nil/serial pool or single-shard
 // scratch falls back to the serial path.

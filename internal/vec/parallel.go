@@ -1,80 +1,16 @@
 package vec
 
-// Parallel companions to the dense-matrix operations on the solver's hot
-// and construction paths. All of them produce results bitwise identical to
-// their serial counterparts: work is partitioned so that every output cell
-// is written by exactly one worker with unchanged arithmetic.
+// Parallel companions to the dense-matrix construction operations. Both
+// produce results bitwise identical to their serial counterparts: work is
+// partitioned so that every output cell is written by exactly one worker
+// with unchanged arithmetic.
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
-	"tmark/internal/obs"
 	"tmark/internal/par"
 )
-
-// MulScratch holds the reusable dispatch state of the dense MulVecParallel.
-// Build one per solver run with NewMulScratch; steady-state calls then
-// allocate nothing. A scratch must not be shared by concurrent calls.
-type MulScratch struct {
-	shards int
-	task   denseMulTask
-	wg     sync.WaitGroup
-
-	// Probe, when non-nil, counts MulVecParallel calls and the dense cells
-	// they touch; nil disables observation.
-	Probe *obs.Probe
-}
-
-// NewMulScratch returns scratch for the given shard count. shards < 1 is
-// treated as 1.
-func NewMulScratch(shards int) *MulScratch {
-	if shards < 1 {
-		shards = 1
-	}
-	return &MulScratch{shards: shards}
-}
-
-type denseMulTask struct {
-	m      *Matrix
-	x, dst []float64
-}
-
-func (t *denseMulTask) RunShard(shard, shards int) {
-	m := t.m
-	lo, hi := par.Split(m.Rows, shards, shard)
-	x := t.x
-	for i := lo; i < hi; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		t.dst[i] = s
-	}
-}
-
-// MulVecParallel computes dst = m·x like MulVec with the rows sharded
-// across the pool. Dense rows cost the same, so plain equal ranges
-// balance. Bitwise identical to MulVec; a nil/serial pool or single-shard
-// scratch falls back to the serial path.
-func (m *Matrix) MulVecParallel(p *par.Pool, s *MulScratch, x, dst Vector) {
-	if p.Serial() || s == nil || s.shards <= 1 || m.Rows == 0 {
-		m.MulVec(x, dst)
-		return
-	}
-	if len(x) != m.Cols {
-		panic(fmt.Sprintf("vec: MulVecParallel x length %d, want %d", len(x), m.Cols))
-	}
-	if len(dst) != m.Rows {
-		panic(fmt.Sprintf("vec: MulVecParallel dst length %d, want %d", len(dst), m.Rows))
-	}
-	s.Probe.Observe(m.Rows * m.Cols)
-	s.task.m, s.task.x, s.task.dst = m, x, dst
-	p.Run(s.shards, &s.task, &s.wg)
-	s.task.x, s.task.dst = nil, nil
-}
 
 // cosineTask computes cosine rows strided by shard: row i does n−i dot
 // products, so striding balances the triangular workload across workers.

@@ -27,11 +27,13 @@
 // fixed value. WithWorkers overrides the configured count for a single
 // run.
 //
-// Independently of the worker pool, Run advances all classes at once
-// through blocked (SpMM-style) kernels, so every tensor entry is
-// streamed once per iteration rather than once per class;
-// WithBatchedClasses(false) selects the sequential per-class reference
-// path, which computes bitwise identical results.
+// Independently of the worker pool, every iterative solve — Run,
+// RunWarm, RunClass and SolveColumns — runs one lockstep engine that
+// advances all of its classes or query columns at once through blocked
+// (SpMM-style) kernels, so every tensor entry is streamed once per
+// iteration rather than once per class. The sequential per-class
+// reference solver lives in the internal/tmark tests as the oracle the
+// engine is checked against, bit for bit.
 //
 // # Cancellation and telemetry
 //
@@ -147,18 +149,6 @@ func WithProgress(fn func(class, iter int, rho float64)) RunOption {
 // WithWorkers overrides Config.Workers for this run; n <= 0 keeps the
 // configured value.
 func WithWorkers(n int) RunOption { return itmark.WithWorkers(n) }
-
-// WithBatchedClasses selects between the batched multi-class solver (on,
-// the default) and the sequential per-class reference path (off). The
-// batched solver keeps the per-class distributions in one blocked n×q
-// matrix and advances every class per kernel pass, so each tensor entry
-// and CSR row is streamed once per iteration instead of q times;
-// converged classes retire from the active column set. Per class both
-// paths produce bitwise identical results for a fixed worker count — the
-// sequential path exists as the reference to verify against and for the
-// per-class cancellation semantics it implies (see the internal
-// WithBatchedClasses documentation).
-func WithBatchedClasses(on bool) RunOption { return itmark.WithBatchedClasses(on) }
 
 // WithAcceleration turns the extrapolated power method on for this run:
 // periodically a jump candidate is extrapolated from the iterate history
