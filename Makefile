@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test short-test race serve-race chaos recovery-chaos vet bench bench-stats bench-json bench-accel bench-coldstart bench-stream accel-equivalence artifact-roundtrip stream-equivalence shard-smoke fuzz experiments figures examples clean
+.PHONY: all build test short-test race serve-race chaos recovery-chaos vet bench bench-stats bench-json bench-accel bench-coldstart bench-stream accel-equivalence artifact-roundtrip stream-equivalence perfbench-check fuzz experiments figures examples clean
 
 all: build vet test race
 
@@ -43,12 +43,12 @@ bench-stats:
 	$(GO) test -run xxx -bench 'BenchmarkRunStats|BenchmarkCollectorOverhead' -benchmem -v ./internal/tmark/
 
 # Re-run the sweeps behind the archived BENCH_3.json (the lockstep engine
-# vs the sequential oracle of the tests), BENCH_4.json (q=8 concurrent
+# vs the sequential oracle of the tests) and BENCH_4.json (q=8 concurrent
 # queries on a shared warm model: one lockstep batch vs the engine at
-# width 1 per query) and BENCH_8.json (sharded solve) as JSON under
-# .bench_build/. The archived files are frozen: both sides of the first
-# two comparisons have changed since they were recorded, so a re-run is
-# a new measurement to set beside them, never a replacement.
+# width 1 per query) as JSON under .bench_build/. The archived files are
+# frozen: both sides of both comparisons have changed since they were
+# recorded, so a re-run is a new measurement to set beside them, never a
+# replacement.
 bench-json:
 	@mkdir -p .bench_build
 	$(GO) test -run xxx -bench BenchmarkBatchedVsSequential -benchmem ./internal/tmark/ > .bench_build/bench_batched.txt
@@ -57,9 +57,6 @@ bench-json:
 	$(GO) test -run xxx -bench BenchmarkCoalescedServing -benchmem ./internal/serve/ > .bench_build/bench_serving.txt
 	$(GO) run ./cmd/benchjson < .bench_build/bench_serving.txt > .bench_build/BENCH_4.json
 	@echo wrote .bench_build/BENCH_4.json
-	$(GO) test -run xxx -bench BenchmarkShardedSolve -benchtime 3x -benchmem ./internal/shard/ > .bench_build/bench_shard.txt
-	$(GO) run ./cmd/benchjson < .bench_build/bench_shard.txt > .bench_build/BENCH_8.json
-	@echo wrote .bench_build/BENCH_8.json
 
 # The quality-tier sweep (BENCH_6.json): exact vs accelerated vs fast on
 # the slow-mixing golden Ring network and the expander-like golden DBLP
@@ -135,7 +132,7 @@ serve-race:
 # demotion retry), serving chaos (build/solve panics, overload shedding,
 # eviction racing a borrowed solve) and the tmarkd SIGTERM drain test.
 chaos:
-	$(GO) test -race -count=1 -run 'TestChaos|TestKill|TestEviction|TestServeRank|TestRunSIGTERM|TestGuard|TestCheckpoint|TestResume|TestInterrupted|TestEngineDiscardsCorruptIterate|TestNoASMDemotion|TestKernelFaultPoint|TestWorkerRejects|TestIngestQuarantine|TestIngestPins' ./internal/tmark/ ./internal/serve/ ./internal/tensor/ ./internal/shard/ ./internal/stream/ ./cmd/tmarkd/
+	$(GO) test -race -count=1 -run 'TestChaos|TestKill|TestEviction|TestServeRank|TestRunSIGTERM|TestGuard|TestCheckpoint|TestResume|TestInterrupted|TestEngineDiscardsCorruptIterate|TestNoASMDemotion|TestKernelFaultPoint|TestIngestQuarantine|TestIngestPins' ./internal/tmark/ ./internal/serve/ ./internal/tensor/ ./internal/stream/ ./cmd/tmarkd/
 
 # The durability suite under the race detector: WAL codec and log
 # lifecycle (torn-tail truncation, rotation, checkpoint pruning), the
@@ -152,12 +149,12 @@ recovery-chaos:
 	$(GO) test -race -count=1 -run 'TestRunWALRestartReplays' ./cmd/tmarkd/
 	$(GO) test -race -count=1 -run 'TestClientIngestRetriesWithStableKey' ./pkg/tmark/
 
-# The horizontal-scale-out smoke: real worker OS processes (the test
-# re-execs its own binary per shard), a coordinator solving a builtin
-# dataset across them, and a bitwise prediction diff against the
-# single-process reference. The CI shard job runs this.
-shard-smoke:
-	$(GO) test -count=1 -run 'TestShardSmokeMultiProcess|TestShardedSolveBitwiseIdentical' -v ./internal/shard/
+# The end-to-end benchmark under perfbench/ is its own Go module
+# (`replace tmark => ../`), so `go build ./...` at the root never
+# compiles it; this vets and tests it against the current tree. The CI
+# perfbench job runs this.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Short fuzzing passes over the untrusted-input parsers.
 fuzz:
@@ -168,7 +165,6 @@ fuzz:
 	$(GO) test -fuzz FuzzDecodeIngestRequest -fuzztime 30s ./internal/serve/
 	$(GO) test -fuzz FuzzDecodeCheckpoint -fuzztime 30s ./internal/tmark/
 	$(GO) test -fuzz FuzzDecodeArtifact -fuzztime 30s ./internal/artifact/
-	$(GO) test -fuzz FuzzDecodeShardFrame -fuzztime 30s ./internal/shard/
 	$(GO) test -fuzz FuzzDecodeWALRecord -fuzztime 30s ./internal/wal/
 
 # Regenerate every table and figure at the quick scale.

@@ -10,7 +10,6 @@ package main
 // Usage:
 //
 //	tmark build -data SPEC [-model-dir DIR] [-name NAME] [-o FILE]
-//	            [-shards M]
 //	            [-alpha 0.8] [-gamma 0.6] [-lambda 0.7] [-epsilon 1e-8]
 //	            [-maxiter 100] [-no-ica] [-topk K] [-seed N] [-workers N]
 //
@@ -20,12 +19,6 @@ package main
 // NAME — defaulting to the spec's base name — is tagged to it; serve
 // that registry with `tmarkd -model-dir DIR`. With -o the raw artifact
 // is (also) written to FILE. The resolved reference prints to stdout.
-//
-// -shards M (requires -model-dir) additionally partitions the model
-// into M per-shard sub-tensor artifacts for the horizontal scale-out
-// worker fleet, tagged so `name@sha256:…#shard=i/M` references resolve;
-// each shard reference prints to stderr. Serve each with
-// `tmarkd -shard-serve -shard-ref REF`.
 
 import (
 	"flag"
@@ -37,7 +30,6 @@ import (
 
 	"tmark/internal/artifact"
 	"tmark/internal/dataset"
-	"tmark/internal/shard"
 	itmark "tmark/internal/tmark"
 )
 
@@ -57,7 +49,6 @@ func runBuild(args []string) {
 		noICA    = fs.Bool("no-ica", false, "disable the ICA label update (TensorRrCc mode)")
 		topK     = fs.Int("topk", 0, "sparsify the feature channel to top-K neighbours (0 = dense)")
 		workers  = fs.Int("workers", 0, "compute workers for the build (0 = GOMAXPROCS; does not change the artifact)")
-		shards   = fs.Int("shards", 0, "also partition the model into this many per-shard artifacts for -shard-serve workers (requires -model-dir)")
 	)
 	_ = fs.Parse(args)
 	if *data == "" {
@@ -69,9 +60,6 @@ func runBuild(args []string) {
 	}
 	if *modelDir == "" && *out == "" {
 		log.Fatal("build: nowhere to put the artifact (set -model-dir and/or -o)")
-	}
-	if *shards > 0 && *modelDir == "" {
-		log.Fatal("build: -shards requires -model-dir (shards live in the registry)")
 	}
 
 	g, err := dataset.LoadSpec(*data, *seed)
@@ -118,21 +106,6 @@ func runBuild(args []string) {
 		}
 		ref.Name = tag
 		fmt.Fprintf(os.Stderr, "stored in %s\n", *modelDir)
-		if *shards > 0 {
-			// Partition from the just-encoded blob, not the in-memory
-			// model: the shards must bind the stored parent bit for bit.
-			art, err := artifact.DecodeBytes(blob)
-			if err != nil {
-				log.Fatalf("build: reopen artifact: %v", err)
-			}
-			if _, err := shard.PartitionInto(reg, art.Substrate(), hash, *shards); err != nil {
-				log.Fatalf("build: partition: %v", err)
-			}
-			for s := 0; s < *shards; s++ {
-				shRef := artifact.Ref{Name: tag, Hash: hash, Shard: s, Of: *shards}
-				fmt.Fprintf(os.Stderr, "shard %s\n", shRef.String())
-			}
-		}
 	}
 	// The reference is the command's output: pin it in requests or CI.
 	fmt.Println(ref.String())

@@ -5,15 +5,12 @@
 //
 // Usage:
 //
-//	tmarkd [-addr :8321] [-dataset name=spec]... [-default name]
-//	       [-model-dir DIR] [-shard-workers URL,URL,...]
+//	tmarkd [-addr :8321] [-dataset name=spec]... [-default name] [-model-dir DIR]
 //	       [-alpha 0.8] [-gamma 0.6] [-lambda 0.7] [-epsilon 1e-8]
 //	       [-maxiter 100] [-no-ica] [-topk K] [-workers N] [-seed N]
 //	       [-cache 4] [-max-batch 8] [-queue 64] [-max-concurrent 2]
 //	       [-max-body 1048576] [-drain-timeout 30s] [-retry-after 1s]
 //	       [-checkpoint-dir DIR] [-checkpoint-every K]
-//	tmarkd -shard-serve -model-dir DIR -shard-ref 'name@sha256:…#shard=i/M'
-//	       [-addr :8331] [-drain-timeout 30s]
 //
 // Each -dataset flag loads one network under a name. The spec is either
 // a file path — .json (hin.Graph JSON codec), .csv (from,to,relation
@@ -31,17 +28,6 @@
 // graph of the same name as rebuild fallback if the blob fails its
 // checksum. With -model-dir and no -dataset flags tmarkd serves the
 // registry's models alone.
-//
-// The second form is the horizontal scale-out worker: -shard-serve
-// loads one shard artifact written by `tmark build -shards M` and
-// serves the per-iteration apply RPC (POST /v1/shard/apply, plus
-// /v1/shard/info, /healthz, /metrics). A coordinator tmarkd started
-// with -shard-workers validates at startup that the listed workers
-// cover every shard of one model exactly once, then solves that
-// model's batches through the fleet with a per-iteration reduction —
-// bitwise identical to the single-process solve, degrading to local
-// kernels (still bitwise identical) for a cooldown period if a worker
-// dies mid-iteration.
 //
 // Endpoints: POST /v1/classify (seed labels in, per-node scores and
 // link rankings out), GET /v1/rank?model=&top= (full-solve link-type
@@ -71,8 +57,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"sort"
@@ -80,11 +64,8 @@ import (
 	"syscall"
 	"time"
 
-	"tmark/internal/artifact"
 	"tmark/internal/dataset"
 	"tmark/internal/hin"
-	"tmark/internal/obs"
-	"tmark/internal/shard"
 	"tmark/internal/serve"
 	"tmark/internal/tmark"
 )
@@ -162,9 +143,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		ckEvery  = fs.Int("checkpoint-every", serve.DefaultCheckpointEvery, "snapshot cadence in iterations (with -checkpoint-dir)")
 		retryDur = fs.Duration("retry-after", serve.DefaultRetryAfter, "Retry-After backoff hint stamped on 503 responses")
 		quality  = fs.String("default-quality", "", "solve tier of requests that name none: exact, accelerated or fast (default exact)")
-		shardServe   = fs.Bool("shard-serve", false, "run as a shard worker: serve one shard's apply RPC instead of the classify surface (requires -model-dir and -shard-ref)")
-		shardRef     = fs.String("shard-ref", "", "shard artifact to serve, e.g. dblp#shard=0/2 (with -shard-serve)")
-		shardWorkers = fs.String("shard-workers", "", "comma-separated base URLs of a shard worker fleet; matching models solve across it")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -175,9 +153,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments: %v", fs.Args())
-	}
-	if *shardServe {
-		return runShardWorker(ctx, *addr, *modelDir, *shardRef, *drain, stderr)
 	}
 	if len(sets) == 0 && *modelDir == "" {
 		sets = datasetList{{"dblp", "dblp"}}
@@ -229,7 +204,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		CheckpointEvery: *ckEvery,
 		WALDir:          *walDir,
 		ScrubRegistry:   !*noScrub,
-		ShardWorkers:    splitList(*shardWorkers),
 	})
 	if err != nil {
 		return err
@@ -244,68 +218,4 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	sort.Strings(names)
 	fmt.Fprintf(stderr, "tmarkd: serving %s on %s\n", strings.Join(names, ", "), *addr)
 	return srv.ListenAndServe(ctx, *addr, *drain)
-}
-
-// splitList parses a comma-separated flag value, dropping empty items.
-func splitList(v string) []string {
-	var out []string
-	for _, p := range strings.Split(v, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// runShardWorker is the -shard-serve mode: load one shard artifact
-// from the registry and serve its per-iteration apply RPC until ctx is
-// cancelled. The worker is stateless between requests, so shutdown
-// needs no drain protocol beyond closing the listener.
-func runShardWorker(ctx context.Context, addr, modelDir, refStr string, drain time.Duration, stderr io.Writer) error {
-	if modelDir == "" || refStr == "" {
-		return errors.New("-shard-serve requires -model-dir and -shard-ref")
-	}
-	ref, err := artifact.ParseRef(refStr)
-	if err != nil {
-		return fmt.Errorf("shard ref: %w", err)
-	}
-	if ref.Of == 0 {
-		return fmt.Errorf("shard ref %q has no #shard=i/M fragment", refStr)
-	}
-	reg, err := artifact.OpenRegistry(modelDir)
-	if err != nil {
-		return err
-	}
-	art, err := reg.OpenShardRef(ref)
-	if err != nil {
-		return err
-	}
-	defer art.Close()
-	w, err := shard.NewWorker(art, false)
-	if err != nil {
-		return err
-	}
-	mux := http.NewServeMux()
-	mux.Handle("/", w.Handler())
-	mux.Handle("/metrics", obs.Default().Handler())
-	mux.Handle("/vars", obs.Default().JSONHandler())
-
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	srv := &http.Server{Handler: mux}
-	info := w.Info()
-	fmt.Fprintf(stderr, "tmarkd: shard worker %d/%d of sha256:%s on %s\n",
-		info.Shard, info.Of, info.Parent[:12], ln.Addr())
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.Serve(ln) }()
-	select {
-	case err := <-errCh:
-		return err
-	case <-ctx.Done():
-	}
-	shCtx, cancel := context.WithTimeout(context.Background(), drain)
-	defer cancel()
-	return srv.Shutdown(shCtx)
 }

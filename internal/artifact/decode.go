@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc64"
 	"math"
 	"unsafe"
 
@@ -229,6 +230,47 @@ func DecodeBytes(data []byte) (*Artifact, error) {
 		return nil, corrupt("unknown W kind %d", a.wKind)
 	}
 	return a, nil
+}
+
+// parseContainer verifies the crc trailer, magic and section table —
+// the container-level half of DecodeBytes.
+func parseContainer(data []byte) (body []byte, secs []section, seen map[uint32]int, err error) {
+	if len(data) < headerFixed+trailerLen {
+		return nil, nil, nil, corrupt("%d bytes is shorter than the fixed header", len(data))
+	}
+	body, tail := data[:len(data)-trailerLen], data[len(data)-trailerLen:]
+	if got, want := binary.LittleEndian.Uint64(tail), crc64.Checksum(body, crcTable); got != want {
+		return nil, nil, nil, corrupt("checksum mismatch (stored %016x, computed %016x)", got, want)
+	}
+	if [8]byte(data[:8]) != magic {
+		return nil, nil, nil, corrupt("bad magic %q", data[:8])
+	}
+	count := int(binary.LittleEndian.Uint32(data[8:]))
+	headerLen := headerFixed + count*sectionEntry
+	if count < 1 || headerLen > len(body) {
+		return nil, nil, nil, corrupt("section count %d does not fit in %d bytes", count, len(body))
+	}
+	secs = make([]section, count)
+	seen = map[uint32]int{}
+	prevEnd := align8(headerLen)
+	for i := range secs {
+		e := headerFixed + i*sectionEntry
+		s := section{
+			kind: binary.LittleEndian.Uint32(data[e:]),
+			off:  int(int64(binary.LittleEndian.Uint64(data[e+8:]))),
+			len:  int(int64(binary.LittleEndian.Uint64(data[e+16:]))),
+		}
+		if s.off < prevEnd || s.len < 0 || s.off%8 != 0 || s.len > len(body) || s.off > len(body)-s.len {
+			return nil, nil, nil, corrupt("section %d (kind %d) range [%d,%d) invalid", i, s.kind, s.off, s.off+s.len)
+		}
+		if _, dup := seen[s.kind]; dup {
+			return nil, nil, nil, corrupt("duplicate section kind %d", s.kind)
+		}
+		seen[s.kind] = i
+		prevEnd = align8(s.off + s.len)
+		secs[i] = s
+	}
+	return body, secs, seen, nil
 }
 
 // i32Section returns the typed view of one int32 section; a missing

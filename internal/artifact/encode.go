@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash/crc64"
 	"math"
 
 	"tmark/internal/hin"
@@ -75,6 +76,37 @@ func EncodeModel(g *hin.Graph, cfg tmark.Config, s tmark.Substrate) ([]byte, err
 			rawSection{secWVal, f64Bytes(w.Values)})
 	}
 	return assembleContainer(secs)
+}
+
+// rawSection is one section to be laid into a container.
+type rawSection struct {
+	kind uint32
+	data []byte
+}
+
+// assembleContainer lays sections into the TMARKAR1 header-table /
+// align8 / crc64 container.
+func assembleContainer(secs []rawSection) ([]byte, error) {
+	headerLen := headerFixed + len(secs)*sectionEntry
+	off := align8(headerLen)
+	total := off
+	offs := make([]int, len(secs))
+	for i, sc := range secs {
+		offs[i] = total
+		total = align8(total + len(sc.data))
+	}
+	buf := make([]byte, total+trailerLen)
+	copy(buf, magic[:])
+	binary.LittleEndian.PutUint32(buf[8:], uint32(len(secs)))
+	for i, sc := range secs {
+		e := headerFixed + i*sectionEntry
+		binary.LittleEndian.PutUint32(buf[e:], sc.kind)
+		binary.LittleEndian.PutUint64(buf[e+8:], uint64(offs[i]))
+		binary.LittleEndian.PutUint64(buf[e+16:], uint64(len(sc.data)))
+		copy(buf[offs[i]:], sc.data)
+	}
+	binary.LittleEndian.PutUint64(buf[total:], crc64.Checksum(buf[:total], crcTable))
+	return buf, nil
 }
 
 // encodeMeta serialises the metadata stream: dimensions, config,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 )
@@ -87,6 +88,17 @@ func validHash(h string) bool {
 	return true
 }
 
+var shardRefNameRE = regexp.MustCompile(`^sh-[0-9a-f]{64}-[0-9]+-[0-9]+$`)
+
+// IsShardRefName reports whether name is a legacy shard ref of the form
+// sh-<parent-hash>-<i>-<M>. Registries written by the removed
+// multi-process solve (`tmark build -shards`) still hold such refs,
+// pointing at per-shard sub-tensor blobs that are not classifiable
+// models, so anything enumerating servable models skips them.
+func IsShardRefName(name string) bool {
+	return shardRefNameRE.MatchString(name)
+}
+
 // Ref is a parsed model reference.
 type Ref struct {
 	// Name is the symbolic name; empty for a bare sha256:… reference.
@@ -94,25 +106,17 @@ type Ref struct {
 	// Hash pins the content hash; empty when the reference floats on
 	// the name alone.
 	Hash string
-	// Shard/Of select one horizontal shard of the referenced model
-	// (the `#shard=i/M` fragment). Of == 0 means the whole model.
-	Shard, Of int
 }
 
 func (f Ref) String() string {
-	var s string
 	switch {
 	case f.Name != "" && f.Hash != "":
-		s = f.Name + "@sha256:" + f.Hash
+		return f.Name + "@sha256:" + f.Hash
 	case f.Hash != "":
-		s = "sha256:" + f.Hash
+		return "sha256:" + f.Hash
 	default:
-		s = f.Name
+		return f.Name
 	}
-	if f.Of > 0 {
-		s += fmt.Sprintf("#shard=%d/%d", f.Shard, f.Of)
-	}
-	return s
 }
 
 // ParseRef parses a model reference of one of the forms
@@ -121,60 +125,9 @@ func (f Ref) String() string {
 //	name@sha256:<64 hex>
 //	sha256:<64 hex>
 //
-// any of which may carry a trailing `#shard=i/M` fragment selecting
-// shard i of a model partitioned M ways (0 ≤ i < M).
-//
 // Hex digits must be lowercase — the hash is an identity, and a single
 // canonical spelling keeps equal references equal as strings.
 func ParseRef(ref string) (Ref, error) {
-	base, frag, hasFrag := strings.Cut(ref, "#")
-	var shard, of int
-	if hasFrag {
-		spec, ok := strings.CutPrefix(frag, "shard=")
-		if !ok {
-			return Ref{}, fmt.Errorf("artifact: reference %q fragment must be shard=i/M", ref)
-		}
-		i, m, ok := strings.Cut(spec, "/")
-		if !ok {
-			return Ref{}, fmt.Errorf("artifact: reference %q fragment must be shard=i/M", ref)
-		}
-		var err error
-		if shard, err = parseShardInt(i); err != nil {
-			return Ref{}, fmt.Errorf("artifact: reference %q shard index: %v", ref, err)
-		}
-		if of, err = parseShardInt(m); err != nil {
-			return Ref{}, fmt.Errorf("artifact: reference %q shard count: %v", ref, err)
-		}
-		if of < 1 || shard >= of {
-			return Ref{}, fmt.Errorf("artifact: reference %q shard %d/%d out of range", ref, shard, of)
-		}
-	}
-	parsed, err := parseBaseRef(base)
-	if err != nil {
-		return Ref{}, err
-	}
-	parsed.Shard, parsed.Of = shard, of
-	return parsed, nil
-}
-
-// parseShardInt parses a small decimal without signs, spaces or leading
-// zeros — one canonical spelling, like the hash rule.
-func parseShardInt(s string) (int, error) {
-	if s == "" || len(s) > 6 || (len(s) > 1 && s[0] == '0') {
-		return 0, fmt.Errorf("malformed number %q", s)
-	}
-	n := 0
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c < '0' || c > '9' {
-			return 0, fmt.Errorf("malformed number %q", s)
-		}
-		n = n*10 + int(c-'0')
-	}
-	return n, nil
-}
-
-func parseBaseRef(ref string) (Ref, error) {
 	if h, ok := strings.CutPrefix(ref, "sha256:"); ok {
 		if !validHash(h) {
 			return Ref{}, fmt.Errorf("artifact: malformed hash in reference %q", ref)

@@ -3,6 +3,7 @@ package artifact
 import (
 	"errors"
 	"os"
+	"strings"
 	"testing"
 
 	"tmark/internal/dataset"
@@ -39,6 +40,29 @@ func TestParseRef(t *testing.T) {
 		if _, err := ParseRef(in); err == nil {
 			t.Fatalf("ParseRef(%q) accepted", in)
 		}
+	}
+}
+
+// No reference form takes a `#` fragment, including the shard=i/M
+// selector legacy registries were written with: a shard ref must fail
+// to parse rather than resolve to the whole model.
+func TestParseRefShardFragment(t *testing.T) {
+	hash := strings.Repeat("ab", 32)
+	for _, base := range []string{"dblp", "dblp@sha256:" + hash, "sha256:" + hash} {
+		for _, frag := range []string{
+			"", "frag=1/2", "shard=0/2", "shard=3/4", "shard=1/16",
+			"shard=2/2", "shard=-1/2", "shard=0/0", "shard=01/2", "shard=1",
+		} {
+			in := base + "#" + frag
+			if r, err := ParseRef(in); err == nil {
+				t.Fatalf("ParseRef(%q) accepted as %+v", in, r)
+			}
+		}
+	}
+	// Whole-model references stay exactly as before.
+	r, err := ParseRef("dblp")
+	if err != nil || r != (Ref{Name: "dblp"}) || r.String() != "dblp" {
+		t.Fatalf("plain ref parsed as %+v (%v)", r, err)
 	}
 }
 

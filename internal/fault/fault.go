@@ -75,15 +75,6 @@ const (
 	// before the model is assembled from it; a registered error
 	// simulates an artifact whose substrate fails activation.
 	ArtifactActivate Point = "artifact/activate"
-	// ShardWorkerApply is checked (Check) by a shard worker before it
-	// runs a local apply pass; a registered error makes the worker
-	// answer 503, simulating a dying or partitioned worker process.
-	ShardWorkerApply Point = "shard/worker-apply"
-	// ShardCoordRPC is checked (Check) by the coordinator before each
-	// per-worker apply RPC; a registered error simulates a network
-	// partition between coordinator and worker without needing a real
-	// broken socket.
-	ShardCoordRPC Point = "shard/coord-rpc"
 	// StreamApply is checked (Check) before a delta batch is composed
 	// and fires (Fire) after the new substrate is assembled but before
 	// anything is sealed or published; args are (seq int, changes int).

@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -20,7 +21,6 @@ import (
 	"tmark/internal/fault"
 	"tmark/internal/hin"
 	"tmark/internal/obs"
-	"tmark/internal/shard"
 	"tmark/internal/tmark"
 )
 
@@ -185,6 +185,14 @@ func TestV1SurfaceAndPinnedRefs(t *testing.T) {
 	resp, body = postClassify(t, ts.URL+"/v1", &ClassifyRequest{Model: "test@" + bogus, Seeds: seeds})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("wrong pin: status %d: %s", resp.StatusCode, body)
+	}
+	// A `#` fragment is outside the reference grammar: the ref names no
+	// model, rather than silently serving the whole parent.
+	for _, frag := range []string{"shard=0/2", ""} {
+		resp, body = postClassify(t, ts.URL+"/v1", &ClassifyRequest{Model: "test#" + frag, Seeds: seeds})
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("fragment ref %q: status %d: %s", "test#"+frag, resp.StatusCode, body)
+		}
 	}
 	// model and dataset naming different models is a 400.
 	resp, body = postClassify(t, ts.URL+"/v1", &ClassifyRequest{Model: "a", Dataset: "b", Seeds: seeds})
@@ -375,11 +383,13 @@ func TestArtifactOnlyServing(t *testing.T) {
 	}
 }
 
-// A registry that also holds shard artifacts (`tmark build -shards`)
-// must serve exactly like one that doesn't: the sh-<hash>-<i>-<M> refs
-// are worker-consumed sub-tensor slices, so artifact-only default
-// inference must not count them (one parent model + its shards still
-// boots without -default) and /v1/models must not list them.
+// A legacy registry that still holds shard artifacts written by the
+// removed `tmark build -shards` must serve exactly like one that
+// doesn't: the sh-<hash>-<i>-<M> refs point at sub-tensor slices, not
+// models, so artifact-only default inference must not count them (one
+// parent model + its shards still boots without -default), /v1/models
+// must not list them, and the model decoder rejects their blobs
+// cleanly.
 func TestShardRefsInvisibleToServing(t *testing.T) {
 	g := testGraph(40)
 	cfg := fastConfig()
@@ -388,16 +398,23 @@ func TestShardRefsInvisibleToServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := os.ReadFile(filepath.Join(dir, "blobs", hash+".tmar"))
+	// Plant shard 0 of 2 of this model exactly as `tmark build -shards 2`
+	// used to write it: the blob (cut from the same deterministic
+	// compile, so it records this hash as its parent) under its content
+	// hash, and its sh-<hash>-<i>-<M> ref.
+	blob, err := os.ReadFile(filepath.Join("testdata", "legacy-shard-0-2.tmar"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	art, err := artifact.DecodeBytes(blob)
+	shHash, err := reg.Put(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := shard.PartitionInto(reg, art.Substrate(), hash, 2); err != nil {
-		t.Fatalf("partition: %v", err)
+	if err := reg.Tag(fmt.Sprintf("sh-%s-0-2", hash), shHash); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := artifact.DecodeBytes(blob); err == nil || !strings.Contains(err.Error(), "no META section") {
+		t.Fatalf("DecodeBytes(legacy shard blob) = %v, want a no-META-section error", err)
 	}
 
 	s := newTestServer(t, nil, cfg, func(o *Options) {

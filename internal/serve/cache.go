@@ -82,18 +82,16 @@ type warmModel struct {
 	// The full multi-class solves backing /rank, each computed lazily at
 	// most once per warm model: the reference solve (serving the exact
 	// and accelerated tiers) and the linearized fast-tier solve. They run
-	// under their own context — NOT the coalescer's solveCtx — because
-	// eviction retires the coalescer (which ends by cancelling solveCtx)
-	// while a /rank borrower may still be mid-solve: an evicted model
-	// must finish its borrowed work at full quality. Only the server
-	// drain (or a failed build) cancels rankCtx; it stays live after a
-	// solve finishes because the other tier's solve may start later.
-	rankCtx    context.Context
-	rankCancel context.CancelFunc
-	fullOnce   sync.Once
-	full       *tmark.Result
-	fastOnce   sync.Once
-	fastFull   *tmark.Result
+	// under the server's drain context — NOT the coalescer's solveCtx —
+	// because eviction retires the coalescer (which ends by cancelling
+	// solveCtx) while a /rank borrower may still be mid-solve: an evicted
+	// model must finish its borrowed work at full quality. Only the
+	// server drain cancels rankCtx.
+	rankCtx  context.Context
+	fullOnce sync.Once
+	full     *tmark.Result
+	fastOnce sync.Once
+	fastFull *tmark.Result
 }
 
 // fullResult lazily runs the full multi-class solve for /rank. The
@@ -128,8 +126,9 @@ type modelCache struct {
 	entries  map[modelKey]*warmModel
 	order    *list.List // front = most recently used
 	build    func(modelKey) (buildResult, error)
-	newCoal  func(*tmark.Model, string) *coalescer
+	newCoal  func(*tmark.Model) *coalescer
 	met      *metrics
+	rankCtx  context.Context // every entry's /rank solve context
 
 	// ckDir, when set, gives every warm model a per-key checkpoint file
 	// for its /rank full solve, written every ckEvery iterations.
@@ -137,11 +136,12 @@ type modelCache struct {
 	ckEvery int
 }
 
-func newModelCache(capacity int, build func(modelKey) (buildResult, error), newCoal func(*tmark.Model, string) *coalescer, met *metrics) *modelCache {
+func newModelCache(rankCtx context.Context, capacity int, build func(modelKey) (buildResult, error), newCoal func(*tmark.Model) *coalescer, met *metrics) *modelCache {
 	if capacity < 1 {
 		capacity = 1
 	}
 	return &modelCache{
+		rankCtx:  rankCtx,
 		capacity: capacity,
 		entries:  make(map[modelKey]*warmModel),
 		order:    list.New(),
@@ -170,8 +170,7 @@ func (c *modelCache) get(key modelKey) (*warmModel, error) {
 		}
 		return e, nil
 	}
-	e := &warmModel{key: key, ready: make(chan struct{})}
-	e.rankCtx, e.rankCancel = context.WithCancel(context.Background())
+	e := &warmModel{key: key, ready: make(chan struct{}), rankCtx: c.rankCtx}
 	e.elem = c.order.PushFront(e)
 	c.entries[key] = e
 	var evicted []*warmModel
@@ -199,7 +198,7 @@ func (c *modelCache) get(key modelKey) (*warmModel, error) {
 		go func(old *warmModel) {
 			<-old.ready
 			if old.coal != nil {
-				old.coal.stop(false)
+				old.coal.stop()
 			}
 		}(old)
 	}
@@ -207,7 +206,6 @@ func (c *modelCache) get(key modelKey) (*warmModel, error) {
 	br, err := c.buildSafe(key)
 	if err != nil {
 		e.err = err
-		e.rankCancel()
 		close(e.ready)
 		c.mu.Lock()
 		if cur, ok := c.entries[key]; ok && cur == e {
@@ -221,7 +219,7 @@ func (c *modelCache) get(key modelKey) (*warmModel, error) {
 	if c.ckDir != "" {
 		e.ck = c.checkpointOptions(key, e.model)
 	}
-	e.coal = c.newCoal(e.model, e.hash)
+	e.coal = c.newCoal(e.model)
 	e.coal.onPanic = func() { c.quarantine(e) }
 	close(e.ready)
 	return e, nil
@@ -268,7 +266,7 @@ func (c *modelCache) quarantine(e *warmModel) {
 	go func() {
 		<-e.ready
 		if e.coal != nil {
-			e.coal.stop(false)
+			e.coal.stop()
 		}
 	}()
 }
@@ -298,7 +296,7 @@ func (c *modelCache) invalidateName(name string) {
 		go func(e *warmModel) {
 			<-e.ready
 			if e.coal != nil {
-				e.coal.stop(false)
+				e.coal.stop()
 			}
 		}(e)
 	}
@@ -359,19 +357,20 @@ func (c *modelCache) queueDepth() int {
 	return total
 }
 
-// drainAll stops every coalescer, cancelling in-flight solves so each
-// pending request completes within one solver iteration. It blocks until
-// every dispatcher has answered its queue and exited.
-func (c *modelCache) drainAll() {
+// stopAll closes every cached coalescer's intake and blocks until each
+// dispatcher has answered its queue and exited; entries still building
+// are stopped once they are ready. Drain calls it after cancelling the
+// server's drain context, so every answer is a partial result returned
+// within one solver iteration.
+func (c *modelCache) stopAll() {
 	var wg sync.WaitGroup
 	for _, e := range c.snapshot() {
 		wg.Add(1)
 		go func(e *warmModel) {
 			defer wg.Done()
-			e.rankCancel() // in-flight /rank solves flush and return
 			<-e.ready
 			if e.coal != nil {
-				e.coal.stop(true)
+				e.coal.stop()
 			}
 		}(e)
 	}

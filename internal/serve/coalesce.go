@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"tmark/internal/fault"
-	"tmark/internal/shard"
 	"tmark/internal/tmark"
 )
 
@@ -64,8 +63,9 @@ type coalescer struct {
 	queue    chan *job
 	batch    []*job // dispatcher-owned collection scratch
 
-	// solveCtx is the base context of every batch solve; cancelling it
-	// stops in-flight and queued work within one solver iteration.
+	// solveCtx is the base context of every batch solve, a child of the
+	// server's drain context; cancelling either stops in-flight and
+	// queued work within one solver iteration.
 	solveCtx context.Context
 	cancel   context.CancelFunc
 
@@ -82,22 +82,10 @@ type coalescer struct {
 	stopOnce sync.Once
 	done     chan struct{} // closed when the dispatcher has exited
 
-	// dist, when non-nil, is the shard-worker coordinator for exactly
-	// this model (the server matches content hashes before wiring it).
-	// Batches then solve through the worker fleet; a failed fleet puts
-	// distributed solving on a cooldown (distDownUntil, unix nanos) and
-	// batches run locally until it expires.
-	dist          *shard.Coordinator
-	distDownUntil atomic.Int64
-
 	met *metrics
 }
 
-// distCooldown is how long a coalescer solves locally after its worker
-// fleet fails a pass, before probing the fleet again.
-const distCooldown = 15 * time.Second
-
-func newCoalescer(model *tmark.Model, maxBatch, queueDepth int, slots chan struct{}, met *metrics, dist *shard.Coordinator) *coalescer {
+func newCoalescer(parent context.Context, model *tmark.Model, maxBatch, queueDepth int, slots chan struct{}, met *metrics) *coalescer {
 	if maxBatch < 1 {
 		maxBatch = 1
 	}
@@ -112,10 +100,9 @@ func newCoalescer(model *tmark.Model, maxBatch, queueDepth int, slots chan struc
 		slots:    slots,
 		drainCh:  make(chan struct{}),
 		done:     make(chan struct{}),
-		dist:     dist,
 		met:      met,
 	}
-	c.solveCtx, c.cancel = context.WithCancel(context.Background())
+	c.solveCtx, c.cancel = context.WithCancel(parent)
 	go c.dispatch()
 	return c
 }
@@ -153,9 +140,9 @@ func (c *coalescer) do(ctx context.Context, q tmark.ColumnQuery) (tmark.ColumnRe
 }
 
 // dispatch is the coalescer's single consumer: block for one job, fold
-// in whatever else is queued, solve, repeat. On drain it empties the
-// queue (those solves run under the already-cancelled solveCtx, so each
-// returns within one iteration) and exits.
+// in whatever else is queued, solve, repeat. On stop it empties the
+// queue and exits; under a server drain those solves run under the
+// already-cancelled solveCtx, so each returns within one iteration.
 func (c *coalescer) dispatch() {
 	defer close(c.done)
 	for {
@@ -240,41 +227,22 @@ func (c *coalescer) solve(queries []tmark.ColumnQuery) (out []tmark.ColumnResult
 	if fault.Enabled() {
 		fault.Fire(fault.ServeBatchSolve, len(queries))
 	}
-	var opts []tmark.RunOption
-	var ap *shard.Applier
-	if c.dist != nil && time.Now().UnixNano() >= c.distDownUntil.Load() {
-		// Pin the local worker count to the shard count so a mid-solve
-		// degradation continues with identical arithmetic — the answer
-		// stays bitwise independent of when (or whether) the fleet died.
-		ap = c.dist.Applier(c.solveCtx)
-		opts = append(opts, tmark.WithWorkers(c.dist.Workers()), tmark.WithDistributedApply(ap))
-	}
-	out, err = c.model.SolveColumns(c.solveCtx, queries, opts...)
-	if ap != nil && ap.Err() != nil {
-		c.distDownUntil.Store(time.Now().Add(distCooldown).UnixNano())
-		if c.met != nil {
-			c.met.shardDegrades.Inc()
-		}
-	}
-	return out, err
+	return c.model.SolveColumns(c.solveCtx, queries)
 }
 
 // stop closes intake and waits for the dispatcher to answer everything
-// still queued. cancelInflight additionally cancels the solve context
-// first, so in-flight and queued solves return within one solver
-// iteration with partial results — the SIGTERM drain path. Eviction
-// uses stop(false): the retired model finishes its accepted work at
-// full quality and only then goes away.
-func (c *coalescer) stop(cancelInflight bool) {
+// still queued. Retiring a model (eviction, quarantine, invalidation)
+// leaves the solve context live, so the accepted work finishes at full
+// quality; the SIGTERM drain cancels the parent context before it
+// stops anything, so those solves return within one solver iteration
+// with partial results.
+func (c *coalescer) stop() {
 	c.stopOnce.Do(func() {
 		c.closed.Store(true)
-		if cancelInflight {
-			c.cancel()
-		}
 		close(c.drainCh)
 	})
 	<-c.done
-	c.cancel() // release the context either way once everything is done
+	c.cancel() // release the context once everything is done
 }
 
 // depth reports the current admission-queue length (a metrics gauge).

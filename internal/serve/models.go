@@ -156,8 +156,8 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 		}
 		for _, ref := range listed {
 			if artifact.IsShardRefName(ref.Name) {
-				// Shard blobs are worker-consumed sub-tensor slices,
-				// not models a /v1/classify can target.
+				// Legacy shard blobs are sub-tensor slices, not
+				// models a /v1/classify can target.
 				continue
 			}
 			if mi, ok := byName[ref.Name]; ok && ref.Name != "" {

@@ -17,7 +17,6 @@ import (
 	"tmark/internal/artifact"
 	"tmark/internal/hin"
 	"tmark/internal/obs"
-	"tmark/internal/shard"
 	"tmark/internal/stream"
 	"tmark/internal/tmark"
 )
@@ -99,14 +98,6 @@ type Options struct {
 	// nothing, and a quarantined engine heals itself in process instead
 	// of staying poisoned until restart.
 	WALDir string
-	// ShardWorkers lists the base URLs of a shard-worker fleet (tmarkd
-	// -shard-serve processes, one per shard of one partitioned model).
-	// When set, New performs the coordinator handshake against the
-	// fleet; warm models whose content hash matches the fleet's parent
-	// model then solve their batches across the workers, with automatic
-	// fallback to local solving (plus a cooldown) when the fleet fails
-	// mid-pass. Models with any other hash are untouched.
-	ShardWorkers []string
 	// Registry receives the serving metrics and backs /metrics, /vars
 	// and /debug/pprof; nil means obs.Default().
 	Registry *obs.Registry
@@ -132,11 +123,6 @@ type Server struct {
 	// header (whole seconds, at least 1).
 	retryAfter string
 
-	// coord is the connected shard-worker coordinator (nil without
-	// Options.ShardWorkers); models matching its parent hash solve
-	// through it.
-	coord *shard.Coordinator
-
 	// streams holds the live ingest engines, one per dataset-backed name
 	// that has received a /v1/ingest batch (or, with Options.WALDir, per
 	// name whose log survived a previous process). A quarantined engine
@@ -146,6 +132,20 @@ type Server struct {
 	streamMu sync.Mutex
 	streams  map[string]*stream.Engine
 
+	// drainCtx is the parent of every coalescer's solve context and the
+	// context of every /rank solve. Drain cancels it first, which reaches
+	// the solves of cached models, of models still building and of models
+	// already evicted, quarantined or invalidated but still answering
+	// their queues.
+	drainCtx    context.Context
+	drainCancel context.CancelFunc
+
+	// admitMu orders classify admission against Drain: a request
+	// admitted under the read lock joins admitted before Drain, under
+	// the write lock, flips draining, so Drain waits for exactly the
+	// classify requests it let in.
+	admitMu   sync.RWMutex
+	admitted  sync.WaitGroup
 	draining  atomic.Bool
 	drainOnce sync.Once
 }
@@ -166,7 +166,6 @@ type metrics struct {
 	artifactHits   *obs.Counter
 	artifactMisses *obs.Counter
 	artifactFails  *obs.Counter
-	shardDegrades  *obs.Counter
 	latency        *obs.Latency
 	batchTime      *obs.Timer
 }
@@ -187,7 +186,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 		artifactHits:   reg.Counter("tmark_artifact_hit_total"),
 		artifactMisses: reg.Counter("tmark_artifact_miss_total"),
 		artifactFails:  reg.Counter("tmark_artifact_verify_fail_total"),
-		shardDegrades:  reg.Counter("tmarkd_shard_degraded_total"),
 		latency:        obs.NewLatency(0),
 		batchTime:      reg.Timer("tmarkd_batch_solve"),
 	}
@@ -293,13 +291,6 @@ func New(opts Options) (*Server, error) {
 	}
 
 	s := &Server{opts: opts, registry: registry, obsReg: reg, scrub: scrub, met: newMetrics(reg)}
-	if len(opts.ShardWorkers) > 0 {
-		coord, err := shard.Connect(context.Background(), opts.ShardWorkers, nil)
-		if err != nil {
-			return nil, fmt.Errorf("serve: shard worker handshake: %w", err)
-		}
-		s.coord = coord
-	}
 	secs := int(opts.RetryAfter.Round(time.Second) / time.Second)
 	if secs < 1 {
 		secs = 1
@@ -307,14 +298,11 @@ func New(opts Options) (*Server, error) {
 	s.retryAfter = strconv.Itoa(secs)
 	slots := make(chan struct{}, opts.MaxConcurrent)
 	s.slots = slots
-	s.cache = newModelCache(opts.CacheSize,
+	s.drainCtx, s.drainCancel = context.WithCancel(context.Background())
+	s.cache = newModelCache(s.drainCtx, opts.CacheSize,
 		s.buildModel,
-		func(m *tmark.Model, hash string) *coalescer {
-			coord := s.coord
-			if coord != nil && hash != coord.Parent() {
-				coord = nil
-			}
-			return newCoalescer(m, opts.MaxBatch, opts.QueueDepth, slots, s.met, coord)
+		func(m *tmark.Model) *coalescer {
+			return newCoalescer(s.drainCtx, m, opts.MaxBatch, opts.QueueDepth, slots, s.met)
 		},
 		s.met)
 	s.cache.ckDir = opts.CheckpointDir
@@ -383,20 +371,53 @@ func (s *Server) ScrubReport() *artifact.ScrubReport { return s.scrub }
 // Handler returns the server's mux.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Draining reports whether Drain has started.
+// Draining reports whether Drain has started. Once it reports true,
+// every classify and /rank solve is already cancelled — on cached
+// models, on models still building and on models that left the cache
+// but still answer their queues — so no solve runs on a live context.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Drain gracefully stops serving: /readyz flips to 503, new queries are
 // rejected, and every in-flight or queued solve is cancelled so each
 // pending request completes (with a usable partial result) within one
-// solver iteration. Drain blocks until every pending request has been
-// answered; shut the HTTP listener down afterwards so the responses
-// flush to their clients.
+// solver iteration. The cancellation happens before Draining flips.
+// Drain blocks until every admitted classify request has its answer
+// and every cached model's coalescer has stopped. That wait covers
+// only server-side work (a model build, then one cancelled solve): a
+// classify request is admitted after its body is read and leaves the
+// gate before its response is written, so a stalled client cannot hold
+// Drain up. Shut the HTTP listener down afterwards, under a deadline,
+// so the responses flush to their clients.
 func (s *Server) Drain() {
 	s.drainOnce.Do(func() {
+		s.drainCancel()
+		s.admitMu.Lock()
 		s.draining.Store(true)
-		s.cache.drainAll()
+		s.admitMu.Unlock()
+		s.admitted.Wait()
+		s.cache.stopAll()
 	})
+}
+
+// admit runs fn as one admitted classify request, or reports false
+// without running it when the server is draining. Drain waits for every
+// fn it let in, so fn must hold only server-side work: never a read of
+// the request body or a write of the response. The request is counted
+// under the same lock, so once tmarkd_requests_total has counted a
+// request it is either admitted or was refused by a drain already under
+// way.
+func (s *Server) admit(fn func()) bool {
+	s.admitMu.RLock()
+	s.met.requests.Inc()
+	if s.draining.Load() {
+		s.admitMu.RUnlock()
+		return false
+	}
+	s.admitted.Add(1)
+	s.admitMu.RUnlock()
+	defer s.admitted.Done()
+	fn()
+	return true
 }
 
 // writeJSON writes v with the given status.
@@ -544,26 +565,11 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	s.met.requests.Inc()
-	if s.draining.Load() {
-		s.met.rejected.Inc()
-		s.unavailable(w, "draining", ReasonDraining)
-		return
-	}
 	req, err := DecodeClassifyRequest(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
 	if err != nil {
+		s.met.requests.Inc()
 		s.met.errors.Inc()
 		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	name, e, status, err := s.resolve(req.ref(), req)
-	if err != nil {
-		s.met.errors.Inc()
-		if status == http.StatusServiceUnavailable {
-			s.unavailable(w, err.Error(), reasonFor(err))
-			return
-		}
-		writeError(w, status, err.Error())
 		return
 	}
 
@@ -578,9 +584,35 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		quality = tmark.QualityExact
 	}
 
-	start := time.Now()
-	res, width, err := e.coal.do(r.Context(), tmark.ColumnQuery{Seeds: req.Seeds, ICA: req.ICA, Quality: quality})
-	s.met.latency.Observe(time.Since(start))
+	var (
+		name   string
+		e      *warmModel
+		status int
+		res    tmark.ColumnResult
+		width  int
+	)
+	if !s.admit(func() {
+		name, e, status, err = s.resolve(req.ref(), req)
+		if err != nil {
+			return
+		}
+		start := time.Now()
+		res, width, err = e.coal.do(r.Context(), tmark.ColumnQuery{Seeds: req.Seeds, ICA: req.ICA, Quality: quality})
+		s.met.latency.Observe(time.Since(start))
+	}) {
+		s.met.rejected.Inc()
+		s.unavailable(w, "draining", ReasonDraining)
+		return
+	}
+	if e == nil { // resolve failed
+		s.met.errors.Inc()
+		if status == http.StatusServiceUnavailable {
+			s.unavailable(w, err.Error(), reasonFor(err))
+			return
+		}
+		writeError(w, status, err.Error())
+		return
+	}
 	switch {
 	case errors.Is(err, ErrOverloaded), errors.Is(err, ErrDraining), errors.Is(err, ErrModelFault):
 		s.met.rejected.Inc()

@@ -1,17 +1,22 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"tmark/internal/fault"
 	"tmark/internal/hin"
 	"tmark/internal/obs"
 	"tmark/internal/tmark"
@@ -394,6 +399,154 @@ func TestDrainCancelsInflight(t *testing.T) {
 	}
 }
 
+// TestDrainIgnoresStalledBody: a client that sent its headers and only
+// half of its body has not been admitted, so Drain returns without
+// waiting for it (the HTTP shutdown deadline owns that connection).
+// When the body does arrive, the request is shed as draining.
+func TestDrainIgnoresStalledBody(t *testing.T) {
+	s := newTestServer(t, testGraph(40), fastConfig(), nil)
+	body := &readSignal{reading: make(chan struct{})}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body.ReadCloser = r.Body
+		r.Body = body
+		s.Handler().ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	req := `{"seeds":[0,4],"scores":true}`
+	half := len(req) / 2
+	if _, err := fmt.Fprintf(conn, "POST /classify HTTP/1.1\r\nHost: tmark\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s", len(req), req[:half]); err != nil {
+		t.Fatalf("write headers: %v", err)
+	}
+	select {
+	case <-body.reading:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("handler never read the body")
+	}
+
+	drained := make(chan struct{})
+	go func() { s.Drain(); close(drained) }()
+	select {
+	case <-drained:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("Drain waited on a client stalled mid-body")
+	}
+
+	if _, err := io.WriteString(conn, req[half:]); err != nil {
+		t.Fatalf("write rest of body: %v", err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("read response: %v", err)
+	}
+	defer resp.Body.Close()
+	var out ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if resp.StatusCode != http.StatusServiceUnavailable || out.Reason != ReasonDraining {
+		t.Fatalf("late body after drain: status %d reason %q, want 503 %q", resp.StatusCode, out.Reason, ReasonDraining)
+	}
+}
+
+// readSignal closes reading on the first Read of the body it wraps.
+type readSignal struct {
+	io.ReadCloser
+	once    sync.Once
+	reading chan struct{}
+}
+
+func (b *readSignal) Read(p []byte) (int, error) {
+	b.once.Do(func() { close(b.reading) })
+	return b.ReadCloser.Read(p)
+}
+
+// TestDrainCancelsRetiredCoalescer: a batch in flight on a model that an
+// ingest-style invalidation has already dropped from the cache is still
+// cancelled by Drain, so its request gets a partial result within one
+// iteration and Drain does not wait out a full solve. The batch is held
+// at the solve fault point while the model is dropped and the drain
+// starts.
+func TestDrainCancelsRetiredCoalescer(t *testing.T) {
+	g := testGraph(60)
+	s := newTestServer(t, g, slowServeConfig(), nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	t.Cleanup(fault.Reset)
+	started := make(chan struct{})
+	release := make(chan struct{})
+	unblock := sync.OnceFunc(func() { close(release) })
+	defer unblock()
+	fault.Inject(fault.ServeBatchSolve, fault.Once(func(...any) {
+		close(started)
+		<-release
+	}))
+
+	type reply struct {
+		resp *http.Response
+		body []byte
+	}
+	done := make(chan reply, 1)
+	go func() {
+		body, _ := json.Marshal(&ClassifyRequest{Seeds: []int{0, 4}, Scores: true})
+		resp, err := http.Post(ts.URL+"/classify", "application/json", bytes.NewReader(body))
+		if err != nil {
+			done <- reply{}
+			return
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		_, _ = buf.ReadFrom(resp.Body)
+		done <- reply{resp, buf.Bytes()}
+	}()
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("batch never reached the solver")
+	}
+
+	s.cache.invalidateName("test")
+	if n := s.cache.size(); n != 0 {
+		t.Fatalf("cache holds %d entries after invalidation, want 0", n)
+	}
+	drained := make(chan struct{})
+	go func() { s.Drain(); close(drained) }()
+	for !s.Draining() {
+		time.Sleep(time.Millisecond)
+	}
+	unblock()
+
+	select {
+	case r := <-done:
+		if r.resp == nil {
+			t.Fatalf("in-flight request failed transport-level")
+		}
+		if r.resp.StatusCode != http.StatusOK {
+			t.Fatalf("in-flight request status %d: %s", r.resp.StatusCode, r.body)
+		}
+		var out ClassifyResponse
+		if err := json.Unmarshal(r.body, &out); err != nil {
+			t.Fatalf("unmarshal: %v", err)
+		}
+		if out.Stopped == "" || out.Iterations > 1 {
+			t.Fatalf("retired batch ran %d iterations (stopped %q), want a cancelled solve of at most 1", out.Iterations, out.Stopped)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("request on the retired model never completed")
+	}
+	select {
+	case <-drained:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("Drain never returned")
+	}
+}
+
 // TestCacheLRUEviction: hyperparameter overrides mint new cache keys and
 // the LRU bound holds.
 func TestCacheLRUEviction(t *testing.T) {
@@ -450,14 +603,15 @@ func TestCoalescerOverload(t *testing.T) {
 	}
 	slots := make(chan struct{}, 1)
 	slots <- struct{}{} // hold every batch at the solve gate
-	c := newCoalescer(model, 1, 1, slots, nil, nil)
-	defer c.stop(true)
+	c := newCoalescer(context.Background(), model, 1, 1, slots, nil)
+	defer c.stop()
 
+	// Job 1 goes straight into the queue, so the wait below cannot pass
+	// before it was enqueued (job 2 would then find the queue full).
+	j1 := &job{query: tmark.ColumnQuery{Seeds: []int{0}}, resp: make(chan jobResult, 1)}
+	c.queue <- j1
 	res1 := make(chan error, 1)
-	go func() {
-		_, _, err := c.do(context.Background(), tmark.ColumnQuery{Seeds: []int{0}})
-		res1 <- err
-	}()
+	go func() { res1 <- (<-j1.resp).err }()
 	waitDepth(t, c, 0) // dispatcher took job 1 and is blocked on the slot
 	res2 := make(chan error, 1)
 	go func() {
@@ -479,7 +633,7 @@ func TestCoalescerOverload(t *testing.T) {
 			t.Fatalf("request %d never completed", i+1)
 		}
 	}
-	c.stop(true)
+	c.stop()
 	if _, _, err := c.do(context.Background(), tmark.ColumnQuery{Seeds: []int{0}}); err != ErrDraining {
 		t.Fatalf("post-stop admission: err = %v, want ErrDraining", err)
 	}
@@ -496,8 +650,8 @@ func TestCoalescingBatchesConcurrentQueries(t *testing.T) {
 	}
 	slots := make(chan struct{}, 1)
 	slots <- struct{}{} // hold the dispatcher at the solve gate
-	c := newCoalescer(model, 8, 64, slots, nil, nil)
-	defer c.stop(true)
+	c := newCoalescer(context.Background(), model, 8, 64, slots, nil)
+	defer c.stop()
 
 	widths := make(chan int, 5)
 	for i := 0; i < 5; i++ {

@@ -8,7 +8,10 @@ package tmark
 // warm from the equilibrium restart and resumed mid-run; RunClass; and
 // SolveColumns at every width, ICA columns included. Accelerated columns
 // must equal their own width-1 solve bitwise and predict what the exact
-// tier predicts.
+// tier predicts. On irreducible networks the cold run is strictly
+// positive (Theorem 2), and without ICA a warm start from a foreign
+// equilibrium, plain or accelerated, lands on the cold fixed point
+// (Theorem 3).
 
 import (
 	"context"
@@ -99,9 +102,12 @@ func randomHIN(rng *rand.Rand, s hinShape) *hin.Graph {
 }
 
 func TestDifferentialRandomHINs(t *testing.T) {
+	workerCounts := []int{1, 4}
+	ran, positivityChecked := 0, 0
 	for si, shape := range hinShapes {
-		for _, workers := range []int{1, 4} {
+		for _, workers := range workerCounts {
 			t.Run(fmt.Sprintf("%s/workers=%d", shape.name, workers), func(t *testing.T) {
+				ran++
 				g := randomHIN(rand.New(rand.NewSource(int64(100+si))), shape)
 				cfg := DefaultConfig()
 				cfg.Gamma = shape.gamma
@@ -111,16 +117,24 @@ func TestDifferentialRandomHINs(t *testing.T) {
 				cfg.Workers = workers
 				for _, ica := range []bool{true, false} {
 					cfg.ICAUpdate = ica
-					differential(t, fmt.Sprintf("ica=%v", ica), g, cfg)
+					if differential(t, fmt.Sprintf("ica=%v", ica), g, cfg) {
+						positivityChecked++
+					}
 				}
 			})
 		}
 	}
+	// A full run (no -run filter on the subtests) must reach the
+	// Theorem 2 check at least once, so it is never vacuous.
+	if ran == len(hinShapes)*len(workerCounts) && positivityChecked == 0 {
+		t.Fatal("no shape is irreducible: Theorem 2 was never checked")
+	}
 }
 
 // differential runs every engine path on one network and configuration
-// against the oracle.
-func differential(t *testing.T, label string, g *hin.Graph, cfg Config) {
+// against the oracle. It reports whether the network was irreducible, so
+// the Theorem 2 check ran.
+func differential(t *testing.T, label string, g *hin.Graph, cfg Config) bool {
 	t.Helper()
 	ctx := context.Background()
 	m := mustModel(t, g, cfg)
@@ -131,7 +145,11 @@ func differential(t *testing.T, label string, g *hin.Graph, cfg Config) {
 		assertResultsBitwise(t, label+" "+leg, got, want)
 		assertOnSimplex(t, label+" "+leg, got)
 	}
-	check("cold", m.RunContext(ctx))
+	cold := m.RunContext(ctx)
+	check("cold", cold)
+	if m.Irreducible() {
+		assertPositive(t, label+" cold", cold)
+	}
 
 	// Warm legs start from a capped solve of the same network.
 	capCfg := cfg
@@ -143,6 +161,19 @@ func differential(t *testing.T, label string, g *hin.Graph, cfg Config) {
 		leg := fmt.Sprintf("%s warm eqRestart=%v", label, eq)
 		assertResultsBitwise(t, leg, got, ref)
 		assertOnSimplex(t, leg, got)
+	}
+
+	// Theorem 3: the fixed point is unique, so a warm start from a
+	// foreign equilibrium (α = 0.3, γ′ = 1 − γ) lands on the cold one.
+	// Not with ICA: its pseudo-seed set depends on the iteration path.
+	if !cfg.ICAUpdate {
+		foreignCfg := cfg
+		foreignCfg.Alpha, foreignCfg.Gamma = 0.3, 1-cfg.Gamma
+		foreign := mustModel(t, g, foreignCfg).Run()
+		for _, acc := range []bool{false, true} {
+			got := m.RunWarmContext(ctx, foreign, WithAcceleration(acc))
+			assertNearFixedPoint(t, fmt.Sprintf("%s foreign warm accelerated=%v", label, acc), got, cold, 1e-9)
+		}
 	}
 
 	// Resumed mid-run: interrupt after iteration 4, resume from the
@@ -215,6 +246,36 @@ func differential(t *testing.T, label string, g *hin.Graph, cfg Config) {
 	accelRun := m.RunContext(ctx, WithAcceleration(true))
 	assertOnSimplex(t, label+" accelerated run", accelRun)
 	assertSamePredictions(t, label+" accelerated run", accelRun, want)
+	return m.Irreducible()
+}
+
+// assertPositive checks Theorem 2 on every class of a result: every
+// entry of X and Z is strictly positive.
+func assertPositive(t *testing.T, label string, res *Result) {
+	t.Helper()
+	for c := range res.Classes {
+		for name, v := range map[string]vec.Vector{"X": res.Classes[c].X, "Z": res.Classes[c].Z} {
+			for i, p := range v {
+				if !(p > 0) {
+					t.Fatalf("%s class %d: %s[%d] = %v, want > 0 on an irreducible network", label, c, name, i, p)
+				}
+			}
+		}
+	}
+}
+
+// assertNearFixedPoint fails unless every class's X and Z lie within
+// tol of want's in L1.
+func assertNearFixedPoint(t *testing.T, label string, got, want *Result, tol float64) {
+	t.Helper()
+	for c := range want.Classes {
+		if d := vec.Diff1(got.Classes[c].X, want.Classes[c].X); !(d <= tol) {
+			t.Fatalf("%s class %d: X is %v from the cold fixed point in L1, want ≤ %v", label, c, d, tol)
+		}
+		if d := vec.Diff1(got.Classes[c].Z, want.Classes[c].Z); !(d <= tol) {
+			t.Fatalf("%s class %d: Z is %v from the cold fixed point in L1, want ≤ %v", label, c, d, tol)
+		}
+	}
 }
 
 // assertColumnBitwise fails unless two column solutions are bitwise

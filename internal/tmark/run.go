@@ -102,42 +102,10 @@ type runOptions struct {
 	// approximate replaces the fixed-point loop with the linearized
 	// single-solve tier; see WithApproximate.
 	approximate bool
-	// dist, when non-nil, offloads the blocked contractions to a
-	// distributed applier (the shard coordinator); see
-	// WithDistributedApply.
-	dist DistApplier
 	// eqRestart has RunWarmContext seed each class's restart vector from
 	// the previous equilibrium restart, not just x̄/z̄; see
 	// WithEquilibriumRestart.
 	eqRestart bool
-}
-
-// DistApplier computes the blocked kernel passes of the lockstep engine
-// out of process — the hook the shard coordinator
-// (internal/shard) implements. NodeBatch and RelationBatch must fill
-// dst with results bitwise identical to the in-process parallel kernels
-// at the applier's worker count; FeatureBatch may decline (handled
-// false) and let the local feature matvec run. Any error permanently
-// degrades the run to the local kernels: the solver nulls the applier,
-// recomputes the failed pass locally and carries on, so a worker lost
-// mid-iteration costs one retried kernel pass, never the solve.
-type DistApplier interface {
-	NodeBatch(x, z, dst []float64, b int) error
-	RelationBatch(x, dst []float64, b int) error
-	FeatureBatch(x, dst []float64, b int) (handled bool, err error)
-}
-
-// WithDistributedApply routes the engine's kernel passes through d (the
-// shard coordinator). The extrapolator, health guards, ICA reseed,
-// normalisation and convergence logic all keep running locally on the
-// reduced iterate — only the O/R contractions and the W matvec move
-// across processes. The approximate tier ignores the option, as does
-// RunClass, which takes no options. On any applier error the run
-// degrades permanently to the local kernels (counted in
-// tmark_dist_degraded_total) — the caller still holds the full model,
-// so correctness never depends on the workers.
-func WithDistributedApply(d DistApplier) RunOption {
-	return func(o *runOptions) { o.dist = d }
 }
 
 // RunOption configures one solver run; see WithStats, WithProgress and
@@ -518,10 +486,7 @@ var (
 	regAccelProposed = obs.Default().Counter("tmark_accel_proposed_total")
 	regAccelAccepted = obs.Default().Counter("tmark_accel_accepted_total")
 	regAccelRejected = obs.Default().Counter("tmark_accel_rejected_total")
-	// Distributed-apply degradations: runs that lost their shard
-	// coordinator mid-solve and fell back to the local kernels.
-	regDistDegraded = obs.Default().Counter("tmark_dist_degraded_total")
-	regKernels      = func() [obs.NumKernels]*obs.Timer {
+	regKernels       = func() [obs.NumKernels]*obs.Timer {
 		var ts [obs.NumKernels]*obs.Timer
 		for _, k := range obs.Kernels() {
 			ts[k] = obs.Default().Timer("tmark_kernel_" + k.String())
@@ -647,30 +612,10 @@ func (rs *runScratch) close() {
 	}
 }
 
-// The engine's kernel wrappers: the distributed applier when one is
-// set, else the serial or pool-sharded blocked kernels, timed under the
-// collector.
-
-// distDegrade permanently downgrades the run to the local kernels after
-// a distributed-apply failure. The local kernels fully overwrite their
-// destination slabs, so the failed remote pass is simply recomputed.
-func (rs *runScratch) distDegrade(err error) {
-	rs.opts.dist = nil
-	regDistDegraded.Inc()
-	_ = err
-}
+// The engine's kernel wrappers: the serial or pool-sharded blocked
+// kernels, timed under the collector.
 
 func (rs *runScratch) applyNodeBatch(o *tensor.NodeTransition, x, z, dst []float64, b int) {
-	if d := rs.opts.dist; d != nil {
-		start := rs.col.Clock()
-		err := d.NodeBatch(x, z, dst, b)
-		if err == nil {
-			rs.col.AddKernelCols(obs.KernelO, int64(o.NNZ()), int64(b))
-			rs.col.StopKernel(obs.KernelO, start)
-			return
-		}
-		rs.distDegrade(err)
-	}
 	start := rs.col.Clock()
 	if rs.pool == nil {
 		o.ApplyBatch(rs.ob, x, z, dst, b)
@@ -682,16 +627,6 @@ func (rs *runScratch) applyNodeBatch(o *tensor.NodeTransition, x, z, dst []float
 }
 
 func (rs *runScratch) applyRelationBatch(r *tensor.RelationTransition, x, dst []float64, b int) {
-	if d := rs.opts.dist; d != nil {
-		start := rs.col.Clock()
-		err := d.RelationBatch(x, dst, b)
-		if err == nil {
-			rs.col.AddKernelCols(obs.KernelR, int64(r.NNZ()), int64(b))
-			rs.col.StopKernel(obs.KernelR, start)
-			return
-		}
-		rs.distDegrade(err)
-	}
 	start := rs.col.Clock()
 	if rs.pool == nil {
 		r.ApplyBatch(rs.rb, x, dst, b)
@@ -703,17 +638,6 @@ func (rs *runScratch) applyRelationBatch(r *tensor.RelationTransition, x, dst []
 }
 
 func (rs *runScratch) mulFeatureBatch(x, dst []float64, b int) {
-	if d := rs.opts.dist; d != nil {
-		start := rs.col.Clock()
-		handled, err := d.FeatureBatch(x, dst, b)
-		if err != nil {
-			rs.distDegrade(err)
-		} else if handled {
-			rs.col.AddKernelCols(obs.KernelW, int64(b), int64(b))
-			rs.col.StopKernel(obs.KernelW, start)
-			return
-		}
-	}
 	start := rs.col.Clock()
 	switch {
 	case rs.wS != nil:
