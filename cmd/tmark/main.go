@@ -7,16 +7,6 @@
 //	      [-epsilon 1e-8] [-maxiter 100] [-no-ica] [-topk K] [-top 10]
 //	      [-explain node] [-json] [-save result.json] [-warm result.json]
 //	      [-tune] [-workers N] [-timeout 30s] [-stats] [-metrics-addr :9090]
-//	      [-checkpoint-dir DIR] [-checkpoint-every K] [-resume FILE|auto]
-//
-// Fault tolerance: -checkpoint-dir snapshots the solver state every
-// -checkpoint-every iterations (and flushes a final snapshot when the
-// solve is interrupted) to DIR/<input>-<confighash>.ckpt. -resume
-// restarts a solve from a snapshot — bitwise identical to a run that
-// was never interrupted; "auto" resumes from the file -checkpoint-dir
-// would write when it exists and matches, and starts cold otherwise (a
-// damaged or mismatching file is reported on stderr, and the run's own
-// snapshots overwrite it).
 //
 // The input is a graph in the JSON format written by cmd/datagen or
 // hin.Graph.SaveFile; with -csv it is a from,to,relation[,weight] edge
@@ -38,17 +28,13 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"io/fs"
 	"log"
 	"math/rand"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"strings"
 
 	"tmark/pkg/hin"
 	"tmark/pkg/obs"
@@ -116,9 +102,6 @@ func main() {
 		timeout     = flag.Duration("timeout", 0, "abort the solve after this duration (0 = none)")
 		stats       = flag.Bool("stats", false, "print the run's per-kernel time breakdown to stderr")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /vars and /debug/pprof on this address")
-		ckptDir     = flag.String("checkpoint-dir", "", "snapshot the solver state into this directory")
-		ckptEvery   = flag.Int("checkpoint-every", 8, "snapshot cadence in iterations (with -checkpoint-dir)")
-		resume      = flag.String("resume", "", "resume from this checkpoint file; \"auto\" = the -checkpoint-dir file if present")
 		quality     = flag.String("quality", "", "solve tier: exact (default), accelerated (same predictions, fewer iterations) or fast (linearized approximation)")
 	)
 	flag.Parse()
@@ -179,35 +162,7 @@ func main() {
 	case tier == tmark.QualityAccelerated:
 		opts = append(opts, tmark.WithAcceleration(true))
 	case tier == tmark.QualityFast:
-		if *resume != "" {
-			log.Fatal("-quality fast and -resume are mutually exclusive: the linearized tier has no iterative state to restore")
-		}
 		opts = append(opts, tmark.WithApproximate(true))
-	}
-	if *ckptDir != "" {
-		// Fail fast on an unusable directory: mid-solve save errors are
-		// deliberately non-fatal (a sick disk must not kill a healthy
-		// solve), so a typo here would otherwise checkpoint nothing.
-		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
-			log.Fatalf("checkpoint dir: %v", err)
-		}
-		sink := &tmark.DirSink{Dir: *ckptDir, Name: checkpointName(*in, model)}
-		opts = append(opts, tmark.WithCheckpoint(sink, *ckptEvery))
-	}
-	if *resume != "" {
-		if *warm != "" {
-			log.Fatal("-resume and -warm are mutually exclusive: a checkpoint restores mid-solve state, a warm start begins a new solve")
-		}
-		if *resume == "auto" && *ckptDir == "" {
-			log.Fatal("-resume auto requires -checkpoint-dir")
-		}
-		opt, err := resumeOption(*resume, filepath.Join(*ckptDir, checkpointName(*in, model)), model, os.Stderr)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if opt != nil {
-			opts = append(opts, opt)
-		}
 	}
 	var res *tmark.Result
 	if *warm != "" {
@@ -277,44 +232,6 @@ func (ew *errWriter) Write(p []byte) (int, error) {
 		ew.err = err
 	}
 	return n, err
-}
-
-// checkpointName derives the snapshot filename from the input file and
-// the model's hyper-parameter hash, so different configs never clobber
-// (or wrongly resume) each other's snapshots.
-func checkpointName(in string, model *tmark.Model) string {
-	base := strings.TrimSuffix(filepath.Base(in), filepath.Ext(in))
-	return fmt.Sprintf("%s-%016x.ckpt", base, model.ConfigHash())
-}
-
-// resumeOption resolves the -resume flag into a ResumeFrom option; nil
-// with a nil error means a cold start. spec is a checkpoint path, or
-// "auto" for autoPath, the file -checkpoint-dir writes. An explicit path
-// must load and match the model, and any failure is an error. In auto
-// mode a missing file starts cold silently, and a file that fails to
-// decode or does not match the model is reported on stderr and skipped:
-// the run starts cold and its own snapshots overwrite the file.
-func resumeOption(spec, autoPath string, model *tmark.Model, stderr io.Writer) (tmark.RunOption, error) {
-	path, auto := spec, spec == "auto"
-	if auto {
-		path = autoPath
-	}
-	cp, err := tmark.LoadCheckpointFile(path)
-	if err == nil {
-		err = model.ValidateCheckpoint(cp)
-	}
-	switch {
-	case err == nil:
-		fmt.Fprintf(stderr, "resuming from %s (iteration %d)\n", path, cp.Iter)
-		return tmark.ResumeFrom(cp), nil
-	case !auto:
-		return nil, fmt.Errorf("resume %s: %w", path, err)
-	case errors.Is(err, fs.ErrNotExist):
-		return nil, nil // no snapshot yet: a cold start that will write one
-	default:
-		fmt.Fprintf(stderr, "checkpoint %s ignored (%v); starting cold\n", path, err)
-		return nil, nil
-	}
 }
 
 func load(path string, csvIn bool) (*hin.Graph, error) {

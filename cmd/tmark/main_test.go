@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"os"
@@ -133,121 +132,5 @@ func TestStatsAndMetricsPath(t *testing.T) {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q; got:\n%s", want, metrics)
 		}
-	}
-}
-
-// TestCheckpointName pins the snapshot-file naming: stable for one
-// (input, config) pair, distinct across configs so -resume auto can
-// never restore a snapshot from different hyper-parameters.
-func TestCheckpointName(t *testing.T) {
-	g := datasets.Example()
-	cfg := tmark.DefaultConfig()
-	cfg.Workers = 1
-	m1, err := tmark.New(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := checkpointName("/data/net.json", m1)
-	if a != checkpointName("/elsewhere/net.json", m1) {
-		t.Errorf("name depends on the directory: %q", a)
-	}
-	if !strings.HasPrefix(a, "net-") || !strings.HasSuffix(a, ".ckpt") {
-		t.Errorf("name %q, want net-<hash>.ckpt", a)
-	}
-
-	cfg.Alpha = 0.5
-	m2, err := tmark.New(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b := checkpointName("/data/net.json", m2); a == b {
-		t.Errorf("different configs share checkpoint name %q", a)
-	}
-
-	// Workers must NOT change the name: a snapshot resumes bitwise
-	// identically under any worker count.
-	cfg.Alpha = 0.8
-	cfg.Workers = 4
-	m3, err := tmark.New(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c := checkpointName("/data/net.json", m3); a != c {
-		t.Errorf("worker count changes checkpoint name: %q vs %q", a, c)
-	}
-}
-
-// TestResumeOption covers every branch of the -resume decision: auto
-// mode resumes a matching snapshot, starts cold on a missing one, and
-// reports and skips a mismatching or damaged one (whose file the cold
-// run's snapshots then overwrite); an explicit path resumes a matching
-// snapshot and fails on anything else.
-func TestResumeOption(t *testing.T) {
-	g := datasets.Example()
-	cfg := tmark.DefaultConfig()
-	cfg.Workers = 1
-	cfg.Epsilon = 1e-300
-	cfg.MaxIterations = 12
-	model, err := tmark.New(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	other := cfg
-	other.Alpha = 0.5
-	otherModel, err := tmark.New(g, other)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	sink := &tmark.DirSink{Dir: dir, Name: "net.ckpt"}
-	path := sink.Path()
-	write := func(m *tmark.Model) {
-		t.Helper()
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		m.RunContext(ctx, tmark.WithCheckpoint(sink, 2), tmark.WithProgress(func(_, iter int, _ float64) {
-			if iter == 4 {
-				cancel()
-			}
-		}))
-	}
-	damage := func() {
-		t.Helper()
-		if err := os.Truncate(path, 100); err != nil {
-			t.Fatal(err)
-		}
-	}
-	try := func(spec string) (tmark.RunOption, string, error) {
-		var stderr strings.Builder
-		opt, err := resumeOption(spec, path, model, &stderr)
-		return opt, stderr.String(), err
-	}
-
-	if opt, msg, err := try("auto"); opt != nil || msg != "" || err != nil {
-		t.Errorf("auto, no file: (%v, %q, %v), want a silent cold start", opt != nil, msg, err)
-	}
-	write(model)
-	for _, spec := range []string{"auto", path} {
-		if opt, msg, err := try(spec); opt == nil || err != nil || !strings.Contains(msg, "resuming from") {
-			t.Errorf("%s, matching file: (%v, %q, %v), want a resume", spec, opt != nil, msg, err)
-		}
-	}
-	write(otherModel)
-	if opt, msg, err := try("auto"); opt != nil || err != nil || !strings.Contains(msg, "ignored") {
-		t.Errorf("auto, mismatching file: (%v, %q, %v), want a reported cold start", opt != nil, msg, err)
-	}
-	if _, _, err := try(path); !errors.Is(err, tmark.ErrCheckpointMismatch) {
-		t.Errorf("explicit mismatching file: err %v, want ErrCheckpointMismatch", err)
-	}
-	damage()
-	if opt, msg, err := try("auto"); opt != nil || err != nil || !strings.Contains(msg, "checksum mismatch") {
-		t.Errorf("auto, damaged file: (%v, %q, %v), want a reported cold start", opt != nil, msg, err)
-	}
-	if _, _, err := try(path); err == nil {
-		t.Error("explicit damaged file: no error")
-	}
-	write(model) // the cold run's snapshots replace the damaged file
-	if opt, _, err := try("auto"); opt == nil || err != nil {
-		t.Errorf("auto after the cold run: (%v, %v), want a resume from the rewritten file", opt != nil, err)
 	}
 }

@@ -10,7 +10,6 @@
 //	       [-maxiter 100] [-no-ica] [-topk K] [-workers N] [-seed N]
 //	       [-cache 4] [-max-batch 8] [-queue 64] [-max-concurrent 2]
 //	       [-max-body 1048576] [-drain-timeout 30s] [-retry-after 1s]
-//	       [-checkpoint-dir DIR] [-checkpoint-every K]
 //
 // Each -dataset flag loads one network under a name. The spec is either
 // a file path — .json (hin.Graph JSON codec), .csv (from,to,relation
@@ -45,10 +44,8 @@
 // returns within one solver iteration with a usable partial result —
 // and shuts the listener down within -drain-timeout. Every 503 (load
 // shed, drain, quarantined model) carries a Retry-After backoff hint
-// (-retry-after). With -checkpoint-dir each /rank full solve snapshots
-// its state every -checkpoint-every iterations and flushes a final
-// snapshot during the drain, so the next process resumes it instead of
-// recomputing from scratch.
+// (-retry-after). A drained /rank full solve answers with its partial
+// result; the next process solves it again from scratch.
 package main
 
 import (
@@ -137,10 +134,8 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		maxBody  = fs.Int64("max-body", serve.DefaultMaxBodyBytes, "maximum /classify request body bytes")
 		drain    = fs.Duration("drain-timeout", 30*time.Second, "shutdown deadline after SIGTERM/SIGINT")
 		modelDir = fs.String("model-dir", "", "artifact registry directory: models compiled by `tmark build` activate by mmap instead of rebuilding")
-		ckDir    = fs.String("checkpoint-dir", "", "checkpoint /rank full solves into this directory and resume them across restarts")
 		walDir   = fs.String("wal-dir", "", "write-ahead log directory for /v1/ingest: batches are fsync'd before applying and replayed after a crash")
 		noScrub  = fs.Bool("no-scrub", false, "skip the startup registry scrub (with -model-dir)")
-		ckEvery  = fs.Int("checkpoint-every", serve.DefaultCheckpointEvery, "snapshot cadence in iterations (with -checkpoint-dir)")
 		retryDur = fs.Duration("retry-after", serve.DefaultRetryAfter, "Retry-After backoff hint stamped on 503 responses")
 		quality  = fs.String("default-quality", "", "solve tier of requests that name none: exact, accelerated or fast (default exact)")
 	)
@@ -168,17 +163,9 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "tmarkd: loaded %s (%s): %s\n", s.name, s.spec, g.Stats())
 	}
 
-	if *ckDir != "" {
-		// Fail fast on an unusable directory: mid-solve save errors are
-		// deliberately non-fatal, so a typo here would otherwise
-		// checkpoint nothing.
-		if err := os.MkdirAll(*ckDir, 0o755); err != nil {
-			return fmt.Errorf("checkpoint dir: %w", err)
-		}
-	}
 	if *walDir != "" {
-		// Same reasoning, with higher stakes: an unusable WAL directory
-		// would reject every ingest.
+		// Fail fast on an unusable directory: it would otherwise reject
+		// every ingest.
 		if err := os.MkdirAll(*walDir, 0o755); err != nil {
 			return fmt.Errorf("wal dir: %w", err)
 		}
@@ -193,17 +180,15 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 			ICAUpdate: !*noICA, FeatureTopK: *topK,
 			Workers: *workers,
 		},
-		DefaultQuality:  defQuality,
-		CacheSize:       *cache,
-		MaxBatch:        *maxBatch,
-		QueueDepth:      *queue,
-		MaxConcurrent:   *maxConc,
-		MaxBodyBytes:    *maxBody,
-		RetryAfter:      *retryDur,
-		CheckpointDir:   *ckDir,
-		CheckpointEvery: *ckEvery,
-		WALDir:          *walDir,
-		ScrubRegistry:   !*noScrub,
+		DefaultQuality: defQuality,
+		CacheSize:      *cache,
+		MaxBatch:       *maxBatch,
+		QueueDepth:     *queue,
+		MaxConcurrent:  *maxConc,
+		MaxBodyBytes:   *maxBody,
+		RetryAfter:     *retryDur,
+		WALDir:         *walDir,
+		ScrubRegistry:  !*noScrub,
 	})
 	if err != nil {
 		return err

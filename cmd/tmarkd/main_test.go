@@ -9,15 +9,16 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"tmark/internal/dataset"
 	"tmark/internal/fault"
 	"tmark/internal/serve"
-	"tmark/internal/tmark"
 )
 
 func TestDatasetListSet(t *testing.T) {
@@ -193,14 +194,12 @@ func TestRunServesAndDrains(t *testing.T) {
 	}
 }
 
-// TestRunSIGTERMFlushesFinalCheckpoint proves the shutdown ordering the
-// checkpoint feature depends on: a SIGTERM (context cancellation)
-// arriving while a /rank full solve is mid-flight must drain cleanly
-// AND flush that solve's final snapshot to -checkpoint-dir before
-// run() returns. The snapshot cadence is set far beyond the solve
-// length, so the only way a checkpoint file can exist afterwards is
-// the drain-time final flush.
-func TestRunSIGTERMFlushesFinalCheckpoint(t *testing.T) {
+// TestRunSIGTERMDrainsRankSolve proves the shutdown ordering for a
+// /rank full solve: a SIGTERM (context cancellation) arriving while the
+// solve is mid-flight must cancel it, answer the /rank request with its
+// partial result, and return from run() within -drain-timeout — long
+// before the 100000-iteration cap could be reached.
+func TestRunSIGTERMDrainsRankSolve(t *testing.T) {
 	t.Cleanup(fault.Reset)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -214,17 +213,20 @@ func TestRunSIGTERMFlushesFinalCheckpoint(t *testing.T) {
 	if err := os.WriteFile(cooPath, []byte(coo), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ckDir := t.TempDir()
 
 	// The solve signals its first kernel pass through the fault
 	// registry, then crawls so the cancellation lands mid-flight.
+	const maxIter = 100000
 	started := make(chan struct{})
 	var once sync.Once
+	var passes atomic.Int64
 	fault.Inject(fault.TensorNodeBatch, func(...any) {
+		passes.Add(1)
 		once.Do(func() { close(started) })
 		time.Sleep(time.Millisecond)
 	})
 
+	const drainTimeout = 10 * time.Second
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan error, 1)
@@ -235,10 +237,8 @@ func TestRunSIGTERMFlushesFinalCheckpoint(t *testing.T) {
 			"-dataset", "tiny=" + cooPath,
 			"-workers", "1",
 			"-epsilon", "1e-300",
-			"-maxiter", "100000",
-			"-drain-timeout", "10s",
-			"-checkpoint-dir", ckDir,
-			"-checkpoint-every", "1000000", // periodic saves never fire
+			"-maxiter", strconv.Itoa(maxIter),
+			"-drain-timeout", drainTimeout.String(),
 		}, &logs)
 	}()
 
@@ -278,25 +278,14 @@ func TestRunSIGTERMFlushesFinalCheckpoint(t *testing.T) {
 		if err != nil {
 			t.Fatalf("run: %v", err)
 		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("run did not return after cancellation")
+	case <-time.After(drainTimeout):
+		t.Fatal("run did not return within -drain-timeout")
 	}
 	if status := <-rankDone; status != http.StatusOK {
 		t.Fatalf("/rank during drain: status %d, want 200 (partial result)", status)
 	}
-
-	// run() has returned; the final flush must already be on disk and
-	// must be a valid, resumable mid-flight snapshot.
-	files, err := filepath.Glob(filepath.Join(ckDir, "*.ckpt"))
-	if err != nil || len(files) != 1 {
-		t.Fatalf("checkpoint files after shutdown: %v %v, want exactly one", files, err)
-	}
-	cp, err := tmark.LoadCheckpointFile(files[0])
-	if err != nil {
-		t.Fatalf("final checkpoint does not decode: %v", err)
-	}
-	if cp.Iter <= 0 || cp.Iter >= 100000 {
-		t.Fatalf("final checkpoint at iteration %d, want mid-flight", cp.Iter)
+	if n := passes.Load(); n >= maxIter {
+		t.Fatalf("the drained solve ran %d kernel passes, want fewer than the %d-iteration cap", n, maxIter)
 	}
 }
 

@@ -23,10 +23,10 @@
 //	crc      uint64    crc64/ECMA over everything above
 //
 // Section offsets are absolute file offsets; lengths are in bytes. The
-// META section is a strict, allocation-bounded binary stream (the
-// TMARKCP1 decoder discipline): dimensions, the FNV-1a config hash and
-// the arithmetic config fields, the W kind, class/relation/node names,
-// and the label seeds. The hot sections are raw little-endian int32 /
+// META section is a strict, allocation-bounded binary stream (every
+// length is checked against the bytes left before it is read):
+// dimensions, the FNV-1a config hash and the arithmetic config fields,
+// the W kind, class/relation/node names, and the label seeds. The hot sections are raw little-endian int32 /
 // float64 arrays in the exact order the tensor and CSR layouts store
 // them; DecodeBytes re-checks every structural invariant the kernels
 // assume (sort orders, index ranges, offset monotonicity) because a

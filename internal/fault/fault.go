@@ -51,9 +51,6 @@ const (
 	ServeBatchSolve Point = "serve/batch-solve"
 	// ServeCacheEvict fires when the model cache evicts an entry.
 	ServeCacheEvict Point = "serve/cache-evict"
-	// CheckpointSave is checked (Check) before a checkpoint sink write;
-	// a registered error simulates a failing disk.
-	CheckpointSave Point = "tmark/checkpoint-save"
 	// AccelPropose fires when the extrapolated power method builds a
 	// candidate iterate, before the simplex projection and the health
 	// vetting; args are (cand []float64, n int, m int) — the concatenated

@@ -43,12 +43,12 @@ func TestInjectFireRemove(t *testing.T) {
 func TestInjectErrCheck(t *testing.T) {
 	t.Cleanup(Reset)
 	want := errors.New("disk full")
-	remove := InjectErr(CheckpointSave, func() error { return want })
+	remove := InjectErr(ServeModelBuild, func() error { return want })
 	defer remove()
-	if err := Check(CheckpointSave); !errors.Is(err, want) {
+	if err := Check(ServeModelBuild); !errors.Is(err, want) {
 		t.Fatalf("Check = %v, want %v", err, want)
 	}
-	if err := Check(ServeModelBuild); err != nil {
+	if err := Check(ArtifactOpen); err != nil {
 		t.Fatalf("Check on other point = %v, want nil", err)
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"container/list"
 	"context"
 	"fmt"
-	"path/filepath"
 	"sync"
 
 	"tmark/internal/artifact"
@@ -35,7 +34,7 @@ type modelKey struct {
 	cfg  tmark.Config
 }
 
-// display names the key for humans: eviction logs, checkpoint files.
+// display names the key for humans: fault hooks and logs.
 func (k modelKey) display() string {
 	if k.name != "" {
 		return k.name
@@ -75,10 +74,6 @@ type warmModel struct {
 	// the mapping's address space; its clean pages stay reclaimable.
 	art *artifact.Artifact
 
-	// ck holds the checkpoint/resume options of the /rank full solve
-	// when the server has a checkpoint directory; empty otherwise.
-	ck []tmark.RunOption
-
 	// The full multi-class solves backing /rank, each computed lazily at
 	// most once per warm model: the reference solve (serving the exact
 	// and accelerated tiers) and the linearized fast-tier solve. They run
@@ -96,22 +91,18 @@ type warmModel struct {
 
 // fullResult lazily runs the full multi-class solve for /rank. The
 // model's own ICA setting applies here (this is the dataset's real
-// class structure, where the cross-class reseed is meaningful). With a
-// checkpoint directory configured the solve snapshots periodically and
-// resumes from the previous process's last snapshot; a server drain
-// cancels rankCtx, which flushes a final checkpoint before the solve
-// returns its partial result.
+// class structure, where the cross-class reseed is meaningful). A
+// server drain cancels rankCtx, and the solve returns its partial
+// result within one iteration.
 func (e *warmModel) fullResult() *tmark.Result {
 	e.fullOnce.Do(func() {
-		e.full = e.model.RunContext(e.rankCtx, e.ck...)
+		e.full = e.model.RunContext(e.rankCtx)
 	})
 	return e.full
 }
 
 // fastResult lazily runs the linearized approximate solve for
-// /rank?quality=fast. It never checkpoints or resumes — the fast tier is
-// one linear solve per class, cheap enough to redo from scratch, and the
-// iterative checkpoint format cannot describe it anyway.
+// /rank?quality=fast: one linear solve per class.
 func (e *warmModel) fastResult() *tmark.Result {
 	e.fastOnce.Do(func() {
 		e.fastFull = e.model.RunContext(e.rankCtx, tmark.WithApproximate(true))
@@ -129,11 +120,6 @@ type modelCache struct {
 	newCoal  func(*tmark.Model) *coalescer
 	met      *metrics
 	rankCtx  context.Context // every entry's /rank solve context
-
-	// ckDir, when set, gives every warm model a per-key checkpoint file
-	// for its /rank full solve, written every ckEvery iterations.
-	ckDir   string
-	ckEvery int
 }
 
 func newModelCache(rankCtx context.Context, capacity int, build func(modelKey) (buildResult, error), newCoal func(*tmark.Model) *coalescer, met *metrics) *modelCache {
@@ -216,9 +202,6 @@ func (c *modelCache) get(key modelKey) (*warmModel, error) {
 		return nil, err
 	}
 	e.model, e.hash, e.art = br.model, br.hash, br.art
-	if c.ckDir != "" {
-		e.ck = c.checkpointOptions(key, e.model)
-	}
 	e.coal = c.newCoal(e.model)
 	e.coal.onPanic = func() { c.quarantine(e) }
 	close(e.ready)
@@ -300,34 +283,6 @@ func (c *modelCache) invalidateName(name string) {
 			}
 		}(e)
 	}
-}
-
-// checkpointOptions wires one warm model's /rank solve to its
-// per-key checkpoint file: periodic snapshots while it runs (the drain
-// path flushes a final one), resumed on the next process start when a
-// matching snapshot is present. A stale or mismatching file is simply
-// ignored — the solve starts cold and overwrites it.
-func (c *modelCache) checkpointOptions(key modelKey, m *tmark.Model) []tmark.RunOption {
-	name := fmt.Sprintf("%s-%016x.ckpt", safeName(key.display()), m.ConfigHash())
-	opts := []tmark.RunOption{tmark.WithCheckpoint(&tmark.DirSink{Dir: c.ckDir, Name: name}, c.ckEvery)}
-	if cp, err := tmark.LoadCheckpointFile(filepath.Join(c.ckDir, name)); err == nil && m.ValidateCheckpoint(cp) == nil {
-		opts = append(opts, tmark.ResumeFrom(cp))
-	}
-	return opts
-}
-
-// safeName maps a dataset name onto a filename-safe form.
-func safeName(s string) string {
-	out := []byte(s)
-	for i, b := range out {
-		switch {
-		case b >= 'a' && b <= 'z', b >= 'A' && b <= 'Z', b >= '0' && b <= '9',
-			b == '.', b == '-', b == '_':
-		default:
-			out[i] = '_'
-		}
-	}
-	return string(out)
 }
 
 // snapshot returns the current entries without touching LRU order.

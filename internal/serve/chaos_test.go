@@ -12,8 +12,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -203,21 +203,18 @@ func TestEvictionDoesNotCancelBorrowedRank(t *testing.T) {
 		o.Datasets["other"] = other
 		o.Default = "test"
 		o.CacheSize = 1
-		o.CheckpointDir = t.TempDir()
-		o.CheckpointEvery = 1
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// The per-iteration checkpoint sink doubles as the chaos hook: it
-	// tells us the rank solve started and stretches it long enough for
-	// the eviction to land mid-flight.
+	// The node-contraction fault point is the chaos hook: it tells us
+	// the rank solve started and stretches every pass long enough for
+	// the eviction to land mid-flight. It only sleeps, so no bits move.
 	started := make(chan struct{})
 	var once sync.Once
-	fault.InjectErr(fault.CheckpointSave, func() error {
+	fault.Inject(fault.TensorNodeBatch, func(...any) {
 		once.Do(func() { close(started) })
 		time.Sleep(time.Millisecond)
-		return nil
 	})
 
 	rankDone := make(chan *RankResponse, 1)
@@ -259,7 +256,8 @@ func TestEvictionDoesNotCancelBorrowedRank(t *testing.T) {
 		t.Fatal("rank request failed")
 	}
 
-	// Oracle: the same full solve, uninterrupted and checkpoint-free.
+	// Oracle: the same full solve, uninterrupted.
+	fault.Reset()
 	model, err := tmark.New(g, cfg)
 	if err != nil {
 		t.Fatalf("tmark.New: %v", err)
@@ -282,42 +280,30 @@ func TestEvictionDoesNotCancelBorrowedRank(t *testing.T) {
 	}
 }
 
-// TestServeRankDrainFlushesCheckpointAndResumes proves the serving
-// checkpoint loop end to end: a drain interrupts a /rank full solve,
-// the final snapshot lands in the checkpoint directory, and a new
-// server over the same directory resumes it to an answer bitwise equal
-// to an uninterrupted run.
-func TestServeRankDrainFlushesCheckpointAndResumes(t *testing.T) {
+// TestServeRankDrainCancelsFullSolve: a drain that lands while a /rank
+// full solve is mid-flight cancels it, and the request still answers
+// 200 with the partial result, long before the iteration cap could
+// finish.
+func TestServeRankDrainCancelsFullSolve(t *testing.T) {
 	t.Cleanup(fault.Reset)
-	g := testGraph(60)
-	cfg := fastConfig()
-	cfg.Epsilon = 1e-300
-	cfg.MaxIterations = 60
-	dir := t.TempDir()
-	mutate := func(o *Options) {
-		o.CheckpointDir = dir
-		o.CheckpointEvery = 1
-	}
+	cfg := slowServeConfig()
+	s := newTestServer(t, testGraph(60), cfg, nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
 
-	// First server: start the rank solve, drain mid-flight.
-	s1 := newTestServer(t, g, cfg, mutate)
-	ts1 := httptest.NewServer(s1.Handler())
-	defer ts1.Close()
+	// The node-contraction fault point signals the solve's first pass
+	// and slows every pass, so the drain lands mid-flight.
 	started := make(chan struct{})
 	var once sync.Once
-	iterated := make(chan struct{}, 1024)
-	fault.InjectErr(fault.CheckpointSave, func() error {
+	var passes atomic.Int64
+	fault.Inject(fault.TensorNodeBatch, func(...any) {
+		passes.Add(1)
 		once.Do(func() { close(started) })
-		select {
-		case iterated <- struct{}{}:
-		default:
-		}
 		time.Sleep(time.Millisecond)
-		return nil
 	})
 	rankDone := make(chan int, 1)
 	go func() {
-		resp, err := http.Get(ts1.URL + "/rank")
+		resp, err := http.Get(ts.URL + "/rank")
 		if err != nil {
 			rankDone <- 0
 			return
@@ -326,58 +312,16 @@ func TestServeRankDrainFlushesCheckpointAndResumes(t *testing.T) {
 		rankDone <- resp.StatusCode
 	}()
 	<-started
-	<-iterated // at least one periodic snapshot is on disk
-	s1.Drain()
-	if status := <-rankDone; status != http.StatusOK {
-		t.Fatalf("/rank during drain: status %d, want 200 (partial result)", status)
-	}
-	fault.Reset()
-
-	// The drain must have flushed a valid mid-flight snapshot: without
-	// one, the "resumed" solve below would just be a cold rerun and the
-	// bitwise check would prove nothing.
-	files, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
-	if err != nil || len(files) != 1 {
-		t.Fatalf("checkpoint files after drain: %v %v, want exactly one", files, err)
-	}
-	cp, err := tmark.LoadCheckpointFile(files[0])
-	if err != nil {
-		t.Fatalf("drained checkpoint does not decode: %v", err)
-	}
-	if cp.Iter <= 0 || cp.Iter >= cfg.MaxIterations {
-		t.Fatalf("drained checkpoint at iteration %d, want mid-flight (0, %d)", cp.Iter, cfg.MaxIterations)
-	}
-
-	// Second server over the same directory: its rank solve resumes
-	// from the drained snapshot and finishes the budget.
-	s2 := newTestServer(t, g, cfg, mutate)
-	ts2 := httptest.NewServer(s2.Handler())
-	defer ts2.Close()
-	resp, err := http.Get(ts2.URL + "/rank")
-	if err != nil {
-		t.Fatalf("GET /rank (resumed): %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/rank (resumed) status %d", resp.StatusCode)
-	}
-	var out RankResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-
-	model, err := tmark.New(g, cfg)
-	if err != nil {
-		t.Fatalf("tmark.New: %v", err)
-	}
-	full := model.RunContext(context.Background())
-	for c, cls := range out.Classes {
-		ranked := full.LinkRanking(c)
-		for i, l := range cls.Links {
-			if l.Score != ranked[i].Score {
-				t.Fatalf("class %d link %d score %v, want %v (resumed rank must match uninterrupted run bitwise)",
-					c, i, l.Score, ranked[i].Score)
-			}
+	s.Drain()
+	select {
+	case status := <-rankDone:
+		if status != http.StatusOK {
+			t.Fatalf("/rank during drain: status %d, want 200 (partial result)", status)
 		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("/rank did not answer within 10s of the drain")
+	}
+	if n := passes.Load(); n >= int64(cfg.MaxIterations) {
+		t.Fatalf("the drained solve ran %d kernel passes, want fewer than the %d-iteration cap", n, cfg.MaxIterations)
 	}
 }

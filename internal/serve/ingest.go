@@ -105,10 +105,23 @@ func (s *Server) engine(name string) *stream.Engine {
 }
 
 // walDirFor is the per-model write-ahead-log directory under
-// Options.WALDir; names are sanitised the same way the checkpoint dir
-// sanitises them.
+// Options.WALDir, named by the model's filename-safe name.
 func (s *Server) walDirFor(name string) string {
 	return filepath.Join(s.opts.WALDir, safeName(name))
+}
+
+// safeName maps a dataset name onto a filename-safe form.
+func safeName(s string) string {
+	out := []byte(s)
+	for i, b := range out {
+		switch {
+		case b >= 'a' && b <= 'z', b >= 'A' && b <= 'Z', b >= '0' && b <= '9',
+			b == '.', b == '-', b == '_':
+		default:
+			out[i] = '_'
+		}
+	}
+	return string(out)
 }
 
 // engineFor returns name's ingest engine, creating it on first use. An

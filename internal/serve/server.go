@@ -23,14 +23,13 @@ import (
 
 // Defaults for the zero values of Options.
 const (
-	DefaultCacheSize       = 4
-	DefaultMaxBatch        = 8
-	DefaultQueueDepth      = 64
-	DefaultMaxConcurrent   = 2
-	DefaultMaxBodyBytes    = 1 << 20
-	DefaultTopNodes        = 10
-	DefaultRetryAfter      = time.Second
-	DefaultCheckpointEvery = 8
+	DefaultCacheSize     = 4
+	DefaultMaxBatch      = 8
+	DefaultQueueDepth    = 64
+	DefaultMaxConcurrent = 2
+	DefaultMaxBodyBytes  = 1 << 20
+	DefaultTopNodes      = 10
+	DefaultRetryAfter    = time.Second
 )
 
 // Options configures a Server. At least one of Datasets and ModelDir
@@ -75,14 +74,6 @@ type Options struct {
 	// RetryAfter is the backoff hint carried in the Retry-After header
 	// of every 503 (load shed, drain, quarantined model); default 1s.
 	RetryAfter time.Duration
-	// CheckpointDir, when set, gives every warm model's /rank full
-	// solve a per-model checkpoint file in this directory: snapshots
-	// every CheckpointEvery iterations, a final flush on drain, and a
-	// resume from the last snapshot on the next process start.
-	CheckpointDir string
-	// CheckpointEvery is the snapshot cadence in solver iterations
-	// (default 8); only meaningful with CheckpointDir.
-	CheckpointEvery int
 	// ScrubRegistry runs a registry scrub at startup: blob checksums
 	// verify, corrupt blobs quarantine into <ModelDir>/corrupt/, and
 	// refs left pointing at missing blobs roll back to the newest intact
@@ -282,9 +273,6 @@ func New(opts Options) (*Server, error) {
 	if opts.RetryAfter <= 0 {
 		opts.RetryAfter = DefaultRetryAfter
 	}
-	if opts.CheckpointEvery <= 0 {
-		opts.CheckpointEvery = DefaultCheckpointEvery
-	}
 	reg := opts.Registry
 	if reg == nil {
 		reg = obs.Default()
@@ -305,8 +293,6 @@ func New(opts Options) (*Server, error) {
 			return newCoalescer(s.drainCtx, m, opts.MaxBatch, opts.QueueDepth, slots, s.met)
 		},
 		s.met)
-	s.cache.ckDir = opts.CheckpointDir
-	s.cache.ckEvery = opts.CheckpointEvery
 
 	reg.SetGauge("tmarkd_queue_depth", func() float64 { return float64(s.cache.queueDepth()) })
 	reg.SetGauge("tmarkd_coalesce_ratio", func() float64 {

@@ -9,7 +9,6 @@ package tmark
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -272,82 +271,6 @@ func TestParseQuality(t *testing.T) {
 	if _, err := ParseQuality("best"); err == nil {
 		t.Error("unknown quality accepted")
 	}
-}
-
-// Interrupting an accelerated checkpointed run and resuming must work:
-// snapshots hold only committed (vetted) state, the extrapolation
-// history is deliberately not serialized, and the resumed run restarts
-// from plain iteration, converging to the same predictions.
-func TestAccelerationCheckpointResume(t *testing.T) {
-	g := benchGraph(100)
-	m := mustModel(t, g, accelConfig(false, 1))
-	ref := m.RunContext(context.Background())
-
-	ctx, cancel := context.WithCancel(context.Background())
-	sink := &MemorySink{}
-	killed := m.RunContext(ctx, WithAcceleration(true),
-		WithCheckpoint(sink, 5),
-		WithProgress(func(class, iter int, rho float64) {
-			if iter >= 25 {
-				cancel()
-			}
-		}))
-	cancel()
-	if killed.Reason != ReasonCanceled {
-		t.Fatalf("interrupted run reason %v", killed.Reason)
-	}
-	cp := reloop(t, sink.Last())
-	// Snapshots carry committed iterates only: every value is a finite
-	// probability even though extrapolated candidates were in flight.
-	for _, v := range cp.X {
-		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-			t.Fatalf("checkpoint holds invalid value %v", v)
-		}
-	}
-
-	resumed := m.RunContext(context.Background(), WithAcceleration(true), ResumeFrom(cp))
-	if resumed.Reason != ref.Reason {
-		t.Fatalf("resumed reason %v, want %v", resumed.Reason, ref.Reason)
-	}
-	for c := range resumed.Classes {
-		if !resumed.Classes[c].Converged {
-			t.Fatalf("resumed class %d did not converge", c)
-		}
-	}
-	predictionsEqual(t, "resume", resumed, ref)
-}
-
-// Resume composes with the iterative tiers only: a fast query under
-// ResumeFrom is a checkpoint mismatch, and WithApproximate on a resumed
-// run is a programming error.
-func TestResumeRejectsFastTier(t *testing.T) {
-	g := queryGraph()
-	m := mustModel(t, g, ckConfig(false, 1))
-	queries := []ColumnQuery{{Seeds: classSeeds(g, 0)}, {Seeds: classSeeds(g, 1)}}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	sink := &MemorySink{}
-	_, _ = m.SolveColumns(ctx, queries, WithCheckpoint(sink, 2),
-		WithProgress(func(class, iter int, rho float64) {
-			if iter >= 5 {
-				cancel()
-			}
-		}))
-	cancel()
-	cp := reloop(t, sink.Last())
-
-	queries[1].Quality = QualityFast
-	_, err := m.SolveColumns(context.Background(), queries, ResumeFrom(cp))
-	if !errors.Is(err, ErrCheckpointMismatch) {
-		t.Fatalf("resume with a fast query: %v, want ErrCheckpointMismatch", err)
-	}
-
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ResumeFrom + WithApproximate did not panic")
-		}
-	}()
-	m.RunContext(context.Background(), ResumeFrom(cp), WithApproximate(true))
 }
 
 // ---------------------------------------------------------------------------

@@ -1,17 +1,18 @@
 package tmark
 
-// Chaos tests: deterministic fault injection into the solver's kernels
-// and checkpoint path, asserting the guards degrade to correct — never
-// wrong — answers. A corrupted iterate is always discarded before
-// commit, so every state a faulted run reports is a healthy iterate,
-// and the automatic demoted retry recovers the full bitwise-correct
-// result when the corruption was transient.
+// Chaos tests: deterministic fault injection into the solver's kernels,
+// asserting the guards degrade to correct — never wrong — answers. A
+// corrupted iterate is always discarded before commit, so every state a
+// faulted run reports is a healthy iterate, and the automatic demoted
+// re-run recovers the full bitwise-correct result when the corruption
+// was transient.
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"tmark/internal/fault"
@@ -28,32 +29,43 @@ func injectNaN(p fault.Point, nth int64, offset int) func() {
 }
 
 // A transient NaN in the blocked node kernel must trigger exactly one
-// demoted retry from the last good state and still produce the bitwise
-// answer of a clean run.
+// demoted re-run and still produce the bitwise answer of a clean run of
+// the same call. The re-run starts where the first attempt started:
+// cold, from the caller's warm start, or with the extrapolator reset.
 func TestChaosNaNRecoversThroughRetry(t *testing.T) {
 	g := benchGraph(100)
-	for _, workers := range []int{1, 4} {
-		label := fmt.Sprintf("workers=%d", workers)
-		m, err := New(g, ckConfig(true, workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref := m.RunContext(context.Background())
+	capped := ckConfig(true, 1)
+	capped.MaxIterations = 3
+	prev := mustModel(t, g, capped).Run()
+	rows := []struct {
+		name string
+		run  func(m *Model) *Result
+	}{
+		{"cold", func(m *Model) *Result { return m.RunContext(context.Background()) }},
+		{"warm", func(m *Model) *Result { return m.RunWarmContext(context.Background(), prev) }},
+		{"accelerated", func(m *Model) *Result { return m.RunContext(context.Background(), WithAcceleration(true)) }},
+	}
+	for _, row := range rows {
+		for _, workers := range []int{1, 4} {
+			label := fmt.Sprintf("%s workers=%d", row.name, workers)
+			m := mustModel(t, g, ckConfig(true, workers))
+			ref := row.run(m)
 
-		remove := injectNaN(fault.TensorNodeBatch, 5, 0)
-		res := m.RunContext(context.Background())
-		remove()
+			remove := injectNaN(fault.TensorNodeBatch, 5, 0)
+			res := row.run(m)
+			remove()
 
-		if len(res.Faults) == 0 {
-			t.Fatalf("%s: no fault recorded", label)
+			if len(res.Faults) == 0 {
+				t.Fatalf("%s: no fault recorded", label)
+			}
+			if res.Faults[0].Kind != faultNonFinite {
+				t.Errorf("%s: fault kind %q", label, res.Faults[0].Kind)
+			}
+			if res.Reason != ref.Reason {
+				t.Errorf("%s: reason %v, want %v (recovered run)", label, res.Reason, ref.Reason)
+			}
+			assertResultsBitwise(t, label, res, ref)
 		}
-		if res.Faults[0].Kind != faultNonFinite {
-			t.Errorf("%s: fault kind %q", label, res.Faults[0].Kind)
-		}
-		if res.Reason != ref.Reason {
-			t.Errorf("%s: reason %v, want %v (recovered run)", label, res.Reason, ref.Reason)
-		}
-		assertResultsBitwise(t, label, res, ref)
 	}
 }
 
@@ -101,8 +113,8 @@ func TestChaosPersistentFaultStops(t *testing.T) {
 	remove := fault.Inject(fault.TensorNodeBatch, func(args ...any) {
 		args[0].([]float64)[0] = math.NaN()
 	})
-	defer remove()
 	res := m.RunContext(context.Background())
+	remove()
 	if res.Reason != ReasonNumericalFault {
 		t.Fatalf("reason %v, want ReasonNumericalFault", res.Reason)
 	}
@@ -110,6 +122,33 @@ func TestChaosPersistentFaultStops(t *testing.T) {
 	// that reproduced on the demoted retry.
 	if len(res.Faults) != 2 {
 		t.Fatalf("faults %v, want two (original + retry)", res.Faults)
+	}
+
+	// A fault from the 5th node pass on: the first attempt faults at
+	// iteration 5, and the retry — which restarts from its own start,
+	// one pass later — at its iteration 1. The run reports the retry's
+	// own last healthy iterate.
+	var calls atomic.Int64
+	remove = fault.Inject(fault.TensorNodeBatch, func(args ...any) {
+		if calls.Add(1) >= 5 {
+			args[0].([]float64)[0] = math.NaN()
+		}
+	})
+	res = m.RunContext(context.Background())
+	remove()
+	if len(res.Faults) != 2 || res.Faults[0].Iter != 5 || res.Faults[1].Iter != 1 {
+		t.Fatalf("faults %v, want iteration 5 then the retry's iteration 1", res.Faults)
+	}
+	for c := range res.Classes {
+		cr := &res.Classes[c]
+		if cr.Iterations != res.Faults[1].Iter-1 {
+			t.Errorf("class %d reports iteration %d, want %d (the retry's last healthy)", c, cr.Iterations, res.Faults[1].Iter-1)
+		}
+		for _, v := range append(append([]float64(nil), cr.X...), cr.Z...) {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("class %d reports a non-finite value", c)
+			}
+		}
 	}
 }
 
@@ -189,25 +228,4 @@ func TestGuardStagnationStopsRun(t *testing.T) {
 	if len(res.Faults) != 1 || res.Faults[0].Kind != faultStagnation || res.Faults[0].Iter != 3 {
 		t.Fatalf("faults %v, want one stagnation at iteration 3", res.Faults)
 	}
-}
-
-// A failing checkpoint sink must not stop the solve: the run completes
-// identically, losing only resumability.
-func TestChaosCheckpointSaveFailureDoesNotStopRun(t *testing.T) {
-	m, err := New(benchGraph(100), ckConfig(true, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := m.RunContext(context.Background())
-
-	remove := fault.InjectErr(fault.CheckpointSave, func() error {
-		return errors.New("disk on fire")
-	})
-	defer remove()
-	sink := &MemorySink{}
-	res := m.RunContext(context.Background(), WithCheckpoint(sink, 2))
-	if sink.Last() != nil {
-		t.Error("sink received a snapshot despite the injected save failure")
-	}
-	assertResultsBitwise(t, "failing-sink", res, ref)
 }

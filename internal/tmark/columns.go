@@ -57,25 +57,6 @@ type ColumnQuery struct {
 	// collapsed linear system while the rest advance through the lockstep
 	// block.
 	Quality Quality
-	// Warm seeds the iteration from a previous stationary state: X
-	// replaces the cold x₀ = l start and Z the uniform z₀. Under a small
-	// perturbation of the model the power method re-converges from the
-	// previous (x̄, z̄) in a handful of iterations, and the fixed point —
-	// hence every guard and golden tripwire — is the cold solve's.
-	// Ignored by the linearized fast tier (a one-shot solve has no
-	// iteration to seed) and by checkpoint resume (the checkpoint holds
-	// the iterate).
-	Warm *WarmStart
-}
-
-// WarmStart is a previous stationary state used to seed a ColumnQuery.
-// Both vectors are required, copied, and validated (finite,
-// non-negative, positive total mass); they are used as-is, without
-// renormalisation, so a converged (x̄, z̄) re-enters the iteration with
-// the exact bytes it converged to.
-type WarmStart struct {
-	X vec.Vector // length n
-	Z vec.Vector // length m
 }
 
 // ColumnResult is the stationary solution of one query column. X scores
@@ -109,7 +90,7 @@ type columnState struct {
 	quality Quality // resolved: never QualityDefault once solving starts
 
 	// warmX/warmZ replace the cold start (l, uniform z) when non-nil
-	// (both or neither).
+	// (both or neither); only RunWarmContext's class columns set them.
 	warmX, warmZ vec.Vector
 }
 
@@ -166,31 +147,6 @@ func (m *Model) buildColumnState(q ColumnQuery) (columnState, error) {
 			}
 		}
 	}
-	if q.Warm != nil {
-		mm := m.graph.M()
-		if len(q.Warm.X) != n || len(q.Warm.Z) != mm {
-			return cs, fmt.Errorf("tmark: query warm start %dx%d, want %dx%d",
-				len(q.Warm.X), len(q.Warm.Z), n, mm)
-		}
-		wx, wz := vec.Clone(q.Warm.X), vec.Clone(q.Warm.Z)
-		var massX, massZ float64
-		for i, v := range wx {
-			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-				return cs, fmt.Errorf("tmark: query warm x[%d] = %v must be finite and non-negative", i, v)
-			}
-			massX += v
-		}
-		for k, v := range wz {
-			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-				return cs, fmt.Errorf("tmark: query warm z[%d] = %v must be finite and non-negative", k, v)
-			}
-			massZ += v
-		}
-		if massX <= 0 || massZ <= 0 {
-			return cs, fmt.Errorf("tmark: query warm start has no mass")
-		}
-		cs.warmX, cs.warmZ = wx, wz
-	}
 	return cs, nil
 }
 
@@ -210,8 +166,7 @@ func columnErr(runCtx, colCtx context.Context) error {
 
 // SolveColumn solves one query: SolveColumns with a batch of one, so the
 // answer is bitwise the query's answer inside any SolveColumns batch, on
-// every tier, and WithCheckpoint and ResumeFrom apply exactly as they do
-// to a batch. A nil ctx is treated as context.Background().
+// every tier. A nil ctx is treated as context.Background().
 func (m *Model) SolveColumn(ctx context.Context, q ColumnQuery, opts ...RunOption) (ColumnResult, error) {
 	out, err := m.SolveColumns(ctx, []ColumnQuery{q}, opts...)
 	if err != nil {
@@ -246,14 +201,6 @@ func (m *Model) SolveColumns(ctx context.Context, queries []ColumnQuery, opts ..
 		anyFast = anyFast || cs.quality == QualityFast
 		cols[i].columnState = cs
 	}
-	if cp := ro.resume; cp != nil {
-		if anyFast {
-			return nil, fmt.Errorf("%w: resume requires iterative queries, not quality=fast", ErrCheckpointMismatch)
-		}
-		if err := m.validateCheckpoint(cp, ckKindColumns, len(queries)); err != nil {
-			return nil, err
-		}
-	}
 	rs := m.newRunScratch(ro, len(queries))
 	defer rs.close()
 	// Fast-tier queries never enter the iterative block: each is one
@@ -267,11 +214,7 @@ func (m *Model) SolveColumns(ctx context.Context, queries []ColumnQuery, opts ..
 			}
 		}
 	}
-	e := m.newEngine(rs, cols, ckKindColumns)
-	if cp := ro.resume; cp != nil {
-		e.restore(cp)
-	}
-	e.run(ctx)
+	m.newEngine(rs, cols).run(ctx)
 	// Column solves are the serving path, so the registry counters must
 	// see their extrapolation activity just like finishRun publishes a
 	// class run's.

@@ -11,16 +11,16 @@ package tmark
 // gathered into the column's result and the block is compacted, so late
 // iterations only pay for stragglers.
 //
-// Every caller is a column set plus three pieces of data:
+// Every caller is a column set plus two pieces of data:
 //
 //   - argmax couples the columns through eq. (12). The class runs (Run,
 //     RunContext, RunWarm) set it under the ICA update, so a free node
 //     joins only its argmax class's restart set; RunClass and the query
 //     columns of SolveColumns reseed each column alone.
 //   - stopOnFault makes the columns one answer: the class runs stop the
-//     whole block at the first corruption fault and hand the last healthy
-//     snapshot to the demoted retry, while a query column faults alone.
-//   - kind stamps the snapshots: class-run or column-run checkpoints.
+//     whole block at the first corruption fault, holding the last healthy
+//     iterate, and the demoted retry re-runs them; a query column faults
+//     alone.
 //
 // A column's context (nil for class columns) cancels it alone; the run
 // context cancels every column at once.
@@ -76,11 +76,10 @@ type engine struct {
 	// ones too, since they stay part of the prediction matrix. nil
 	// reseeds each active column on its own scores.
 	argmax []int
-	// stopOnFault: the first corruption fault stops the block and returns
-	// the last healthy snapshot, and a divergence or stagnation verdict
-	// stops it too. Otherwise a faulting column retires alone.
+	// stopOnFault: the first corruption fault stops the block with its
+	// last healthy iterate, and a divergence or stagnation verdict stops
+	// it too. Otherwise a faulting column retires alone.
 	stopOnFault bool
-	kind        uint8 // checkpoint kind of the snapshots
 
 	n, mm int
 	b     int   // active column count
@@ -93,19 +92,16 @@ type engine struct {
 	keep   []int     // compaction scratch
 	rhos   []float64 // per-column residuals of the current pass
 	bad    []string  // per-column corruption verdicts ("" = healthy)
-
-	t0   int // completed iterations restored from a checkpoint
-	done int // last completed iteration (snapshot cursor)
 }
 
 // newEngine lays the columns out in a fresh block. A column whose result
 // already holds X (a fast-tier query answered before the loop) enters
 // retired; every other column starts from its warm state, or cold from
 // (l, uniform z).
-func (m *Model) newEngine(rs *runScratch, cols []engineCol, kind uint8) *engine {
+func (m *Model) newEngine(rs *runScratch, cols []engineCol) *engine {
 	n, mm := m.graph.N(), m.graph.M()
 	e := &engine{
-		m: m, rs: rs, cols: cols, kind: kind,
+		m: m, rs: rs, cols: cols,
 		n: n, mm: mm,
 		colOf: make([]int, 0, len(cols)),
 		slot:  make([]int, len(cols)),
@@ -148,17 +144,11 @@ func (m *Model) newEngine(rs *runScratch, cols []engineCol, kind uint8) *engine 
 	return e
 }
 
-// run iterates to the end, flushes a final snapshot when the run context
-// interrupted it, and gathers every still-active column into its result.
-// The returned fault is the verdict that stopped a stopOnFault block.
+// run iterates to the end and gathers every still-active column into its
+// result. The returned fault is the verdict that stopped a stopOnFault
+// block.
 func (e *engine) run(ctx context.Context) *runFault {
 	flt := e.iterate(ctx)
-	// An interrupted run flushes one final snapshot before the leftovers
-	// are marked, so a later process resumes the survivors as still
-	// active, from exactly the state this run reports.
-	if sink := e.rs.opts.ckSink; sink != nil && e.b > 0 && ctx.Err() != nil {
-		e.m.saveCheckpoint(sink, e.snapshot())
-	}
 	err := ctx.Err()
 	e.retire(func(c *engineCol) bool {
 		if err != nil && c.res.Stopped == nil {
@@ -191,9 +181,9 @@ func (e *engine) iterate(ctx context.Context) *runFault {
 	n, mm := e.n, e.mm
 	g := rs.opts.guards
 	progress := rs.opts.progress
-	for t := e.t0 + 1; t <= m.cfg.MaxIterations && e.b > 0; t++ {
-		// A run-level cancellation breaks out before any column is marked:
-		// the drain flush must snapshot the survivors as still active.
+	for t := 1; t <= m.cfg.MaxIterations && e.b > 0; t++ {
+		// A run-level cancellation breaks out before any column is marked;
+		// run stamps the survivors with the context's error.
 		if ctx.Err() != nil {
 			break
 		}
@@ -323,7 +313,6 @@ func (e *engine) iterate(ctx context.Context) *runFault {
 		}
 		copy(x, xn)
 		copy(z, zn)
-		e.done = t
 		// The opt-in series probes run post-commit: divergence and
 		// stagnation are verdicts about the (valid) residual series, so
 		// the committed state is what the stopped run reports, and neither
@@ -371,9 +360,6 @@ func (e *engine) iterate(ctx context.Context) *runFault {
 		if done {
 			e.retire(func(c *engineCol) bool { return c.res.Converged || c.res.Stopped != nil })
 		}
-		if sink := rs.opts.ckSink; sink != nil && rs.opts.ckEvery > 0 && t%rs.opts.ckEvery == 0 && e.b > 0 {
-			m.saveCheckpoint(sink, e.snapshot())
-		}
 	}
 	return nil
 }
@@ -396,8 +382,8 @@ func (e *engine) probe(c *engineCol, bad *string, kind string) {
 
 // corrupt turns the first corruption verdict of the pass into the
 // block's stop when the columns form one answer: every candidate still
-// under vet is undone, so the fault's snapshot — what the demoted retry
-// resumes from — holds committed state only.
+// under vet is undone, so the stopped block reports committed state only,
+// never an extrapolated candidate.
 func (e *engine) corrupt(t int) *runFault {
 	if !e.stopOnFault {
 		return nil
@@ -416,7 +402,6 @@ func (e *engine) corrupt(t int) *runFault {
 		regNumericalFaults.Inc()
 		return &runFault{
 			fault:     Fault{Class: e.colOf[col], Iter: t, Kind: kind},
-			cp:        e.snapshot(),
 			retryable: true,
 		}
 	}
@@ -485,9 +470,8 @@ func (e *engine) colX(j int) (x []float64, off, stride int) {
 }
 
 // reseed rebuilds the restart vectors of the columns that carry reseed
-// roles. Re-running it after a resume is safe: it reads only the
-// committed scores, never the previous l, so it is idempotent on a fixed
-// block.
+// roles. It reads only the committed scores, never the previous l, so it
+// is idempotent on a fixed block.
 func (e *engine) reseed() {
 	k := 0
 	for j := range e.cols {
@@ -561,88 +545,4 @@ func reseedRestart(lambda float64, label []uint8, x []float64, off, stride int, 
 		return
 	}
 	vec.Scale(1/float64(count), l)
-}
-
-// snapshot deep-copies the working set into a Checkpoint. e.done is the
-// iteration cursor: on the periodic cadence it equals the just-committed
-// iteration, and at a pre-commit fault it still names the last healthy
-// one, so a resume always replays from valid state. Retired columns are
-// stored with their frozen finals; a coupled reseed reads them, so
-// resuming reproduces the exact coupling of the uninterrupted run.
-func (e *engine) snapshot() *Checkpoint {
-	q, n, b := len(e.cols), e.n, e.b
-	cp := &Checkpoint{
-		ConfigHash: e.m.cfg.checkpointHash(),
-		Kind:       e.kind,
-		N:          n, M: e.mm, Q: q,
-		Iter:    e.done,
-		B:       b,
-		ClassOf: append([]int(nil), e.colOf[:b]...),
-		State:   make([]uint8, q),
-		Iters:   make([]int, q),
-		Seeds:   make([]int, q),
-		X:       append([]float64(nil), e.x[:n*b]...),
-		Z:       append([]float64(nil), e.z[:e.mm*b]...),
-		L:       make([]float64, q*n),
-		XOut:    make([][]float64, q),
-		ZOut:    make([][]float64, q),
-		Trace:   make([][]float64, q),
-	}
-	for j := range e.cols {
-		c := &e.cols[j]
-		copy(cp.L[j*n:(j+1)*n], c.l)
-		cp.Iters[j] = c.res.Iterations
-		cp.Seeds[j] = c.res.Seeds
-		cp.Trace[j] = append([]float64(nil), c.res.Trace...)
-		if e.slot[j] < 0 {
-			cp.State[j] = 2
-			if c.res.Converged {
-				cp.State[j] = 1
-			}
-			cp.XOut[j] = append([]float64(nil), c.res.X...)
-			cp.ZOut[j] = append([]float64(nil), c.res.Z...)
-		}
-	}
-	return cp
-}
-
-// restore loads a validated checkpoint into the freshly laid-out block,
-// replacing the cold or warm start. Retired columns keep their verdicts:
-// converged ones return converged, stopped ones return with Stopped =
-// context.Canceled since the precise original error is not serialised.
-// The divergence guard's best residual is rebuilt from the restored
-// trace, matching what the uninterrupted run holds at this iteration.
-func (e *engine) restore(cp *Checkpoint) {
-	e.b = cp.B
-	e.colOf = append(e.colOf[:0], cp.ClassOf...)
-	for j := range e.slot {
-		e.slot[j] = -1
-	}
-	for col, j := range e.colOf {
-		e.slot[j] = col
-	}
-	copy(e.x[:e.n*e.b], cp.X)
-	copy(e.z[:e.mm*e.b], cp.Z)
-	for j := range e.cols {
-		c := &e.cols[j]
-		copy(c.l, cp.L[j*e.n:(j+1)*e.n])
-		c.res.Iterations = cp.Iters[j]
-		c.res.Seeds = cp.Seeds[j]
-		c.res.Trace = append([]float64(nil), cp.Trace[j]...)
-		c.best = math.Inf(1)
-		for _, r := range c.res.Trace {
-			if r < c.best {
-				c.best = r
-			}
-		}
-		if cp.State[j] != 0 {
-			c.res.Converged = cp.State[j] == 1
-			if !c.res.Converged {
-				c.res.Stopped = context.Canceled
-			}
-			c.res.X = append(vec.Vector(nil), cp.XOut[j]...)
-			c.res.Z = append(vec.Vector(nil), cp.ZOut[j]...)
-		}
-	}
-	e.t0, e.done = cp.Iter, cp.Iter
 }

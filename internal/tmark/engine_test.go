@@ -197,7 +197,7 @@ func reseedClasses(t *testing.T, m *Model, xs []vec.Vector, retired ...int) []ve
 			return xs[c], uniformZ, nil, true
 		}, false)
 	}
-	e := m.newEngine(rs, cols, ckKindClasses)
+	e := m.newEngine(rs, cols)
 	e.argmax = make([]int, m.graph.N())
 	for _, c := range retired {
 		cols[c].res.Converged = true
@@ -264,22 +264,22 @@ func TestBatchedDeterministic(t *testing.T) {
 
 // The engine's pre-commit corruption probe: a poisoned committed state
 // makes the next pass fault before anything is committed. A class block
-// stops whole and hands back the untouched block as its snapshot; a
-// query block retires the poisoned column alone with its pre-fault state
-// while its batchmate commits the iteration.
+// stops whole with the block untouched; a query block retires the
+// poisoned column alone with its pre-fault state while its batchmate
+// commits the iteration.
 func TestEngineDiscardsCorruptIterate(t *testing.T) {
 	m, err := New(benchGraph(100), ckConfig(false, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func(kind uint8) (*engine, []float64) {
+	build := func() (*engine, []float64) {
 		rs := m.newRunScratch(runOptions{}, 2)
 		t.Cleanup(rs.close)
 		cols := make([]engineCol, 2)
 		for c := range cols {
 			cols[c].columnState = m.classColumn(c, nil, false)
 		}
-		e := m.newEngine(rs, cols, kind)
+		e := m.newEngine(rs, cols)
 		e.x[3*e.b] = math.NaN() // node 3 of column 0
 		return e, append([]float64(nil), e.x...)
 	}
@@ -292,22 +292,18 @@ func TestEngineDiscardsCorruptIterate(t *testing.T) {
 		}
 	}
 
-	e, before := build(ckKindClasses)
+	e, before := build()
 	e.stopOnFault = true
 	flt := e.iterate(context.Background())
-	if flt == nil || !flt.retryable || flt.cp == nil {
-		t.Fatalf("class block: fault %+v, want a retryable fault with a snapshot", flt)
+	if flt == nil || !flt.retryable {
+		t.Fatalf("class block: fault %+v, want a retryable fault", flt)
 	}
 	if flt.fault != (Fault{Class: 0, Iter: 1, Kind: faultNonFinite}) {
 		t.Errorf("class block: fault %v, want class 0 iteration 1 nonfinite", flt.fault)
 	}
 	sameBits("class block x", e.x, before)
-	sameBits("snapshot x", flt.cp.X, before)
-	if flt.cp.Iter != 0 {
-		t.Errorf("snapshot at iteration %d, want 0 (last healthy)", flt.cp.Iter)
-	}
 
-	e, before = build(ckKindColumns)
+	e, before = build()
 	e.run(context.Background())
 	poisoned, healthy := &e.cols[0].res, &e.cols[1].res
 	if poisoned.Stopped != ErrNumericalFault || poisoned.Iterations != 0 {

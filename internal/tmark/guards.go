@@ -12,9 +12,8 @@ package tmark
 // at no extra cost, and the residual ρ is checked for finiteness as it
 // is computed. Both fire BEFORE the iterate is committed (the engine
 // copies xn→x only after the checks pass), so at detection time the
-// solver still holds the last healthy iteration — which is exactly the
-// state the automatic retry resumes from, and exactly the state an
-// interrupted Result reports.
+// solver still holds the last healthy iteration — exactly the state a
+// stopped Result reports.
 //
 // Opt-in (WithGuards): pre-normalisation mass drift, residual-series
 // stagnation, and divergence. These cost a few comparisons per column
@@ -22,12 +21,13 @@ package tmark
 // marginal run stops (a stagnating run that used to grind to
 // MaxIterations now stops early with ReasonStagnated).
 //
-// Recovery: a corruption fault in a class run triggers one
-// automatic retry from the last good state with the AVX2 kernels
-// demoted to the scalar reference bodies (WithScalarKernels) — if the
-// fault came from the vectorised path, the retry completes on the
-// reference path; a deterministic fault reproduces and the run stops
-// with ReasonNumericalFault and the last healthy state. Stagnation and
+// Recovery: a corruption fault in a class run triggers one automatic
+// re-run of the whole attempt from its own start (cold, or the caller's
+// warm start) with the AVX2 kernels demoted to the scalar reference
+// bodies (WithScalarKernels) — if the fault came from the vectorised
+// path, the re-run completes on the reference path, bitwise equal to a
+// clean run; a deterministic fault reproduces and the run stops with
+// ReasonNumericalFault and the re-run's last healthy state. Stagnation and
 // divergence are properties of the data, not the hardware, so they stop
 // the run without a retry. In column solves (SolveColumns) faults are
 // isolated per column instead: the faulting column retires
@@ -119,12 +119,10 @@ func WithGuards(g GuardConfig) RunOption {
 }
 
 // runFault is the internal verdict of a guarded loop: the public fault
-// record, the last-good checkpoint to retry from (corruption faults
-// only — post-commit stops like stagnation keep the committed state and
-// carry no snapshot), and whether a demoted retry could help.
+// record and whether a demoted retry could help (corruption faults only
+// — stagnation and divergence reproduce deterministically).
 type runFault struct {
 	fault     Fault
-	cp        *Checkpoint
 	retryable bool
 }
 

@@ -15,7 +15,6 @@ import (
 	"errors"
 
 	"tmark/internal/accel"
-	"tmark/internal/fault"
 	"tmark/internal/obs"
 	"tmark/internal/par"
 	"tmark/internal/sparse"
@@ -86,11 +85,6 @@ type runOptions struct {
 	stats    *RunStats
 	progress func(class, iter int, rho float64)
 	workers  int // 0 keeps Config.Workers
-	// ckSink/ckEvery enable periodic checkpointing of the engine; resume
-	// restores a prior snapshot. See WithCheckpoint / ResumeFrom.
-	ckSink  CheckpointSink
-	ckEvery int
-	resume  *Checkpoint
 	// noASM demotes the blocked kernels to their scalar reference bodies
 	// (WithScalarKernels); the numerical-fault retry sets it too.
 	noASM bool
@@ -126,7 +120,9 @@ func WithStats(s *RunStats) RunOption {
 // class index, that class's iteration count, and the iteration's residual
 // ρ. The callback runs on the solver goroutine: keep it cheap, and do not
 // call back into the model from it. Cancelling the run's context from the
-// callback stops the solver within one iteration.
+// callback stops the solver within one iteration. A numerical-fault
+// retry re-runs the solve, so the callback then sees iterations from 1
+// again.
 func WithProgress(fn func(class, iter int, rho float64)) RunOption {
 	return func(o *runOptions) { o.progress = fn }
 }
@@ -142,34 +138,6 @@ func WithWorkers(n int) RunOption {
 	}
 }
 
-// WithCheckpoint has the engine hand a snapshot of its full working set
-// to sink every `every` iterations, plus a final snapshot when the run
-// is interrupted by its context — so a killed or drained process can
-// later continue from the last checkpoint with ResumeFrom. Snapshots
-// are deep copies; Save runs on the solver goroutine. Save errors never
-// stop the solve — they are counted in the metrics registry and the run
-// carries on, since a failing checkpoint disk must not take down a
-// healthy computation.
-func WithCheckpoint(sink CheckpointSink, every int) RunOption {
-	return func(o *runOptions) {
-		if sink != nil && every > 0 {
-			o.ckSink = sink
-			o.ckEvery = every
-		}
-	}
-}
-
-// ResumeFrom restores a checkpoint written by a previous run with the
-// same model (dimensions and arithmetic config must match; RunContext
-// panics on a mismatched checkpoint — use Model.ValidateCheckpoint to
-// probe first, and SolveColumns returns the mismatch as an error). The
-// resumed run continues at the snapshot's iteration and, for a fixed
-// worker count, is bitwise identical to the uninterrupted run. Resume
-// overrides any warm start.
-func ResumeFrom(cp *Checkpoint) RunOption {
-	return func(o *runOptions) { o.resume = cp }
-}
-
 // WithAcceleration(true) turns on the extrapolated power method in the
 // engine (class runs and SolveColumns): every three
 // committed iterates the solver proposes a SQUAREM-extrapolated
@@ -182,10 +150,7 @@ func ResumeFrom(cp *Checkpoint) RunOption {
 // the guarantees of the unaccelerated solve (it converges in at most as
 // many committed iterations, typically far fewer on slow-mixing
 // configurations). A column whose proposals keep failing stops
-// proposing, bounding the vet overhead. Checkpoints snapshot only
-// committed state, so
-// WithCheckpoint composes: a resumed run simply restarts extrapolation
-// from plain-iteration state.
+// proposing, bounding the vet overhead.
 func WithAcceleration(on bool) RunOption {
 	return func(o *runOptions) { o.accelerate = on }
 }
@@ -213,8 +178,6 @@ func WithEquilibriumRestart(on bool) RunOption {
 // reseed is dropped and z never re-couples — but needs no tensor
 // streaming; see internal/accel.System for the accuracy bound and the
 // golden suite for the measured envelope. Overrides WithAcceleration.
-// Incompatible with ResumeFrom (there is no iteration state to resume);
-// WithCheckpoint is ignored.
 func WithApproximate(on bool) RunOption {
 	return func(o *runOptions) { o.approximate = on }
 }
@@ -267,21 +230,22 @@ func (m *Model) RunContext(ctx context.Context, opts ...RunOption) *Result {
 type warmFn func(c int) (x, z, l vec.Vector, ok bool)
 
 // runClasses runs the class solve once and, when the attempt hits a
-// retryable corruption fault, retries exactly once from the fault's
-// last-good snapshot with the AVX2 kernels demoted to the scalar
-// reference bodies — the recovery path for a misbehaving vector unit.
-// A fault that reproduces on the demoted attempt (it is deterministic)
-// stops the run with the last healthy state and ReasonNumericalFault.
+// retryable corruption fault, re-runs it exactly once from its own start
+// (cold, or the caller's warm start) with the AVX2 kernels demoted to
+// the scalar reference bodies — the recovery path for a misbehaving
+// vector unit. The kernels are deterministic and scalar ≡ AVX2 bitwise,
+// so after a transient fault the re-run is bitwise the clean run. A
+// fault that reproduces on the demoted attempt stops the run with the
+// last healthy state and ReasonNumericalFault.
 func (m *Model) runClasses(ctx context.Context, warm warmFn, ro runOptions) *Result {
 	res, flt := m.runClassesOnce(ctx, warm, ro)
-	if flt == nil || !flt.retryable || flt.cp == nil {
+	if flt == nil || !flt.retryable {
 		return res
 	}
 	if ro.noASM || (ro.guards != nil && ro.guards.NoRetry) || ctx.Err() != nil {
 		return res
 	}
 	regGuardRetries.Inc()
-	ro.resume = flt.cp
 	ro.noASM = true
 	res2, _ := m.runClassesOnce(ctx, warm, ro)
 	// The first attempt's fault stays on the record of the run that
@@ -295,9 +259,6 @@ func (m *Model) runClasses(ctx context.Context, warm warmFn, ro runOptions) *Res
 // runFault is the guard verdict that stopped the engine, the input to
 // the retry decision.
 func (m *Model) runClassesOnce(ctx context.Context, warm warmFn, ro runOptions) (*Result, *runFault) {
-	if ro.resume != nil && ro.approximate {
-		panic("tmark: ResumeFrom requires the iterative path, not WithApproximate")
-	}
 	q := m.graph.Q()
 	rs := m.newRunScratch(ro, q)
 	defer rs.close()
@@ -330,17 +291,10 @@ func (m *Model) solveClasses(ctx context.Context, res *Result, warm warmFn, rs *
 	for c := range cols {
 		cols[c].columnState = m.classColumn(c, warm, rs.opts.accelerate)
 	}
-	e := m.newEngine(rs, cols, ckKindClasses)
+	e := m.newEngine(rs, cols)
 	e.stopOnFault = true
 	if m.cfg.ICAUpdate {
 		e.argmax = make([]int, m.graph.N())
-	}
-	if cp := rs.opts.resume; cp != nil {
-		// ResumeFrom documents the panic; ValidateCheckpoint probes first.
-		if err := m.ValidateCheckpoint(cp); err != nil {
-			panic(err.Error())
-		}
-		e.restore(cp)
 	}
 	flt := e.run(ctx)
 	for c := range cols {
@@ -474,13 +428,10 @@ var (
 	regRuns       = obs.Default().Counter("tmark_runs_total")
 	regStopped    = obs.Default().Counter("tmark_runs_stopped_total")
 	regIterations = obs.Default().Counter("tmark_iterations_total")
-	// Fault-tolerance aggregates: guard trips, demoted retries, and
-	// checkpoint traffic.
-	regNumericalFaults  = obs.Default().Counter("tmark_numerical_faults_total")
-	regStagnations      = obs.Default().Counter("tmark_stagnations_total")
-	regGuardRetries     = obs.Default().Counter("tmark_guard_retries_total")
-	regCheckpoints      = obs.Default().Counter("tmark_checkpoints_saved_total")
-	regCheckpointErrors = obs.Default().Counter("tmark_checkpoint_errors_total")
+	// Fault-tolerance aggregates: guard trips and demoted retries.
+	regNumericalFaults = obs.Default().Counter("tmark_numerical_faults_total")
+	regStagnations     = obs.Default().Counter("tmark_stagnations_total")
+	regGuardRetries    = obs.Default().Counter("tmark_guard_retries_total")
 	// Extrapolated-power-method activity: candidates built, vetted in,
 	// and discarded (see WithAcceleration).
 	regAccelProposed = obs.Default().Counter("tmark_accel_proposed_total")
@@ -494,27 +445,6 @@ var (
 		return ts
 	}()
 )
-
-// saveCheckpoint hands one snapshot to the sink, counting the outcome.
-// Save errors never stop the solve: a failing checkpoint disk must not
-// take down a healthy computation, so the error is recorded in the
-// registry and the run carries on (losing only resumability since the
-// last successful save). The fault point lets the chaos suite fail
-// saves deterministically.
-func (m *Model) saveCheckpoint(sink CheckpointSink, cp *Checkpoint) {
-	var err error
-	if fault.Enabled() {
-		err = fault.Check(fault.CheckpointSave)
-	}
-	if err == nil {
-		err = sink.Save(cp)
-	}
-	if err != nil {
-		regCheckpointErrors.Inc()
-		return
-	}
-	regCheckpoints.Inc()
-}
 
 func publishRun(res *Result, st *RunStats) {
 	regRuns.Inc()

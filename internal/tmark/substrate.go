@@ -10,8 +10,11 @@ package tmark
 // build, no cosine matrix, no counting sorts.
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"math"
 
 	"tmark/internal/hin"
 	"tmark/internal/sparse"
@@ -20,10 +23,30 @@ import (
 )
 
 // HashConfig returns the FNV-1a identity of the arithmetic-relevant
-// Config fields — the same hash checkpoints embed and artifacts store,
-// exposed at package level so the artifact codec can stamp and verify
-// it without a built Model.
-func HashConfig(c Config) uint64 { return c.checkpointHash() }
+// Config fields, which artifacts store and verify; it is exposed at
+// package level so the artifact codec can stamp and verify it without a
+// built Model. Workers is excluded: the worker count is a deployment
+// knob, not part of the problem.
+func HashConfig(c Config) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(u uint64) {
+		binary.LittleEndian.PutUint64(buf[:], u)
+		h.Write(buf[:])
+	}
+	put(math.Float64bits(c.Alpha))
+	put(math.Float64bits(c.Gamma))
+	put(math.Float64bits(c.Lambda))
+	put(math.Float64bits(c.Epsilon))
+	put(uint64(c.MaxIterations))
+	if c.ICAUpdate {
+		put(1)
+	} else {
+		put(0)
+	}
+	put(uint64(c.FeatureTopK))
+	return h.Sum64()
+}
 
 // Substrate is the compiled, immutable heart of a Model: what an
 // artifact stores and what Assemble consumes. Exactly one of WDense and

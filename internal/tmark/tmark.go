@@ -253,7 +253,7 @@ func (m *Model) RunClass(c int) ClassResult {
 	rs := m.newRunScratch(runOptions{}, 1)
 	defer rs.close()
 	cols := []engineCol{{columnState: m.classColumn(c, nil, false)}}
-	m.newEngine(rs, cols, ckKindClasses).run(context.Background())
+	m.newEngine(rs, cols).run(context.Background())
 	return cols[0].classResult(c)
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 // FuzzDecodeWALRecord hammers the record decoder with hostile bytes,
-// mirroring the checkpoint codec's FuzzDecodeCheckpoint. The decoder
+// like FuzzDecodeArtifact does the artifact codec. The decoder
 // sits on the recovery path — it reads whatever a crash left on disk —
 // so it must never panic, never over-consume, and accept only frames
 // that re-encode to the identical bytes.

@@ -1,44 +1,21 @@
 package tmark
 
-// Fault tolerance: checkpoint/resume and numerical-health guards,
-// re-exported from internal/tmark.
-//
-// A long solve snapshots its state every K iterations and flushes a
-// final snapshot when its context is cancelled:
-//
-//	sink := &tmark.DirSink{Dir: "ckpt", Name: "run.ckpt"}
-//	res := model.RunContext(ctx, tmark.WithCheckpoint(sink, 8))
-//
-// A later process resumes bitwise identically:
-//
-//	cp, err := tmark.LoadCheckpointFile("ckpt/run.ckpt")
-//	if err == nil && model.ValidateCheckpoint(cp) == nil {
-//		res = model.RunContext(ctx, tmark.WithCheckpoint(sink, 8), tmark.ResumeFrom(cp))
-//	}
+// Fault tolerance: numerical-health guards, re-exported from
+// internal/tmark.
 //
 // The solver always runs free numerical probes (simplex mass, finite
-// residuals) and, on a corruption fault, retries once from the last
-// healthy checkpoint with the assembly kernels demoted to the scalar
-// reference (see WithScalarKernels). WithGuards adds the stricter
-// opt-in tier: mass-drift tolerance, stagnation and divergence
-// detection. A run that still ends unhealthy reports
+// residuals) and, on a corruption fault, re-runs the attempt once from
+// its own start (cold, or the caller's warm start) with the assembly
+// kernels demoted to the scalar reference (see WithScalarKernels). The
+// kernels are deterministic and scalar ≡ AVX2 bitwise, so a re-run after
+// a transient fault returns exactly the clean run's answer. WithGuards
+// adds the stricter opt-in tier: mass-drift tolerance, stagnation and
+// divergence detection. A run that still ends unhealthy reports
 // ReasonNumericalFault or ReasonStagnated and lists its Faults.
 
 import (
 	itmark "tmark/internal/tmark"
 )
-
-// Checkpoint is a resumable snapshot of a run's solver state.
-type Checkpoint = itmark.Checkpoint
-
-// CheckpointSink receives periodic snapshots during a run.
-type CheckpointSink = itmark.CheckpointSink
-
-// DirSink saves each snapshot atomically to Dir/Name.
-type DirSink = itmark.DirSink
-
-// MemorySink retains the most recent snapshot in memory.
-type MemorySink = itmark.MemorySink
 
 // Fault is one numerical-health incident observed during a run.
 type Fault = itmark.Fault
@@ -53,10 +30,6 @@ const (
 	ReasonStagnated      = itmark.ReasonStagnated
 )
 
-// ErrCheckpointMismatch reports a checkpoint that does not belong to
-// the model it was offered to (dimensions or hyper-parameters differ).
-var ErrCheckpointMismatch = itmark.ErrCheckpointMismatch
-
 // ErrNumericalFault marks a run stopped by a numerical-health guard.
 var ErrNumericalFault = itmark.ErrNumericalFault
 
@@ -69,24 +42,7 @@ func DefaultGuards() GuardConfig { return itmark.DefaultGuards() }
 // WithGuards enables the opt-in numerical-health tier for one run.
 func WithGuards(g GuardConfig) RunOption { return itmark.WithGuards(g) }
 
-// WithCheckpoint snapshots the solver state to sink every `every`
-// iterations, plus a final flush when the run stops early.
-func WithCheckpoint(sink CheckpointSink, every int) RunOption {
-	return itmark.WithCheckpoint(sink, every)
-}
-
-// ResumeFrom restores a snapshot at the start of the run; the resumed
-// run is bitwise identical to one that never stopped.
-func ResumeFrom(cp *Checkpoint) RunOption { return itmark.ResumeFrom(cp) }
-
 // WithScalarKernels(true) demotes the vectorised kernels to the scalar
 // reference path for this run (the automatic numerical-fault retry
 // does this itself).
 func WithScalarKernels(on bool) RunOption { return itmark.WithScalarKernels(on) }
-
-// DecodeCheckpoint parses and checksum-verifies an encoded snapshot.
-func DecodeCheckpoint(data []byte) (*Checkpoint, error) { return itmark.DecodeCheckpoint(data) }
-
-// LoadCheckpointFile reads a snapshot written by Checkpoint.SaveFile
-// or a DirSink.
-func LoadCheckpointFile(path string) (*Checkpoint, error) { return itmark.LoadCheckpointFile(path) }

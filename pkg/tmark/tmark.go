@@ -161,8 +161,7 @@ func WithAcceleration(on bool) RunOption { return itmark.WithAcceleration(on) }
 // WithApproximate selects the linearized fast tier for this run: the
 // relation distribution is frozen at uniform, collapsing the tensor
 // fixed point into one sparse linear solve per class. Approximate — see
-// the internal documentation for the accuracy bound — and incompatible
-// with checkpoint resume.
+// the internal documentation for the accuracy bound.
 func WithApproximate(on bool) RunOption { return itmark.WithApproximate(on) }
 
 // ReadResultJSON decodes a Result written by Result.WriteJSON.
