@@ -136,10 +136,11 @@ serve-race:
 # The fault-injection suites under the race detector: solver chaos
 # (injected NaN/Inf corruption, the scalar-demoted re-run), serving chaos
 # (build/solve panics, overload shedding, eviction racing a borrowed
-# solve, a drain cancelling a /rank full solve) and the tmarkd SIGTERM
+# solve, a drain cancelling a /rank full solve, artifact leases keeping
+# a retired model mapped through held solves) and the tmarkd SIGTERM
 # drain test.
 chaos:
-	$(GO) test -race -count=1 -run 'TestChaos|TestEviction|TestServeRankDrainCancelsFullSolve|TestRunSIGTERMDrainsRankSolve|TestGuard|TestEngineDiscardsCorruptIterate|TestNoASMDemotion|TestKernelFaultPoint|TestIngestQuarantine|TestIngestPins' ./internal/tmark/ ./internal/serve/ ./internal/tensor/ ./internal/stream/ ./cmd/tmarkd/
+	$(GO) test -race -count=1 -run 'TestChaos|TestEviction|TestLease|TestServeRankDrainCancelsFullSolve|TestRunSIGTERMDrainsRankSolve|TestGuard|TestEngineDiscardsCorruptIterate|TestNoASMDemotion|TestKernelFaultPoint|TestIngestQuarantine|TestIngestPins' ./internal/tmark/ ./internal/serve/ ./internal/tensor/ ./internal/stream/ ./cmd/tmarkd/
 
 # The durability suite under the race detector: WAL codec and log
 # lifecycle (torn-tail truncation, rotation, checkpoint pruning), the

@@ -361,6 +361,32 @@ func TestArtifactChaosFaultInjection(t *testing.T) {
 	})
 }
 
+// TestArtifactRefusedActivationUnmaps: a gamma > 0 request against a
+// Gamma = 0 blob, which stores no feature channel, refuses activation.
+// With no graph fallback each refusal is a 500 and is not cached, so
+// every request maps and hashes the blob again; the refused artifact
+// must be closed each time, not left mapped.
+func TestArtifactRefusedActivationUnmaps(t *testing.T) {
+	g := testGraph(40)
+	cfg := fastConfig()
+	cfg.Gamma = 0
+	dir, _ := buildRegistry(t, "solo", g, cfg)
+	s := newTestServer(t, nil, cfg, func(o *Options) {
+		o.Datasets = nil
+		o.ModelDir = dir
+	})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	gamma := 0.5
+	for i := 0; i < 20; i++ {
+		resp, body := postClassify(t, ts.URL+"/v1", &ClassifyRequest{Seeds: []int{0}, Gamma: &gamma})
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("request %d: status %d, want 500: %s", i, resp.StatusCode, body)
+		}
+	}
+	checkMapped(t, s, dir, 0)
+}
+
 func TestArtifactOnlyServing(t *testing.T) {
 	g := testGraph(40)
 	cfg := fastConfig()

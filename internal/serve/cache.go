@@ -9,12 +9,21 @@ package serve
 // per step forever. Each entry owns the coalescer batching requests
 // against its model; eviction retires the coalescer gracefully (accepted
 // work finishes at full quality) while new requests rebuild the entry.
+//
+// An mmap-activated entry's model reads its substrate straight out of
+// the artifact mapping, so the mapping must outlive every solve on it.
+// The rule is one lease per use: get hands out a leased entry, the
+// handler releases it once it is done with the model, and the last
+// release on an entry that has left the cache unmaps its artifact. The
+// mapped blobs are therefore at most the cache capacity plus the
+// retired entries that still have borrowers.
 
 import (
 	"container/list"
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"tmark/internal/artifact"
 	"tmark/internal/fault"
@@ -68,11 +77,15 @@ type warmModel struct {
 	// answered it.
 	hash string
 	// art is the backing artifact of an mmap-activated entry, nil for a
-	// raw build. It is deliberately never Closed while the process
-	// lives: an evicted entry's model may still be mid-solve for a
-	// /rank borrower, and unmapping under it would fault. The cost is
-	// the mapping's address space; its clean pages stay reclaimable.
+	// raw build. It closes when the last lease on the retired entry is
+	// released: an evicted entry's model may still be mid-solve for a
+	// /rank or coalesced borrower, and unmapping under it would fault.
 	art *artifact.Artifact
+	// leases counts the callers using model: every get takes one and
+	// every caller releases it once done. retired is set when the entry
+	// leaves the cache. Both are guarded by modelCache.mu.
+	leases  int
+	retired bool
 
 	// The full multi-class solves backing /rank, each computed lazily at
 	// most once per warm model: the reference solve (serving the exact
@@ -120,6 +133,10 @@ type modelCache struct {
 	newCoal  func(*tmark.Model) *coalescer
 	met      *metrics
 	rankCtx  context.Context // every entry's /rank solve context
+
+	// artifactsOpen counts the artifacts activated by builds and not yet
+	// closed: the tmarkd_artifacts_open gauge.
+	artifactsOpen atomic.Int64
 }
 
 func newModelCache(rankCtx context.Context, capacity int, build func(modelKey) (buildResult, error), newCoal func(*tmark.Model) *coalescer, met *metrics) *modelCache {
@@ -137,37 +154,41 @@ func newModelCache(rankCtx context.Context, capacity int, build func(modelKey) (
 	}
 }
 
-// get returns the ready warm model for key, building it on a miss. The
-// build runs outside the cache lock (models can be expensive), with
-// duplicate requests for the same key waiting on the first builder.
-// Failed builds are not cached: the placeholder is removed so a later
-// request can retry.
+// get returns the ready warm model for key, building it on a miss, and
+// leases it: the caller must release the entry once it is done with the
+// model. The build runs outside the cache lock (models can be
+// expensive), with duplicate requests for the same key waiting on the
+// first builder. Failed builds are not cached: the placeholder is
+// removed so a later request can retry.
 func (c *modelCache) get(key modelKey) (*warmModel, error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.order.MoveToFront(e.elem)
+		e.leases++
 		c.mu.Unlock()
 		if c.met != nil {
 			c.met.cacheHits.Inc()
 		}
 		<-e.ready
 		if e.err != nil {
+			c.release(e)
 			return nil, e.err
 		}
 		return e, nil
 	}
-	e := &warmModel{key: key, ready: make(chan struct{}), rankCtx: c.rankCtx}
+	e := &warmModel{key: key, ready: make(chan struct{}), rankCtx: c.rankCtx, leases: 1}
 	e.elem = c.order.PushFront(e)
 	c.entries[key] = e
-	var evicted []*warmModel
+	var evicted, unleased []*warmModel
 	for len(c.entries) > c.capacity {
-		back := c.order.Back()
-		old := back.Value.(*warmModel)
-		c.order.Remove(back)
-		delete(c.entries, old.key)
+		old := c.order.Back().Value.(*warmModel)
 		evicted = append(evicted, old)
+		if c.removeLocked(old) {
+			unleased = append(unleased, old)
+		}
 	}
 	c.mu.Unlock()
+	c.closeArtifacts(unleased...)
 	if c.met != nil {
 		c.met.cacheMisses.Inc()
 	}
@@ -195,17 +216,57 @@ func (c *modelCache) get(key modelKey) (*warmModel, error) {
 		close(e.ready)
 		c.mu.Lock()
 		if cur, ok := c.entries[key]; ok && cur == e {
-			delete(c.entries, key)
-			c.order.Remove(e.elem)
+			c.removeLocked(e)
 		}
 		c.mu.Unlock()
+		c.release(e)
 		return nil, err
 	}
 	e.model, e.hash, e.art = br.model, br.hash, br.art
+	if e.art != nil {
+		c.artifactsOpen.Add(1)
+	}
 	e.coal = c.newCoal(e.model)
 	e.coal.onPanic = func() { c.quarantine(e) }
 	close(e.ready)
 	return e, nil
+}
+
+// release drops one lease on e. The last release on a retired entry
+// closes its artifact: no solve can read the mapping any more, because
+// every solve runs for a caller that still holds its lease.
+func (c *modelCache) release(e *warmModel) {
+	c.mu.Lock()
+	e.leases--
+	last := e.retired && e.leases == 0
+	c.mu.Unlock()
+	if last {
+		c.closeArtifacts(e)
+	}
+}
+
+// removeLocked takes e, which must be in the cache, out of it under
+// c.mu and retires it. It reports whether no lease holds e, in which
+// case the caller closes e's artifact once it has dropped the lock. An
+// entry is removed at most once and only cached entries take new
+// leases, so exactly one caller sees a retired entry's count at zero
+// and closes the artifact: Artifact.Close is not safe to call
+// concurrently.
+func (c *modelCache) removeLocked(e *warmModel) bool {
+	delete(c.entries, e.key)
+	c.order.Remove(e.elem)
+	e.retired = true
+	return e.leases == 0
+}
+
+// closeArtifacts unmaps the artifacts of retired, unleased entries.
+func (c *modelCache) closeArtifacts(es ...*warmModel) {
+	for _, e := range es {
+		if e.art != nil {
+			e.art.Close()
+			c.artifactsOpen.Add(-1)
+		}
+	}
 }
 
 // buildSafe runs the model build behind a panic barrier. A crashing
@@ -238,11 +299,14 @@ func (c *modelCache) buildSafe(key modelKey) (br buildResult, err error) {
 // ErrModelFault, never a wrong answer.
 func (c *modelCache) quarantine(e *warmModel) {
 	c.mu.Lock()
+	unleased := false
 	if cur, ok := c.entries[e.key]; ok && cur == e {
-		delete(c.entries, e.key)
-		c.order.Remove(e.elem)
+		unleased = c.removeLocked(e)
 	}
 	c.mu.Unlock()
+	if unleased {
+		c.closeArtifacts(e)
+	}
 	if c.met != nil {
 		c.met.quarantines.Inc()
 	}
@@ -263,15 +327,17 @@ func (c *modelCache) quarantine(e *warmModel) {
 // an eviction.
 func (c *modelCache) invalidateName(name string) {
 	c.mu.Lock()
-	var dropped []*warmModel
+	var dropped, unleased []*warmModel
 	for k, e := range c.entries {
 		if k.name == name && k.hash == "" {
-			delete(c.entries, k)
-			c.order.Remove(e.elem)
 			dropped = append(dropped, e)
+			if c.removeLocked(e) {
+				unleased = append(unleased, e)
+			}
 		}
 	}
 	c.mu.Unlock()
+	c.closeArtifacts(unleased...)
 	for _, e := range dropped {
 		if c.met != nil {
 			c.met.cacheEvictions.Inc()
@@ -312,14 +378,26 @@ func (c *modelCache) queueDepth() int {
 	return total
 }
 
-// stopAll closes every cached coalescer's intake and blocks until each
-// dispatcher has answered its queue and exited; entries still building
-// are stopped once they are ready. Drain calls it after cancelling the
-// server's drain context, so every answer is a partial result returned
-// within one solver iteration.
+// stopAll empties the cache: it retires every entry, closes every
+// coalescer's intake and blocks until each dispatcher has answered its
+// queue and exited; entries still building are stopped once they are
+// ready. Drain calls it after cancelling the server's drain context, so
+// every answer is a partial result returned within one solver
+// iteration. Retiring unmaps every artifact no request still leases, so
+// a drained server keeps no mapping past its last borrower.
 func (c *modelCache) stopAll() {
+	c.mu.Lock()
+	var all, unleased []*warmModel
+	for _, e := range c.entries {
+		all = append(all, e)
+		if c.removeLocked(e) {
+			unleased = append(unleased, e)
+		}
+	}
+	c.mu.Unlock()
+	c.closeArtifacts(unleased...)
 	var wg sync.WaitGroup
-	for _, e := range c.snapshot() {
+	for _, e := range all {
 		wg.Add(1)
 		go func(e *warmModel) {
 			defer wg.Done()

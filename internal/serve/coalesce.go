@@ -112,6 +112,14 @@ func newCoalescer(parent context.Context, model *tmark.Model, maxBatch, queueDep
 // result still comes back through the normal path. do fails fast with
 // ErrOverloaded on a full queue and ErrDraining once the coalescer is
 // stopping.
+//
+// The coalescer takes no lease on its model's cache entry; the callers'
+// leases cover every batch. do returns only after the batch holding its
+// job has answered it, or after the dispatcher exited without solving
+// it, and it has deliberately no ctx.Done() case: a cancelled request
+// still waits for its batch. So every job in a running batch belongs to
+// a caller blocked here, holding the lease that keeps the model's
+// artifact mapped until the batch ends.
 func (c *coalescer) do(ctx context.Context, q tmark.ColumnQuery) (tmark.ColumnResult, int, error) {
 	if c.closed.Load() {
 		return tmark.ColumnResult{}, 0, ErrDraining

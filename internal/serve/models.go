@@ -94,6 +94,7 @@ func (s *Server) activateArtifact(key modelKey) (buildResult, error) {
 	}
 	if fault.Enabled() {
 		if err := fault.Check(fault.ArtifactActivate); err != nil {
+			a.Close()
 			return buildResult{}, err
 		}
 	}
@@ -106,6 +107,7 @@ func (s *Server) activateArtifact(key modelKey) (buildResult, error) {
 	cfg.FeatureTopK = a.BuiltConfig.FeatureTopK
 	m, err := a.Activate(cfg)
 	if err != nil {
+		a.Close()
 		return buildResult{}, err
 	}
 	return buildResult{model: m, hash: key.hash, art: a}, nil

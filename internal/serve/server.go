@@ -295,6 +295,7 @@ func New(opts Options) (*Server, error) {
 		s.met)
 
 	reg.SetGauge("tmarkd_queue_depth", func() float64 { return float64(s.cache.queueDepth()) })
+	reg.SetGauge("tmarkd_artifacts_open", func() float64 { return float64(s.cache.artifactsOpen.Load()) })
 	reg.SetGauge("tmarkd_coalesce_ratio", func() float64 {
 		b := s.met.batches.Load()
 		if b == 0 {
@@ -458,7 +459,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 // registry knows activates the compiled blob, a name it does not know
 // builds from the loaded graph of that name, and a name known to both
 // is the designed pairing — the blob serves, the graph stands by as the
-// rebuild fallback should the blob fail verification.
+// rebuild fallback should the blob fail verification. The returned
+// entry is leased: the caller releases it (s.cache.release) once it is
+// done with the model.
 func (s *Server) resolve(name string, req *ClassifyRequest) (string, *warmModel, int, error) {
 	if name == "" {
 		name = s.opts.Default
@@ -501,6 +504,7 @@ func (s *Server) resolve(name string, req *ClassifyRequest) (string, *warmModel,
 	if req != nil {
 		for _, seed := range req.Seeds {
 			if seed >= e.model.Graph().N() {
+				s.cache.release(e)
 				return name, nil, http.StatusBadRequest,
 					fmt.Errorf("seed %d out of range: model %q has %d nodes", seed, name, e.model.Graph().N())
 			}
@@ -585,6 +589,9 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		res, width, err = e.coal.do(r.Context(), tmark.ColumnQuery{Seeds: req.Seeds, ICA: req.ICA, Quality: quality})
 		s.met.latency.Observe(time.Since(start))
+		// The response reads only the heap-decoded graph and the
+		// solver-owned vectors, so the lease ends with the solve.
+		s.cache.release(e)
 	}) {
 		s.met.rejected.Inc()
 		s.unavailable(w, "draining", ReasonDraining)
@@ -655,20 +662,6 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		s.unavailable(w, "draining", ReasonDraining)
 		return
 	}
-	ref := r.URL.Query().Get("model")
-	if ref == "" {
-		ref = r.URL.Query().Get("dataset")
-	}
-	name, e, status, err := s.resolve(ref, nil)
-	if err != nil {
-		s.met.errors.Inc()
-		if status == http.StatusServiceUnavailable {
-			s.unavailable(w, err.Error(), reasonFor(err))
-			return
-		}
-		writeError(w, status, err.Error())
-		return
-	}
 	top := 0
 	if v := r.URL.Query().Get("top"); v != "" {
 		if _, err := fmt.Sscanf(v, "%d", &top); err != nil || top < 0 {
@@ -685,6 +678,20 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	}
 	if quality == tmark.QualityDefault {
 		quality = s.opts.DefaultQuality
+	}
+	ref := r.URL.Query().Get("model")
+	if ref == "" {
+		ref = r.URL.Query().Get("dataset")
+	}
+	name, e, status, err := s.resolve(ref, nil)
+	if err != nil {
+		s.met.errors.Inc()
+		if status == http.StatusServiceUnavailable {
+			s.unavailable(w, err.Error(), reasonFor(err))
+			return
+		}
+		writeError(w, status, err.Error())
+		return
 	}
 	g := e.model.Graph()
 	// The full multi-class solve backing /rank is computed at most once
@@ -709,6 +716,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 			Links:     linkScores(g, cr.Z, top),
 		})
 	}
+	s.cache.release(e)
 	writeJSON(w, http.StatusOK, resp)
 }
 

@@ -696,7 +696,8 @@ func TestNewOptionValidation(t *testing.T) {
 
 func TestMetricsEndpointExposesServingGauges(t *testing.T) {
 	g := testGraph(40)
-	s := newTestServer(t, g, fastConfig(), nil)
+	dir, _ := buildRegistry(t, "test", g, fastConfig())
+	s := newTestServer(t, g, fastConfig(), func(o *Options) { o.ModelDir = dir })
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	if resp, _ := postClassify(t, ts.URL, &ClassifyRequest{Seeds: []int{0}}); resp.StatusCode != http.StatusOK {
@@ -717,6 +718,7 @@ func TestMetricsEndpointExposesServingGauges(t *testing.T) {
 		"tmarkd_queue_depth",
 		"tmarkd_classify_latency_p50_seconds",
 		"tmarkd_classify_latency_p99_seconds",
+		"tmarkd_artifacts_open 1", // the classify activated the blob
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)
