@@ -3,21 +3,27 @@
 
 GO ?= go
 
-.PHONY: all build test short-test race serve-race chaos recovery-chaos vet bench bench-stats bench-json bench-accel bench-coldstart bench-stream accel-equivalence artifact-roundtrip stream-equivalence perfbench-check fuzz experiments figures examples clean
+.PHONY: all build test short-test race serve-race chaos recovery-chaos vet fmt-check bench bench-stats bench-json bench-accel bench-coldstart bench-stream accel-equivalence artifact-roundtrip stream-equivalence perfbench-check fuzz experiments figures examples clean
 
 all: build vet test race
 
 build:
 	$(GO) build ./...
 
-# go vet always; staticcheck too when it is on PATH.
-vet:
+# gofmt and go vet always; staticcheck too when it is on PATH.
+vet: fmt-check
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		echo staticcheck ./...; staticcheck ./...; \
 	else \
 		echo "staticcheck not installed; skipping"; \
 	fi
+
+# Fails listing every Go file gofmt would rewrite. Hidden directories
+# (.git, the benchmark's .bench_build) are skipped.
+fmt-check:
+	@out="$$(gofmt -l $$(find . -name '*.go' -not -path './.*'))"; \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -137,10 +143,10 @@ serve-race:
 # (injected NaN/Inf corruption, the scalar-demoted re-run), serving chaos
 # (build/solve panics, overload shedding, eviction racing a borrowed
 # solve, a drain cancelling a /rank full solve, artifact leases keeping
-# a retired model mapped through held solves) and the tmarkd SIGTERM
-# drain test.
+# a retired model mapped through held solves, readers answered while an
+# ingest is held mid-apply) and the tmarkd SIGTERM drain test.
 chaos:
-	$(GO) test -race -count=1 -run 'TestChaos|TestEviction|TestLease|TestServeRankDrainCancelsFullSolve|TestRunSIGTERMDrainsRankSolve|TestGuard|TestEngineDiscardsCorruptIterate|TestNoASMDemotion|TestKernelFaultPoint|TestIngestQuarantine|TestIngestPins' ./internal/tmark/ ./internal/serve/ ./internal/tensor/ ./internal/stream/ ./cmd/tmarkd/
+	$(GO) test -race -count=1 -run 'TestChaos|TestEviction|TestLease|TestServeRankDrainCancelsFullSolve|TestRunSIGTERMDrainsRankSolve|TestGuard|TestEngineDiscardsCorruptIterate|TestNoASMDemotion|TestKernelFaultPoint|TestIngestQuarantine|TestIngestPins|TestReaderNeverWaits' ./internal/tmark/ ./internal/serve/ ./internal/tensor/ ./internal/stream/ ./cmd/tmarkd/
 
 # The durability suite under the race detector: WAL codec and log
 # lifecycle (torn-tail truncation, rotation, checkpoint pruning), the

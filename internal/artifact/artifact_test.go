@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"tmark/internal/dataset"
@@ -138,6 +139,39 @@ func TestCompileDeterministic(t *testing.T) {
 	_, h3 := mustCompile(t, g, cfg)
 	if h3 == h1 {
 		t.Fatal("hash ignores Alpha")
+	}
+}
+
+// TestCompileBytesPinned pins the content hash of fixed compiles to the
+// values the per-element encoder produced: the built-in DBLP network
+// with a CSR feature channel, the same network at Gamma = 0 (no W), and
+// the example network with a dense W. TestCompileDeterministic compares
+// two encodes made by one binary, so only this test catches an encoder
+// rewrite that changes bytes. The values were computed on amd64, where
+// Go never fuses a multiply and an add; other architectures may fuse
+// them while building the substrate and so encode other bytes.
+func TestCompileBytesPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("pinned hashes are amd64 values; %s may fuse multiply-adds", runtime.GOARCH)
+	}
+	dblp := dataset.DBLP(dataset.DefaultDBLPConfig(1))
+	csr := tmark.DefaultConfig()
+	csr.FeatureTopK = 4
+	noW := csr
+	noW.Gamma = 0
+	for _, tc := range []struct {
+		name string
+		g    *hin.Graph
+		cfg  tmark.Config
+		want string
+	}{
+		{"dblp-csr", dblp, csr, "2a78ab9a3903af9f8ca950bffb6fb93e8677e138e0b1f2f09384d47f14f99b16"},
+		{"dblp-noW", dblp, noW, "455eabe7772777eece77528b7553673a74d3d86502c431b532557780332793c4"},
+		{"example-dense", dataset.Example(), tmark.DefaultConfig(), "2e62358f4f8bf17760befb5c86694dc9db8a93927c63a287d7db0bf3970fc8fc"},
+	} {
+		if _, h := mustCompile(t, tc.g, tc.cfg); h != tc.want {
+			t.Errorf("%s: Compile hashes to %s, pinned %s", tc.name, h, tc.want)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc64"
 	"math"
+	"unsafe"
 
 	"tmark/internal/hin"
 	"tmark/internal/tmark"
@@ -39,7 +40,9 @@ func Compile(g *hin.Graph, cfg tmark.Config) (data []byte, hash string, err erro
 // EncodeModel serialises a built model's substrate into the TMARKAR1
 // format. The graph supplies the metadata (names, classes, label
 // seeds); edges and features are deliberately not stored — the
-// normalised tensors already embody them.
+// normalised tensors already embody them. On a little-endian host each
+// hot section is copied once, straight from the substrate's array into
+// the container buffer.
 func EncodeModel(g *hin.Graph, cfg tmark.Config, s tmark.Substrate) ([]byte, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -176,7 +179,17 @@ func (w *metaWriter) str(s string) {
 	w.buf = append(w.buf, s...)
 }
 
+// i32Bytes returns the little-endian bytes of xs. On a little-endian
+// host they are a read-only view of xs itself (viewI32 in reverse), so
+// assembleContainer's copy is the only one; elsewhere they are encoded
+// element by element into a new buffer.
 func i32Bytes(xs []int32) []byte {
+	if len(xs) == 0 {
+		return nil
+	}
+	if nativeLittleEndian {
+		return unsafe.Slice((*byte)(unsafe.Pointer(&xs[0])), 4*len(xs))
+	}
 	out := make([]byte, 4*len(xs))
 	for i, v := range xs {
 		binary.LittleEndian.PutUint32(out[i*4:], uint32(v))
@@ -184,7 +197,14 @@ func i32Bytes(xs []int32) []byte {
 	return out
 }
 
+// f64Bytes returns the little-endian bytes of xs (see i32Bytes).
 func f64Bytes(xs []float64) []byte {
+	if len(xs) == 0 {
+		return nil
+	}
+	if nativeLittleEndian {
+		return unsafe.Slice((*byte)(unsafe.Pointer(&xs[0])), 8*len(xs))
+	}
 	out := make([]byte, 8*len(xs))
 	for i, v := range xs {
 		binary.LittleEndian.PutUint64(out[i*8:], math.Float64bits(v))

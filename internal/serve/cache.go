@@ -16,7 +16,10 @@ package serve
 // handler releases it once it is done with the model, and the last
 // release on an entry that has left the cache unmaps its artifact. The
 // mapped blobs are therefore at most the cache capacity plus the
-// retired entries that still have borrowers.
+// retired entries that still have borrowers. Entries built from a live
+// ingest engine's in-memory version, or from a raw graph, hold no
+// artifact and map nothing; only pinned and artifact-only activations
+// do.
 
 import (
 	"container/list"

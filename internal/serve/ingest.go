@@ -3,10 +3,11 @@ package serve
 // Streaming ingest. POST /v1/ingest applies one batched edge-delta
 // mutation to a live model through its stream.Engine: the touched O
 // columns / R tubes renormalise incrementally, the new version seals
-// into the artifact registry under a fresh content hash (the floating
-// name re-tags atomically, so the next /classify resolves the new
-// version while in-flight requests keep their pinned pre-ingest model),
-// and the stationary solve warm-restarts from the previous (x̄, z̄).
+// into the artifact registry under a fresh content hash, and the
+// stationary solve warm-restarts from the previous (x̄, z̄). The engine
+// then commits the version: from that point a name-only request
+// resolves to it and is answered from the engine's memory, while
+// in-flight requests keep their pinned pre-ingest model.
 // GET /v1/diff compares the full solves of two sealed versions: per-node
 // classification flips and per-class link-type ranking shifts.
 
@@ -99,9 +100,10 @@ type DiffResponse struct {
 // engine returns the live ingest engine for name, nil when no ingest
 // has targeted it yet.
 func (s *Server) engine(name string) *stream.Engine {
-	s.streamMu.Lock()
-	defer s.streamMu.Unlock()
-	return s.streams[name]
+	if e, ok := s.streams.Load(name); ok {
+		return e.(*stream.Engine)
+	}
+	return nil
 }
 
 // walDirFor is the per-model write-ahead-log directory under
@@ -132,7 +134,7 @@ func safeName(s string) string {
 func (s *Server) engineFor(name string) (*stream.Engine, error) {
 	s.streamMu.Lock()
 	defer s.streamMu.Unlock()
-	if e, ok := s.streams[name]; ok {
+	if e := s.engine(name); e != nil {
 		return e, nil
 	}
 	g, ok := s.opts.Datasets[name]
@@ -151,10 +153,7 @@ func (s *Server) engineFor(name string) (*stream.Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.streams == nil {
-		s.streams = map[string]*stream.Engine{}
-	}
-	s.streams[name] = eng
+	s.streams.Store(name, eng)
 	return eng, nil
 }
 

@@ -7,6 +7,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -14,9 +15,12 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"tmark/internal/artifact"
 	"tmark/internal/fault"
 	"tmark/internal/stream"
+	"tmark/internal/tmark"
 )
 
 // postIngest drives one /v1/ingest call against the server's handler.
@@ -109,6 +113,208 @@ func TestIngestEndpoint(t *testing.T) {
 	// The pre-ingest version stays addressable by pin.
 	if code, h := classifyHash(t, s, baseHash, 0); code != http.StatusOK || h != baseHash {
 		t.Fatalf("pinned pre-ingest classify: status %d hash %s, want 200 %s", code, h, baseHash)
+	}
+}
+
+// blobOracle is what a sealed blob answers, computed offline: one
+// classify column per ICA setting and the full solve behind /v1/rank.
+type blobOracle struct {
+	cols map[bool]tmark.ColumnResult
+	full *tmark.Result
+}
+
+// solveBlob opens the blob filed under hash, activates it under its
+// built config and solves the oracle queries on it. The artifact is
+// closed again before returning, so it leaves no mapping behind.
+func solveBlob(t *testing.T, reg *artifact.Registry, hash string, workers int, seeds []int) blobOracle {
+	t.Helper()
+	a, _, err := reg.OpenRef(artifact.Ref{Hash: strings.TrimPrefix(hash, "sha256:")})
+	if err != nil {
+		t.Fatalf("OpenRef(%s): %v", hash, err)
+	}
+	defer a.Close()
+	cfg := a.BuiltConfig
+	cfg.Workers = workers // a deployment knob the blob does not store
+	m, err := a.Activate(cfg)
+	if err != nil {
+		t.Fatalf("Activate(%s): %v", hash, err)
+	}
+	out := blobOracle{cols: map[bool]tmark.ColumnResult{}, full: m.RunContext(context.Background())}
+	for _, ica := range []bool{false, true} {
+		if out.cols[ica], err = m.SolveColumn(context.Background(), tmark.ColumnQuery{Seeds: seeds, ICA: ica}); err != nil {
+			t.Fatalf("SolveColumn(%s, ica=%v): %v", hash, ica, err)
+		}
+	}
+	return out
+}
+
+// checkLinksBitwise asserts that a served link ranking holds every link
+// type with exactly the oracle's stationary z̄.
+func checkLinksBitwise(t *testing.T, links []LinkScore, z []float64) {
+	t.Helper()
+	if len(links) != len(z) {
+		t.Fatalf("%d links, want %d", len(links), len(z))
+	}
+	for _, l := range links {
+		if l.Score != z[l.Relation] {
+			t.Fatalf("z[%d] = %v, want %v (bitwise)", l.Relation, l.Score, z[l.Relation])
+		}
+	}
+}
+
+// TestIngestFloatingReadsServeFromMemory: on a registry-backed server a
+// floating read of a live model is answered from the engine's committed
+// version. Its answers are bitwise the sealed blob's, classify (exact
+// and ICA) and /v1/rank alike, yet it maps no blob and activates
+// nothing; a pinned read of an older version still activates its blob.
+func TestIngestFloatingReadsServeFromMemory(t *testing.T) {
+	g, cfg, dir := testGraph(20), fastConfig(), t.TempDir()
+	// Two entries: the version two batches back has left the cache by the
+	// time the pinned read asks for it.
+	s := newTestServer(t, g, cfg, func(o *Options) {
+		o.ModelDir = dir
+		o.CacheSize = 2
+	})
+	reg, err := artifact.OpenRegistry(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits := s.met.artifactHits.Load()
+	mapsNothing := func(step string) {
+		t.Helper()
+		if got := s.cache.artifactsOpen.Load(); got != 0 {
+			t.Fatalf("%s: tmarkd_artifacts_open = %d, want 0", step, got)
+		}
+		if n := mappedBlobs(t, dir); n != 0 {
+			t.Fatalf("%s: %d blob mappings, want 0", step, n)
+		}
+		if got := s.met.artifactHits.Load(); got != hits {
+			t.Fatalf("%s: tmark_artifact_hit_total moved %d -> %d", step, hits, got)
+		}
+	}
+	serve := func(method, url string, body any, out any) {
+		t.Helper()
+		var payload []byte
+		if body != nil {
+			payload, _ = json.Marshal(body)
+		}
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(method, url, bytes.NewReader(payload)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s %s: status %d: %s", method, url, rec.Code, rec.Body.String())
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), out); err != nil {
+			t.Fatalf("decode %s: %v", url, err)
+		}
+	}
+
+	var versions []string
+	for b := 0; b < 6; b++ {
+		rec, res := postIngest(t, s, &IngestRequest{Model: "test", Deltas: ingestDeltas(b)})
+		if res == nil {
+			t.Fatalf("ingest %d: status %d: %s", b, rec.Code, rec.Body.String())
+		}
+		if b == 0 {
+			versions = append(versions, res.OldHash)
+		}
+		versions = append(versions, res.NewHash)
+		mapsNothing(fmt.Sprintf("ingest %d", b))
+
+		seeds := classSeeds(g, b%4)
+		want := solveBlob(t, reg, res.NewHash, cfg.Workers, seeds)
+		for _, ica := range []bool{false, true} {
+			step := fmt.Sprintf("batch %d classify ica=%v", b, ica)
+			var got ClassifyResponse
+			serve(http.MethodPost, "/v1/classify", &ClassifyRequest{Model: "test", Seeds: seeds, ICA: ica, Scores: true}, &got)
+			if got.ModelHash != res.NewHash {
+				t.Fatalf("%s: served %s, want %s", step, got.ModelHash, res.NewHash)
+			}
+			checkBitwise(t, got.Scores, want.cols[ica].X)
+			checkLinksBitwise(t, got.Links, want.cols[ica].Z)
+			mapsNothing(step)
+		}
+		var rank RankResponse
+		serve(http.MethodGet, "/v1/rank?model=test", nil, &rank)
+		if rank.ModelHash != res.NewHash || len(rank.Classes) != want.full.Q() {
+			t.Fatalf("batch %d rank: %s with %d classes, want %s with %d", b, rank.ModelHash, len(rank.Classes), res.NewHash, want.full.Q())
+		}
+		for c, cls := range rank.Classes {
+			if cls.Converged != want.full.Classes[c].Converged {
+				t.Fatalf("batch %d rank class %d: converged %v, want %v", b, c, cls.Converged, want.full.Classes[c].Converged)
+			}
+			checkLinksBitwise(t, cls.Links, want.full.Classes[c].Z)
+		}
+		mapsNothing(fmt.Sprintf("batch %d rank", b))
+	}
+
+	pinned := versions[len(versions)-3]
+	if code, h := classifyHash(t, s, "test@"+pinned, 0); code != http.StatusOK || h != pinned {
+		t.Fatalf("pinned classify: status %d hash %s, want 200 %s", code, h, pinned)
+	}
+	if got := s.met.artifactHits.Load(); got != hits+1 {
+		t.Fatalf("pinned classify: tmark_artifact_hit_total = %d, want %d", got, hits+1)
+	}
+	checkMapped(t, s, dir, 1)
+}
+
+// TestReaderNeverWaitsForIngest: with a second ingest held mid-apply, a
+// floating classify on a registry-less server misses the cache, builds
+// from the engine and answers with the committed version at once. The
+// engine publishes versions without a lock, so the reader does not wait
+// for the writer. Run with -race (the `make chaos` target does).
+func TestReaderNeverWaitsForIngest(t *testing.T) {
+	t.Cleanup(fault.Reset)
+	s := newTestServer(t, testGraph(20), fastConfig(), nil)
+	_, first := postIngest(t, s, &IngestRequest{Model: "test", Deltas: ingestDeltas(0)})
+	if first == nil {
+		t.Fatal("first ingest failed")
+	}
+
+	held, release := make(chan struct{}), make(chan struct{})
+	releaseOnce := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(releaseOnce)
+	fault.Inject(fault.StreamApply, fault.Once(func(...any) {
+		close(held)
+		<-release
+	}))
+	post := func(url string, body any) <-chan *httptest.ResponseRecorder {
+		payload, _ := json.Marshal(body)
+		done := make(chan *httptest.ResponseRecorder, 1)
+		go func() {
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, url, bytes.NewReader(payload)))
+			done <- rec
+		}()
+		return done
+	}
+	ingested := post("/v1/ingest", &IngestRequest{Model: "test", Deltas: ingestDeltas(1)})
+	select {
+	case <-held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("second ingest never reached stream/apply")
+	}
+
+	misses := s.met.cacheMisses.Load()
+	select {
+	case rec := <-post("/v1/classify", &ClassifyRequest{Model: "test", Seeds: []int{0}}):
+		var out ClassifyResponse
+		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &out) != nil {
+			t.Fatalf("classify under a held ingest: status %d: %s", rec.Code, rec.Body.String())
+		}
+		if out.ModelHash != first.NewHash {
+			t.Fatalf("classify under a held ingest served %s, want the committed %s", out.ModelHash, first.NewHash)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a floating classify waited for the held ingest")
+	}
+	if got := s.met.cacheMisses.Load(); got != misses+1 {
+		t.Fatalf("cache misses %d -> %d: the classify did not build from the engine", misses, got)
+	}
+
+	releaseOnce()
+	rec := awaitRecorder(t, ingested, "second ingest")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("second ingest: status %d: %s", rec.Code, rec.Body.String())
 	}
 }
 

@@ -269,9 +269,10 @@ func TestLeaseKeepsMappingThroughHeldBatch(t *testing.T) {
 }
 
 // TestLeaseBoundsMappingsUnderIngest: every ingest batch seals a new
-// version and the next floating-name classify activates it, yet the
-// mapped blobs never exceed the cache capacity, and a drained server
-// keeps none.
+// version, and each step pins the version sealed two batches earlier,
+// which activates its blob; yet the mapped blobs never exceed the cache
+// capacity, a floating classify (served from the engine's memory) adds
+// no mapping, and a drained server keeps none.
 func TestLeaseBoundsMappingsUnderIngest(t *testing.T) {
 	const capacity = 2
 	dir := t.TempDir()
@@ -280,7 +281,7 @@ func TestLeaseBoundsMappingsUnderIngest(t *testing.T) {
 		o.WALDir = t.TempDir()
 		o.CacheSize = capacity
 	})
-	atMost := func(step string) {
+	atMost := func(step string) int {
 		t.Helper()
 		n := mappedBlobs(t, dir)
 		if n > capacity {
@@ -289,17 +290,32 @@ func TestLeaseBoundsMappingsUnderIngest(t *testing.T) {
 		if got := s.cache.artifactsOpen.Load(); got != int64(n) {
 			t.Fatalf("%s: tmarkd_artifacts_open = %d, want %d", step, got, n)
 		}
+		return n
 	}
+	var versions []string
 	for b := 0; b < 12; b++ {
 		rec, res := postIngest(t, s, &IngestRequest{Model: "test", Deltas: ingestDeltas(b)})
 		if res == nil {
 			t.Fatalf("ingest %d: status %d: %s", b, rec.Code, rec.Body.String())
 		}
+		if b == 0 {
+			versions = append(versions, res.OldHash)
+		}
+		versions = append(versions, res.NewHash)
 		atMost(fmt.Sprintf("after ingest %d", b))
+		if len(versions) >= 3 {
+			pinned := versions[len(versions)-3]
+			if code, hash := classifyHash(t, s, "test@"+pinned, 0); code != http.StatusOK || hash != pinned {
+				t.Fatalf("pinned classify after ingest %d: status %d hash %s, want 200 %s", b, code, hash, pinned)
+			}
+		}
+		mapped := atMost(fmt.Sprintf("after pinned classify %d", b))
 		if code, hash := classifyHash(t, s, "test", 0); code != http.StatusOK || hash != res.NewHash {
 			t.Fatalf("classify after ingest %d: status %d hash %s, want 200 %s", b, code, hash, res.NewHash)
 		}
-		atMost(fmt.Sprintf("after classify %d", b))
+		if n := atMost(fmt.Sprintf("after floating classify %d", b)); n > mapped {
+			t.Fatalf("floating classify %d: blob mappings %d -> %d", b, mapped, n)
+		}
 	}
 	s.Drain()
 	checkMapped(t, s, dir, 0)

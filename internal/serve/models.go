@@ -1,12 +1,14 @@
 package serve
 
-// Model sourcing. A warm model comes from one of two places: an
-// artifact blob resolved through the registry (mmap + verify + O(1)
-// assemble — the fast path), or a raw build from a loaded graph (the
-// cold path, also the fallback when a resolved blob fails
-// verification). Either way the entry carries the content hash of the
-// substrate it serves, echoed in every response, so a client can pin
-// the exact model that answered with model@sha256:….
+// Model sourcing. A warm model comes from one of three places: the
+// committed version of a live ingest engine, already in memory (what
+// name-only requests for an ingesting model resolve to); an artifact
+// blob resolved through the registry (mmap + verify + O(1) assemble);
+// or a raw build from a loaded graph (the cold path, also the fallback
+// when a resolved blob fails verification). Every entry carries the
+// content hash of the substrate it serves, echoed in every response,
+// so a client can pin the exact model that answered with
+// model@sha256:….
 
 import (
 	"fmt"
@@ -26,14 +28,25 @@ func (e *warmModel) contentHash() string {
 	return "sha256:" + e.hash
 }
 
-// buildModel is the cache's build function: artifact activation when
-// the key resolved to a blob, raw graph build otherwise — and, when a
-// resolved blob turns out corrupt, truncated or incompatible, the raw
-// build as fallback so a damaged model store degrades to slow cold
-// starts instead of an outage.
+// buildModel is the cache's build function: the engine's in-memory
+// version when the key names exactly that version and config, artifact
+// activation when the key resolved to any other blob, raw graph build
+// otherwise — and, when a resolved blob turns out corrupt, truncated or
+// incompatible, the raw build as fallback so a damaged model store
+// degrades to slow cold starts instead of an outage.
 func (s *Server) buildModel(key modelKey) (buildResult, error) {
 	var actErr error
 	if key.hash != "" {
+		if eng := s.engine(key.name); eng != nil && key.cfg == eng.Config() {
+			// The engine holds this version in memory, exactly as it
+			// encoded, hashed and sealed it: serve that, with no blob to
+			// map, checksum or verify. Like any build from the engine, it
+			// counts as an artifact miss.
+			if v := eng.Current(); v.Hash == key.hash {
+				s.met.artifactMisses.Inc()
+				return buildResult{model: v.Model, hash: v.Hash}, nil
+			}
+		}
 		br, err := s.activateArtifact(key)
 		if err == nil {
 			s.met.artifactHits.Inc()

@@ -114,14 +114,15 @@ type Server struct {
 	// header (whole seconds, at least 1).
 	retryAfter string
 
-	// streams holds the live ingest engines, one per dataset-backed name
-	// that has received a /v1/ingest batch (or, with Options.WALDir, per
-	// name whose log survived a previous process). A quarantined engine
-	// stays in the map: with a WAL it heals itself on the next ingest,
-	// without one it stays sticky so later ingests keep reporting the
-	// fault.
+	// streams maps names to their live ingest engines, one per
+	// dataset-backed name that has received a /v1/ingest batch (or, with
+	// Options.WALDir, per name whose log survived a previous process). A
+	// quarantined engine stays in the map: with a WAL it heals itself on
+	// the next ingest, without one it stays sticky so later ingests keep
+	// reporting the fault. Every request reads the map without a lock;
+	// streamMu only serialises engine creation.
 	streamMu sync.Mutex
-	streams  map[string]*stream.Engine
+	streams  sync.Map // name -> *stream.Engine
 
 	// drainCtx is the parent of every coalescer's solve context and the
 	// context of every /rank solve. Drain cancels it first, which reaches
@@ -306,12 +307,11 @@ func New(opts Options) (*Server, error) {
 	reg.SetGauge("tmarkd_classify_latency_p50_seconds", func() float64 { return s.met.latency.Quantile(0.50) })
 	reg.SetGauge("tmarkd_classify_latency_p99_seconds", func() float64 { return s.met.latency.Quantile(0.99) })
 	reg.SetGauge("tmarkd_wal_segment_bytes", func() float64 {
-		s.streamMu.Lock()
-		defer s.streamMu.Unlock()
 		var total int64
-		for _, e := range s.streams {
-			total += e.WALSize()
-		}
+		s.streams.Range(func(_, e any) bool {
+			total += e.(*stream.Engine).WALSize()
+			return true
+		})
 		return float64(total)
 	})
 
@@ -515,7 +515,9 @@ func (s *Server) resolve(name string, req *ClassifyRequest) (string, *warmModel,
 
 // modelKeyFor resolves a model reference to the cache key it denotes:
 // the graph name available for builds, the artifact hash available for
-// activation, or both.
+// activation, or both. On a registry-backed server an unpinned name
+// with a live ingest engine floats on the engine's committed version,
+// which buildModel serves from memory.
 func (s *Server) modelKeyFor(name string, cfg tmark.Config) (modelKey, int, error) {
 	key := modelKey{cfg: cfg}
 	ref, perr := artifact.ParseRef(name)
@@ -532,6 +534,12 @@ func (s *Server) modelKeyFor(name string, cfg tmark.Config) (modelKey, int, erro
 		key.name = ref.Name
 	}
 	if s.registry != nil {
+		if eng := s.engine(key.name); eng != nil && ref.Hash == "" {
+			// Not refs/<name>: the engine re-tags it mid-apply, before the
+			// version commits, and reading it costs a file read per request.
+			key.hash = eng.Current().Hash
+			return key, http.StatusOK, nil
+		}
 		switch h, err := s.registry.Resolve(ref); {
 		case err == nil:
 			key.hash = h

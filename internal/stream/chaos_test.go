@@ -12,6 +12,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"tmark/internal/artifact"
 	"tmark/internal/fault"
@@ -225,5 +226,59 @@ func TestChaosConcurrentReadsDuringApply(t *testing.T) {
 	wg.Wait()
 	if !sawQuarantine {
 		t.Fatal("the injected panic never surfaced")
+	}
+}
+
+// TestReaderNeverWaitsForApply: Current takes no lock, so while an
+// ApplyKeyed is held mid-apply a reader on another goroutine still gets
+// the committed version at once, and the new version once the apply
+// commits. Run with -race (the `make chaos` target does).
+func TestReaderNeverWaitsForApply(t *testing.T) {
+	t.Cleanup(fault.Reset)
+	reg, err := artifact.OpenRegistry(t.TempDir())
+	if err != nil {
+		t.Fatalf("OpenRegistry: %v", err)
+	}
+	eng, err := NewEngine("chaos", tinyGraph(), streamConfig(), reg)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	before := eng.Current()
+
+	held, release := make(chan struct{}), make(chan struct{})
+	releaseOnce := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(releaseOnce)
+	fault.Inject(fault.StreamApply, fault.Once(func(...any) {
+		close(held)
+		<-release
+	}))
+	applied := make(chan error, 1)
+	go func() {
+		_, err := eng.ApplyKeyed(context.Background(), "held", chaosDelta(0))
+		applied <- err
+	}()
+	select {
+	case <-held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("ApplyKeyed never reached stream/apply")
+	}
+
+	read := make(chan *Version, 1)
+	go func() { read <- eng.Current() }()
+	select {
+	case v := <-read:
+		if v != before {
+			t.Fatalf("Current under a held apply returned seq %d, want the committed seq %d", v.Seq, before.Seq)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Current waited for the held apply")
+	}
+
+	releaseOnce()
+	if err := <-applied; err != nil {
+		t.Fatalf("ApplyKeyed: %v", err)
+	}
+	if v := eng.Current(); v.Seq != before.Seq+1 || v.Hash == before.Hash {
+		t.Fatalf("after the apply committed, Current is seq %d %s, want seq %d and a new hash", v.Seq, v.Hash, before.Seq+1)
 	}
 }

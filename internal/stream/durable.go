@@ -169,7 +169,7 @@ func (e *Engine) replayLog(ctx context.Context) error {
 				snap.Seq, hash, snap.Hash)
 		}
 		e.ao, e.ar = ao, ar
-		e.cur = &Version{Seq: int(snap.Seq), Hash: hash, Model: model}
+		e.commitLocked(&Version{Seq: int(snap.Seq), Hash: hash, Model: model})
 	}
 	for _, rec := range e.log.Records() {
 		if rec.Seq <= uint64(e.cur.Seq) {
@@ -235,7 +235,7 @@ func (e *Engine) recoverLocked(ctx context.Context) error {
 	// stationary cache is gone with the poisoned version, so the next
 	// Solve runs cold.
 	e.ao, e.ar = ao, ar
-	e.cur = &Version{Seq: int(target), Hash: hash, Model: model}
+	e.commitLocked(&Version{Seq: int(target), Hash: hash, Model: model})
 	e.poisoned = nil
 	e.met.recoveries.Inc()
 

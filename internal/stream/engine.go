@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"tmark/internal/artifact"
 	"tmark/internal/fault"
@@ -113,7 +114,7 @@ type engineMetrics struct {
 // Engine owns the mutable state of one live model: the raw adjacency in
 // both kernel sort orders, the current Version, and the registry the
 // versions seal into. All methods are safe for concurrent use; Apply
-// calls serialise.
+// calls serialise, and Current never waits for them.
 type Engine struct {
 	mu   sync.Mutex
 	name string
@@ -121,8 +122,11 @@ type Engine struct {
 	cfg  tmark.Config
 	reg  *artifact.Registry
 
-	ao, ar   tensor.COO // raw adjacency, (k,j,i) and (j,i,k) orders
+	ao, ar tensor.COO // raw adjacency, (k,j,i) and (j,i,k) orders
+	// cur is the writer's committed version, under mu. pub publishes the
+	// same pointer to Current's lock-free readers; commitLocked moves both.
 	cur      *Version
+	pub      atomic.Pointer[Version]
 	poisoned error
 
 	// Durability state. srcAO and baseSub pin the pristine source
@@ -155,11 +159,9 @@ func NewEngine(name string, g *hin.Graph, cfg tmark.Config, reg *artifact.Regist
 	if err != nil {
 		return nil, err
 	}
-	hash := artifact.Hash(data)
-	if reg != nil {
-		if _, err := reg.Put(data); err != nil {
-			return nil, fmt.Errorf("stream: sealing base version: %w", err)
-		}
+	hash, err := sealBlob(reg, data)
+	if err != nil {
+		return nil, fmt.Errorf("stream: sealing base version: %w", err)
 	}
 	a := g.AdjacencyTensor()
 	ao := a.COOView()
@@ -170,7 +172,6 @@ func NewEngine(name string, g *hin.Graph, cfg tmark.Config, reg *artifact.Regist
 		reg:      reg,
 		ao:       ao,
 		ar:       ao.SortedJIK(),
-		cur:      &Version{Seq: 0, Hash: hash, Model: m},
 		srcAO:    ao,
 		baseSub:  m.Substrate(),
 		dedup:    map[string]*ApplyResult{},
@@ -180,6 +181,8 @@ func NewEngine(name string, g *hin.Graph, cfg tmark.Config, reg *artifact.Regist
 	for _, opt := range opts {
 		opt(e)
 	}
+	// Nothing else can reach the engine yet, so no lock is needed.
+	e.commitLocked(&Version{Seq: 0, Hash: hash, Model: m})
 	if e.log != nil {
 		if err := e.replayLog(context.Background()); err != nil {
 			return nil, err
@@ -194,11 +197,26 @@ func (e *Engine) Name() string { return e.name }
 // Config returns the engine's hyper-parameter set.
 func (e *Engine) Config() tmark.Config { return e.cfg }
 
-// Current returns the engine's live version.
-func (e *Engine) Current() *Version {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.cur
+// Current returns the engine's committed version. It takes no lock, so
+// a reader never waits behind an apply in flight: it gets the previous
+// version until the apply commits, and the new one from then on.
+func (e *Engine) Current() *Version { return e.pub.Load() }
+
+// commitLocked makes v the committed version, for the writer and for
+// Current's readers alike. Callers hold e.mu.
+func (e *Engine) commitLocked(v *Version) {
+	e.cur = v
+	e.pub.Store(v)
+}
+
+// sealBlob writes an encoded version into reg and returns its content
+// hash: the one Put computed over the bytes it wrote, so each version is
+// hashed once. Without a registry it only hashes.
+func sealBlob(reg *artifact.Registry, data []byte) (string, error) {
+	if reg == nil {
+		return artifact.Hash(data), nil
+	}
+	return reg.Put(data)
 }
 
 // Quarantined reports the poisoning fault, if any.
@@ -390,19 +408,18 @@ func (e *Engine) applyLocked(ctx context.Context, key string, deltas []Delta, lo
 	if err != nil {
 		return nil, err
 	}
-	hash := artifact.Hash(data)
-	sealed := false
-	if e.reg != nil {
-		if _, err := e.reg.Put(data); err != nil {
-			return nil, fmt.Errorf("stream: sealing version %d: %w", e.cur.Seq+1, err)
-		}
+	hash, err := sealBlob(e.reg, data)
+	if err != nil {
+		return nil, fmt.Errorf("stream: sealing version %d: %w", e.cur.Seq+1, err)
+	}
+	sealed := e.reg != nil
+	if sealed {
 		if fault.Enabled() {
 			fault.Fire(fault.StreamSeal, hash)
 		}
 		if err := e.reg.Tag(e.name, hash); err != nil {
 			return nil, fmt.Errorf("stream: tagging version %d: %w", e.cur.Seq+1, err)
 		}
-		sealed = true
 	}
 
 	prevRes := e.cur.res
@@ -440,7 +457,9 @@ func (e *Engine) applyLocked(ctx context.Context, key string, deltas []Delta, lo
 		Converged:      res.Converged(),
 	}
 	// The transaction commits here: every fallible step is behind us.
-	e.ao, e.ar, e.cur = newAO, newAR, next
+	// Readers move to the new version at this point, not at the Tag above.
+	e.ao, e.ar = newAO, newAR
+	e.commitLocked(next)
 	if key != "" {
 		e.rememberLocked(key, out)
 	}

@@ -64,9 +64,9 @@ var ErrTruncated = errors.New("wal: truncated record")
 // Delta is one logged edge mutation in wire form: the coordinates the
 // engine addresses plus the compact op code.
 type Delta struct {
-	Op                uint8
+	Op                 uint8
 	From, To, Relation int32
-	Weight            float64
+	Weight             float64
 }
 
 // Record is one logged ingest batch: the sequence number it was
