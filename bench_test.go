@@ -317,7 +317,7 @@ func BenchmarkFeatureTransitionConstruction(b *testing.B) {
 	})
 	b.Run("top20", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			markov.SparseFeatureTransition(features, 20)
+			markov.SparseFeatureTransitionCSR(features, 20)
 		}
 	})
 }

@@ -28,6 +28,18 @@ func ValidWeight(w float64) error {
 	return nil
 }
 
+// ValidFeature reports whether v can serve as a node feature value:
+// finite. A NaN or infinite feature turns every cosine it touches into
+// NaN, and the feature channel W then silently loses those columns (the
+// top-K channel stores nothing for them) or poisons the whole solve (the
+// dense channel). Validate checks every feature through this predicate.
+func ValidFeature(v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("feature value %v must be finite", v)
+	}
+	return nil
+}
+
 // Edge is one typed link from node From to node To. Weight defaults to 1
 // when built through AddEdge; the tensor representation keeps weights so
 // multigraph-style repeated links accumulate.
@@ -200,9 +212,9 @@ func (g *Graph) NeighborLists() [][][]int {
 	return out
 }
 
-// Validate checks internal consistency: feature dimensions agree, labels
-// and edges are in range, and class/relation names are unique. Returns nil
-// on a well-formed graph.
+// Validate checks internal consistency: feature dimensions agree, feature
+// values are finite, labels and edges are in range, and class/relation
+// names are unique. Returns nil on a well-formed graph.
 func (g *Graph) Validate() error {
 	if g.N() == 0 {
 		return errors.New("hin: graph has no nodes")
@@ -215,6 +227,11 @@ func (g *Graph) Validate() error {
 				dim = len(n.Features)
 			} else if len(n.Features) != dim {
 				return fmt.Errorf("hin: node %d feature dim %d, want %d", i, len(n.Features), dim)
+			}
+		}
+		for k, v := range n.Features {
+			if err := ValidFeature(v); err != nil {
+				return fmt.Errorf("hin: node %d feature %d: %v", i, k, err)
 			}
 		}
 		for _, c := range n.Labels {

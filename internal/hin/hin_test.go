@@ -1,6 +1,7 @@
 package hin
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -142,6 +143,24 @@ func TestValidateCatchesProblems(t *testing.T) {
 	badLabel := &Graph{Classes: []string{"x"}, Nodes: []Node{{Labels: []int{2}}}}
 	if err := badLabel.Validate(); err == nil || !strings.Contains(err.Error(), "label") {
 		t.Errorf("out-of-range label should fail, got %v", err)
+	}
+}
+
+// A NaN or infinite feature value is rejected with the node and index
+// that hold it; the JSON codec cannot carry one, but the builder can.
+func TestValidateRejectsNonFiniteFeatures(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		g := bibliography()
+		g.Nodes[2].Features = []float64{0, v}
+		err := g.Validate()
+		if err == nil || !strings.Contains(err.Error(), "node 2 feature 1") {
+			t.Errorf("feature %v should fail naming node 2 feature 1, got %v", v, err)
+		}
+	}
+	for _, v := range []float64{0, math.Copysign(0, -1), -1e300, math.SmallestNonzeroFloat64} {
+		if err := ValidFeature(v); err != nil {
+			t.Errorf("finite feature %v rejected: %v", v, err)
+		}
 	}
 }
 

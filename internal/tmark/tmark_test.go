@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"tmark/internal/dataset"
 	"tmark/internal/hin"
 	"tmark/internal/vec"
 )
@@ -82,6 +83,23 @@ func TestNewRejectsBadInput(t *testing.T) {
 	noClass := &hin.Graph{Nodes: []hin.Node{{Labels: nil}}}
 	if _, err := New(noClass, DefaultConfig()); err == nil {
 		t.Errorf("graph without classes should be rejected")
+	}
+}
+
+// A NaN or infinite feature would turn the feature channel into NaN: the
+// top-K channel would store nothing while the solve reported convergence,
+// and the dense channel would fault. New refuses the graph instead.
+func TestNewRejectsNonFiniteFeatures(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		for _, topK := range []int{16, 0} {
+			g := dataset.DBLP(dataset.DefaultDBLPConfig(1))
+			g.Nodes[5].Features[0] = v
+			cfg := DefaultConfig()
+			cfg.FeatureTopK = topK
+			if _, err := New(g, cfg); err == nil {
+				t.Errorf("feature %v, FeatureTopK=%d: New accepted a non-finite feature", v, topK)
+			}
+		}
 	}
 }
 

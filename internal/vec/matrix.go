@@ -133,14 +133,8 @@ func Mul(a, b *Matrix) *Matrix {
 // to leave zero columns untouched instead. It returns the number of zero
 // columns encountered.
 func (m *Matrix) NormalizeColumns(fillUniform bool) int {
-	return m.normalizeColumnRange(0, m.Cols, fillUniform)
-}
-
-// normalizeColumnRange normalises columns [lo, hi); each column's
-// arithmetic is independent, so disjoint ranges can run concurrently.
-func (m *Matrix) normalizeColumnRange(lo, hi int, fillUniform bool) int {
 	zero := 0
-	for j := lo; j < hi; j++ {
+	for j := 0; j < m.Cols; j++ {
 		var s float64
 		for i := 0; i < m.Rows; i++ {
 			s += m.Data[i*m.Cols+j]
@@ -195,42 +189,4 @@ func (m *Matrix) String() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// CosineMatrix returns the n-by-n matrix of pairwise cosine similarities of
-// the given feature rows (one feature vector per node). This is the matrix
-// C of Section 4.2 of the paper.
-func CosineMatrix(features [][]float64) *Matrix {
-	n := len(features)
-	m := NewMatrix(n, n)
-	norms := make([]float64, n)
-	for i, f := range features {
-		norms[i] = Norm2(f)
-	}
-	for i := 0; i < n; i++ {
-		cosineRow(m, features, norms, i)
-	}
-	return m
-}
-
-// cosineRow fills row i's upper triangle and the mirrored lower-triangle
-// cells. Cell (a, b) with a < b is written only by the call with i == a,
-// so distinct rows can be computed concurrently without racing.
-func cosineRow(m *Matrix, features [][]float64, norms []float64, i int) {
-	n := len(features)
-	m.Set(i, i, 1)
-	if norms[i] == 0 {
-		m.Set(i, i, 0)
-	}
-	for j := i + 1; j < n; j++ {
-		var c float64
-		if norms[i] != 0 && norms[j] != 0 {
-			c = Dot(features[i], features[j]) / (norms[i] * norms[j])
-			if c < 0 {
-				c = 0 // transition weights must be nonnegative
-			}
-		}
-		m.Set(i, j, c)
-		m.Set(j, i, c)
-	}
 }

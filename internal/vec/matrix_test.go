@@ -125,43 +125,6 @@ func TestIsColumnStochasticRejects(t *testing.T) {
 	}
 }
 
-func TestCosineMatrix(t *testing.T) {
-	feats := [][]float64{
-		{1, 0},
-		{1, 0},
-		{0, 1},
-		{0, 0}, // featureless node
-	}
-	c := CosineMatrix(feats)
-	if got := c.At(0, 1); !almostEqual(got, 1, 1e-12) {
-		t.Errorf("identical features cosine = %v, want 1", got)
-	}
-	if got := c.At(0, 2); got != 0 {
-		t.Errorf("orthogonal features cosine = %v, want 0", got)
-	}
-	if got := c.At(3, 3); got != 0 {
-		t.Errorf("featureless diagonal = %v, want 0", got)
-	}
-	if got := c.At(0, 3); got != 0 {
-		t.Errorf("featureless off-diagonal = %v, want 0", got)
-	}
-	// Symmetry.
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			if c.At(i, j) != c.At(j, i) {
-				t.Fatalf("CosineMatrix not symmetric at %d,%d", i, j)
-			}
-		}
-	}
-}
-
-func TestCosineMatrixClampsNegative(t *testing.T) {
-	c := CosineMatrix([][]float64{{1, 0}, {-1, 0}})
-	if got := c.At(0, 1); got != 0 {
-		t.Errorf("negative cosine must clamp to 0 for transition weights, got %v", got)
-	}
-}
-
 func TestCloneMatrix(t *testing.T) {
 	m := FromRows([][]float64{{1, 2}})
 	c := m.Clone()

@@ -75,66 +75,6 @@ func (m *Matrix) MulVecParallel(p *par.Pool, s *MulScratch, x, dst Vector) {
 	s.task.x, s.task.dst = nil, nil
 }
 
-func randomFeatures(rng *rand.Rand, n, d int) [][]float64 {
-	f := make([][]float64, n)
-	for i := range f {
-		f[i] = make([]float64, d)
-		if i%7 == 0 {
-			continue // featureless node: zero vector
-		}
-		for j := range f[i] {
-			f[i][j] = rng.Float64()
-		}
-	}
-	return f
-}
-
-// Every cosine cell is written by exactly one worker with unchanged
-// arithmetic, so the parallel build must be bitwise identical.
-func TestCosineMatrixParMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, n := range []int{1, 2, 13, 64} {
-		f := randomFeatures(rng, n, 8)
-		want := CosineMatrix(f)
-		for _, workers := range []int{2, 5} {
-			p := par.New(workers)
-			got := CosineMatrixPar(f, p)
-			p.Close()
-			for i := range want.Data {
-				if got.Data[i] != want.Data[i] {
-					t.Fatalf("n=%d workers=%d: cell %d = %v, want %v", n, workers, i, got.Data[i], want.Data[i])
-				}
-			}
-		}
-	}
-}
-
-func TestNormalizeColumnsParMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 10; trial++ {
-		rows, cols := 1+rng.Intn(40), 1+rng.Intn(40)
-		a := NewMatrix(rows, cols)
-		for i := range a.Data {
-			if rng.Float64() < 0.6 {
-				a.Data[i] = rng.Float64()
-			}
-		}
-		b := a.Clone()
-		wantZero := a.NormalizeColumns(true)
-		p := par.New(3)
-		gotZero := b.NormalizeColumnsPar(true, p)
-		p.Close()
-		if wantZero != gotZero {
-			t.Fatalf("trial %d: zero-column count %d, want %d", trial, gotZero, wantZero)
-		}
-		for i := range a.Data {
-			if a.Data[i] != b.Data[i] {
-				t.Fatalf("trial %d: cell %d = %v, want %v", trial, i, b.Data[i], a.Data[i])
-			}
-		}
-	}
-}
-
 func TestDenseMulVecParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 10; trial++ {
