@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test short-test race serve-race chaos recovery-chaos vet fmt-check bench bench-stats bench-json bench-accel bench-coldstart bench-stream accel-equivalence artifact-roundtrip stream-equivalence perfbench-check fuzz experiments figures examples clean
+.PHONY: all build test short-test race serve-race chaos recovery-chaos vet fmt-check noasm-check bench bench-stats bench-json bench-accel bench-coldstart bench-stream accel-equivalence artifact-roundtrip stream-equivalence perfbench-check fuzz experiments figures examples clean
 
 all: build vet test race
 
@@ -18,6 +18,13 @@ vet: fmt-check
 	else \
 		echo "staticcheck not installed; skipping"; \
 	fi
+
+# Builds and vets the tree for arm64, the path with no assembly: the
+# pure-Go kernel bodies and the stubs that stand in for the AVX2 ones
+# (batch_noasm.go, cpuid_other.go). Cross-compiling needs only the
+# local toolchain, so it works offline. The CI vet job runs this.
+noasm-check:
+	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./...
 
 # Fails listing every Go file gofmt would rewrite. Hidden directories
 # (.git, the benchmark's .bench_build) are skipped.

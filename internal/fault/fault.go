@@ -12,7 +12,7 @@
 // listening:
 //
 //	if fault.Enabled() {
-//		fault.Fire(fault.TensorNodeBatch, dst, b)
+//		fault.Fire(fault.TensorNodeBatch, dst, b, vector)
 //	}
 //
 // Hooks run synchronously on the goroutine that hit the point, so a
@@ -36,11 +36,15 @@ type Point string
 // The registry's named injection points.
 const (
 	// TensorNodeBatch fires after the blocked node contraction writes
-	// dst; args are (dst []float64, b int).
+	// dst; args are (dst []float64, b int, vector bool), where vector
+	// reports whether the AVX2 bodies ran (false on the scalar ones).
 	TensorNodeBatch Point = "tensor/node-batch"
 	// TensorRelationBatch fires after the blocked relation contraction
-	// writes dst; args are (dst []float64, b int).
+	// writes dst; args are as for TensorNodeBatch.
 	TensorRelationBatch Point = "tensor/relation-batch"
+	// SparseMulBatch fires after the blocked CSR feature product writes
+	// dst; args are as for TensorNodeBatch.
+	SparseMulBatch Point = "sparse/mul-batch"
 	// ServeModelBuild is checked (Check) before a warm-model build; a
 	// registered error fails the build, and a hook that panics simulates
 	// a crashing build.

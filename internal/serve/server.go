@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -729,44 +728,34 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 }
 
 // topNodeScores ranks the nodes by score, descending, ties broken by
-// lower index (matching Result.NodeRanking), truncated to top.
+// lower index and NaN last (tmark.TopRanked, as Result.NodeRanking),
+// truncated to top.
 func topNodeScores(g *hin.Graph, x []float64, top int) []NodeScore {
-	if top <= 0 || len(x) == 0 {
+	idx := tmark.TopRanked(x, top)
+	if idx == nil {
 		return nil
 	}
-	idx := make([]int, len(x))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return x[idx[a]] > x[idx[b]] })
-	if top > len(idx) {
-		top = len(idx)
-	}
-	out := make([]NodeScore, top)
-	for i := 0; i < top; i++ {
-		out[i] = NodeScore{Node: idx[i], Name: g.Nodes[idx[i]].Name, Score: x[idx[i]]}
+	out := make([]NodeScore, len(idx))
+	for i, k := range idx {
+		out[i] = NodeScore{Node: k, Name: g.Nodes[k].Name, Score: x[k]}
 	}
 	return out
 }
 
-// linkScores ranks the link types by stationary probability, descending,
-// ties broken by lower index (matching Result.LinkRanking). top <= 0
-// keeps all of them.
+// linkScores ranks the link types by stationary probability in the
+// order of topNodeScores (as Result.LinkRanking). top <= 0 keeps all of
+// them.
 func linkScores(g *hin.Graph, z []float64, top int) []LinkScore {
-	if len(z) == 0 {
+	if top <= 0 {
+		top = len(z)
+	}
+	idx := tmark.TopRanked(z, top)
+	if idx == nil {
 		return nil
 	}
-	idx := make([]int, len(z))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return z[idx[a]] > z[idx[b]] })
-	if top <= 0 || top > len(idx) {
-		top = len(idx)
-	}
-	out := make([]LinkScore, top)
-	for i := 0; i < top; i++ {
-		out[i] = LinkScore{Relation: idx[i], Name: g.Relations[idx[i]].Name, Score: z[idx[i]]}
+	out := make([]LinkScore, len(idx))
+	for i, k := range idx {
+		out[i] = LinkScore{Relation: k, Name: g.Relations[k].Name, Score: z[k]}
 	}
 	return out
 }

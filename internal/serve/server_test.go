@@ -11,6 +11,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -723,5 +724,59 @@ func TestMetricsEndpointExposesServingGauges(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+}
+
+// topNodeScores and linkScores must return exactly the prefix of the
+// stable descending sort they replaced, on score vectors full of ties,
+// for every cut from one entry to past the end (top <= 0 keeps every
+// link).
+func TestTopScoresMatchStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	const n = 50
+	g := hin.New("c0")
+	for i := 0; i < n; i++ {
+		g.AddNode(fmt.Sprintf("n%d", i), nil)
+		g.AddRelation(fmt.Sprintf("rel%d", i), false)
+	}
+	stable := func(v []float64) []int {
+		idx := make([]int, len(v))
+		for i := range idx {
+			idx[i] = i
+		}
+		sort.SliceStable(idx, func(a, b int) bool { return v[idx[a]] > v[idx[b]] })
+		return idx
+	}
+	for trial := 0; trial < 50; trial++ {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = float64(rng.Intn(6)) / 8
+		}
+		want := stable(v)
+		for _, top := range []int{1, 10, n - 1, n, n + 5} {
+			nodes := topNodeScores(g, v, top)
+			if len(nodes) != min(top, n) {
+				t.Fatalf("trial %d top=%d: %d nodes", trial, top, len(nodes))
+			}
+			for i, ns := range nodes {
+				if ns.Node != want[i] || ns.Name != g.Nodes[want[i]].Name || ns.Score != v[want[i]] {
+					t.Fatalf("trial %d top=%d: node rank %d = %+v, want node %d", trial, top, i, ns, want[i])
+				}
+			}
+			for _, lt := range []int{top, 0} {
+				links := linkScores(g, v, lt)
+				if k := min(top, n); (lt > 0 && len(links) != k) || (lt <= 0 && len(links) != n) {
+					t.Fatalf("trial %d top=%d: %d links", trial, lt, len(links))
+				}
+				for i, ls := range links {
+					if ls.Relation != want[i] || ls.Name != g.Relations[want[i]].Name || ls.Score != v[want[i]] {
+						t.Fatalf("trial %d top=%d: link rank %d = %+v, want relation %d", trial, lt, i, ls, want[i])
+					}
+				}
+			}
+		}
+	}
+	if topNodeScores(g, make([]float64, n), 0) != nil || linkScores(g, nil, 3) != nil {
+		t.Fatal("top 0 nodes or an empty link vector must rank nothing")
 	}
 }

@@ -6,19 +6,34 @@ package sparse
 // is independent of the class count. Per column the entries of a row are
 // accumulated in the same ascending order as MulVec, so column c of the
 // blocked result is bitwise equal to MulVec run on column c alone.
+//
+// On AVX2 hosts every width 1 ≤ b ≤ 8 runs a vector body that keeps
+// each row's accumulator in registers (see batch_amd64.go); wider
+// blocks, non-amd64 builds and a scratch with NoASM set run the scalar
+// body, the reference the vector one is bitwise equal to.
 
 import (
 	"fmt"
 	"sync"
 
+	"tmark/internal/cpuid"
+	"tmark/internal/fault"
 	"tmark/internal/obs"
 	"tmark/internal/par"
 )
+
+// useBatchASM selects the AVX2 body. A var, not a const, so tests can
+// run the scalar body on any host.
+var useBatchASM = cpuid.AVX2
 
 // MulVecBatch computes the blocked product dst = M·x for b interleaved
 // right-hand sides: x is a cols×b block, dst a rows×b block (node-major,
 // stride b), and dst must not alias x.
 func (m *Matrix) MulVecBatch(x, dst []float64, b int) {
+	m.mulVecBatch(x, dst, b, false)
+}
+
+func (m *Matrix) mulVecBatch(x, dst []float64, b int, noASM bool) {
 	if b <= 0 {
 		panic(fmt.Sprintf("sparse: MulVecBatch column count %d", b))
 	}
@@ -28,13 +43,38 @@ func (m *Matrix) MulVecBatch(x, dst []float64, b int) {
 	if len(dst) < m.rows*b {
 		panic(fmt.Sprintf("sparse: MulVecBatch dst block %d, want %d", len(dst), m.rows*b))
 	}
-	m.mulBatchRows(x, dst, b, 0, m.rows)
+	vector := useVector(b, noASM)
+	m.mulBatchRows(x, dst, b, 0, m.rows, vector)
+	if fault.Enabled() {
+		fault.Fire(fault.SparseMulBatch, dst[:m.rows*b], b, vector)
+	}
 }
+
+// useVector reports whether a b-column product runs the AVX2 body.
+func useVector(b int, noASM bool) bool {
+	return useBatchASM && !noASM && b <= 8
+}
+
+// tailMask holds the lane masks of the vector body: the four int64s
+// from tailMask[4-t] have their sign bit set in the first t lanes.
+var tailMask = [8]int64{-1, -1, -1, -1, 0, 0, 0, 0}
 
 // mulBatchRows computes rows [lo, hi) of the blocked product; every
 // output cell is owned by exactly one caller, so disjoint row ranges can
-// run concurrently.
-func (m *Matrix) mulBatchRows(x, dst []float64, b, lo, hi int) {
+// run concurrently. vector selects the AVX2 body (b ≤ 8 only).
+func (m *Matrix) mulBatchRows(x, dst []float64, b, lo, hi int, vector bool) {
+	if lo >= hi {
+		return
+	}
+	if vector && len(m.values) > 0 {
+		switch {
+		case b <= 4:
+			mulRowsAVX4(&m.rowPtr[lo], &m.colIdx[0], &m.values[0], &x[0], &dst[lo*b], hi-lo, b, &tailMask[4-b])
+		default:
+			mulRowsAVX8(&m.rowPtr[lo], &m.colIdx[0], &m.values[0], &x[0], &dst[lo*b], hi-lo, b, &tailMask[8-b])
+		}
+		return
+	}
 	for r := lo; r < hi; r++ {
 		out := dst[r*b : (r+1)*b]
 		for c := range out {
@@ -60,6 +100,12 @@ type MulBatchScratch struct {
 	// Probe, when non-nil, counts MulVecBatchParallel calls, the stored
 	// entries they stream, and the columns they apply them to.
 	Probe *obs.Probe
+
+	// NoASM demotes the products run with this scratch, serial fallback
+	// included, to the scalar body even when the host supports the AVX2
+	// one. The solver's numerical-fault retry sets it, as it does on the
+	// tensor contractions' scratch.
+	NoASM bool
 }
 
 // NewMulBatchScratch returns batch scratch for the given shard count.
@@ -75,6 +121,7 @@ type mulBatchTask struct {
 	m      *Matrix
 	x, dst []float64
 	b      int
+	vector bool
 }
 
 func (t *mulBatchTask) RunShard(shard, shards int) {
@@ -85,7 +132,7 @@ func (t *mulBatchTask) RunShard(shard, shards int) {
 	if shard == shards-1 {
 		hi = m.rows // trailing empty rows belong to the last shard
 	}
-	m.mulBatchRows(t.x, t.dst, t.b, lo, hi)
+	m.mulBatchRows(t.x, t.dst, t.b, lo, hi, t.vector)
 }
 
 // MulVecBatchParallel is MulVecBatch with the rows sharded across the
@@ -93,17 +140,22 @@ func (t *mulBatchTask) RunShard(shard, shards int) {
 // boundaries depend only on the matrix and shard count, never on b. Each
 // row is computed by exactly one worker with the serial arithmetic, so
 // the result is bitwise identical to MulVecBatch. A nil/serial pool or
-// single-shard scratch falls back to the serial path.
+// single-shard scratch falls back to the serial path, which still
+// honours the scratch's NoASM.
 func (m *Matrix) MulVecBatchParallel(p *par.Pool, s *MulBatchScratch, x, dst []float64, b int) {
 	if p.Serial() || s == nil || s.shards <= 1 || m.rows == 0 {
-		m.MulVecBatch(x, dst, b)
+		m.mulVecBatch(x, dst, b, s != nil && s.NoASM)
 		return
 	}
 	if b <= 0 || len(x) < m.cols*b || len(dst) < m.rows*b {
 		panic("sparse: MulVecBatchParallel block length mismatch")
 	}
 	s.Probe.ObserveCols(len(m.values), b)
-	s.task.m, s.task.x, s.task.dst, s.task.b = m, x, dst, b
+	vector := useVector(b, s.NoASM)
+	s.task.m, s.task.x, s.task.dst, s.task.b, s.task.vector = m, x, dst, b, vector
 	p.Run(s.shards, &s.task, &s.wg)
 	s.task.x, s.task.dst = nil, nil
+	if fault.Enabled() {
+		fault.Fire(fault.SparseMulBatch, dst[:m.rows*b], b, vector)
+	}
 }

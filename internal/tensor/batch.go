@@ -4,9 +4,17 @@ package tensor
 // the SpMV → SpMM upgrade the solver's lockstep engine runs on. The
 // column distributions are interleaved into one node-major block X
 // (entry (i, c) at i*b+c for b active columns) and each COO entry is
-// streamed once per iteration, applying to every column — the kernels
-// are memory-bandwidth-bound, so the b-fold reuse of each loaded entry
-// is where the engine's speedup comes from.
+// streamed once per iteration, applying to every column, so the index
+// and probability loads and the loop overhead of an entry are shared by
+// the b columns.
+//
+// On AVX2 hosts every call with 1 ≤ b ≤ 8 runs a vector body: the
+// bodies exist for b = 4 and b = 8, and any other width is padded up to
+// the next of them with zero lanes (kernelWidth). A zero lane stays
+// exactly +0 through the scatter, its stored mass and column sums are
+// 0, so it adds no dangling mass, and its results are dropped. No body
+// combines values from different columns, so padding changes no real
+// column's bits.
 //
 // Bitwise contract: column c of a batched result equals the
 // single-vector kernel run on column c alone, path by path. The serial
@@ -24,31 +32,110 @@ import (
 	"fmt"
 	"sync"
 
+	"tmark/internal/cpuid"
 	"tmark/internal/fault"
 	"tmark/internal/obs"
 	"tmark/internal/par"
 )
 
+// useBatchASM selects the AVX2 bodies. A var, not a const, so tests can
+// run the scalar bodies on any host.
+var useBatchASM = cpuid.AVX2
+
+// kernelWidth returns whether a b-column call runs the AVX2 bodies and
+// the block width its kernels run at: b padded up to 4 or 8 for
+// 1 ≤ b ≤ 8 on the vector bodies, b itself on the scalar body (noASM,
+// no AVX2, or b > 8).
+func kernelWidth(b int, noASM bool) (asm bool, w int) {
+	switch {
+	case !useBatchASM || noASM || b > 8:
+		return false, b
+	case b <= 4:
+		return true, 4
+	default:
+		return true, 8
+	}
+}
+
+// laneCap is the widest block a scratch for maxCols columns runs its
+// kernels at: maxCols, or the vector width maxCols pads up to. It does
+// not depend on the kernel selection, so NoASM and useBatchASM may
+// change between calls on one scratch.
+func laneCap(maxCols int) int {
+	switch {
+	case maxCols <= 4:
+		return 4
+	case maxCols <= 8:
+		return 8
+	default:
+		return maxCols
+	}
+}
+
+// padBlock returns the rows×b block src at stride w, copied into *buf
+// with zeros in lanes b..w-1; with w == b it returns src itself. *buf
+// grows on first use and is reused after.
+func padBlock(buf *[]float64, src []float64, rows, b, w int) []float64 {
+	if w == b {
+		return src
+	}
+	dst := growBuf(buf, rows*w)
+	for i := 0; i < rows; i++ {
+		row, in := dst[i*w:i*w+w], src[i*b:i*b+b]
+		for c := range row {
+			if c < b {
+				row[c] = in[c]
+			} else {
+				row[c] = 0
+			}
+		}
+	}
+	return dst
+}
+
+// unpadBlock copies lanes 0..b-1 of the rows×w block src into the
+// rows×b block dst.
+func unpadBlock(dst, src []float64, rows, b, w int) {
+	for i := 0; i < rows; i++ {
+		row, out := src[i*w:i*w+b], dst[i*b:i*b+b]
+		for c := range out {
+			out[c] = row[c]
+		}
+	}
+}
+
+func growBuf(buf *[]float64, size int) []float64 {
+	if cap(*buf) < size {
+		*buf = make([]float64, size)
+	}
+	return (*buf)[:size]
+}
+
 // NodeBatchScratch holds the buffers of the blocked NodeTransition
 // contraction: per-shard column sums and stored-column mass, the
-// per-column dangling addend, and (for the parallel path) per-worker
+// per-column dangling addend, the zero-padded blocks of a call whose
+// width has no vector body, and (for the parallel path) per-worker
 // partial blocks. Build one per solver run with NewNodeBatchScratch and
 // reuse it; steady-state ApplyBatch / ApplyBatchParallel calls then
 // allocate nothing. A scratch must not be shared by concurrent calls.
 type NodeBatchScratch struct {
 	shards  int
 	maxCols int
-	// partials is shards × n × maxCols, worker-major: worker w owns
-	// [w·n·maxCols, (w+1)·n·maxCols) and addresses cell (i, c) of a
-	// b-column call at offset i·b+c within its block. Nil when the
-	// scratch was built for one shard (serial-only use).
+	lanes   int // laneCap(maxCols): the widest kernel block
+	// partials is shards × n × lanes, worker-major: worker w owns
+	// [w·n·lanes, (w+1)·n·lanes) and addresses cell (i, c) of a
+	// width-k kernel block at offset i·k+c within its block. Nil when
+	// the scratch was built for one shard (serial-only use).
 	partials []float64
-	sumX     []float64 // shards × maxCols per-shard column sums of x
-	sumZ     []float64 // shards × maxCols per-shard column sums of z
-	mass     []float64 // shards × maxCols per-shard stored-column mass
-	u        []float64 // maxCols per-column dangling addend
-	task     nodeBatchTask
-	wg       sync.WaitGroup
+	sumX     []float64 // shards × lanes per-shard column sums of x
+	sumZ     []float64 // shards × lanes per-shard column sums of z
+	mass     []float64 // shards × lanes per-shard stored-column mass
+	u        []float64 // lanes per-column dangling addend
+	// padX, padZ and padDst hold the padded x, z and (serial path) dst
+	// blocks; they grow on the first padded call.
+	padX, padZ, padDst []float64
+	task               nodeBatchTask
+	wg                 sync.WaitGroup
 
 	// Probe, when non-nil, counts ApplyBatchParallel calls, the stored
 	// entries they stream, and the class columns they apply them to.
@@ -72,16 +159,18 @@ func NewNodeBatchScratch(o *NodeTransition, shards, maxCols int) *NodeBatchScrat
 	if maxCols < 1 {
 		maxCols = 1
 	}
+	lanes := laneCap(maxCols)
 	s := &NodeBatchScratch{
 		shards:  shards,
 		maxCols: maxCols,
-		sumX:    make([]float64, shards*maxCols),
-		sumZ:    make([]float64, shards*maxCols),
-		mass:    make([]float64, shards*maxCols),
-		u:       make([]float64, maxCols),
+		lanes:   lanes,
+		sumX:    make([]float64, shards*lanes),
+		sumZ:    make([]float64, shards*lanes),
+		mass:    make([]float64, shards*lanes),
+		u:       make([]float64, lanes),
 	}
 	if shards > 1 {
-		s.partials = make([]float64, shards*o.n*maxCols)
+		s.partials = make([]float64, shards*o.n*lanes)
 	}
 	s.task.o = o
 	s.task.s = s
@@ -106,157 +195,27 @@ func (o *NodeTransition) ApplyBatch(s *NodeBatchScratch, x, z, dst []float64, b 
 	checkNodeBlocks(o, "ApplyBatch", len(x), len(z), len(dst), b)
 	n := o.n
 	dst = dst[:n*b]
-	for q := range dst {
-		dst[q] = 0
+	asm, w := kernelWidth(b, s.NoASM)
+	x = padBlock(&s.padX, x[:n*b], n, b, w)
+	z = padBlock(&s.padZ, z[:o.m*b], o.m, b, w)
+	out := dst
+	if w != b {
+		out = growBuf(&s.padDst, n*w)
 	}
-	sumX, sumZ, mass, u := s.sumX[:b], s.sumZ[:b], s.mass[:b], s.u[:b]
-	colSums(x[:n*b], b, sumX)
-	colSums(z[:o.m*b], b, sumZ)
-	for c := range mass {
-		mass[c] = 0
-	}
-	asm := useBatchASM && !s.NoASM
-	pairMassBatch(x, z, o.colJ, o.colK, b, 0, len(o.colJ), mass, asm)
-	cooScatterBatch(dst, x, z, o.i, o.j, o.k, o.p, b, 0, len(o.p), asm)
+	clear(out)
+	sumX, sumZ, mass, u := s.sumX[:w], s.sumZ[:w], s.mass[:w], s.u[:w]
+	colSums(x, w, sumX)
+	colSums(z, w, sumZ)
+	clear(mass)
+	pairMassBatch(x, z, o.colJ, o.colK, w, 0, len(o.colJ), mass, asm)
+	cooScatterBatch(out, x, z, o.i, o.j, o.k, o.p, w, 0, len(o.p), asm)
 	danglingAddends(sumX, sumZ, mass, u, n)
-	addUniformCols(dst, u, b)
-	if fault.Enabled() {
-		fault.Fire(fault.TensorNodeBatch, dst, b)
+	addUniformCols(out, u, w)
+	if w != b {
+		unpadBlock(dst, out, n, b, w)
 	}
-}
-
-// fusedMassScatterBatch is the scalar serial relation-contraction core:
-// one streaming pass over the entry runs. A run is one stored tube —
-// contiguous in the sorted entry arrays, delimited by runStart, with its
-// two operand rows fixed:
-// run t loads a[runA[t]·b:] and bb[runB[t]·b:] once, folds them into the
-// stored mass, and scatters the run's entries dst[di·b+c] += p·a_c·b_c.
-// Bitwise contract: the runs appear in exactly the order of the pair
-// lists, so mass[c] accumulates in the order of the single-vector
-// stored-mass loop, and the entries appear in exactly their global sorted
-// order, so every dst cell accumulates in the order of the single-vector
-// scatter loop; mass and dst are disjoint accumulators, so interleaving
-// the two passes changes no float. The parallel shard path cannot fuse —
-// its par.Split boundaries over pairs and entries are independent and do
-// not align with runs — so it keeps the split pairMassBatch +
-// cooScatterBatch kernels.
-func fusedMassScatterBatch(dst, a, bb []float64, runA, runB, runStart, di []int32, p []float64, cols int, mass []float64) {
-	switch cols {
-	case 1:
-		m0 := mass[0]
-		for t := range runA {
-			a0 := a[runA[t]]
-			b0 := bb[runB[t]]
-			m0 += a0 * b0
-			for q, end := int(runStart[t]), int(runStart[t+1]); q < end; q++ {
-				dst[di[q]] += p[q] * a0 * b0
-			}
-		}
-		mass[0] = m0
-	case 2:
-		m0, m1 := mass[0], mass[1]
-		for t := range runA {
-			av := (*[2]float64)(a[int(runA[t])*2:])
-			bv := (*[2]float64)(bb[int(runB[t])*2:])
-			a0, a1 := av[0], av[1]
-			b0, b1 := bv[0], bv[1]
-			m0 += a0 * b0
-			m1 += a1 * b1
-			for q, end := int(runStart[t]), int(runStart[t+1]); q < end; q++ {
-				pv := p[q]
-				d := (*[2]float64)(dst[int(di[q])*2:])
-				d[0] += pv * a0 * b0
-				d[1] += pv * a1 * b1
-			}
-		}
-		mass[0], mass[1] = m0, m1
-	case 3:
-		m0, m1, m2 := mass[0], mass[1], mass[2]
-		for t := range runA {
-			av := (*[3]float64)(a[int(runA[t])*3:])
-			bv := (*[3]float64)(bb[int(runB[t])*3:])
-			a0, a1, a2 := av[0], av[1], av[2]
-			b0, b1, b2 := bv[0], bv[1], bv[2]
-			m0 += a0 * b0
-			m1 += a1 * b1
-			m2 += a2 * b2
-			for q, end := int(runStart[t]), int(runStart[t+1]); q < end; q++ {
-				pv := p[q]
-				d := (*[3]float64)(dst[int(di[q])*3:])
-				d[0] += pv * a0 * b0
-				d[1] += pv * a1 * b1
-				d[2] += pv * a2 * b2
-			}
-		}
-		mass[0], mass[1], mass[2] = m0, m1, m2
-	case 4:
-		m0, m1, m2, m3 := mass[0], mass[1], mass[2], mass[3]
-		for t := range runA {
-			av := (*[4]float64)(a[int(runA[t])*4:])
-			bv := (*[4]float64)(bb[int(runB[t])*4:])
-			a0, a1, a2, a3 := av[0], av[1], av[2], av[3]
-			b0, b1, b2, b3 := bv[0], bv[1], bv[2], bv[3]
-			m0 += a0 * b0
-			m1 += a1 * b1
-			m2 += a2 * b2
-			m3 += a3 * b3
-			for q, end := int(runStart[t]), int(runStart[t+1]); q < end; q++ {
-				pv := p[q]
-				d := (*[4]float64)(dst[int(di[q])*4:])
-				d[0] += pv * a0 * b0
-				d[1] += pv * a1 * b1
-				d[2] += pv * a2 * b2
-				d[3] += pv * a3 * b3
-			}
-		}
-		mass[0], mass[1], mass[2], mass[3] = m0, m1, m2, m3
-	case 8:
-		for t := range runA {
-			av := (*[8]float64)(a[int(runA[t])*8:])
-			bv := (*[8]float64)(bb[int(runB[t])*8:])
-			a0, a1, a2, a3 := av[0], av[1], av[2], av[3]
-			a4, a5, a6, a7 := av[4], av[5], av[6], av[7]
-			b0, b1, b2, b3 := bv[0], bv[1], bv[2], bv[3]
-			b4, b5, b6, b7 := bv[4], bv[5], bv[6], bv[7]
-			mass[0] += a0 * b0
-			mass[1] += a1 * b1
-			mass[2] += a2 * b2
-			mass[3] += a3 * b3
-			mass[4] += a4 * b4
-			mass[5] += a5 * b5
-			mass[6] += a6 * b6
-			mass[7] += a7 * b7
-			for q, end := int(runStart[t]), int(runStart[t+1]); q < end; q++ {
-				pv := p[q]
-				d := (*[8]float64)(dst[int(di[q])*8:])
-				d[0] += pv * a0 * b0
-				d[1] += pv * a1 * b1
-				d[2] += pv * a2 * b2
-				d[3] += pv * a3 * b3
-				d[4] += pv * a4 * b4
-				d[5] += pv * a5 * b5
-				d[6] += pv * a6 * b6
-				d[7] += pv * a7 * b7
-			}
-		}
-	default:
-		for t := range runA {
-			ab := int(runA[t]) * cols
-			bbase := int(runB[t]) * cols
-			av := a[ab : ab+cols]
-			bv := bb[bbase : bbase+cols]
-			for c := range av {
-				mass[c] += av[c] * bv[c]
-			}
-			for q, end := int(runStart[t]), int(runStart[t+1]); q < end; q++ {
-				pv := p[q]
-				db := int(di[q]) * cols
-				d := dst[db : db+cols]
-				for c := range d {
-					d[c] += pv * av[c] * bv[c]
-				}
-			}
-		}
+	if fault.Enabled() {
+		fault.Fire(fault.TensorNodeBatch, dst, b, asm)
 	}
 }
 
@@ -265,250 +224,75 @@ func fusedMassScatterBatch(dst, a, bb []float64, runA, runB, runStart, di []int3
 // entry q in [lo, hi) and every column c < b. The node contraction passes
 // (i, j, k) as (d, ai, bi) with a = X, bb = Z; the relation contraction
 // passes (k, i, j) with a = bb = X. This loop runs nnz·b multiply-adds
-// per call — the solver's hot spot — so the common small column counts
-// are specialised to fixed-width bodies (via slice-to-array-pointer
-// views) that the compiler fully unrolls; each column's accumulation
-// order is the entry order q in every variant, keeping the per-column
-// bitwise contract.
+// per call — the solver's hot spot. With asm set, cols 4 and 8 run the
+// AVX2 bodies (callers pad every other width up to one of them; see
+// kernelWidth); everything else runs the scalar body below, which is
+// the reference the vector bodies are bitwise equal to. Each column
+// accumulates in entry order q in every body.
 // The entry arrays arrive sorted so that the bi index is constant over
 // long contiguous runs (node: entries sorted by (k, j, i) keep z[k]
 // fixed for a whole slab; relation: sorted by (j, i, k) keep x[j] fixed
-// across a node's out-edges), so each specialised body caches that one
-// operand row in locals and reloads it only when the index changes: the
-// reload branch is almost never taken and predicts perfectly. The ai
-// index changes nearly every entry, so its row is loaded directly — a
-// run cache there would mispredict constantly and cost more than the
-// loads it saves. Pure load elimination: no float's value or
-// accumulation order changes.
-// asm selects the AVX2 bodies for cols 4 and 8; callers pass
-// useBatchASM gated on the scratch's NoASM demotion flag.
+// across a node's out-edges), so every body caches that one operand row
+// and reloads it only when the index changes: the reload branch is
+// almost never taken and predicts perfectly. Pure load elimination: no
+// float's value or accumulation order changes.
 func cooScatterBatch(dst, a, bb []float64, di, ai, bi []int32, p []float64, cols, lo, hi int, asm bool) {
 	if lo >= hi {
 		return
 	}
-	switch cols {
-	case 1:
-		lastB := bi[lo]
-		b0 := bb[lastB]
-		for q := lo; q < hi; q++ {
-			if v := bi[q]; v != lastB {
-				lastB, b0 = v, bb[v]
-			}
-			dst[di[q]] += p[q] * a[ai[q]] * b0
+	switch {
+	case asm && cols == 4:
+		cooScatterAVX4(&dst[0], &a[0], &bb[0], &di[lo], &ai[lo], &bi[lo], &p[lo], hi-lo)
+		return
+	case asm && cols == 8:
+		cooScatterAVX8(&dst[0], &a[0], &bb[0], &di[lo], &ai[lo], &bi[lo], &p[lo], hi-lo)
+		return
+	}
+	lastB := int32(-1)
+	var bv []float64
+	for q := lo; q < hi; q++ {
+		if v := bi[q]; v != lastB {
+			lastB = v
+			bv = bb[int(v)*cols : int(v)*cols+cols]
 		}
-	case 2:
-		lastB := bi[lo]
-		bv := (*[2]float64)(bb[int(lastB)*2:])
-		b0, b1 := bv[0], bv[1]
-		for q := lo; q < hi; q++ {
-			if v := bi[q]; v != lastB {
-				lastB = v
-				bv = (*[2]float64)(bb[int(v)*2:])
-				b0, b1 = bv[0], bv[1]
-			}
-			pv := p[q]
-			av := (*[2]float64)(a[int(ai[q])*2:])
-			d := (*[2]float64)(dst[int(di[q])*2:])
-			d[0] += pv * av[0] * b0
-			d[1] += pv * av[1] * b1
-		}
-	case 3:
-		lastB := bi[lo]
-		bv := (*[3]float64)(bb[int(lastB)*3:])
-		b0, b1, b2 := bv[0], bv[1], bv[2]
-		for q := lo; q < hi; q++ {
-			if v := bi[q]; v != lastB {
-				lastB = v
-				bv = (*[3]float64)(bb[int(v)*3:])
-				b0, b1, b2 = bv[0], bv[1], bv[2]
-			}
-			pv := p[q]
-			av := (*[3]float64)(a[int(ai[q])*3:])
-			d := (*[3]float64)(dst[int(di[q])*3:])
-			d[0] += pv * av[0] * b0
-			d[1] += pv * av[1] * b1
-			d[2] += pv * av[2] * b2
-		}
-	case 4:
-		if asm {
-			cooScatterAVX4(&dst[0], &a[0], &bb[0], &di[lo], &ai[lo], &bi[lo], &p[lo], hi-lo)
-			return
-		}
-		lastB := bi[lo]
-		bv := (*[4]float64)(bb[int(lastB)*4:])
-		b0, b1, b2, b3 := bv[0], bv[1], bv[2], bv[3]
-		for q := lo; q < hi; q++ {
-			if v := bi[q]; v != lastB {
-				lastB = v
-				bv = (*[4]float64)(bb[int(v)*4:])
-				b0, b1, b2, b3 = bv[0], bv[1], bv[2], bv[3]
-			}
-			pv := p[q]
-			av := (*[4]float64)(a[int(ai[q])*4:])
-			d := (*[4]float64)(dst[int(di[q])*4:])
-			d[0] += pv * av[0] * b0
-			d[1] += pv * av[1] * b1
-			d[2] += pv * av[2] * b2
-			d[3] += pv * av[3] * b3
-		}
-	case 8:
-		if asm {
-			cooScatterAVX8(&dst[0], &a[0], &bb[0], &di[lo], &ai[lo], &bi[lo], &p[lo], hi-lo)
-			return
-		}
-		lastB := bi[lo]
-		bv := (*[8]float64)(bb[int(lastB)*8:])
-		for q := lo; q < hi; q++ {
-			if v := bi[q]; v != lastB {
-				lastB = v
-				bv = (*[8]float64)(bb[int(v)*8:])
-			}
-			pv := p[q]
-			av := (*[8]float64)(a[int(ai[q])*8:])
-			d := (*[8]float64)(dst[int(di[q])*8:])
-			d[0] += pv * av[0] * bv[0]
-			d[1] += pv * av[1] * bv[1]
-			d[2] += pv * av[2] * bv[2]
-			d[3] += pv * av[3] * bv[3]
-			d[4] += pv * av[4] * bv[4]
-			d[5] += pv * av[5] * bv[5]
-			d[6] += pv * av[6] * bv[6]
-			d[7] += pv * av[7] * bv[7]
-		}
-	default:
-		lastB := int32(-1)
-		var bv []float64
-		for q := lo; q < hi; q++ {
-			if v := bi[q]; v != lastB {
-				lastB = v
-				bv = bb[int(v)*cols : int(v)*cols+cols]
-			}
-			pv := p[q]
-			ab := int(ai[q]) * cols
-			av := a[ab : ab+cols]
-			db := int(di[q]) * cols
-			d := dst[db : db+cols]
-			for c := range d {
-				d[c] += pv * av[c] * bv[c]
-			}
+		pv := p[q]
+		ab := int(ai[q]) * cols
+		av := a[ab : ab+cols]
+		db := int(di[q]) * cols
+		d := dst[db : db+cols]
+		for c := range d {
+			d[c] += pv * av[c] * bv[c]
 		}
 	}
 }
 
 // pairMassBatch accumulates mass[c] += a[ai·b+c]·bb[bi·b+c] over the
 // index pairs in [lo, hi) — the stored-column (or stored-tube) mass of
-// the dangling closed form — with the same fixed-width specialisation
-// and per-column entry order as cooScatterBatch.
-// The b-side index is nearly constant over the sorted pair lists (the
-// node mass pairs sort by (k, j), the relation ones by (j, i)), so its
-// row is cached in locals like cooScatterBatch's operands; the column
-// accumulators live in locals too, added in the same q order per column.
+// the dangling closed form — with the same body selection, b-row cache
+// and per-column pair order as cooScatterBatch.
 func pairMassBatch(a, bb []float64, ai, bi []int32, cols, lo, hi int, mass []float64, asm bool) {
 	if lo >= hi {
 		return
 	}
-	switch cols {
-	case 1:
-		lastB := bi[lo]
-		b0 := bb[lastB]
-		m0 := mass[0]
-		for q := lo; q < hi; q++ {
-			if v := bi[q]; v != lastB {
-				lastB, b0 = v, bb[v]
-			}
-			m0 += a[ai[q]] * b0
+	switch {
+	case asm && cols == 4:
+		pairMassAVX4(&a[0], &bb[0], &ai[lo], &bi[lo], hi-lo, &mass[0])
+		return
+	case asm && cols == 8:
+		pairMassAVX8(&a[0], &bb[0], &ai[lo], &bi[lo], hi-lo, &mass[0])
+		return
+	}
+	lastB := int32(-1)
+	var bv []float64
+	for q := lo; q < hi; q++ {
+		if v := bi[q]; v != lastB {
+			lastB = v
+			bv = bb[int(v)*cols : int(v)*cols+cols]
 		}
-		mass[0] = m0
-	case 2:
-		lastB := bi[lo]
-		bv := (*[2]float64)(bb[int(lastB)*2:])
-		b0, b1 := bv[0], bv[1]
-		m0, m1 := mass[0], mass[1]
-		for q := lo; q < hi; q++ {
-			if v := bi[q]; v != lastB {
-				lastB = v
-				bv = (*[2]float64)(bb[int(v)*2:])
-				b0, b1 = bv[0], bv[1]
-			}
-			av := (*[2]float64)(a[int(ai[q])*2:])
-			m0 += av[0] * b0
-			m1 += av[1] * b1
-		}
-		mass[0], mass[1] = m0, m1
-	case 3:
-		lastB := bi[lo]
-		bv := (*[3]float64)(bb[int(lastB)*3:])
-		b0, b1, b2 := bv[0], bv[1], bv[2]
-		m0, m1, m2 := mass[0], mass[1], mass[2]
-		for q := lo; q < hi; q++ {
-			if v := bi[q]; v != lastB {
-				lastB = v
-				bv = (*[3]float64)(bb[int(v)*3:])
-				b0, b1, b2 = bv[0], bv[1], bv[2]
-			}
-			av := (*[3]float64)(a[int(ai[q])*3:])
-			m0 += av[0] * b0
-			m1 += av[1] * b1
-			m2 += av[2] * b2
-		}
-		mass[0], mass[1], mass[2] = m0, m1, m2
-	case 4:
-		if asm {
-			pairMassAVX4(&a[0], &bb[0], &ai[lo], &bi[lo], hi-lo, &mass[0])
-			return
-		}
-		lastB := bi[lo]
-		bv := (*[4]float64)(bb[int(lastB)*4:])
-		b0, b1, b2, b3 := bv[0], bv[1], bv[2], bv[3]
-		m0, m1, m2, m3 := mass[0], mass[1], mass[2], mass[3]
-		for q := lo; q < hi; q++ {
-			if v := bi[q]; v != lastB {
-				lastB = v
-				bv = (*[4]float64)(bb[int(v)*4:])
-				b0, b1, b2, b3 = bv[0], bv[1], bv[2], bv[3]
-			}
-			av := (*[4]float64)(a[int(ai[q])*4:])
-			m0 += av[0] * b0
-			m1 += av[1] * b1
-			m2 += av[2] * b2
-			m3 += av[3] * b3
-		}
-		mass[0], mass[1], mass[2], mass[3] = m0, m1, m2, m3
-	case 8:
-		if asm {
-			pairMassAVX8(&a[0], &bb[0], &ai[lo], &bi[lo], hi-lo, &mass[0])
-			return
-		}
-		lastB := bi[lo]
-		bv := (*[8]float64)(bb[int(lastB)*8:])
-		for q := lo; q < hi; q++ {
-			if v := bi[q]; v != lastB {
-				lastB = v
-				bv = (*[8]float64)(bb[int(v)*8:])
-			}
-			av := (*[8]float64)(a[int(ai[q])*8:])
-			mass[0] += av[0] * bv[0]
-			mass[1] += av[1] * bv[1]
-			mass[2] += av[2] * bv[2]
-			mass[3] += av[3] * bv[3]
-			mass[4] += av[4] * bv[4]
-			mass[5] += av[5] * bv[5]
-			mass[6] += av[6] * bv[6]
-			mass[7] += av[7] * bv[7]
-		}
-	default:
-		lastB := int32(-1)
-		var bv []float64
-		for q := lo; q < hi; q++ {
-			if v := bi[q]; v != lastB {
-				lastB = v
-				bv = bb[int(v)*cols : int(v)*cols+cols]
-			}
-			ab := int(ai[q]) * cols
-			av := a[ab : ab+cols]
-			for c := range av {
-				mass[c] += av[c] * bv[c]
-			}
+		ab := int(ai[q]) * cols
+		av := a[ab : ab+cols]
+		for c := range av {
+			mass[c] += av[c] * bv[c]
 		}
 	}
 }
@@ -557,66 +341,63 @@ func addUniformCols(dst []float64, u []float64, b int) {
 
 // nodeBatchTask is the two-phase par.Task of ApplyBatchParallel,
 // mirroring nodeApplyTask: a scatter phase contracting entry shards into
-// per-worker partial blocks, then a strided reduction folding them into
-// dst in worker order.
+// per-worker partial blocks at the kernel width w, then a strided
+// reduction folding their first b lanes into dst in worker order.
 type nodeBatchTask struct {
 	o      *NodeTransition
 	s      *NodeBatchScratch
-	x, z   []float64
-	dst    []float64
-	b      int
+	x, z   []float64 // the kernel blocks, stride w
+	dst    []float64 // the caller's block, stride b
+	b, w   int
+	asm    bool
 	reduce bool
 }
 
 func (t *nodeBatchTask) RunShard(shard, shards int) {
-	o, s, b := t.o, t.s, t.b
+	o, s, b, w := t.o, t.s, t.b, t.w
 	n := o.n
-	wBase := shard * n * s.maxCols
+	wBase := shard * n * s.lanes
 	if t.reduce {
 		lo, hi := par.Split(n, shards, shard)
 		u := s.u[:b]
 		for i := lo; i < hi; i++ {
-			row := i * b
 			for c := 0; c < b; c++ {
 				acc := u[c]
-				for w := 0; w < shards; w++ {
-					acc += s.partials[w*n*s.maxCols+row+c]
+				for k := 0; k < shards; k++ {
+					acc += s.partials[k*n*s.lanes+i*w+c]
 				}
-				t.dst[row+c] = acc
+				t.dst[i*b+c] = acc
 			}
 		}
 		return
 	}
-	part := s.partials[wBase : wBase+n*b]
-	for i := range part {
-		part[i] = 0
-	}
+	part := s.partials[wBase : wBase+n*w]
+	clear(part)
 	x, z := t.x, t.z
-	sumX := s.sumX[shard*s.maxCols : shard*s.maxCols+b]
-	sumZ := s.sumZ[shard*s.maxCols : shard*s.maxCols+b]
-	mass := s.mass[shard*s.maxCols : shard*s.maxCols+b]
-	for c := 0; c < b; c++ {
-		sumX[c], sumZ[c], mass[c] = 0, 0, 0
-	}
+	sumX := s.sumX[shard*s.lanes : shard*s.lanes+w]
+	sumZ := s.sumZ[shard*s.lanes : shard*s.lanes+w]
+	mass := s.mass[shard*s.lanes : shard*s.lanes+w]
+	clear(sumX)
+	clear(sumZ)
+	clear(mass)
 	lo, hi := par.Split(n, shards, shard)
 	for i := lo; i < hi; i++ {
-		row := x[i*b : i*b+b]
+		row := x[i*w : i*w+w]
 		for c, v := range row {
 			sumX[c] += v
 		}
 	}
 	lo, hi = par.Split(o.m, shards, shard)
 	for k := lo; k < hi; k++ {
-		row := z[k*b : k*b+b]
+		row := z[k*w : k*w+w]
 		for c, v := range row {
 			sumZ[c] += v
 		}
 	}
-	asm := useBatchASM && !s.NoASM
 	lo, hi = par.Split(len(o.colJ), shards, shard)
-	pairMassBatch(x, z, o.colJ, o.colK, b, lo, hi, mass, asm)
+	pairMassBatch(x, z, o.colJ, o.colK, w, lo, hi, mass, t.asm)
 	lo, hi = par.Split(len(o.p), shards, shard)
-	cooScatterBatch(part, x, z, o.i, o.j, o.k, o.p, b, lo, hi, asm)
+	cooScatterBatch(part, x, z, o.i, o.j, o.k, o.p, w, lo, hi, t.asm)
 }
 
 // ApplyBatchParallel computes the blocked contraction like ApplyBatch
@@ -635,17 +416,20 @@ func (o *NodeTransition) ApplyBatchParallel(p *par.Pool, s *NodeBatchScratch, x,
 	s.checkCols(b)
 	checkNodeBlocks(o, "ApplyBatchParallel", len(x), len(z), len(dst), b)
 	s.Probe.ObserveCols(len(o.p), b)
+	asm, w := kernelWidth(b, s.NoASM)
 	t := &s.task
-	t.x, t.z, t.dst, t.b = x, z, dst[:o.n*b], b
+	t.x = padBlock(&s.padX, x[:o.n*b], o.n, b, w)
+	t.z = padBlock(&s.padZ, z[:o.m*b], o.m, b, w)
+	t.dst, t.b, t.w, t.asm = dst[:o.n*b], b, w, asm
 	t.reduce = false
 	p.Run(s.shards, t, &s.wg)
 	u := s.u[:b]
 	for c := 0; c < b; c++ {
 		var sumX, sumZ, stored float64
-		for w := 0; w < s.shards; w++ {
-			sumX += s.sumX[w*s.maxCols+c]
-			sumZ += s.sumZ[w*s.maxCols+c]
-			stored += s.mass[w*s.maxCols+c]
+		for k := 0; k < s.shards; k++ {
+			sumX += s.sumX[k*s.lanes+c]
+			sumZ += s.sumZ[k*s.lanes+c]
+			stored += s.mass[k*s.lanes+c]
 		}
 		if dangling := sumX*sumZ - stored; dangling > 1e-15 && o.n > 0 {
 			u[c] = dangling / float64(o.n)
@@ -657,7 +441,7 @@ func (o *NodeTransition) ApplyBatchParallel(p *par.Pool, s *NodeBatchScratch, x,
 	p.Run(s.shards, t, &s.wg)
 	t.x, t.z, t.dst = nil, nil, nil
 	if fault.Enabled() {
-		fault.Fire(fault.TensorNodeBatch, dst[:o.n*b], b)
+		fault.Fire(fault.TensorNodeBatch, dst[:o.n*b], b, asm)
 	}
 }
 
@@ -677,14 +461,18 @@ func checkNodeBlocks(o *NodeTransition, op string, lx, lz, ldst, b int) {
 type RelationBatchScratch struct {
 	shards  int
 	maxCols int
-	// partials is shards × m × maxCols, worker-major; nil when built for
+	lanes   int // laneCap(maxCols): the widest kernel block
+	// partials is shards × m × lanes, worker-major; nil when built for
 	// one shard.
 	partials []float64
-	sumI     []float64 // shards × maxCols per-shard column sums of x
-	mass     []float64 // shards × maxCols per-shard stored-tube mass
-	u        []float64 // maxCols per-column dangling addend
-	task     relationBatchTask
-	wg       sync.WaitGroup
+	sumI     []float64 // shards × lanes per-shard column sums of x
+	mass     []float64 // shards × lanes per-shard stored-tube mass
+	u        []float64 // lanes per-column dangling addend
+	// padX and padDst hold the padded x and (serial path) dst blocks;
+	// they grow on the first padded call.
+	padX, padDst []float64
+	task         relationBatchTask
+	wg           sync.WaitGroup
 
 	// Probe, when non-nil, counts ApplyBatchParallel calls, the stored
 	// entries they stream, and the class columns they apply them to.
@@ -704,15 +492,17 @@ func NewRelationBatchScratch(r *RelationTransition, shards, maxCols int) *Relati
 	if maxCols < 1 {
 		maxCols = 1
 	}
+	lanes := laneCap(maxCols)
 	s := &RelationBatchScratch{
 		shards:  shards,
 		maxCols: maxCols,
-		sumI:    make([]float64, shards*maxCols),
-		mass:    make([]float64, shards*maxCols),
-		u:       make([]float64, maxCols),
+		lanes:   lanes,
+		sumI:    make([]float64, shards*lanes),
+		mass:    make([]float64, shards*lanes),
+		u:       make([]float64, lanes),
 	}
 	if shards > 1 {
-		s.partials = make([]float64, shards*r.m*maxCols)
+		s.partials = make([]float64, shards*r.m*lanes)
 	}
 	s.task.r = r
 	s.task.s = s
@@ -732,67 +522,65 @@ func (s *RelationBatchScratch) checkCols(b int) {
 // interleaved class columns: x is an n×b block, dst an m×b block (stride
 // b), and dst must not alias x. Column c of dst is bitwise equal to
 // Apply run on column c of x; the mode-1 and mode-2 sums coincide
-// bitwise when xi == xj, so the sum is computed once and squared.
+// bitwise when xi == xj, so the sum is computed once and squared. The
+// stored-tube mass and the scatter run as two passes, which sum every
+// float in the order of the single-vector loops.
 func (r *RelationTransition) ApplyBatch(s *RelationBatchScratch, x, dst []float64, b int) {
 	s.checkCols(b)
 	checkRelationBlocks(r, "ApplyBatch", len(x), len(dst), b)
 	m := r.m
 	dst = dst[:m*b]
-	for q := range dst {
-		dst[q] = 0
+	asm, w := kernelWidth(b, s.NoASM)
+	x = padBlock(&s.padX, x[:r.n*b], r.n, b, w)
+	out := dst
+	if w != b {
+		out = growBuf(&s.padDst, m*w)
 	}
-	sumI, mass, u := s.sumI[:b], s.mass[:b], s.u[:b]
-	colSums(x[:r.n*b], b, sumI)
-	for c := range mass {
-		mass[c] = 0
-	}
-	if asm := useBatchASM && !s.NoASM; asm && (b == 4 || b == 8) {
-		// The AVX2 split kernels beat the fused pass; both orders are
-		// bitwise identical (see fusedMassScatterBatch).
-		pairMassBatch(x, x, r.tubeI, r.tubeJ, b, 0, len(r.tubeI), mass, asm)
-		cooScatterBatch(dst, x, x, r.k, r.i, r.j, r.p, b, 0, len(r.p), asm)
-	} else {
-		fusedMassScatterBatch(dst, x, x, r.tubeI, r.tubeJ, r.tubeStart, r.k, r.p, b, mass)
-	}
+	clear(out)
+	sumI, mass, u := s.sumI[:w], s.mass[:w], s.u[:w]
+	colSums(x, w, sumI)
+	clear(mass)
+	pairMassBatch(x, x, r.tubeI, r.tubeJ, w, 0, len(r.tubeI), mass, asm)
+	cooScatterBatch(out, x, x, r.k, r.i, r.j, r.p, w, 0, len(r.p), asm)
 	danglingAddends(sumI, sumI, mass, u, m)
-	addUniformCols(dst, u, b)
+	addUniformCols(out, u, w)
+	if w != b {
+		unpadBlock(dst, out, m, b, w)
+	}
 	if fault.Enabled() {
-		fault.Fire(fault.TensorRelationBatch, dst, b)
+		fault.Fire(fault.TensorRelationBatch, dst, b, asm)
 	}
 }
 
 type relationBatchTask struct {
-	r *RelationTransition
-	s *RelationBatchScratch
-	x []float64
-	b int
+	r   *RelationTransition
+	s   *RelationBatchScratch
+	x   []float64 // the kernel block, stride w
+	w   int
+	asm bool
 }
 
 func (t *relationBatchTask) RunShard(shard, shards int) {
-	r, s, b := t.r, t.s, t.b
+	r, s, w := t.r, t.s, t.w
 	m := r.m
-	part := s.partials[shard*m*s.maxCols : shard*m*s.maxCols+m*b]
-	for i := range part {
-		part[i] = 0
-	}
+	part := s.partials[shard*m*s.lanes : shard*m*s.lanes+m*w]
+	clear(part)
 	x := t.x
-	sumI := s.sumI[shard*s.maxCols : shard*s.maxCols+b]
-	mass := s.mass[shard*s.maxCols : shard*s.maxCols+b]
-	for c := 0; c < b; c++ {
-		sumI[c], mass[c] = 0, 0
-	}
+	sumI := s.sumI[shard*s.lanes : shard*s.lanes+w]
+	mass := s.mass[shard*s.lanes : shard*s.lanes+w]
+	clear(sumI)
+	clear(mass)
 	lo, hi := par.Split(r.n, shards, shard)
 	for i := lo; i < hi; i++ {
-		row := x[i*b : i*b+b]
+		row := x[i*w : i*w+w]
 		for c, v := range row {
 			sumI[c] += v
 		}
 	}
-	asm := useBatchASM && !s.NoASM
 	lo, hi = par.Split(len(r.tubeI), shards, shard)
-	pairMassBatch(x, x, r.tubeI, r.tubeJ, b, lo, hi, mass, asm)
+	pairMassBatch(x, x, r.tubeI, r.tubeJ, w, lo, hi, mass, t.asm)
 	lo, hi = par.Split(len(r.p), shards, shard)
-	cooScatterBatch(part, x, x, r.k, r.i, r.j, r.p, b, lo, hi, asm)
+	cooScatterBatch(part, x, x, r.k, r.i, r.j, r.p, w, lo, hi, t.asm)
 }
 
 // ApplyBatchParallel computes the blocked contraction like ApplyBatch
@@ -810,15 +598,16 @@ func (r *RelationTransition) ApplyBatchParallel(p *par.Pool, s *RelationBatchScr
 	s.checkCols(b)
 	checkRelationBlocks(r, "ApplyBatchParallel", len(x), len(dst), b)
 	s.Probe.ObserveCols(len(r.p), b)
+	asm, w := kernelWidth(b, s.NoASM)
 	t := &s.task
-	t.x, t.b = x, b
+	t.x, t.w, t.asm = padBlock(&s.padX, x[:r.n*b], r.n, b, w), w, asm
 	p.Run(s.shards, t, &s.wg)
 	u := s.u[:b]
 	for c := 0; c < b; c++ {
 		var sumI, stored float64
-		for w := 0; w < s.shards; w++ {
-			sumI += s.sumI[w*s.maxCols+c]
-			stored += s.mass[w*s.maxCols+c]
+		for k := 0; k < s.shards; k++ {
+			sumI += s.sumI[k*s.lanes+c]
+			stored += s.mass[k*s.lanes+c]
 		}
 		if dangling := sumI*sumI - stored; dangling > 1e-15 && r.m > 0 {
 			u[c] = dangling / float64(r.m)
@@ -828,18 +617,17 @@ func (r *RelationTransition) ApplyBatchParallel(p *par.Pool, s *RelationBatchScr
 	}
 	m := r.m
 	for k := 0; k < m; k++ {
-		row := k * b
 		for c := 0; c < b; c++ {
 			acc := u[c]
-			for w := 0; w < s.shards; w++ {
-				acc += s.partials[w*m*s.maxCols+row+c]
+			for sh := 0; sh < s.shards; sh++ {
+				acc += s.partials[sh*m*s.lanes+k*w+c]
 			}
-			dst[row+c] = acc
+			dst[k*b+c] = acc
 		}
 	}
 	t.x = nil
 	if fault.Enabled() {
-		fault.Fire(fault.TensorRelationBatch, dst[:m*b], b)
+		fault.Fire(fault.TensorRelationBatch, dst[:m*b], b, asm)
 	}
 }
 

@@ -1,7 +1,8 @@
 package tensor
 
-// AVX2 variants of the blocked contraction inner loops for the common
-// column counts 4 and 8. A b-column row is exactly one (b = 4) or two
+// AVX2 bodies of the blocked contraction inner loops for the column
+// counts 4 and 8; every other width up to 8 is padded to one of them
+// (see kernelWidth). A b-column row is exactly one (b = 4) or two
 // (b = 8) 256-bit lanes, so the scalar bodies of cooScatterBatch and
 // pairMassBatch map 1:1 onto VMULPD/VADDPD: each lane performs the same
 // IEEE-754 double multiply/add as the scalar `*`/`+` on that column, in
@@ -9,15 +10,6 @@ package tensor
 // are bitwise identical to the scalar ones and every equivalence test
 // covers both. The b-row run cache lives in a vector register with the
 // same reload-on-index-change rule as the scalar loop.
-//
-// useBatchASM is resolved once at startup: the amd64 baseline (GOAMD64
-// v1) does not guarantee AVX2, so the kernels are gated on a CPUID
-// probe (AVX2 + OSXSAVE + OS-enabled YMM state).
-var useBatchASM = cpuSupportsAVX2()
-
-// cpuSupportsAVX2 reports whether the CPU and OS support AVX2 (CPUID
-// leaf 7 AVX2, leaf 1 OSXSAVE/AVX, and XCR0 XMM+YMM state enabled).
-func cpuSupportsAVX2() bool
 
 // cooScatterAVX4 is the cols = 4 body of cooScatterBatch over n entries:
 // dst[di·4+c] += p·a[ai·4+c]·bb[bi·4+c], entries in order, bb row cached.

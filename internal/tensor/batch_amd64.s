@@ -5,46 +5,11 @@
 
 #include "textflag.h"
 
-// func cpuSupportsAVX2() bool
-TEXT ·cpuSupportsAVX2(SB), NOSPLIT, $0-1
-	// Highest function parameter must reach leaf 7.
-	MOVL $0, AX
-	XORL CX, CX
-	CPUID
-	CMPL AX, $7
-	JL   noavx2
-	// Leaf 1: OSXSAVE (ECX bit 27) and AVX (ECX bit 28).
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	MOVL CX, R8
-	ANDL $0x18000000, R8
-	CMPL R8, $0x18000000
-	JNE  noavx2
-	// XCR0: XMM (bit 1) and YMM (bit 2) state enabled by the OS.
-	XORL CX, CX
-	XGETBV
-	ANDL $6, AX
-	CMPL AX, $6
-	JNE  noavx2
-	// Leaf 7 sub-leaf 0: AVX2 (EBX bit 5).
-	MOVL $7, AX
-	XORL CX, CX
-	CPUID
-	ANDL $0x20, BX
-	JZ   noavx2
-	MOVB $1, ret+0(FP)
-	RET
-
-noavx2:
-	MOVB $0, ret+0(FP)
-	RET
-
 // func cooScatterAVX4(dst, a, bb *float64, di, ai, bi *int32, p *float64, n int)
 //
 // Per entry q: Y0 = broadcast p[q]; Y0 = Y0 * a-row; Y0 = Y0 * b-row
 // (cached in Y1, reloaded only when bi[q] changes); dst-row += Y0 —
-// the exact (p·a)·b then d+w order of the scalar case-4 body.
+// the exact (p·a)·b then d+w order of the scalar body.
 TEXT ·cooScatterAVX4(SB), NOSPLIT, $0-64
 	MOVQ dst+0(FP), DI
 	MOVQ a+8(FP), SI
@@ -135,7 +100,7 @@ bsame8:
 // func pairMassAVX4(a, bb *float64, ai, bi *int32, n int, mass *float64)
 //
 // Per pair q: Y3 += a-row * b-row (cached b-row in Y1) — the exact a·b
-// then m+w order of the scalar case-4 body; Y3 starts from mass and is
+// then m+w order of the scalar body; Y3 starts from mass and is
 // stored back, like the scalar register accumulators.
 TEXT ·pairMassAVX4(SB), NOSPLIT, $0-48
 	MOVQ a+0(FP), SI

@@ -2,10 +2,8 @@
 
 package tensor
 
-// Non-amd64 builds always take the pure-Go kernel bodies; the stubs are
-// never reached. A var (not a const) so tests can exercise the scalar
-// fallback uniformly across builds.
-var useBatchASM = false
+// Non-amd64 builds always take the pure-Go kernel bodies (useBatchASM
+// is false there); the stubs are never reached.
 
 func cooScatterAVX4(dst, a, bb *float64, di, ai, bi *int32, p *float64, n int) {
 	panic("tensor: AVX2 kernel on non-amd64 build")

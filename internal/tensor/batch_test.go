@@ -1,6 +1,8 @@
 package tensor
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -29,10 +31,37 @@ func column(block []float64, rows, b, c int) []float64 {
 	return out
 }
 
+// negZeros overwrites every seventh cell of block with −0 and every
+// eleventh with +0, so the kernels see signed zeros in every lane.
+func negZeros(block []float64) []float64 {
+	for q := 0; q < len(block); q += 7 {
+		block[q] = math.Copysign(0, -1)
+	}
+	for q := 3; q < len(block); q += 11 {
+		block[q] = 0
+	}
+	return block
+}
+
+// sameBits fails unless got and want carry identical bits: signed zeros
+// included, which != would let through.
+func sameBits(t *testing.T, label string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: [%d] = %v, want %v", label, i, got[i], want[i])
+		}
+	}
+}
+
+// maxWidth is the widest block the width sweeps run: every vector
+// width 1–8 (padded or not) plus the first width past the vector
+// bodies.
+const maxWidth = 9
+
 // runBothKernelPaths runs f once with the default kernel selection (the
 // AVX2 bodies, on hosts that support them) and once with the scalar
-// fallback forced, so both implementations of the b = 4 / 8 loops stay
-// covered on every machine.
+// body forced, so both implementations stay covered on every machine.
 func runBothKernelPaths(t *testing.T, f func(t *testing.T)) {
 	t.Run("default", f)
 	old := useBatchASM
@@ -41,38 +70,40 @@ func runBothKernelPaths(t *testing.T, f func(t *testing.T)) {
 	t.Run("scalar", f)
 }
 
+// batchCases are the tensors every width sweep runs: two random ones,
+// one whose every column and tube is dangling, and an empty one.
+func batchCases(rng *rand.Rand) []*Tensor {
+	return []*Tensor{
+		randomTensor(rng, 60, 4, 700),
+		randomTensor(rng, 17, 1, 90),
+		func() *Tensor { a := New(12, 3); a.Finalize(); return a }(), // all dangling
+		func() *Tensor { a := New(0, 0); a.Finalize(); return a }(),  // empty
+	}
+}
+
 // Column c of the blocked node contraction must be bitwise equal to the
 // single-vector Apply run on column c alone — the whole point of the
-// batched solver is that batching changes layout, never arithmetic.
+// batched solver is that batching changes layout, never arithmetic —
+// at every width, padded to a vector body or not, with signed zeros in
+// the input.
 func TestNodeApplyBatchMatchesSingleColumns(t *testing.T) {
 	runBothKernelPaths(t, testNodeApplyBatchMatchesSingleColumns)
 }
 
 func testNodeApplyBatchMatchesSingleColumns(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
-	cases := []*Tensor{
-		randomTensor(rng, 60, 4, 700),
-		randomTensor(rng, 17, 1, 90),
-		func() *Tensor { a := New(12, 3); a.Finalize(); return a }(), // all dangling
-		func() *Tensor { a := New(0, 0); a.Finalize(); return a }(),  // empty
-	}
-	for ci, a := range cases {
+	for ci, a := range batchCases(rng) {
 		o := NewNodeTransition(a)
-		for _, b := range []int{1, 2, 3, 4, 5, 8} {
-			x := randomBlock(rng, o.N(), b)
-			z := randomBlock(rng, o.M(), b)
+		for b := 1; b <= maxWidth; b++ {
+			x := negZeros(randomBlock(rng, o.N(), b))
+			z := negZeros(randomBlock(rng, o.M(), b))
 			s := NewNodeBatchScratch(o, 1, b)
 			dst := make([]float64, o.N()*b)
 			o.ApplyBatch(s, x, z, dst, b)
 			for c := 0; c < b; c++ {
 				want := make([]float64, o.N())
 				o.Apply(column(x, o.N(), b, c), column(z, o.M(), b, c), want)
-				got := column(dst, o.N(), b, c)
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("case %d b=%d col %d: batch row %d = %v, want %v", ci, b, c, i, got[i], want[i])
-					}
-				}
+				sameBits(t, fmt.Sprintf("case %d b=%d col %d", ci, b, c), column(dst, o.N(), b, c), want)
 			}
 		}
 	}
@@ -85,27 +116,18 @@ func TestRelationApplyBatchMatchesSingleColumns(t *testing.T) {
 
 func testRelationApplyBatchMatchesSingleColumns(t *testing.T) {
 	rng := rand.New(rand.NewSource(102))
-	cases := []*Tensor{
-		randomTensor(rng, 50, 5, 600),
-		func() *Tensor { a := New(9, 4); a.Finalize(); return a }(), // all dangling
-		func() *Tensor { a := New(0, 0); a.Finalize(); return a }(), // empty
-	}
+	cases := append([]*Tensor{randomTensor(rng, 50, 5, 600)}, batchCases(rng)...)
 	for ci, a := range cases {
 		r := NewRelationTransition(a)
-		for _, b := range []int{1, 2, 3, 4, 8} {
-			x := randomBlock(rng, r.N(), b)
+		for b := 1; b <= maxWidth; b++ {
+			x := negZeros(randomBlock(rng, r.N(), b))
 			s := NewRelationBatchScratch(r, 1, b)
 			dst := make([]float64, r.M()*b)
 			r.ApplyBatch(s, x, dst, b)
 			for c := 0; c < b; c++ {
 				want := make([]float64, r.M())
 				r.Apply(column(x, r.N(), b, c), want)
-				got := column(dst, r.M(), b, c)
-				for k := range want {
-					if got[k] != want[k] {
-						t.Fatalf("case %d b=%d col %d: batch rel %d = %v, want %v", ci, b, c, k, got[k], want[k])
-					}
-				}
+				sameBits(t, fmt.Sprintf("case %d b=%d col %d", ci, b, c), column(dst, r.M(), b, c), want)
 			}
 		}
 	}
@@ -114,91 +136,87 @@ func testRelationApplyBatchMatchesSingleColumns(t *testing.T) {
 // The parallel batched contractions shard by the same boundaries as the
 // single-vector parallel kernels (independent of b), so they must also be
 // bitwise equal to the single-vector parallel results per column — for
-// every worker count, including when b shrinks below the scratch's
-// capacity (retired classes).
+// every worker count and every width, on one scratch sized for the
+// widest block, so b also shrinks below the scratch's capacity (retired
+// classes) and the padded width changes from call to call.
 func TestApplyBatchParallelMatchesSingleColumns(t *testing.T) {
 	runBothKernelPaths(t, testApplyBatchParallelMatchesSingleColumns)
 }
 
 func testApplyBatchParallelMatchesSingleColumns(t *testing.T) {
 	rng := rand.New(rand.NewSource(103))
-	a := randomTensor(rng, 80, 5, 1200)
-	o := NewNodeTransition(a)
-	r := NewRelationTransition(a)
-	const maxCols = 8
-	for _, workers := range []int{2, 3, 8} {
-		p := par.New(workers)
-		so := NewNodeBatchScratch(o, workers, maxCols)
-		sr := NewRelationBatchScratch(r, workers, maxCols)
-		soRef := NewNodeApplyScratch(o, workers)
-		srRef := NewRelationApplyScratch(r, workers)
-		for _, b := range []int{maxCols, 4, 2} { // full block, then compacted ones
-			x := randomBlock(rng, o.N(), b)
-			z := randomBlock(rng, o.M(), b)
-			dst := make([]float64, o.N()*b)
-			dstZ := make([]float64, r.M()*b)
-			o.ApplyBatchParallel(p, so, x, z, dst, b)
-			r.ApplyBatchParallel(p, sr, x, dstZ, b)
-			for c := 0; c < b; c++ {
-				xc, zc := column(x, o.N(), b, c), column(z, o.M(), b, c)
-				want := make([]float64, o.N())
-				o.ApplyParallel(p, soRef, xc, zc, want)
-				for i, w := range want {
-					if got := dst[i*b+c]; got != w {
-						t.Fatalf("workers %d b=%d col %d: node row %d = %v, want %v", workers, b, c, i, got, w)
-					}
-				}
-				wantZ := make([]float64, r.M())
-				r.ApplyParallel(p, srRef, xc, wantZ)
-				for k, w := range wantZ {
-					if got := dstZ[k*b+c]; got != w {
-						t.Fatalf("workers %d b=%d col %d: rel %d = %v, want %v", workers, b, c, k, got, w)
-					}
+	cases := append([]*Tensor{randomTensor(rng, 80, 5, 1200)}, batchCases(rng)...)
+	for ci, a := range cases {
+		o := NewNodeTransition(a)
+		r := NewRelationTransition(a)
+		for _, workers := range []int{1, 2, 3, 8} {
+			p := par.New(workers)
+			so := NewNodeBatchScratch(o, workers, maxWidth)
+			sr := NewRelationBatchScratch(r, workers, maxWidth)
+			soRef := NewNodeApplyScratch(o, workers)
+			srRef := NewRelationApplyScratch(r, workers)
+			for _, b := range []int{maxWidth, 8, 1, 5, 2, 7, 4, 3, 6} {
+				x := negZeros(randomBlock(rng, o.N(), b))
+				z := negZeros(randomBlock(rng, o.M(), b))
+				dst := make([]float64, o.N()*b)
+				dstZ := make([]float64, r.M()*b)
+				o.ApplyBatchParallel(p, so, x, z, dst, b)
+				r.ApplyBatchParallel(p, sr, x, dstZ, b)
+				for c := 0; c < b; c++ {
+					label := fmt.Sprintf("case %d workers %d b=%d col %d", ci, workers, b, c)
+					xc, zc := column(x, o.N(), b, c), column(z, o.M(), b, c)
+					want := make([]float64, o.N())
+					o.ApplyParallel(p, soRef, xc, zc, want)
+					sameBits(t, label+" node", column(dst, o.N(), b, c), want)
+					wantZ := make([]float64, r.M())
+					r.ApplyParallel(p, srRef, xc, wantZ)
+					sameBits(t, label+" relation", column(dstZ, r.M(), b, c), wantZ)
 				}
 			}
+			p.Close()
 		}
-		p.Close()
 	}
 }
 
 // Steady-state batched contractions must not allocate: partials, column
-// sums and the dispatch task all live in the reusable scratch.
+// sums, the padded blocks (grown on the first padded call) and the
+// dispatch task all live in the reusable scratch.
 func TestApplyBatchZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(104))
 	a := randomTensor(rng, 100, 4, 2000)
 	o := NewNodeTransition(a)
 	r := NewRelationTransition(a)
-	const b = 4
-	x := randomBlock(rng, o.N(), b)
-	z := randomBlock(rng, o.M(), b)
-	dst := make([]float64, o.N()*b)
-	dstZ := make([]float64, r.M()*b)
-
-	so1 := NewNodeBatchScratch(o, 1, b)
-	sr1 := NewRelationBatchScratch(r, 1, b)
-	if allocs := testing.AllocsPerRun(50, func() {
-		o.ApplyBatch(so1, x, z, dst, b)
-	}); allocs != 0 {
-		t.Errorf("ApplyBatch allocates %v per call, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(50, func() {
-		r.ApplyBatch(sr1, x, dstZ, b)
-	}); allocs != 0 {
-		t.Errorf("relation ApplyBatch allocates %v per call, want 0", allocs)
-	}
-
+	const maxCols = 4
+	x := randomBlock(rng, o.N(), maxCols)
+	z := randomBlock(rng, o.M(), maxCols)
+	dst := make([]float64, o.N()*maxCols)
+	dstZ := make([]float64, r.M()*maxCols)
 	p := par.New(4)
 	defer p.Close()
-	so := NewNodeBatchScratch(o, 4, b)
-	sr := NewRelationBatchScratch(r, 4, b)
-	if allocs := testing.AllocsPerRun(50, func() {
-		o.ApplyBatchParallel(p, so, x, z, dst, b)
-	}); allocs != 0 {
-		t.Errorf("ApplyBatchParallel allocates %v per call, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(50, func() {
-		r.ApplyBatchParallel(p, sr, x, dstZ, b)
-	}); allocs != 0 {
-		t.Errorf("relation ApplyBatchParallel allocates %v per call, want 0", allocs)
+	for _, b := range []int{maxCols, 3} { // a vector width, then a padded one
+		so1 := NewNodeBatchScratch(o, 1, maxCols)
+		sr1 := NewRelationBatchScratch(r, 1, maxCols)
+		if allocs := testing.AllocsPerRun(50, func() {
+			o.ApplyBatch(so1, x, z, dst, b)
+		}); allocs != 0 {
+			t.Errorf("b=%d: ApplyBatch allocates %v per call, want 0", b, allocs)
+		}
+		if allocs := testing.AllocsPerRun(50, func() {
+			r.ApplyBatch(sr1, x, dstZ, b)
+		}); allocs != 0 {
+			t.Errorf("b=%d: relation ApplyBatch allocates %v per call, want 0", b, allocs)
+		}
+		so := NewNodeBatchScratch(o, 4, maxCols)
+		sr := NewRelationBatchScratch(r, 4, maxCols)
+		if allocs := testing.AllocsPerRun(50, func() {
+			o.ApplyBatchParallel(p, so, x, z, dst, b)
+		}); allocs != 0 {
+			t.Errorf("b=%d: ApplyBatchParallel allocates %v per call, want 0", b, allocs)
+		}
+		if allocs := testing.AllocsPerRun(50, func() {
+			r.ApplyBatchParallel(p, sr, x, dstZ, b)
+		}); allocs != 0 {
+			t.Errorf("b=%d: relation ApplyBatchParallel allocates %v per call, want 0", b, allocs)
+		}
 	}
 }

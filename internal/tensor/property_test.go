@@ -81,8 +81,9 @@ func TestPropertyTransitionsStochastic(t *testing.T) {
 // TestPropertyApplyBatchPreservesSimplex: one blocked step keeps every
 // column on the probability simplex — non-negative entries summing to 1
 // within float tolerance — for the node contraction (O ×̄₁ X ×̄₃ Z) and
-// the relation contraction (R ×̄₁ X ×̄₂ X) alike, at the ASM widths
-// (4, 8) and off-width fallbacks, on both kernel paths.
+// the relation contraction (R ×̄₁ X ×̄₂ X) alike, at the vector widths
+// (4, 8), the widths padded to them and the first scalar width, on both
+// kernel paths.
 func TestPropertyApplyBatchPreservesSimplex(t *testing.T) {
 	runBothKernelPaths(t, testPropertyApplyBatchPreservesSimplex)
 }
@@ -96,7 +97,7 @@ func testPropertyApplyBatchPreservesSimplex(t *testing.T) {
 		if n == 0 {
 			continue
 		}
-		for _, b := range []int{1, 3, 4, 8} {
+		for _, b := range []int{1, 3, 4, 6, 8, 9} {
 			x := randomBlock(rng, n, b)
 			z := randomBlock(rng, m, b)
 			dstX := make([]float64, n*b)

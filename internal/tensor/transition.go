@@ -180,8 +180,9 @@ type RelationTransition struct {
 	// Distinct non-dangling tubes, sorted by (j, i), aligned slices.
 	// tubeStart[t] is the offset of tube t's first entry in the sorted
 	// entry arrays (len(tubeI)+1 offsets, last = nnz): each tube is a
-	// contiguous entry run, which the blocked serial kernel exploits to
-	// fuse the stored-mass and scatter passes (fusedMassScatterBatch).
+	// contiguous entry run. No kernel reads it; it stays because the
+	// TMARKAR1 artifact stores and validates it, so dropping it would
+	// change the format and every content hash.
 	tubeI, tubeJ []int32
 	tubeStart    []int32
 }

@@ -12,9 +12,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 	"testing"
 
+	"tmark/internal/cpuid"
 	"tmark/internal/fault"
 	"tmark/internal/vec"
 )
@@ -65,6 +67,79 @@ func TestChaosNaNRecoversThroughRetry(t *testing.T) {
 				t.Errorf("%s: reason %v, want %v (recovered run)", label, res.Reason, ref.Reason)
 			}
 			assertResultsBitwise(t, label, res, ref)
+		}
+	}
+}
+
+// The demoted retry must run every kernel of the iteration — the O and R
+// contractions and the CSR feature product W — on its scalar body,
+// serial and pooled: each kernel fault point reports which body ran,
+// and every firing after the fault must report the scalar one. On AVX2
+// hosts the first attempt must report the vector bodies, so the check
+// cannot pass vacuously.
+func TestChaosRetryDemotesEveryKernel(t *testing.T) {
+	t.Cleanup(fault.Reset)
+	g := benchGraph(100)
+	for _, workers := range []int{1, 4} {
+		cfg := ckConfig(true, workers)
+		cfg.FeatureTopK = 8
+		m := mustModel(t, g, cfg)
+		ref := m.RunContext(context.Background())
+
+		type firing struct {
+			point  fault.Point
+			retry  bool
+			vector bool
+		}
+		var (
+			mu        sync.Mutex
+			firings   []firing
+			nodeCalls atomic.Int64
+		)
+		record := func(pt fault.Point, retry bool, args []any) {
+			mu.Lock()
+			firings = append(firings, firing{pt, retry, args[2].(bool)})
+			mu.Unlock()
+		}
+		removeNode := fault.Inject(fault.TensorNodeBatch, func(args ...any) {
+			n := nodeCalls.Add(1)
+			if n == 5 {
+				args[0].([]float64)[0] = math.NaN()
+			}
+			record(fault.TensorNodeBatch, n > 5, args)
+		})
+		var removes []func()
+		for _, pt := range []fault.Point{fault.TensorRelationBatch, fault.SparseMulBatch} {
+			removes = append(removes, fault.Inject(pt, func(args ...any) {
+				record(pt, nodeCalls.Load() > 5, args)
+			}))
+		}
+		res := m.RunContext(context.Background())
+		removeNode()
+		for _, r := range removes {
+			r()
+		}
+
+		label := fmt.Sprintf("workers=%d", workers)
+		if len(res.Faults) != 1 {
+			t.Fatalf("%s: faults %v, want the one injected", label, res.Faults)
+		}
+		assertResultsBitwise(t, label, res, ref)
+		retried := map[fault.Point]int{}
+		for _, f := range firings {
+			switch {
+			case f.retry && f.vector:
+				t.Fatalf("%s: %s ran the vector body on the demoted retry", label, f.point)
+			case f.retry:
+				retried[f.point]++
+			case cpuid.AVX2 && !f.vector:
+				t.Fatalf("%s: %s ran the scalar body before the fault", label, f.point)
+			}
+		}
+		for _, pt := range []fault.Point{fault.TensorNodeBatch, fault.TensorRelationBatch, fault.SparseMulBatch} {
+			if retried[pt] == 0 {
+				t.Fatalf("%s: %s never fired on the retry", label, pt)
+			}
 		}
 	}
 }

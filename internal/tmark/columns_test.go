@@ -320,3 +320,38 @@ func infRestart(n int) vec.Vector {
 
 func nan() float64  { z := zero(); return z / z }
 func zero() float64 { return 0 }
+
+// SolveColumns at every block width from 1 to 9 — the widths padded to
+// a vector body, the full vector widths and the first scalar width —
+// must equal the oracle bitwise on both kernel paths, serial and pooled,
+// with a CSR feature channel so W runs its vector body too. Columns
+// retire at different iterations, so every batch also steps down
+// through the narrower widths.
+func TestSolveColumnsEveryWidthBothKernelPaths(t *testing.T) {
+	g := benchGraph(120)
+	queries := make([]ColumnQuery, 9)
+	for i := range queries {
+		queries[i] = ColumnQuery{Seeds: []int{i, i + 9, i + 18 + i%4}, ICA: i%3 == 0}
+	}
+	for _, workers := range []int{1, 2, 3} {
+		cfg := ckConfig(false, workers)
+		cfg.FeatureTopK = 8
+		m := mustModel(t, g, cfg)
+		o := newOracle(t, m)
+		refs := make([]ColumnResult, len(queries))
+		for i, q := range queries {
+			refs[i] = o.solveColumn(t, q)
+		}
+		for _, scalar := range []bool{false, true} {
+			for w := 1; w <= len(queries); w++ {
+				out, err := m.SolveColumns(context.Background(), queries[:w], WithScalarKernels(scalar))
+				if err != nil {
+					t.Fatalf("workers %d scalar=%v width %d: %v", workers, scalar, w, err)
+				}
+				for i := range out {
+					assertColumnBitwise(t, fmt.Sprintf("workers %d scalar=%v width %d column %d", workers, scalar, w, i), &out[i], &refs[i])
+				}
+			}
+		}
+	}
+}

@@ -1,8 +1,9 @@
 package tmark
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"tmark/internal/vec"
 )
@@ -127,44 +128,91 @@ type RelationScore struct {
 
 // LinkRanking returns the relations ranked by their stationary probability
 // z̄ for class c, most relevant first. Ties break toward the lower index so
-// the ordering is deterministic.
+// the ordering is deterministic (see TopRanked).
 func (r *Result) LinkRanking(c int) []RelationScore {
 	if c < 0 || c >= r.q {
 		panic(fmt.Sprintf("tmark: LinkRanking class %d out of range %d", c, r.q))
 	}
-	z := r.Classes[c].Z
-	ranked := make([]RelationScore, len(z))
-	for k, v := range z {
-		ranked[k] = RelationScore{Relation: k, Score: v}
-	}
-	sort.SliceStable(ranked, func(a, b int) bool {
-		if ranked[a].Score != ranked[b].Score {
-			return ranked[a].Score > ranked[b].Score
-		}
-		return ranked[a].Relation < ranked[b].Relation
-	})
-	return ranked
+	return rankedScores(r.Classes[c].Z)
 }
 
 // NodeRanking returns the nodes ranked by their stationary probability x̄
-// for class c, highest first; useful for the director/tag rankings of
-// Tables 5, 9 and 10.
+// for class c, highest first, ties toward the lower index; useful for
+// the director/tag rankings of Tables 5, 9 and 10.
 func (r *Result) NodeRanking(c int) []RelationScore {
 	if c < 0 || c >= r.q {
 		panic(fmt.Sprintf("tmark: NodeRanking class %d out of range %d", c, r.q))
 	}
-	x := r.Classes[c].X
-	ranked := make([]RelationScore, len(x))
-	for i, v := range x {
-		ranked[i] = RelationScore{Relation: i, Score: v}
+	return rankedScores(r.Classes[c].X)
+}
+
+// rankedScores is every entry of v in TopRanked order.
+func rankedScores(v []float64) []RelationScore {
+	ranked := make([]RelationScore, len(v))
+	for i, k := range TopRanked(v, len(v)) {
+		ranked[i] = RelationScore{Relation: k, Score: v[k]}
 	}
-	sort.SliceStable(ranked, func(a, b int) bool {
-		if ranked[a].Score != ranked[b].Score {
-			return ranked[a].Score > ranked[b].Score
-		}
-		return ranked[a].Relation < ranked[b].Relation
-	})
 	return ranked
+}
+
+// compareRank orders score a at index ia against score b at index ib:
+// negative when a ranks first. The higher score ranks first, NaN after
+// every number, and equal scores (−0 and +0 are equal, as are two NaNs)
+// toward the lower index. On distinct indices this is a total order, so
+// a ranking built on it is unique and needs no stable sort.
+func compareRank(a float64, ia int, b float64, ib int) int {
+	if c := cmp.Compare(b, a); c != 0 {
+		return c
+	}
+	return cmp.Compare(ia, ib)
+}
+
+// TopRanked returns the indices of the top best-ranked entries of v,
+// best first, in compareRank order; top ≥ len(v) ranks all of v and
+// top ≤ 0 returns nil. One pass keeps the best top indices seen so far
+// in a heap whose root is the worst of them, so it runs in
+// O(n log top) and allocates only the result.
+func TopRanked(v []float64, top int) []int {
+	top = min(top, len(v))
+	if top <= 0 {
+		return nil
+	}
+	worse := func(a, b int) bool { return compareRank(v[a], a, v[b], b) > 0 }
+	h := make([]int, 0, top)
+	for i := range v {
+		if len(h) < top {
+			h = append(h, i)
+			for c := len(h) - 1; c > 0; {
+				p := (c - 1) / 2
+				if !worse(h[c], h[p]) {
+					break
+				}
+				h[c], h[p] = h[p], h[c]
+				c = p
+			}
+			continue
+		}
+		if !worse(h[0], i) {
+			continue
+		}
+		h[0] = i
+		for p := 0; ; {
+			c := 2*p + 1
+			if c >= top {
+				break
+			}
+			if c+1 < top && worse(h[c+1], h[c]) {
+				c++
+			}
+			if !worse(h[c], h[p]) {
+				break
+			}
+			h[p], h[c] = h[c], h[p]
+			p = c
+		}
+	}
+	slices.SortFunc(h, func(a, b int) int { return compareRank(v[a], a, v[b], b) })
+	return h
 }
 
 // Converged reports whether every class iteration reached ε.

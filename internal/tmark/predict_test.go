@@ -2,6 +2,8 @@ package tmark
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"tmark/internal/vec"
@@ -138,6 +140,88 @@ func TestMaxIterations(t *testing.T) {
 	for _, cr := range res.Classes {
 		if cr.Iterations > maxIt {
 			t.Errorf("class %d iterations %d exceed max %d", cr.Class, cr.Iterations, maxIt)
+		}
+	}
+}
+
+// stableRanking is the ranking TopRanked replaced: a stable sort of the
+// indices by descending score, which breaks ties by lower index.
+func stableRanking(v []float64) []int {
+	idx := make([]int, len(v))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return v[idx[a]] > v[idx[b]] })
+	return idx
+}
+
+// tiedScores draws n scores from a handful of values, so most of them
+// tie, with signed zeros among them.
+func tiedScores(rng *rand.Rand, n int) []float64 {
+	pool := []float64{0.5, 0.25, 0.125, 1e-9, 0, math.Copysign(0, -1), 0.25 + 1e-17}
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = pool[rng.Intn(len(pool))]
+	}
+	return v
+}
+
+// The bounded top-N ranking must return exactly the prefix of the full
+// stable sort it replaced, for every cut from one entry to past the end,
+// on vectors full of ties.
+func TestTopRankedMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(60)
+		v := tiedScores(rng, n)
+		if trial%2 == 1 {
+			for i := range v {
+				v[i] = rng.Float64()
+			}
+		}
+		want := stableRanking(v)
+		for _, top := range []int{1, 10, n - 1, n, n + 5} {
+			got := TopRanked(v, top)
+			k := min(max(top, 0), n)
+			if len(got) != k {
+				t.Fatalf("trial %d n=%d top=%d: %d indices, want %d", trial, n, top, len(got), k)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d n=%d top=%d: rank %d = node %d, want %d (%v)", trial, n, top, i, got[i], want[i], v)
+				}
+			}
+		}
+	}
+	if got := TopRanked([]float64{1, 2}, 0); got != nil {
+		t.Fatalf("top 0 = %v, want nil", got)
+	}
+	if got := TopRanked(nil, 3); got != nil {
+		t.Fatalf("empty vector = %v, want nil", got)
+	}
+}
+
+// NaN ranks after every number, −Inf included; NaNs tie among
+// themselves and break toward the lower index. The full rankings obey
+// the same order.
+func TestTopRankedNaNRanksLast(t *testing.T) {
+	nan := math.NaN()
+	v := []float64{nan, 0.5, math.Inf(-1), nan, 0.5, math.Inf(1), -1}
+	want := []int{5, 1, 4, 6, 2, 0, 3}
+	for top := 1; top <= len(v)+1; top++ {
+		got := TopRanked(v, top)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("top=%d: %v, want prefix of %v", top, got, want)
+			}
+		}
+	}
+	res := &Result{n: len(v), m: len(v), q: 1, Classes: []ClassResult{{X: v, Z: v}}}
+	for name, ranked := range map[string][]RelationScore{"NodeRanking": res.NodeRanking(0), "LinkRanking": res.LinkRanking(0)} {
+		for i, rs := range ranked {
+			if rs.Relation != want[i] || math.Float64bits(rs.Score) != math.Float64bits(v[want[i]]) {
+				t.Fatalf("%s rank %d = %+v, want node %d", name, i, rs, want[i])
+			}
 		}
 	}
 }

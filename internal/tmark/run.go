@@ -182,13 +182,13 @@ func WithApproximate(on bool) RunOption {
 	return func(o *runOptions) { o.approximate = on }
 }
 
-// WithScalarKernels(true) demotes the blocked contractions to their
-// scalar reference bodies even on hosts with the AVX2 kernels. The
-// numerical-fault retry uses it to re-run a faulted solve on the
-// reference path; tests use it to cover both kernel implementations on
-// any machine. The scalar and vectorised bodies are bitwise identical
-// by contract, so this changes no result — it only removes the
-// hand-written assembly from the loop.
+// WithScalarKernels(true) demotes the blocked contractions and the CSR
+// feature product to their scalar reference bodies even on hosts with
+// the AVX2 kernels. The numerical-fault retry uses it to re-run a
+// faulted solve on the reference path; tests use it to cover both
+// kernel implementations on any machine. The scalar and vectorised
+// bodies are bitwise identical by contract, so this changes no result —
+// it only removes the hand-written assembly from the loop.
 func WithScalarKernels(on bool) RunOption {
 	return func(o *runOptions) { o.noASM = on }
 }
@@ -523,15 +523,16 @@ func (m *Model) newRunScratch(ro runOptions, maxCols int) *runScratch {
 	rs.rb = tensor.NewRelationBatchScratch(m.r, w, maxCols)
 	rs.rb.Probe = rs.col.KernelProbe(obs.KernelR)
 	rs.rb.NoASM = ro.noASM
-	if w > 1 {
-		switch {
-		case rs.wS != nil:
-			rs.wCSRb = sparse.NewMulBatchScratch(w)
-			rs.wCSRb.Probe = rs.col.KernelProbe(obs.KernelW)
-		case rs.wD != nil:
-			rs.wDenb = vec.NewMulBatchScratch(w)
-			rs.wDenb.Probe = rs.col.KernelProbe(obs.KernelW)
-		}
+	// The CSR scratch exists for every worker count too: it carries the
+	// demotion to the serial product as well as the sharded one.
+	switch {
+	case rs.wS != nil:
+		rs.wCSRb = sparse.NewMulBatchScratch(w)
+		rs.wCSRb.Probe = rs.col.KernelProbe(obs.KernelW)
+		rs.wCSRb.NoASM = ro.noASM
+	case rs.wD != nil && w > 1:
+		rs.wDenb = vec.NewMulBatchScratch(w)
+		rs.wDenb.Probe = rs.col.KernelProbe(obs.KernelW)
 	}
 	return rs
 }
@@ -571,11 +572,10 @@ func (rs *runScratch) mulFeatureBatch(x, dst []float64, b int) {
 	start := rs.col.Clock()
 	switch {
 	case rs.wS != nil:
+		// A nil pool runs the serial product, under the scratch's NoASM.
+		rs.wS.MulVecBatchParallel(rs.pool, rs.wCSRb, x, dst, b)
 		if rs.pool == nil {
-			rs.wS.MulVecBatch(x, dst, b)
 			rs.col.AddKernelCols(obs.KernelW, int64(rs.wS.NNZ()), int64(b))
-		} else {
-			rs.wS.MulVecBatchParallel(rs.pool, rs.wCSRb, x, dst, b)
 		}
 	case rs.wD != nil:
 		if rs.pool == nil {
