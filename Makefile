@@ -151,11 +151,13 @@ serve-race:
 # The fault-injection suites under the race detector: solver chaos
 # (injected NaN/Inf corruption, the scalar-demoted re-run), serving chaos
 # (build/solve panics, overload shedding, eviction racing a borrowed
-# solve, a drain cancelling a /rank full solve, artifact leases keeping
-# a retired model mapped through held solves, readers answered while an
-# ingest is held mid-apply) and the tmarkd SIGTERM drain test.
+# solve, a drain cancelling a /rank full solve, overlapping batches of
+# one model meeting the fill rule, a drain and a double panic, artifact
+# leases keeping a retired model mapped through held solves, readers
+# answered while an ingest is held mid-apply) and the tmarkd SIGTERM
+# drain test.
 chaos:
-	$(GO) test -race -count=1 -run 'TestChaos|TestEviction|TestLease|TestServeRankDrainCancelsFullSolve|TestRunSIGTERMDrainsRankSolve|TestGuard|TestEngineDiscardsCorruptIterate|TestNoASMDemotion|TestKernelFaultPoint|TestIngestQuarantine|TestIngestPins|TestReaderNeverWaits' ./internal/tmark/ ./internal/serve/ ./internal/tensor/ ./internal/stream/ ./cmd/tmarkd/
+	$(GO) test -race -count=1 -run 'TestChaos|TestEviction|TestLease|TestOverlap|TestServeRankDrainCancelsFullSolve|TestRunSIGTERMDrainsRankSolve|TestGuard|TestEngineDiscardsCorruptIterate|TestNoASMDemotion|TestKernelFaultPoint|TestIngestQuarantine|TestIngestPins|TestReaderNeverWaits' ./internal/tmark/ ./internal/serve/ ./internal/tensor/ ./internal/stream/ ./cmd/tmarkd/
 
 # The durability suite under the race detector: WAL codec and log
 # lifecycle (torn-tail truncation, rotation, checkpoint pruning), the

@@ -130,7 +130,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		cache    = fs.Int("cache", serve.DefaultCacheSize, "warm models kept in the LRU cache")
 		maxBatch = fs.Int("max-batch", serve.DefaultMaxBatch, "maximum queries coalesced into one lockstep solve")
 		queue    = fs.Int("queue", serve.DefaultQueueDepth, "admission queue depth per model (full queue → 503)")
-		maxConc  = fs.Int("max-concurrent", serve.DefaultMaxConcurrent, "batch solves running at once across all models")
+		maxConc  = fs.Int("max-concurrent", serve.DefaultMaxConcurrent, "batch solves running at once across all models; one model can have this many in flight")
 		maxBody  = fs.Int64("max-body", serve.DefaultMaxBodyBytes, "maximum /classify request body bytes")
 		drain    = fs.Duration("drain-timeout", 30*time.Second, "shutdown deadline after SIGTERM/SIGINT")
 		modelDir = fs.String("model-dir", "", "artifact registry directory: models compiled by `tmark build` activate by mmap instead of rebuilding")

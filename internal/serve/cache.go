@@ -299,13 +299,18 @@ func (c *modelCache) buildSafe(key modelKey) (br buildResult, err error) {
 // coalesce on the rebuild exactly like a cold miss). The entry's
 // coalescer retires asynchronously once its queue is answered; its
 // remaining jobs finish against the old model — at worst with another
-// ErrModelFault, never a wrong answer.
+// ErrModelFault, never a wrong answer. Only an entry still in the cache
+// is quarantined, so each is counted and stopped at most once: a fault
+// on an entry that has already left it (quarantined by an overlapping
+// batch, or evicted, invalidated or drained) changes nothing, because
+// whatever retired the entry has already stopped its coalescer.
 func (c *modelCache) quarantine(e *warmModel) {
 	c.mu.Lock()
-	unleased := false
-	if cur, ok := c.entries[e.key]; ok && cur == e {
-		unleased = c.removeLocked(e)
+	if e.retired {
+		c.mu.Unlock()
+		return
 	}
+	unleased := c.removeLocked(e)
 	c.mu.Unlock()
 	if unleased {
 		c.closeArtifacts(e)
@@ -382,11 +387,11 @@ func (c *modelCache) queueDepth() int {
 }
 
 // stopAll empties the cache: it retires every entry, closes every
-// coalescer's intake and blocks until each dispatcher has answered its
-// queue and exited; entries still building are stopped once they are
-// ready. Drain calls it after cancelling the server's drain context, so
-// every answer is a partial result returned within one solver
-// iteration. Retiring unmaps every artifact no request still leases, so
+// coalescer's intake and blocks until each coalescer has answered its
+// batches in flight and its queue; entries still building are stopped
+// once they are ready. Drain calls it after cancelling the server's
+// drain context, so every answer is a partial result returned within
+// one solver iteration. Retiring unmaps every artifact no request still leases, so
 // a drained server keeps no mapping past its last borrower.
 func (c *modelCache) stopAll() {
 	c.mu.Lock()

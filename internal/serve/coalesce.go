@@ -12,10 +12,16 @@ package serve
 //
 // Admission is a bounded queue with fail-fast overflow: a full queue
 // rejects immediately (the caller maps it to 503) instead of building an
-// unbounded backlog. One dispatcher goroutine takes a blocking first
-// job, drains whatever else is already queued (up to the batch cap), and
-// solves; a server-wide slot semaphore bounds how many batches solve
-// concurrently across all warm models.
+// unbounded backlog. One dispatcher goroutine per model forms batches
+// and starts each on its own goroutine; a server-wide slot semaphore
+// bounds how many batches solve at once across all warm models, so one
+// model can have up to that many batches in flight. A column's bits do
+// not depend on the batch it rides in, so overlapping batches need no
+// coordination beyond the read-only model they share. A batch keeps
+// filling while another batch of its model solves, and starts once it
+// is full or no batch of its model is running: starting it narrower
+// would only waste padded lanes, since the queue refills while the
+// other batch solves.
 
 import (
 	"context"
@@ -43,8 +49,8 @@ var ErrDraining = errors.New("serve: draining")
 // clears a transient corruption, so clients should retry).
 var ErrModelFault = errors.New("serve: model quarantined after fault")
 
-// job is one enqueued query and its reply channel (buffered so the
-// dispatcher never blocks on delivery).
+// job is one enqueued query and its reply channel (buffered so a batch
+// never blocks on delivery).
 type job struct {
 	query tmark.ColumnQuery
 	resp  chan jobResult
@@ -61,7 +67,6 @@ type coalescer struct {
 	model    *tmark.Model
 	maxBatch int
 	queue    chan *job
-	batch    []*job // dispatcher-owned collection scratch
 
 	// solveCtx is the base context of every batch solve, a child of the
 	// server's drain context; cancelling either stops in-flight and
@@ -71,16 +76,23 @@ type coalescer struct {
 
 	slots chan struct{} // server-wide solve semaphore; nil = unbounded
 
-	// onPanic is invoked (at most per batch) when a batch solve panics,
-	// after the panic is recovered; the cache wires it to quarantine
-	// this coalescer's model. The field is assigned before the warm
-	// model is published, so the dispatcher never observes a torn write.
+	// onPanic is invoked (once per panicking batch) when a batch solve
+	// panics, after the panic is recovered; the cache wires it to
+	// quarantine this coalescer's model. The field is assigned before
+	// the warm model is published, so no batch observes a torn write.
 	onPanic func()
+
+	// running counts this model's batches that are solving; each batch
+	// that ends puts a token in ended (capacity 1), which wakes a
+	// dispatcher waiting on running — a batch filling while busy, or
+	// the exit — to look at it again.
+	running atomic.Int32
+	ended   chan struct{}
 
 	closed   atomic.Bool   // intake rejected once set
 	drainCh  chan struct{} // signals the dispatcher to empty and exit
 	stopOnce sync.Once
-	done     chan struct{} // closed when the dispatcher has exited
+	done     chan struct{} // closed once the dispatcher has exited and every batch has answered
 
 	met *metrics
 }
@@ -96,8 +108,8 @@ func newCoalescer(parent context.Context, model *tmark.Model, maxBatch, queueDep
 		model:    model,
 		maxBatch: maxBatch,
 		queue:    make(chan *job, queueDepth),
-		batch:    make([]*job, 0, maxBatch),
 		slots:    slots,
+		ended:    make(chan struct{}, 1),
 		drainCh:  make(chan struct{}),
 		done:     make(chan struct{}),
 		met:      met,
@@ -115,11 +127,13 @@ func newCoalescer(parent context.Context, model *tmark.Model, maxBatch, queueDep
 //
 // The coalescer takes no lease on its model's cache entry; the callers'
 // leases cover every batch. do returns only after the batch holding its
-// job has answered it, or after the dispatcher exited without solving
-// it, and it has deliberately no ctx.Done() case: a cancelled request
-// still waits for its batch. So every job in a running batch belongs to
-// a caller blocked here, holding the lease that keeps the model's
-// artifact mapped until the batch ends.
+// job has answered it, or after done closed without an answer, and it
+// has deliberately no ctx.Done() case: a cancelled request still waits
+// for its batch. done closes only once every batch has answered, so a
+// job that is still in a running batch — or in a batch still filling —
+// has its caller blocked here. So every job in every batch of this
+// model, however many overlap, belongs to a caller holding the lease
+// that keeps the model's artifact mapped until that batch ends.
 func (c *coalescer) do(ctx context.Context, q tmark.ColumnQuery) (tmark.ColumnResult, int, error) {
 	if c.closed.Load() {
 		return tmark.ColumnResult{}, 0, ErrDraining
@@ -135,9 +149,9 @@ func (c *coalescer) do(ctx context.Context, q tmark.ColumnQuery) (tmark.ColumnRe
 	case r := <-j.resp:
 		return r.res, r.width, r.err
 	case <-c.done:
-		// The dispatcher exited while we waited. Either it answered us on
-		// its way out (the reply is buffered) or our enqueue raced past
-		// the drain sweep.
+		// The dispatcher exited while we waited. Either a batch answered
+		// us on its way out (the reply is buffered) or our enqueue raced
+		// past the drain sweep.
 		select {
 		case r := <-j.resp:
 			return r.res, r.width, r.err
@@ -147,12 +161,18 @@ func (c *coalescer) do(ctx context.Context, q tmark.ColumnQuery) (tmark.ColumnRe
 	}
 }
 
-// dispatch is the coalescer's single consumer: block for one job, fold
-// in whatever else is queued, solve, repeat. On stop it empties the
-// queue and exits; under a server drain those solves run under the
-// already-cancelled solveCtx, so each returns within one iteration.
+// dispatch is the coalescer's single consumer: block for one job, form
+// a batch around it and start the batch, repeat. On stop it empties the
+// queue, waits for every batch to answer and exits; under a server
+// drain those solves run under the already-cancelled solveCtx, so each
+// returns within one iteration.
 func (c *coalescer) dispatch() {
-	defer close(c.done)
+	defer func() {
+		for c.running.Load() > 0 {
+			<-c.ended
+		}
+		close(c.done)
+	}()
 	for {
 		select {
 		case j := <-c.queue:
@@ -170,15 +190,28 @@ func (c *coalescer) dispatch() {
 	}
 }
 
-// collect acquires a solve slot, folds everything queued behind first
-// into one batch (queries that arrived while waiting for the slot
-// coalesce too — the busier the server, the wider the batches), and
-// solves it.
+// collect forms one batch around first and starts it on its own
+// goroutine. While another batch of this model is solving, the new
+// batch keeps receiving from the queue until it is full or no batch of
+// its model runs any more, so it never starts later than it would
+// behind a single batch, and never narrower than the queue allows.
+// Then it acquires a solve slot and folds in, without waiting, whatever
+// queued meanwhile (queries that arrived while waiting for the slot
+// coalesce too — the busier the server, the wider the batches). The
+// jobs of a filling batch have left the queue, so a model admits at
+// most its queue depth plus one filling batch.
 func (c *coalescer) collect(first *job) {
-	batch := append(c.batch[:0], first)
+	batch := make([]*job, 1, c.maxBatch)
+	batch[0] = first
+	for len(batch) < c.maxBatch && c.running.Load() > 0 {
+		select {
+		case j := <-c.queue:
+			batch = append(batch, j)
+		case <-c.ended:
+		}
+	}
 	if c.slots != nil {
 		c.slots <- struct{}{}
-		defer func() { <-c.slots }()
 	}
 fill:
 	for len(batch) < c.maxBatch {
@@ -189,7 +222,24 @@ fill:
 			break fill
 		}
 	}
-	c.run(batch)
+	c.running.Add(1)
+	if c.met != nil {
+		c.met.inflight.Add(1)
+	}
+	go func() {
+		c.run(batch)
+		if c.slots != nil {
+			<-c.slots
+		}
+		if c.met != nil {
+			c.met.inflight.Add(-1)
+		}
+		c.running.Add(-1)
+		select {
+		case c.ended <- struct{}{}:
+		default:
+		}
+	}()
 }
 
 // run executes one lockstep batch and answers every job. SolveColumns
@@ -216,8 +266,8 @@ func (c *coalescer) run(batch []*job) {
 }
 
 // solve runs the lockstep solve with a panic barrier: a crashing solver
-// must take down neither the dispatcher (which still owes every queued
-// job an answer) nor the process. A recovered panic quarantines the
+// must take down neither the batch (which still owes each of its jobs
+// an answer) nor the process. A recovered panic quarantines the
 // model via onPanic and surfaces as ErrModelFault on every job of the
 // batch.
 func (c *coalescer) solve(queries []tmark.ColumnQuery) (out []tmark.ColumnResult, err error) {
@@ -238,12 +288,12 @@ func (c *coalescer) solve(queries []tmark.ColumnQuery) (out []tmark.ColumnResult
 	return c.model.SolveColumns(c.solveCtx, queries)
 }
 
-// stop closes intake and waits for the dispatcher to answer everything
-// still queued. Retiring a model (eviction, quarantine, invalidation)
-// leaves the solve context live, so the accepted work finishes at full
-// quality; the SIGTERM drain cancels the parent context before it
-// stops anything, so those solves return within one solver iteration
-// with partial results.
+// stop closes intake and waits until every batch in flight and
+// everything still queued has been answered. Retiring a model
+// (eviction, quarantine, invalidation) leaves the solve context live,
+// so the accepted work finishes at full quality; the SIGTERM drain
+// cancels the parent context before it stops anything, so those solves
+// return within one solver iteration with partial results.
 func (c *coalescer) stop() {
 	c.stopOnce.Do(func() {
 		c.closed.Store(true)

@@ -87,9 +87,10 @@ func awaitRecorder(t *testing.T, ch <-chan *httptest.ResponseRecorder, what stri
 
 // leaseServer serves a test graph as the registry-backed model "test"
 // next to the graph-only dataset "other", in a one-entry cache: touching
-// "other" evicts "test". It activates "test" before any hook is armed
-// and returns the server, its registry directory and the graph.
-func leaseServer(t *testing.T, cfg tmark.Config) (*Server, string, *hin.Graph) {
+// "other" evicts "test". It applies mutate, if any, to the options,
+// activates "test" before any hook is armed and returns the server, its
+// registry directory and the graph.
+func leaseServer(t *testing.T, cfg tmark.Config, mutate ...func(*Options)) (*Server, string, *hin.Graph) {
 	t.Helper()
 	g := testGraph(60)
 	dir, _ := buildRegistry(t, "test", g, cfg)
@@ -98,6 +99,9 @@ func leaseServer(t *testing.T, cfg tmark.Config) (*Server, string, *hin.Graph) {
 		o.Default = "test"
 		o.ModelDir = dir
 		o.CacheSize = 1
+		for _, m := range mutate {
+			m(o)
+		}
 	})
 	if code, _ := classifyHash(t, s, "test", 0); code != http.StatusOK {
 		t.Fatalf("warm-up classify: status %d", code)
@@ -266,6 +270,50 @@ func TestLeaseKeepsMappingThroughHeldBatch(t *testing.T) {
 	}
 	fault.Reset()
 	checkBitwise(t, out.Scores, mustClassifyRef(t, g, cfg, seedsA).X)
+}
+
+// TestLeaseKeepsMappingThroughTwoHeldBatches: two batches of one model
+// are held at the solve gate while their entry is evicted. Each batch is
+// covered only by its own caller's lease, so the blob stays mapped until
+// both batches end, still mapped after the first, and unmaps after the
+// second; both answers are bitwise SolveColumn's.
+func TestLeaseKeepsMappingThroughTwoHeldBatches(t *testing.T) {
+	t.Cleanup(fault.Reset)
+	cfg := fastConfig()
+	s, dir, g := leaseServer(t, cfg, func(o *Options) {
+		o.MaxBatch = 1      // every query is a full batch of its own
+		o.MaxConcurrent = 3 // a third slot for the evicting classify
+	})
+	held := holdBatches(t, 2)
+
+	seeds := [][]int{classSeeds(g, 0), classSeeds(g, 1)}
+	done := make([]chan *httptest.ResponseRecorder, len(seeds))
+	var hs []heldBatch
+	for i := range seeds {
+		done[i] = make(chan *httptest.ResponseRecorder, 1)
+		go func() { done[i] <- serveClassify(s, context.Background(), seeds[i]) }()
+		hs = append(hs, awaitHeld(t, held))
+	}
+
+	if code, _ := classifyHash(t, s, "other", 0); code != http.StatusOK {
+		t.Fatalf("classify(other): status %d", code)
+	}
+	if got := s.met.cacheEvictions.Load(); got != 1 {
+		t.Fatalf("evictions = %d, want 1", got)
+	}
+	checkMapped(t, s, dir, 1)
+
+	close(hs[0].resume)
+	rec0 := awaitRecorder(t, done[0], "classify 0")
+	checkMapped(t, s, dir, 1) // the second held batch still leases it
+	close(hs[1].resume)
+	rec1 := awaitRecorder(t, done[1], "classify 1")
+	checkMapped(t, s, dir, 0)
+
+	fault.Reset()
+	for i, rec := range []*httptest.ResponseRecorder{rec0, rec1} {
+		checkBitwise(t, decodeClassify(t, rec).Scores, mustClassifyRef(t, g, cfg, seeds[i]).X)
+	}
 }
 
 // TestLeaseBoundsMappingsUnderIngest: every ingest batch seals a new

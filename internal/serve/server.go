@@ -66,7 +66,9 @@ type Options struct {
 	// rejects with 503 (default 64).
 	QueueDepth int
 	// MaxConcurrent bounds how many batch solves run at once across all
-	// warm models (default 2).
+	// warm models (default 2). One model can have that many batches in
+	// flight; a batch keeps filling while another batch of its model
+	// solves.
 	MaxConcurrent int
 	// MaxBodyBytes bounds a /classify request body (default 1 MiB).
 	MaxBodyBytes int64
@@ -159,6 +161,9 @@ type metrics struct {
 	artifactFails  *obs.Counter
 	latency        *obs.Latency
 	batchTime      *obs.Timer
+	// inflight counts the batches solving right now, across every
+	// coalescer: the tmarkd_batches_inflight gauge.
+	inflight atomic.Int64
 }
 
 func newMetrics(reg *obs.Registry) *metrics {
@@ -295,6 +300,7 @@ func New(opts Options) (*Server, error) {
 		s.met)
 
 	reg.SetGauge("tmarkd_queue_depth", func() float64 { return float64(s.cache.queueDepth()) })
+	reg.SetGauge("tmarkd_batches_inflight", func() float64 { return float64(s.met.inflight.Load()) })
 	reg.SetGauge("tmarkd_artifacts_open", func() float64 { return float64(s.cache.artifactsOpen.Load()) })
 	reg.SetGauge("tmarkd_coalesce_ratio", func() float64 {
 		b := s.met.batches.Load()

@@ -720,6 +720,7 @@ func TestMetricsEndpointExposesServingGauges(t *testing.T) {
 		"tmarkd_classify_latency_p50_seconds",
 		"tmarkd_classify_latency_p99_seconds",
 		"tmarkd_artifacts_open 1", // the classify activated the blob
+		"tmarkd_batches_inflight 0",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)
