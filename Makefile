@@ -181,8 +181,9 @@ recovery-chaos:
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# Short fuzzing passes over the untrusted-input parsers, and over the
-# feature-channel builders against their pairwise oracle.
+# Short fuzzing passes over the untrusted-input parsers, over the
+# feature-channel builders against their pairwise oracle, and over the
+# blocked tensor contractions against the single-vector and dense ones.
 fuzz:
 	$(GO) test -fuzz FuzzReadJSON -fuzztime 30s ./internal/hin/
 	$(GO) test -fuzz FuzzReadEdgeCSV -fuzztime 30s ./internal/hin/
@@ -192,6 +193,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecodeArtifact -fuzztime 30s ./internal/artifact/
 	$(GO) test -fuzz FuzzDecodeWALRecord -fuzztime 30s ./internal/wal/
 	$(GO) test -fuzz FuzzFeatureTransition -fuzztime 30s ./internal/markov/
+	$(GO) test -fuzz FuzzApplyBatch -fuzztime 30s ./internal/tensor/
 
 # Regenerate every table and figure at the quick scale.
 experiments:

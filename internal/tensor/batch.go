@@ -11,22 +11,28 @@ package tensor
 // On AVX2 hosts every call with 1 ≤ b ≤ 8 runs a vector body: the
 // bodies exist for b = 4 and b = 8, and any other width is padded up to
 // the next of them with zero lanes (kernelWidth). A zero lane stays
-// exactly +0 through the scatter, its stored mass and column sums are
-// 0, so it adds no dangling mass, and its results are dropped. No body
+// exactly +0 through the scatter, its output and column sums are 0, so
+// it adds no dangling mass, and its results are dropped. No body
 // combines values from different columns, so padding changes no real
 // column's bits.
 //
+// The dangling closed form needs the stored mass of each column, Σ x_j·z_k
+// over the stored (j, k) columns of O (Σ x_i·x_j over the stored tubes
+// of R). Every stored column and tube sums to one (eqs. 1 and 2), so
+// that mass is the column sum of the scatter's own output: each call
+// reads it off the block it has just written, with no second pass over
+// the tensor (danglingAddend).
+//
 // Bitwise contract: column c of a batched result equals the
 // single-vector kernel run on column c alone, path by path. The serial
-// ApplyBatch visits entries, stored columns/tubes and nodes in exactly
-// the order of the serial Apply; the parallel ApplyBatchParallel uses
-// shard boundaries that depend only on the tensor and the shard count
-// (par.Split over entry, node and stored-column counts — all independent
-// of b) and reduces per-worker partials in worker order, like the
-// single-vector sharded reference in the package tests. The dangling-mass
-// closed form keeps its per-column `> 1e-15` guard, and columns without
-// dangling mass skip the uniform add entirely, so no column ever sees an
-// extra floating-point operation relative to its single-vector run.
+// ApplyBatch visits entries and rows in exactly the order of the serial
+// Apply; the parallel ApplyBatchParallel uses shard boundaries that
+// depend only on the tensor and the shard count (par.Split over entry
+// and row counts — all independent of b), sums each worker's partial
+// block and reduces the partials in worker order, like the single-vector
+// sharded reference in the package tests. Columns without dangling mass
+// skip the uniform add entirely, so no column ever sees an extra
+// floating-point operation relative to its single-vector run.
 
 import (
 	"fmt"
@@ -189,7 +195,8 @@ func (s *NodeBatchScratch) checkCols(b int) {
 // ApplyBatch computes the blocked contraction dst = O ×̄₁ X ×̄₃ Z for b
 // interleaved class columns: x and dst are n×b blocks, z an m×b block
 // (stride b), and dst must not alias x. Column c of dst is bitwise equal
-// to Apply run on column c of x and z.
+// to Apply run on column c of x and z: the stored mass is the column sum
+// of the scattered block, taken before the uniform add.
 func (o *NodeTransition) ApplyBatch(s *NodeBatchScratch, x, z, dst []float64, b int) {
 	s.checkCols(b)
 	checkNodeBlocks(o, "ApplyBatch", len(x), len(z), len(dst), b)
@@ -206,10 +213,11 @@ func (o *NodeTransition) ApplyBatch(s *NodeBatchScratch, x, z, dst []float64, b 
 	sumX, sumZ, mass, u := s.sumX[:w], s.sumZ[:w], s.mass[:w], s.u[:w]
 	colSums(x, w, sumX)
 	colSums(z, w, sumZ)
-	clear(mass)
-	pairMassBatch(x, z, o.colJ, o.colK, w, 0, len(o.colJ), mass, asm)
 	cooScatterBatch(out, x, z, o.i, o.j, o.k, o.p, w, 0, len(o.p), asm)
-	danglingAddends(sumX, sumZ, mass, u, n)
+	colSums(out, w, mass)
+	for c := range u {
+		u[c] = danglingAddend(sumX[c], sumZ[c], mass[c], n, o.DanglingColumns())
+	}
 	addUniformCols(out, u, w)
 	if w != b {
 		unpadBlock(dst, out, n, b, w)
@@ -266,60 +274,14 @@ func cooScatterBatch(dst, a, bb []float64, di, ai, bi []int32, p []float64, cols
 	}
 }
 
-// pairMassBatch accumulates mass[c] += a[ai·b+c]·bb[bi·b+c] over the
-// index pairs in [lo, hi) — the stored-column (or stored-tube) mass of
-// the dangling closed form — with the same body selection, b-row cache
-// and per-column pair order as cooScatterBatch.
-func pairMassBatch(a, bb []float64, ai, bi []int32, cols, lo, hi int, mass []float64, asm bool) {
-	if lo >= hi {
-		return
-	}
-	switch {
-	case asm && cols == 4:
-		pairMassAVX4(&a[0], &bb[0], &ai[lo], &bi[lo], hi-lo, &mass[0])
-		return
-	case asm && cols == 8:
-		pairMassAVX8(&a[0], &bb[0], &ai[lo], &bi[lo], hi-lo, &mass[0])
-		return
-	}
-	lastB := int32(-1)
-	var bv []float64
-	for q := lo; q < hi; q++ {
-		if v := bi[q]; v != lastB {
-			lastB = v
-			bv = bb[int(v)*cols : int(v)*cols+cols]
-		}
-		ab := int(ai[q]) * cols
-		av := a[ab : ab+cols]
-		for c := range av {
-			mass[c] += av[c] * bv[c]
-		}
-	}
-}
-
-// colSums accumulates the per-column sums of an rows×b block into sum,
-// visiting rows in ascending order like the single-vector sum loops.
+// colSums sets sum to the per-column sums of an rows×b block, visiting
+// rows in ascending order like the single-vector sum loops.
 func colSums(block []float64, b int, sum []float64) {
-	for c := range sum {
-		sum[c] = 0
-	}
+	clear(sum)
 	for base := 0; base < len(block); base += b {
 		row := block[base : base+b]
 		for c, v := range row {
 			sum[c] += v
-		}
-	}
-}
-
-// danglingAddends fills u with the per-column uniform addend of the
-// dangling mass sumA[c]·sumB[c] − mass[c], keeping the single-vector
-// `> 1e-15` guard per column.
-func danglingAddends(sumA, sumB, mass, u []float64, dim int) {
-	for c := range u {
-		if dangling := sumA[c]*sumB[c] - mass[c]; dangling > 1e-15 && dim > 0 {
-			u[c] = dangling / float64(dim)
-		} else {
-			u[c] = 0
 		}
 	}
 }
@@ -341,8 +303,9 @@ func addUniformCols(dst []float64, u []float64, b int) {
 
 // nodeBatchTask is the two-phase par.Task of ApplyBatchParallel,
 // mirroring nodeApplyTask: a scatter phase contracting entry shards into
-// per-worker partial blocks at the kernel width w, then a strided
-// reduction folding their first b lanes into dst in worker order.
+// per-worker partial blocks at the kernel width w and summing each
+// partial's columns, then a strided reduction folding their first b
+// lanes into dst in worker order.
 type nodeBatchTask struct {
 	o      *NodeTransition
 	s      *NodeBatchScratch
@@ -374,39 +337,23 @@ func (t *nodeBatchTask) RunShard(shard, shards int) {
 	part := s.partials[wBase : wBase+n*w]
 	clear(part)
 	x, z := t.x, t.z
-	sumX := s.sumX[shard*s.lanes : shard*s.lanes+w]
-	sumZ := s.sumZ[shard*s.lanes : shard*s.lanes+w]
-	mass := s.mass[shard*s.lanes : shard*s.lanes+w]
-	clear(sumX)
-	clear(sumZ)
-	clear(mass)
 	lo, hi := par.Split(n, shards, shard)
-	for i := lo; i < hi; i++ {
-		row := x[i*w : i*w+w]
-		for c, v := range row {
-			sumX[c] += v
-		}
-	}
+	colSums(x[lo*w:hi*w], w, s.sumX[shard*s.lanes:shard*s.lanes+w])
 	lo, hi = par.Split(o.m, shards, shard)
-	for k := lo; k < hi; k++ {
-		row := z[k*w : k*w+w]
-		for c, v := range row {
-			sumZ[c] += v
-		}
-	}
-	lo, hi = par.Split(len(o.colJ), shards, shard)
-	pairMassBatch(x, z, o.colJ, o.colK, w, lo, hi, mass, t.asm)
+	colSums(z[lo*w:hi*w], w, s.sumZ[shard*s.lanes:shard*s.lanes+w])
 	lo, hi = par.Split(len(o.p), shards, shard)
 	cooScatterBatch(part, x, z, o.i, o.j, o.k, o.p, w, lo, hi, t.asm)
+	colSums(part, w, s.mass[shard*s.lanes:shard*s.lanes+w])
 }
 
 // ApplyBatchParallel computes the blocked contraction like ApplyBatch
 // with the entry shards spread across the pool. Shard boundaries are the
 // single-vector ones (they depend only on the tensor and the shard
-// count, never on b) and the per-worker partials reduce in worker order,
-// so for a fixed worker count column c of the result is bitwise
-// independent of b and equal to the single-vector sharded reference run
-// on column c alone. A nil/serial pool or single-shard
+// count, never on b); each worker sums the columns of its own partial
+// block into its stored-mass slot, and the slots and the partials reduce
+// in worker order, so for a fixed worker count column c of the result is
+// bitwise independent of b and equal to the single-vector sharded
+// reference run on column c alone. A nil/serial pool or single-shard
 // scratch falls back to the serial path.
 func (o *NodeTransition) ApplyBatchParallel(p *par.Pool, s *NodeBatchScratch, x, z, dst []float64, b int) {
 	if p.Serial() || s == nil || s.shards <= 1 {
@@ -431,11 +378,7 @@ func (o *NodeTransition) ApplyBatchParallel(p *par.Pool, s *NodeBatchScratch, x,
 			sumZ += s.sumZ[k*s.lanes+c]
 			stored += s.mass[k*s.lanes+c]
 		}
-		if dangling := sumX*sumZ - stored; dangling > 1e-15 && o.n > 0 {
-			u[c] = dangling / float64(o.n)
-		} else {
-			u[c] = 0
-		}
+		u[c] = danglingAddend(sumX, sumZ, stored, o.n, o.DanglingColumns())
 	}
 	t.reduce = true
 	p.Run(s.shards, t, &s.wg)
@@ -522,9 +465,8 @@ func (s *RelationBatchScratch) checkCols(b int) {
 // interleaved class columns: x is an n×b block, dst an m×b block (stride
 // b), and dst must not alias x. Column c of dst is bitwise equal to
 // Apply run on column c of x; the mode-1 and mode-2 sums coincide
-// bitwise when xi == xj, so the sum is computed once and squared. The
-// stored-tube mass and the scatter run as two passes, which sum every
-// float in the order of the single-vector loops.
+// bitwise when xi == xj, so the sum is computed once and squared, and
+// the stored-tube mass is the column sum of the scattered block.
 func (r *RelationTransition) ApplyBatch(s *RelationBatchScratch, x, dst []float64, b int) {
 	s.checkCols(b)
 	checkRelationBlocks(r, "ApplyBatch", len(x), len(dst), b)
@@ -539,10 +481,11 @@ func (r *RelationTransition) ApplyBatch(s *RelationBatchScratch, x, dst []float6
 	clear(out)
 	sumI, mass, u := s.sumI[:w], s.mass[:w], s.u[:w]
 	colSums(x, w, sumI)
-	clear(mass)
-	pairMassBatch(x, x, r.tubeI, r.tubeJ, w, 0, len(r.tubeI), mass, asm)
 	cooScatterBatch(out, x, x, r.k, r.i, r.j, r.p, w, 0, len(r.p), asm)
-	danglingAddends(sumI, sumI, mass, u, m)
+	colSums(out, w, mass)
+	for c := range u {
+		u[c] = danglingAddend(sumI[c], sumI[c], mass[c], m, r.DanglingTubes())
+	}
 	addUniformCols(out, u, w)
 	if w != b {
 		unpadBlock(dst, out, m, b, w)
@@ -566,30 +509,20 @@ func (t *relationBatchTask) RunShard(shard, shards int) {
 	part := s.partials[shard*m*s.lanes : shard*m*s.lanes+m*w]
 	clear(part)
 	x := t.x
-	sumI := s.sumI[shard*s.lanes : shard*s.lanes+w]
-	mass := s.mass[shard*s.lanes : shard*s.lanes+w]
-	clear(sumI)
-	clear(mass)
 	lo, hi := par.Split(r.n, shards, shard)
-	for i := lo; i < hi; i++ {
-		row := x[i*w : i*w+w]
-		for c, v := range row {
-			sumI[c] += v
-		}
-	}
-	lo, hi = par.Split(len(r.tubeI), shards, shard)
-	pairMassBatch(x, x, r.tubeI, r.tubeJ, w, lo, hi, mass, t.asm)
+	colSums(x[lo*w:hi*w], w, s.sumI[shard*s.lanes:shard*s.lanes+w])
 	lo, hi = par.Split(len(r.p), shards, shard)
 	cooScatterBatch(part, x, x, r.k, r.i, r.j, r.p, w, lo, hi, t.asm)
+	colSums(part, w, s.mass[shard*s.lanes:shard*s.lanes+w])
 }
 
 // ApplyBatchParallel computes the blocked contraction like ApplyBatch
-// with the entry shards spread across the pool, reducing the m×b output
+// with the entry shards spread across the pool, each worker summing the
+// columns of its own m×w partial block, and reduces the m×b output
 // serially in the caller. For a fixed worker count column c of the
 // result is bitwise independent of b and equal to the single-vector
 // sharded reference run on column c alone. A nil/serial pool or
-// single-shard
-// scratch falls back to the serial path.
+// single-shard scratch falls back to the serial path.
 func (r *RelationTransition) ApplyBatchParallel(p *par.Pool, s *RelationBatchScratch, x, dst []float64, b int) {
 	if p.Serial() || s == nil || s.shards <= 1 {
 		r.ApplyBatch(s, x, dst, b)
@@ -609,11 +542,7 @@ func (r *RelationTransition) ApplyBatchParallel(p *par.Pool, s *RelationBatchScr
 			sumI += s.sumI[k*s.lanes+c]
 			stored += s.mass[k*s.lanes+c]
 		}
-		if dangling := sumI*sumI - stored; dangling > 1e-15 && r.m > 0 {
-			u[c] = dangling / float64(r.m)
-		} else {
-			u[c] = 0
-		}
+		u[c] = danglingAddend(sumI, sumI, stored, r.m, r.DanglingTubes())
 	}
 	m := r.m
 	for k := 0; k < m; k++ {

@@ -1,14 +1,14 @@
 package tensor
 
-// AVX2 bodies of the blocked contraction inner loops for the column
+// AVX2 bodies of the blocked contraction inner loop for the column
 // counts 4 and 8; every other width up to 8 is padded to one of them
 // (see kernelWidth). A b-column row is exactly one (b = 4) or two
-// (b = 8) 256-bit lanes, so the scalar bodies of cooScatterBatch and
-// pairMassBatch map 1:1 onto VMULPD/VADDPD: each lane performs the same
-// IEEE-754 double multiply/add as the scalar `*`/`+` on that column, in
-// the same per-column order (no FMA contraction), so the vector kernels
-// are bitwise identical to the scalar ones and every equivalence test
-// covers both. The b-row run cache lives in a vector register with the
+// (b = 8) 256-bit lanes, so the scalar body of cooScatterBatch maps
+// 1:1 onto VMULPD/VADDPD: each lane performs the same IEEE-754 double
+// multiply/add as the scalar `*`/`+` on that column, in the same
+// per-column order (no FMA contraction), so the vector kernels are
+// bitwise identical to the scalar one and every equivalence test covers
+// both. The b-row run cache lives in a vector register with the
 // same reload-on-index-change rule as the scalar loop.
 
 // cooScatterAVX4 is the cols = 4 body of cooScatterBatch over n entries:
@@ -21,14 +21,3 @@ func cooScatterAVX4(dst, a, bb *float64, di, ai, bi *int32, p *float64, n int)
 //
 //go:noescape
 func cooScatterAVX8(dst, a, bb *float64, di, ai, bi *int32, p *float64, n int)
-
-// pairMassAVX4 is the cols = 4 body of pairMassBatch over n pairs:
-// mass[c] += a[ai·4+c]·bb[bi·4+c], pairs in order, bb row cached.
-//
-//go:noescape
-func pairMassAVX4(a, bb *float64, ai, bi *int32, n int, mass *float64)
-
-// pairMassAVX8 is the cols = 8 body of pairMassBatch.
-//
-//go:noescape
-func pairMassAVX8(a, bb *float64, ai, bi *int32, n int, mass *float64)

@@ -1,7 +1,7 @@
 // AVX2 inner loops of the blocked tensor contractions. See
 // batch_amd64.go for the bitwise contract: VMULPD/VADDPD lanes perform
-// exactly the scalar IEEE-754 double ops of cooScatterBatch /
-// pairMassBatch, in the same order, with no FMA contraction.
+// exactly the scalar IEEE-754 double ops of cooScatterBatch, in the
+// same order, with no FMA contraction.
 
 #include "textflag.h"
 
@@ -94,81 +94,5 @@ bsame8:
 	INCQ CX
 	CMPQ CX, R13
 	JL   scatter8
-	VZEROUPPER
-	RET
-
-// func pairMassAVX4(a, bb *float64, ai, bi *int32, n int, mass *float64)
-//
-// Per pair q: Y3 += a-row * b-row (cached b-row in Y1) — the exact a·b
-// then m+w order of the scalar body; Y3 starts from mass and is
-// stored back, like the scalar register accumulators.
-TEXT ·pairMassAVX4(SB), NOSPLIT, $0-48
-	MOVQ a+0(FP), SI
-	MOVQ bb+8(FP), R15
-	MOVQ ai+16(FP), DX
-	MOVQ bi+24(FP), R9
-	MOVQ n+32(FP), R13
-	MOVQ mass+40(FP), R12
-	VMOVUPD (R12), Y3
-	XORQ CX, CX
-	MOVQ $-1, R14
-
-mass4:
-	MOVL (R9)(CX*4), R8
-	CMPQ R8, R14
-	JE   msame4
-	MOVQ R8, R14
-	SHLQ $5, R8
-	VMOVUPD (R15)(R8*1), Y1
-
-msame4:
-	MOVL (DX)(CX*4), R8
-	SHLQ $5, R8
-	VMOVUPD (SI)(R8*1), Y2
-	VMULPD Y1, Y2, Y2
-	VADDPD Y2, Y3, Y3
-	INCQ CX
-	CMPQ CX, R13
-	JL   mass4
-	VMOVUPD Y3, (R12)
-	VZEROUPPER
-	RET
-
-// func pairMassAVX8(a, bb *float64, ai, bi *int32, n int, mass *float64)
-TEXT ·pairMassAVX8(SB), NOSPLIT, $0-48
-	MOVQ a+0(FP), SI
-	MOVQ bb+8(FP), R15
-	MOVQ ai+16(FP), DX
-	MOVQ bi+24(FP), R9
-	MOVQ n+32(FP), R13
-	MOVQ mass+40(FP), R12
-	VMOVUPD (R12), Y3
-	VMOVUPD 32(R12), Y6
-	XORQ CX, CX
-	MOVQ $-1, R14
-
-mass8:
-	MOVL (R9)(CX*4), R8
-	CMPQ R8, R14
-	JE   msame8
-	MOVQ R8, R14
-	SHLQ $6, R8
-	VMOVUPD (R15)(R8*1), Y1
-	VMOVUPD 32(R15)(R8*1), Y4
-
-msame8:
-	MOVL (DX)(CX*4), R8
-	SHLQ $6, R8
-	VMOVUPD (SI)(R8*1), Y2
-	VMOVUPD 32(SI)(R8*1), Y5
-	VMULPD Y1, Y2, Y2
-	VMULPD Y4, Y5, Y5
-	VADDPD Y2, Y3, Y3
-	VADDPD Y5, Y6, Y6
-	INCQ CX
-	CMPQ CX, R13
-	JL   mass8
-	VMOVUPD Y3, (R12)
-	VMOVUPD Y6, 32(R12)
 	VZEROUPPER
 	RET

@@ -12,11 +12,3 @@ func cooScatterAVX4(dst, a, bb *float64, di, ai, bi *int32, p *float64, n int) {
 func cooScatterAVX8(dst, a, bb *float64, di, ai, bi *int32, p *float64, n int) {
 	panic("tensor: AVX2 kernel on non-amd64 build")
 }
-
-func pairMassAVX4(a, bb *float64, ai, bi *int32, n int, mass *float64) {
-	panic("tensor: AVX2 kernel on non-amd64 build")
-}
-
-func pairMassAVX8(a, bb *float64, ai, bi *int32, n int, mass *float64) {
-	panic("tensor: AVX2 kernel on non-amd64 build")
-}

@@ -81,6 +81,48 @@ func batchCases(rng *rand.Rand) []*Tensor {
 	}
 }
 
+// fullTensor returns an n×n×m tensor with every (j, k) column and every
+// (i, j) tube stored, so neither transition has a dangling column or
+// tube.
+func fullTensor(rng *rand.Rand, n, m int) *Tensor {
+	a := New(n, m)
+	for j := 0; j < n; j++ {
+		for i := 0; i < n; i++ {
+			a.Add(i, j, rng.Intn(m), 1+rng.Float64())
+		}
+		for k := 0; k < m; k++ {
+			a.Add(rng.Intn(n), j, k, 1+rng.Float64())
+		}
+	}
+	a.Finalize()
+	return a
+}
+
+// scatterO is O ×̄₁ x ×̄₃ z with no dangling term: the stored entries
+// scattered in entry order, as Apply scatters them.
+func scatterO(o *NodeTransition, x, z []float64) []float64 {
+	dst := make([]float64, o.n)
+	for q, pi := range o.i {
+		w := o.p[q] * x[o.j[q]] * z[o.k[q]]
+		dst[pi] += w
+	}
+	return dst
+}
+
+// scatterR is R ×̄₁ x ×̄₂ x with no dangling term.
+func scatterR(r *RelationTransition, x []float64) []float64 {
+	dst := make([]float64, r.m)
+	for q, pk := range r.k {
+		dst[pk] += r.p[q] * x[r.i[q]] * x[r.j[q]]
+	}
+	return dst
+}
+
+// fullN is the size of the full tensor of the width sweeps: large enough
+// that Σx·Σz minus the stored mass exceeds 1e-15 by rounding alone in
+// some of the sweep's columns, so a uniform add of that residue shows.
+const fullN = 200
+
 // Column c of the blocked node contraction must be bitwise equal to the
 // single-vector Apply run on column c alone — the whole point of the
 // batched solver is that batching changes layout, never arithmetic —
@@ -107,6 +149,29 @@ func testNodeApplyBatchMatchesSingleColumns(t *testing.T) {
 			}
 		}
 	}
+
+	// With every column stored there is no dangling mass, so Apply and
+	// ApplyBatch return exactly the entry-order scatter: no uniform add
+	// of rounding residue.
+	o := NewNodeTransition(fullTensor(rng, fullN, 4))
+	if o.DanglingColumns() != 0 {
+		t.Fatalf("full tensor has %d dangling columns", o.DanglingColumns())
+	}
+	for b := 1; b <= maxWidth; b++ {
+		x := randomBlock(rng, o.N(), b)
+		z := randomBlock(rng, o.M(), b)
+		dst := make([]float64, o.N()*b)
+		o.ApplyBatch(NewNodeBatchScratch(o, 1, b), x, z, dst, b)
+		for c := 0; c < b; c++ {
+			label := fmt.Sprintf("full b=%d col %d", b, c)
+			xc, zc := column(x, o.N(), b, c), column(z, o.M(), b, c)
+			want := scatterO(o, xc, zc)
+			got := make([]float64, o.N())
+			o.Apply(xc, zc, got)
+			sameBits(t, label+" Apply", got, want)
+			sameBits(t, label+" ApplyBatch", column(dst, o.N(), b, c), want)
+		}
+	}
 }
 
 // Same per-column bitwise contract for the relation contraction.
@@ -131,6 +196,27 @@ func testRelationApplyBatchMatchesSingleColumns(t *testing.T) {
 			}
 		}
 	}
+
+	// With every tube stored, Apply and ApplyBatch return exactly the
+	// entry-order scatter.
+	r := NewRelationTransition(fullTensor(rng, fullN, 4))
+	if r.DanglingTubes() != 0 {
+		t.Fatalf("full tensor has %d dangling tubes", r.DanglingTubes())
+	}
+	for b := 1; b <= maxWidth; b++ {
+		x := randomBlock(rng, r.N(), b)
+		dst := make([]float64, r.M()*b)
+		r.ApplyBatch(NewRelationBatchScratch(r, 1, b), x, dst, b)
+		for c := 0; c < b; c++ {
+			label := fmt.Sprintf("full b=%d col %d", b, c)
+			xc := column(x, r.N(), b, c)
+			want := scatterR(r, xc)
+			got := make([]float64, r.M())
+			r.Apply(xc, got)
+			sameBits(t, label+" Apply", got, want)
+			sameBits(t, label+" ApplyBatch", column(dst, r.M(), b, c), want)
+		}
+	}
 }
 
 // The parallel batched contractions shard by the same boundaries as the
@@ -145,7 +231,7 @@ func TestApplyBatchParallelMatchesSingleColumns(t *testing.T) {
 
 func testApplyBatchParallelMatchesSingleColumns(t *testing.T) {
 	rng := rand.New(rand.NewSource(103))
-	cases := append([]*Tensor{randomTensor(rng, 80, 5, 1200)}, batchCases(rng)...)
+	cases := append([]*Tensor{randomTensor(rng, 80, 5, 1200), fullTensor(rng, fullN, 4)}, batchCases(rng)...)
 	for ci, a := range cases {
 		o := NewNodeTransition(a)
 		r := NewRelationTransition(a)

@@ -27,7 +27,7 @@ type NodeApplyScratch struct {
 	partials []float64 // shards × n, worker-major: shard s owns [s·n, (s+1)·n)
 	sumX     []float64 // per-shard partial sums of x
 	sumZ     []float64 // per-shard partial sums of z
-	mass     []float64 // per-shard stored-column mass Σ x[j]·z[k]
+	mass     []float64 // per-shard stored-column mass: the sum of its partial
 	task     nodeApplyTask
 	wg       sync.WaitGroup
 
@@ -98,16 +98,15 @@ func (t *nodeApplyTask) RunShard(shard, shards int) {
 		sz += v
 	}
 	s.sumX[shard], s.sumZ[shard] = sx, sz
-	var mass float64
-	lo, hi = par.Split(len(o.colJ), shards, shard)
-	for q := lo; q < hi; q++ {
-		mass += x[o.colJ[q]] * z[o.colK[q]]
-	}
-	s.mass[shard] = mass
 	lo, hi = par.Split(len(o.p), shards, shard)
 	for q := lo; q < hi; q++ {
 		part[o.i[q]] += o.p[q] * x[o.j[q]] * z[o.k[q]]
 	}
+	var mass float64
+	for _, v := range part {
+		mass += v
+	}
+	s.mass[shard] = mass
 }
 
 // ApplyParallel computes dst = O ×̄₁ x ×̄₃ z exactly like Apply, but
@@ -138,9 +137,7 @@ func (o *NodeTransition) ApplyParallel(p *par.Pool, s *NodeApplyScratch, x, z, d
 		sumZ += s.sumZ[w]
 		stored += s.mass[w]
 	}
-	if dangling := sumX*sumZ - stored; dangling > 1e-15 && o.n > 0 {
-		t.u = dangling / float64(o.n)
-	}
+	t.u = danglingAddend(sumX, sumZ, stored, o.n, o.DanglingColumns())
 	t.reduce = true
 	p.Run(s.shards, t, &s.wg)
 	t.x, t.z, t.dst = nil, nil, nil
@@ -206,16 +203,15 @@ func (t *relationApplyTask) RunShard(shard, shards int) {
 		sj += v
 	}
 	s.sumI[shard], s.sumJ[shard] = si, sj
-	var mass float64
-	lo, hi = par.Split(len(r.tubeI), shards, shard)
-	for q := lo; q < hi; q++ {
-		mass += xi[r.tubeI[q]] * xj[r.tubeJ[q]]
-	}
-	s.mass[shard] = mass
 	lo, hi = par.Split(len(r.p), shards, shard)
 	for q := lo; q < hi; q++ {
 		part[r.k[q]] += r.p[q] * xi[r.i[q]] * xj[r.j[q]]
 	}
+	var mass float64
+	for _, v := range part {
+		mass += v
+	}
+	s.mass[shard] = mass
 }
 
 // ApplyPairParallel computes dst[k] = Σ_i Σ_j r[i,j,k]·xi[i]·xj[j] like
@@ -242,10 +238,7 @@ func (r *RelationTransition) ApplyPairParallel(p *par.Pool, s *RelationApplyScra
 		sumJ += s.sumJ[w]
 		stored += s.mass[w]
 	}
-	var u float64
-	if dangling := sumI*sumJ - stored; dangling > 1e-15 && r.m > 0 {
-		u = dangling / float64(r.m)
-	}
+	u := danglingAddend(sumI, sumJ, stored, r.m, r.DanglingTubes())
 	m := r.m
 	for k := 0; k < m; k++ {
 		acc := u

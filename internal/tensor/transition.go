@@ -108,8 +108,12 @@ func (o *NodeTransition) columnDangling(j, k int) bool {
 // dst must have length n and must not alias x. The implicit dangling
 // columns contribute uniformly: their total mass is
 // Σ_(dangling j,k) x[j]z[k] = (Σx)(Σz) − Σ_(stored columns) x[j]z[k],
-// spread as 1/n per node. When x and z are probability vectors the result
-// is again a probability vector (Theorem 1).
+// spread as 1/n per node. Every stored column sums to one, so the stored
+// term is the sum of the scattered dst itself, taken before the uniform
+// add; no second pass over the stored columns is needed. A tensor with
+// no dangling column skips the add outright (danglingAddend). When x and
+// z are probability vectors the result is again a probability vector
+// (Theorem 1).
 func (o *NodeTransition) Apply(x, z, dst []float64) {
 	if len(x) != o.n || len(dst) != o.n {
 		panic(fmt.Sprintf("tensor: NodeTransition.Apply x/dst length %d/%d, want %d", len(x), len(dst), o.n))
@@ -127,20 +131,36 @@ func (o *NodeTransition) Apply(x, z, dst []float64) {
 	for _, v := range z {
 		sumZ += v
 	}
-	storedMass := 0.0
-	for q, cj := range o.colJ {
-		storedMass += x[cj] * z[o.colK[q]]
-	}
 	for q, pi := range o.i {
 		w := o.p[q] * x[o.j[q]] * z[o.k[q]]
 		dst[pi] += w
 	}
-	if dangling := sumX*sumZ - storedMass; dangling > 1e-15 && o.n > 0 {
-		u := dangling / float64(o.n)
+	var storedMass float64
+	for _, v := range dst {
+		storedMass += v
+	}
+	if u := danglingAddend(sumX, sumZ, storedMass, o.n, o.DanglingColumns()); u != 0 {
 		for q := range dst {
 			dst[q] += u
 		}
 	}
+}
+
+// danglingAddend returns the per-row uniform addend of a contraction's
+// implicit dangling columns (tubes): their mass sumA·sumB − stored,
+// spread over dim rows. stored is the sum of the scattered output. A
+// tensor with no dangling column (tube) returns 0 whatever that
+// difference reads: it is rounding residue, up to a few 1e-15, and
+// adding it would only add noise. Otherwise a difference of at most
+// 1e-15 is treated as no dangling mass too.
+func danglingAddend(sumA, sumB, stored float64, dim, dangling int) float64 {
+	if dangling == 0 || dim == 0 {
+		return 0
+	}
+	if d := sumA*sumB - stored; d > 1e-15 {
+		return d / float64(dim)
+	}
+	return 0
 }
 
 // ColumnsStochastic reports whether every stored column sums to one within
@@ -280,7 +300,9 @@ func (r *RelationTransition) tubeDangling(i, j int) bool {
 //
 // dst must have length m and must not alias x. Dangling tubes contribute
 // (Σx)² − Σ_(stored tubes) x[i]x[j], spread as 1/m per relation, so a
-// probability vector x yields a probability vector dst (Theorem 1).
+// probability vector x yields a probability vector dst (Theorem 1). As in
+// NodeTransition.Apply, the stored term is the sum of the scattered dst,
+// and a tensor with no dangling tube skips the uniform add.
 func (r *RelationTransition) Apply(x, dst []float64) {
 	r.ApplyPair(x, x, dst)
 }
@@ -288,7 +310,9 @@ func (r *RelationTransition) Apply(x, dst []float64) {
 // ApplyPair computes dst[k] = Σ_i Σ_j r[i,j,k]·xi[i]·xj[j] with distinct
 // mode-1 and mode-2 vectors; the HAR relevance update contracts R against
 // the authority and hub vectors this way. Apply is the xi == xj special
-// case.
+// case. The dangling mass is (Σxi)(Σxj) − Σ_(stored tubes) xi[i]xj[j],
+// and every stored tube sums to one, so the stored term is again the sum
+// of the scattered dst.
 func (r *RelationTransition) ApplyPair(xi, xj, dst []float64) {
 	if len(xi) != r.n || len(xj) != r.n {
 		panic(fmt.Sprintf("tensor: RelationTransition.ApplyPair x lengths %d/%d, want %d", len(xi), len(xj), r.n))
@@ -306,15 +330,14 @@ func (r *RelationTransition) ApplyPair(xi, xj, dst []float64) {
 	for _, v := range xj {
 		sumJ += v
 	}
-	storedMass := 0.0
-	for q, ti := range r.tubeI {
-		storedMass += xi[ti] * xj[r.tubeJ[q]]
-	}
 	for q, pk := range r.k {
 		dst[pk] += r.p[q] * xi[r.i[q]] * xj[r.j[q]]
 	}
-	if dangling := sumI*sumJ - storedMass; dangling > 1e-15 && r.m > 0 {
-		u := dangling / float64(r.m)
+	var storedMass float64
+	for _, v := range dst {
+		storedMass += v
+	}
+	if u := danglingAddend(sumI, sumJ, storedMass, r.m, r.DanglingTubes()); u != 0 {
 		for q := range dst {
 			dst[q] += u
 		}

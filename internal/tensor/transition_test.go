@@ -1,10 +1,12 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"tmark/internal/par"
 	"tmark/internal/vec"
 )
 
@@ -102,10 +104,38 @@ func TestApplyPreservesSimplex(t *testing.T) {
 	}
 }
 
-// The sparse contraction must agree with the quadratic dense reference,
-// including the implicit dangling mass.
+// The sparse contractions must agree with the quadratic dense reference,
+// including the implicit dangling mass: the single-vector Apply, and
+// every column of the blocked ApplyBatch and ApplyBatchParallel at
+// widths around the vector bodies' and on 1–3 workers. Each blocked
+// column also keeps the mass of its inputs, Σ dst = Σx·Σz (or (Σx)² for
+// R), to within rounding.
 func TestApplyMatchesDenseReference(t *testing.T) {
+	runBothKernelPaths(t, testApplyMatchesDenseReference)
+}
+
+func testApplyMatchesDenseReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	pools := []*par.Pool{par.New(1), par.New(2), par.New(3)}
+	defer func() {
+		for _, p := range pools {
+			p.Close()
+		}
+	}()
+	near := func(label string, got, want []float64) {
+		t.Helper()
+		for i := range want {
+			if math.Abs(got[i]-want[i]) > 1e-9 {
+				t.Fatalf("%s: sparse %v vs dense %v at %d", label, got[i], want[i], i)
+			}
+		}
+	}
+	keepsMass := func(label string, got []float64, mass float64) {
+		t.Helper()
+		if d := math.Abs(vec.Sum(got) - mass); d > 1e-12 {
+			t.Fatalf("%s: output sums to %v, inputs carry %v", label, vec.Sum(got), mass)
+		}
+	}
 	for trial := 0; trial < 25; trial++ {
 		n, m := 2+rng.Intn(7), 1+rng.Intn(4)
 		a := randomTensor(rng, n, m, rng.Intn(2*n*m))
@@ -116,19 +146,36 @@ func TestApplyMatchesDenseReference(t *testing.T) {
 
 		sparse := make([]float64, n)
 		o.Apply(x, z, sparse)
-		dense := DenseApplyO(o, x, z)
-		for i := range dense {
-			if math.Abs(sparse[i]-dense[i]) > 1e-9 {
-				t.Fatalf("trial %d: O sparse %v vs dense %v at %d", trial, sparse[i], dense[i], i)
-			}
-		}
-
+		near(fmt.Sprintf("trial %d: O", trial), sparse, DenseApplyO(o, x, z))
 		sparseZ := make([]float64, m)
 		r.Apply(x, sparseZ)
-		denseZ := DenseApplyR(r, x)
-		for k := range denseZ {
-			if math.Abs(sparseZ[k]-denseZ[k]) > 1e-9 {
-				t.Fatalf("trial %d: R sparse %v vs dense %v at %d", trial, sparseZ[k], denseZ[k], k)
+		near(fmt.Sprintf("trial %d: R", trial), sparseZ, DenseApplyR(r, x))
+
+		for workers, p := range pools {
+			so := NewNodeBatchScratch(o, workers+1, maxWidth)
+			sr := NewRelationBatchScratch(r, workers+1, maxWidth)
+			for _, b := range []int{1, 3, 4, 8, 9} {
+				xb, zb := randomBlock(rng, n, b), randomBlock(rng, m, b)
+				dst, dstP := make([]float64, n*b), make([]float64, n*b)
+				dstZ, dstZP := make([]float64, m*b), make([]float64, m*b)
+				o.ApplyBatch(so, xb, zb, dst, b)
+				o.ApplyBatchParallel(p, so, xb, zb, dstP, b)
+				r.ApplyBatch(sr, xb, dstZ, b)
+				r.ApplyBatchParallel(p, sr, xb, dstZP, b)
+				for c := 0; c < b; c++ {
+					label := fmt.Sprintf("trial %d workers %d b=%d col %d", trial, workers+1, b, c)
+					xc, zc := column(xb, n, b, c), column(zb, m, b, c)
+					wantO, wantR := DenseApplyO(o, xc, zc), DenseApplyR(r, xc)
+					massO, massR := vec.Sum(xc)*vec.Sum(zc), vec.Sum(xc)*vec.Sum(xc)
+					for _, got := range [][]float64{column(dst, n, b, c), column(dstP, n, b, c)} {
+						near(label+" O", got, wantO)
+						keepsMass(label+" O", got, massO)
+					}
+					for _, got := range [][]float64{column(dstZ, m, b, c), column(dstZP, m, b, c)} {
+						near(label+" R", got, wantR)
+						keepsMass(label+" R", got, massR)
+					}
+				}
 			}
 		}
 	}

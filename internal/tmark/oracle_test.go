@@ -20,12 +20,13 @@ import (
 )
 
 type oracle struct {
-	m    *Model
-	pool *par.Pool // nil: serial single-vector kernels
-	ob   *tensor.NodeBatchScratch
-	rb   *tensor.RelationBatchScratch
-	wS   *sparse.MulBatchScratch
-	wD   *vec.MulBatchScratch
+	m     *Model
+	pool  *par.Pool // nil: serial single-vector kernels
+	ob    *tensor.NodeBatchScratch
+	rb    *tensor.RelationBatchScratch
+	wS    *sparse.MulBatchScratch
+	wD    *vec.MulBatchScratch
+	dense *denseTransitions // non-nil: O and R from explicit dense arrays
 }
 
 // newOracle builds the reference solver at the model's worker count.
@@ -59,6 +60,10 @@ func (o *oracle) newState(x, z, l vec.Vector) oracleState {
 }
 
 func (o *oracle) applyNode(x, z, dst vec.Vector) {
+	if o.dense != nil {
+		o.dense.applyNode(x, z, dst)
+		return
+	}
 	if o.pool == nil {
 		o.m.o.Apply(x, z, dst)
 		return
@@ -67,6 +72,10 @@ func (o *oracle) applyNode(x, z, dst vec.Vector) {
 }
 
 func (o *oracle) applyRelation(x, dst vec.Vector) {
+	if o.dense != nil {
+		o.dense.applyRelation(x, dst)
+		return
+	}
 	if o.pool == nil {
 		o.m.r.Apply(x, dst)
 		return
