@@ -12,12 +12,13 @@
 //     when the vet fails. Answers therefore remain exact: every committed
 //     iterate passed the same health probes a plain run applies.
 //
-//   - A linearized T-Mark solve (System): the relation distribution z is
-//     frozen at a fixed z̄, which collapses the cubic tensor contraction
-//     into one sparse matrix P and turns the fixed-point loop into a
-//     single sparse linear solve (Jacobi sweeps, geometric convergence at
-//     rate ≤ 1−α). The answer is approximate — see System for the bound —
-//     but needs no tensor streaming at all.
+//   - A linearized T-Mark operator (System): the relation distribution z
+//     is frozen at a fixed z̄, which collapses the cubic tensor
+//     contraction into one sparse matrix P and turns the fixed-point loop
+//     into a single sparse linear solve, which the solver runs as blocked
+//     Jacobi sweeps (geometric convergence at rate ≤ 1−α). The answer is
+//     approximate — see System for the bound — but needs no tensor
+//     streaming at all.
 //
 // The package is a leaf: it operates on raw float slices (blocked or
 // flat) and never imports the solver, so the solver's lockstep loops can

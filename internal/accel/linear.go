@@ -2,7 +2,6 @@ package accel
 
 import (
 	"fmt"
-	"math"
 
 	"tmark/internal/par"
 	"tmark/internal/sparse"
@@ -19,37 +18,32 @@ import (
 // is a linear system (I − rel·P − β·W)·x = α·l whose iteration matrix
 // has L1 operator norm rel+β = 1−α < 1: Jacobi sweeps contract
 // geometrically at rate ≤ 1−α, and the sweep count to tolerance ε is at
-// most log(ε)/log(1−α) regardless of the graph.
+// most log(ε)/log(1−α) regardless of the graph. The feature channel W
+// stays with the solver, which already runs its blocked product; a sweep
+// here covers every other term.
 //
 // Accuracy bound: the fast tier's error against the exact coupled
 // solution is governed by how far the true stationary z̄* drifts from
 // the frozen z̄ — ‖x_fast − x_exact‖₁ ≤ (rel/α)·L·‖z̄ − z̄*‖₁, where
 // L ≤ 1 is the Lipschitz constant of the collapsed contraction in its
-// z argument — and by dropping the ICA reseed entirely. The golden
+// z argument — and by dropping the ICA reseed entirely. The solver's
+// tests assert the bound with L = 1 on random networks; the golden
 // equivalence suite pins the realised envelope (accuracy/NMI deltas) on
 // the reference datasets; callers needing exact answers use the plain
 // or accelerated tiers.
 type System struct {
 	n      int
 	rel    float64 // (1−α−β) weight of the collapsed tensor term
-	beta   float64 // feature-similarity weight
 	alpha  float64 // restart weight
 	p      *sparse.Matrix
-	w      Matvec    // feature similarity operator, nil when β = 0
 	dangle []float64 // per-source-node dangling weight of the collapsed P
-}
-
-// Matvec is the feature-similarity operator slot of the linearized
-// system — anything with the sparse-matrix MulVec shape.
-type Matvec interface {
-	MulVec(x, dst []float64)
 }
 
 // NewSystem assembles the linearized operator from the collapsed tensor
 // (COO triplets plus per-node dangling weights, as produced by
-// tensor.CollapseZ), the feature operator w (nil when beta is zero) and
-// the T-Mark mixture weights. Duplicate (row, col) triplets are summed.
-func NewSystem(n int, rows, cols []int32, vals []float64, dangle []float64, w Matvec, alpha, beta float64) (*System, error) {
+// tensor.CollapseZ) and the T-Mark mixture weights. Duplicate (row, col)
+// triplets are summed.
+func NewSystem(n int, rows, cols []int32, vals []float64, dangle []float64, alpha, beta float64) (*System, error) {
 	if len(rows) != len(cols) || len(rows) != len(vals) {
 		return nil, fmt.Errorf("accel: triplet slices disagree: %d rows, %d cols, %d vals", len(rows), len(cols), len(vals))
 	}
@@ -67,10 +61,8 @@ func NewSystem(n int, rows, cols []int32, vals []float64, dangle []float64, w Ma
 	return &System{
 		n:      n,
 		rel:    rel,
-		beta:   beta,
 		alpha:  alpha,
 		p:      sparse.FromTriplets(n, n, ts),
-		w:      w,
 		dangle: dangle,
 	}, nil
 }
@@ -78,63 +70,26 @@ func NewSystem(n int, rows, cols []int32, vals []float64, dangle []float64, w Ma
 // NNZ returns the stored-entry count of the collapsed transition matrix.
 func (s *System) NNZ() int { return s.p.NNZ() }
 
-// Apply evaluates one Jacobi sweep dst = rel·(P·x + uniform dangling
-// mass) + β·W·x + α·l. scratch must hold n values; pool nil or serial
-// runs the matvec on the caller's goroutine.
-func (s *System) Apply(pool *par.Pool, ms *sparse.MulScratch, x, l, dst, scratch []float64) {
-	if pool.Serial() || ms == nil {
-		s.p.MulVec(x, dst)
-	} else {
-		s.p.MulVecParallel(pool, ms, x, dst)
-	}
-	// Dangling columns of the collapsed operator spread their mass
-	// uniformly, exactly as the tensor's implicit 1/n columns do.
-	var lost float64
-	for j, d := range s.dangle {
-		lost += d * x[j]
-	}
-	uni := s.rel * lost / float64(s.n)
-	for i := range dst {
-		dst[i] = s.rel*dst[i] + uni + s.alpha*l[i]
-	}
-	if s.beta != 0 && s.w != nil {
-		s.w.MulVec(x, scratch)
-		for i := range dst {
-			dst[i] += s.beta * scratch[i]
+// ApplyBatch evaluates one Jacobi sweep without the feature term,
+// dst = rel·(P·x + uniform dangling mass) + α·l, for the b interleaved
+// columns of the n×b blocks x and l (node-major, stride b); dst must not
+// alias x. P·x runs through the blocked CSR product: on the pool, or
+// serially when pool is nil, and on the scalar body when ms.NoASM is
+// set. Every column gets exactly the floats a single-vector sweep of
+// that column computes, so a column's answer does not depend on the
+// block it rides in.
+func (s *System) ApplyBatch(pool *par.Pool, ms *sparse.MulBatchScratch, x, l, dst []float64, b int) {
+	s.p.MulVecBatchParallel(pool, ms, x, dst, b)
+	for c := 0; c < b; c++ {
+		// Dangling columns of the collapsed operator spread their mass
+		// uniformly, exactly as the tensor's implicit 1/n columns do.
+		var lost float64
+		for j, d := range s.dangle {
+			lost += d * x[j*b+c]
+		}
+		uni := s.rel * lost / float64(s.n)
+		for p := c; p < s.n*b; p += b {
+			dst[p] = s.rel*dst[p] + uni + s.alpha*l[p]
 		}
 	}
-}
-
-// Solve runs Jacobi sweeps from x0 (uniform when nil) until the L1
-// difference between consecutive sweeps drops below eps or maxSweeps is
-// reached. It reports the solution, the per-sweep residual trace (whose
-// length is the sweep count) and the final residual. The iterate stays
-// on the simplex up to rounding — each sweep maps a distribution to a
-// distribution — so no renormalisation is needed between sweeps.
-func (s *System) Solve(pool *par.Pool, ms *sparse.MulScratch, l, x0 []float64, eps float64, maxSweeps int) (x, trace []float64, rho float64) {
-	n := s.n
-	x = make([]float64, n)
-	if x0 != nil {
-		copy(x, x0)
-	} else {
-		for i := range x {
-			x[i] = 1 / float64(n)
-		}
-	}
-	xn := make([]float64, n)
-	scratch := make([]float64, n)
-	rho = math.Inf(1)
-	for sweep := 0; sweep < maxSweeps; sweep++ {
-		s.Apply(pool, ms, x, l, xn, scratch)
-		rho = 0
-		for i := range xn {
-			rho += math.Abs(xn[i] - x[i])
-		}
-		x, xn = xn, x
-		trace = append(trace, rho)
-		if rho < eps {
-			break
-		}
-	}
-	return x, trace, rho
 }

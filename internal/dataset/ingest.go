@@ -77,10 +77,13 @@ func ReadCOO(r io.Reader) (*hin.Graph, error) {
 	}
 	n, m, q := dims[0], dims[1], dims[2]
 
-	g := hin.New()
-	for c := 0; c < q; c++ {
-		g.AddClass(fmt.Sprintf("c%d", c))
+	// The names c0…c(q−1) are unique by construction, so they skip
+	// AddClass's duplicate scan, which would make the header O(q²).
+	classes := make([]string, q)
+	for c := range classes {
+		classes[c] = fmt.Sprintf("c%d", c)
 	}
+	g := hin.New(classes...)
 	for i := 0; i < n; i++ {
 		g.AddNode(fmt.Sprintf("n%d", i), nil)
 	}

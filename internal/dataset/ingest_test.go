@@ -3,6 +3,7 @@ package dataset
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 const cooSample = `# tiny two-class network
@@ -53,6 +54,24 @@ func TestReadCOOMultiLabel(t *testing.T) {
 	}
 	if !g.HasLabel(0, 0) || !g.HasLabel(0, 2) || g.HasLabel(0, 1) {
 		t.Fatalf("node 0 labels %v, want [0 2]", g.Nodes[0].Labels)
+	}
+}
+
+// A header's class count costs linear time: 200,000 declared classes
+// parse well inside a bound that a per-class duplicate scan (about 30 s
+// at this q) misses by far.
+func TestReadCOOManyClassesLinear(t *testing.T) {
+	const q = 200000
+	start := time.Now()
+	g, err := ReadCOO(strings.NewReader("coo 3 2 200000\ne 0 0 1\n"))
+	if took := time.Since(start); took > 3*time.Second {
+		t.Fatalf("a %d-class header took %v, want well under 3 s", q, took)
+	}
+	if err != nil {
+		t.Fatalf("ReadCOO: %v", err)
+	}
+	if g.Q() != q || g.Classes[0] != "c0" || g.Classes[q-1] != "c199999" {
+		t.Fatalf("classes: %d, first %q, last %q", g.Q(), g.Classes[0], g.Classes[g.Q()-1])
 	}
 }
 

@@ -42,8 +42,9 @@ const (
 	// TensorRelationBatch fires after the blocked relation contraction
 	// writes dst; args are as for TensorNodeBatch.
 	TensorRelationBatch Point = "tensor/relation-batch"
-	// SparseMulBatch fires after the blocked CSR feature product writes
-	// dst; args are as for TensorNodeBatch.
+	// SparseMulBatch fires after a blocked CSR product (the feature
+	// channel W, or the fast tier's collapsed P) writes dst; args are as
+	// for TensorNodeBatch.
 	SparseMulBatch Point = "sparse/mul-batch"
 	// ServeModelBuild is checked (Check) before a warm-model build; a
 	// registered error fails the build, and a hook that panics simulates

@@ -91,7 +91,9 @@ func (m *Matrix) mulBatchRows(x, dst []float64, b, lo, hi int, vector bool) {
 }
 
 // MulBatchScratch holds the reusable dispatch state of
-// MulVecBatchParallel; see MulScratch for the contract.
+// MulVecBatchParallel. Build one per solver run with NewMulBatchScratch;
+// steady-state calls then allocate nothing. A scratch must not be shared
+// by concurrent calls.
 type MulBatchScratch struct {
 	shards int
 	task   mulBatchTask
@@ -135,8 +137,24 @@ func (t *mulBatchTask) RunShard(shard, shards int) {
 	m.mulBatchRows(t.x, t.dst, t.b, lo, hi, t.vector)
 }
 
+// rowAtNNZ returns the smallest row whose rowPtr is >= target. Because the
+// targets s·nnz/shards are nondecreasing in s, consecutive shards receive
+// disjoint row ranges that tile [0, rows).
+func (m *Matrix) rowAtNNZ(target int) int {
+	lo, hi := 0, m.rows
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if int(m.rowPtr[mid]) < target {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
 // MulVecBatchParallel is MulVecBatch with the rows sharded across the
-// pool by stored-entry count — the same split as MulVecParallel, whose
+// pool by stored-entry count, so skewed matrices still load-balance; the
 // boundaries depend only on the matrix and shard count, never on b. Each
 // row is computed by exactly one worker with the serial arithmetic, so
 // the result is bitwise identical to MulVecBatch. A nil/serial pool or

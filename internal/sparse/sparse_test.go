@@ -123,3 +123,60 @@ func TestMulVecPanics(t *testing.T) {
 		}()
 	}
 }
+
+// Reference CSR semantics: duplicates summed, zeros dropped, rows in
+// order, columns ascending within a row. The counting-sort build must
+// reproduce a brute-force map build exactly.
+func TestFromTripletsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 50; trial++ {
+		rows, cols := 1+rng.Intn(30), 1+rng.Intn(30)
+		nnz := rng.Intn(4 * rows)
+		entries := make([]Triplet, 0, nnz)
+		ref := make(map[[2]int]float64)
+		for e := 0; e < nnz; e++ {
+			tr := Triplet{Row: rng.Intn(rows), Col: rng.Intn(cols), Value: float64(rng.Intn(5))}
+			entries = append(entries, tr)
+			if tr.Value != 0 {
+				ref[[2]int{tr.Row, tr.Col}] += tr.Value
+			}
+		}
+		m := FromTriplets(rows, cols, entries)
+		want := 0
+		for key, v := range ref {
+			want++
+			if got := m.At(key[0], key[1]); got != v {
+				t.Fatalf("trial %d: At(%d,%d) = %v, want %v", trial, key[0], key[1], got, v)
+			}
+		}
+		if m.NNZ() != want {
+			t.Fatalf("trial %d: NNZ = %d, want %d", trial, m.NNZ(), want)
+		}
+		// Each must visit rows in order with ascending columns.
+		lastRow, lastCol := -1, -1
+		m.Each(func(r, c int, v float64) {
+			if r < lastRow || (r == lastRow && c <= lastCol) {
+				t.Fatalf("trial %d: Each out of order at (%d,%d) after (%d,%d)", trial, r, c, lastRow, lastCol)
+			}
+			lastRow, lastCol = r, c
+		})
+	}
+}
+
+func TestFromTripletsEmptyAndZeroShapes(t *testing.T) {
+	if m := FromTriplets(0, 0, nil); m.NNZ() != 0 {
+		t.Fatalf("empty matrix NNZ = %d", m.NNZ())
+	}
+	m := FromTriplets(4, 3, []Triplet{{Row: 2, Col: 1, Value: 0}})
+	if m.NNZ() != 0 {
+		t.Fatalf("all-zero entries should drop, NNZ = %d", m.NNZ())
+	}
+	x := []float64{1, 2, 3}
+	dst := make([]float64, 4)
+	m.MulVec(x, dst)
+	for i, v := range dst {
+		if v != 0 {
+			t.Fatalf("empty MulVec dst[%d] = %v", i, v)
+		}
+	}
+}

@@ -17,7 +17,8 @@ package tmark
 // Each column carries an optional context: the engine checks it every
 // iteration and retires a cancelled column mid-batch, so one impatient
 // caller never stops the rest of the batch. The run context still
-// cancels every column at once.
+// cancels every column at once. A fast-tier column's context is checked
+// once, before the fast block sweeps (see solveFast).
 
 import (
 	"context"
@@ -46,16 +47,20 @@ type ColumnQuery struct {
 	ICA bool
 	// Ctx, when non-nil, cancels this column alone: the engine
 	// checks it every iteration and retires the column mid-batch with
-	// ColumnResult.Stopped set, leaving the other columns untouched.
+	// ColumnResult.Stopped set, leaving the other columns untouched. A
+	// fast-tier column's context is checked once, before the batch's fast
+	// columns start sweeping: done then, the column keeps its start state
+	// (X = the restart vector, uniform Z); done later, it is answered in
+	// full.
 	Ctx context.Context
 	// Quality selects this query's solve tier, overriding the run
 	// options: exact iteration, the extrapolated power method (identical
 	// answers, fewer committed iterations), or the linearized fast tier
 	// (approximate, one sparse solve). The zero value inherits the run's
 	// WithAcceleration / WithApproximate settings. Tiers mix freely
-	// within one SolveColumns batch: fast queries solve through the
-	// collapsed linear system while the rest advance through the lockstep
-	// block.
+	// within one SolveColumns batch: the fast queries sweep the collapsed
+	// linear system together as their own block, while the rest advance
+	// through the lockstep block.
 	Quality Quality
 }
 
@@ -180,10 +185,11 @@ func (m *Model) SolveColumn(ctx context.Context, q ColumnQuery, opts ...RunOptio
 // every tensor entry and CSR row is streamed once and applied to all
 // active query columns. Columns retire mid-batch when they converge,
 // fault, or when their own context is cancelled; the run context
-// cancels every remaining column at once. Fast-tier queries are answered
-// by the linear solve and never enter the block. Per column the result
-// is independent of the batch for a fixed worker count. Query validation
-// errors fail the whole call before any solving happens.
+// cancels every remaining column at once. Fast-tier queries sweep the
+// collapsed linear system as a block of their own and never enter the
+// lockstep block. Per column the result is independent of the batch for
+// a fixed worker count (fast answers at any worker count). Query
+// validation errors fail the whole call before any solving happens.
 func (m *Model) SolveColumns(ctx context.Context, queries []ColumnQuery, opts ...RunOption) ([]ColumnResult, error) {
 	ctx = orBackground(ctx)
 	if len(queries) == 0 {
@@ -191,28 +197,27 @@ func (m *Model) SolveColumns(ctx context.Context, queries []ColumnQuery, opts ..
 	}
 	ro := resolveOptions(opts)
 	cols := make([]engineCol, len(queries))
-	anyFast := false
+	var fast []columnState
+	var fastAt []int // fast[k] is column fastAt[k]
 	for i, q := range queries {
 		cs, err := m.buildColumnState(q)
 		if err != nil {
 			return nil, fmt.Errorf("tmark: column %d: %w", i, err)
 		}
 		cs.quality = q.Quality.resolve(ro)
-		anyFast = anyFast || cs.quality == QualityFast
 		cols[i].columnState = cs
+		if cs.quality == QualityFast {
+			fast = append(fast, cs)
+			fastAt = append(fastAt, i)
+		}
 	}
 	rs := m.newRunScratch(ro, len(queries))
 	defer rs.close()
-	// Fast-tier queries never enter the iterative block: each is one
-	// linear solve against the shared collapsed system, and the engine
-	// takes the answered column as already retired.
-	if anyFast {
-		ms := rs.linScratch()
-		for i := range cols {
-			if cols[i].quality == QualityFast {
-				cols[i].res = m.solveFastColumn(ctx, cols[i].columnState, ms, rs)
-			}
-		}
+	// Fast-tier queries never enter the iterative block: they sweep the
+	// shared collapsed system together, and the engine takes each
+	// answered column as already retired.
+	for k, r := range m.solveFast(ctx, fast, rs) {
+		cols[fastAt[k]].res = r
 	}
 	m.newEngine(rs, cols).run(ctx)
 	// Column solves are the serving path, so the registry counters must

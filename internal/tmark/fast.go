@@ -14,7 +14,11 @@ package tmark
 //
 // The fast tier shares one lazily built accel.System per model: the
 // collapsed matrix has the tensor's stored-entry count, so building it
-// costs one tensor sweep and is amortised across every fast query.
+// costs one tensor sweep and is amortised across every fast query. The
+// fast columns of one call — a SolveColumns batch's fast queries, or
+// every class of a WithApproximate run — sweep it together as one
+// blocked solve (solveFast) on the same blocked CSR kernels the engine
+// runs.
 
 import (
 	"context"
@@ -95,87 +99,140 @@ func (m *Model) linearSystem() (*accel.System, error) {
 	m.linOnce.Do(func() {
 		zbar := vec.Uniform(m.graph.M())
 		rows, cols, vals, dangle := m.o.CollapseZ(zbar)
-		var w accel.Matvec
-		if m.cfg.Beta() > 0 && m.w != nil {
-			w = m.w
-		}
-		m.lin, m.linErr = accel.NewSystem(m.graph.N(), rows, cols, vals, dangle, w, m.cfg.Alpha, m.cfg.Beta())
+		m.lin, m.linErr = accel.NewSystem(m.graph.N(), rows, cols, vals, dangle, m.cfg.Alpha, m.cfg.Beta())
 	})
 	return m.lin, m.linErr
 }
 
-// linScratch builds the parallel-matvec scratch of the fast tier, or
-// nil for a serial run.
-func (rs *runScratch) linScratch() *sparse.MulScratch {
-	if rs.pool == nil {
-		return nil
+// solveFast answers columns through the linearized tier: Jacobi sweeps
+// of the collapsed system x = rel·(P·x + dangling) + β·W·x + α·l from
+// the uniform start, all columns as one n×b block on the blocked CSR
+// kernels, then one relation contraction for z. A column whose step ρ
+// (the L1 distance between consecutive sweeps) drops below ε retires
+// with that sweep; one that reaches MaxIterations keeps its last. Every
+// kernel computes each column's floats in single-vector order, so an
+// answer depends on neither the block nor the worker count. The
+// contexts are checked once, before the block: a column whose own
+// context, or the run's, is done keeps (l, uniform z) and the context's
+// error; the block then runs to its end, within log(ε)/log(1−α) sweeps.
+// The per-query ICA reseed does not apply, which is part of the
+// documented approximation.
+func (m *Model) solveFast(ctx context.Context, cols []columnState, rs *runScratch) []ColumnResult {
+	n, mm := m.graph.N(), m.graph.M()
+	out := make([]ColumnResult, len(cols))
+	colOf := make([]int, 0, len(cols)) // active column -> index into cols
+	stop := func(j int, err error) {
+		out[j].X, out[j].Z = vec.Clone(cols[j].l), vec.Uniform(mm)
+		out[j].Stopped = err
 	}
-	return sparse.NewMulScratch(rs.workers)
-}
-
-// solveFastColumn answers one query through the linearized tier: one
-// Jacobi solve for x, then a single relation contraction for z. The
-// per-query ICA reseed does not apply (the tier's system is built from
-// the restart vector alone), which is part of the documented
-// approximation.
-func (m *Model) solveFastColumn(ctx context.Context, cs columnState, ms *sparse.MulScratch, rs *runScratch) ColumnResult {
-	cr := ColumnResult{Seeds: cs.seeds, Restart: cs.l}
-	if err := columnErr(ctx, cs.ctx); err != nil {
-		cr.X, cr.Z = vec.Clone(cs.l), vec.Uniform(m.graph.M())
-		cr.Stopped = err
-		return cr
+	for j, cs := range cols {
+		out[j] = ColumnResult{Seeds: cs.seeds, Restart: cs.l}
+		if err := columnErr(ctx, cs.ctx); err != nil {
+			stop(j, err)
+			continue
+		}
+		colOf = append(colOf, j)
+	}
+	if len(colOf) == 0 {
+		return out
 	}
 	sys, err := m.linearSystem()
 	if err != nil {
-		cr.X, cr.Z = vec.Clone(cs.l), vec.Uniform(m.graph.M())
-		cr.Stopped = err
-		return cr
+		for _, j := range colOf {
+			stop(j, err)
+		}
+		return out
 	}
-	x, trace, rho := sys.Solve(rs.pool, ms, cs.l, nil, m.cfg.Epsilon, m.cfg.MaxIterations)
-	z := vec.New(m.graph.M())
-	m.r.Apply(x, z)
-	vec.Normalize1(z)
-	cr.X, cr.Z = x, z
-	cr.Trace = trace
-	cr.Iterations = len(trace)
-	cr.Converged = rho < m.cfg.Epsilon
-	return cr
+
+	b := len(colOf)
+	x, xn, l := make([]float64, n*b), make([]float64, n*b), make([]float64, n*b)
+	vec.Fill(x, 1/float64(n))
+	for col, j := range colOf {
+		vec.ScatterCol(cols[j].l, l, col, b)
+	}
+	beta := m.cfg.Beta()
+	var tmp []float64
+	if beta > 0 && m.w != nil {
+		tmp = make([]float64, n*b)
+	}
+	ms := sparse.NewMulBatchScratch(rs.workers)
+	ms.NoASM = rs.opts.noASM
+	keep := make([]int, 0, b)
+	retire := func(col int, src []float64) {
+		r := &out[colOf[col]]
+		r.X = vec.New(n)
+		vec.GatherCol(src, col, b, r.X)
+	}
+	for sweep := 0; sweep < m.cfg.MaxIterations && b > 0; sweep++ {
+		xb, xnb, lb := x[:n*b], xn[:n*b], l[:n*b]
+		sys.ApplyBatch(rs.pool, ms, xb, lb, xnb, b)
+		if tmp != nil {
+			tb := tmp[:n*b]
+			rs.mulFeatureBatch(xb, tb, b)
+			vec.Axpy(beta, tb, xnb)
+		}
+		keep = keep[:0]
+		for col := 0; col < b; col++ {
+			r := &out[colOf[col]]
+			rho := vec.Diff1Col(xnb, xb, col, b)
+			r.Trace = append(r.Trace, rho)
+			if rho < m.cfg.Epsilon {
+				r.Converged = true
+				retire(col, xnb)
+				continue
+			}
+			keep = append(keep, col)
+		}
+		x, xn = xn, x
+		if len(keep) < b {
+			vec.CompactCols(x, n, b, keep)
+			vec.CompactCols(l, n, b, keep)
+			for nc, oc := range keep {
+				colOf[nc] = colOf[oc]
+			}
+			b = len(keep)
+			colOf = colOf[:b]
+		}
+	}
+	for col := range colOf {
+		retire(col, x[:n*b])
+	}
+	for j := range out {
+		if r := &out[j]; r.Stopped == nil {
+			r.Iterations = len(r.Trace)
+			r.Z = vec.New(mm)
+			m.r.Apply(r.X, r.Z)
+			vec.Normalize1(r.Z)
+		}
+	}
+	return out
 }
 
 // runApproximate is the fast tier of the multi-class Run: every class
-// is one linear solve plus one relation contraction. Classes are
-// independent here — the ICA cross-class coupling is dropped by design —
-// so a cancelled context simply leaves the remaining classes at their
-// seed state.
+// is one column of a single solveFast block. Classes are independent
+// here — the ICA cross-class coupling is dropped by design — so a
+// context cancelled before the block leaves every class at its seed
+// state, and one cancelled while the block runs lets it finish.
 func (m *Model) runApproximate(ctx context.Context, res *Result, rs *runScratch) error {
-	sys, err := m.linearSystem()
-	if err != nil {
+	if _, err := m.linearSystem(); err != nil {
 		return err
 	}
-	ms := rs.linScratch()
+	cols := make([]columnState, m.graph.Q())
+	for c := range cols {
+		cols[c].l, cols[c].seeds = m.seedVector(c)
+	}
 	progress := rs.opts.progress
-	for c := 0; c < m.graph.Q(); c++ {
-		l, seeds := m.seedVector(c)
-		cr := ClassResult{Class: c, Seeds: seeds, Restart: l}
-		if ctx.Err() != nil {
-			cr.X, cr.Z = vec.Clone(l), vec.Uniform(m.graph.M())
-			res.Classes[c] = cr
-			continue
+	for c, cr := range m.solveFast(ctx, cols, rs) {
+		res.Classes[c] = ClassResult{
+			Class: c, X: cr.X, Z: cr.Z,
+			Iterations: cr.Iterations, Converged: cr.Converged,
+			Trace: cr.Trace, Seeds: cr.Seeds, Restart: cr.Restart,
 		}
-		x, trace, rho := sys.Solve(rs.pool, ms, l, nil, m.cfg.Epsilon, m.cfg.MaxIterations)
-		z := vec.New(m.graph.M())
-		m.r.Apply(x, z)
-		vec.Normalize1(z)
-		cr.X, cr.Z = x, z
-		cr.Trace = trace
-		cr.Iterations = len(trace)
-		cr.Converged = rho < m.cfg.Epsilon
 		if progress != nil {
-			for i, r := range trace {
+			for i, r := range cr.Trace {
 				progress(c, i+1, r)
 			}
 		}
-		res.Classes[c] = cr
 	}
 	return nil
 }

@@ -7,7 +7,9 @@ package tmark
 // parallel kernels live in internal/tensor's tests as the reference of
 // the blocked ones) — and carries its own copy of the three reseed rules
 // of eq. (12), so it shares no loop, no block layout and no reseed code
-// with the engine.
+// with the engine. Its fast tier (solveFast) sweeps one column at a time
+// through the serial single-vector MulVec at every worker count, since
+// the blocked CSR product is bitwise MulVec per column on any pool.
 
 import (
 	"math"
@@ -27,6 +29,11 @@ type oracle struct {
 	wS    *sparse.MulBatchScratch
 	wD    *vec.MulBatchScratch
 	dense *denseTransitions // non-nil: O and R from explicit dense arrays
+
+	// The fast tier's collapsed operator, built on first use: P with z
+	// frozen at uniform, and the dangling weight of each source node.
+	fastP      *sparse.Matrix
+	fastDangle []float64
 }
 
 // newOracle builds the reference solver at the model's worker count.
@@ -343,4 +350,83 @@ func normaliseRestart(l vec.Vector, count int) {
 		return
 	}
 	vec.Scale(1/float64(count), l)
+}
+
+// solveFast is the fast tier's reference for one restart vector l:
+// serial single-vector Jacobi sweeps of the collapsed system
+//
+//	x ← rel·(P·x + uniform dangling mass) + α·l + β·W·x,  rel = 1−α−β,
+//
+// from the uniform start until the L1 step drops below ε or MaxIterations
+// sweeps ran, then z = R ×̄ x normalised. P is z̄ = uniform folded through
+// tensor.CollapseZ and assembled by sparse.FromTriplets.
+func (o *oracle) solveFast(l vec.Vector, seeds int) ColumnResult {
+	m := o.m
+	n, mm := m.graph.N(), m.graph.M()
+	if o.fastP == nil {
+		rows, cols, vals, dangle := m.o.CollapseZ(vec.Uniform(mm))
+		ts := make([]sparse.Triplet, len(rows))
+		for q := range rows {
+			ts[q] = sparse.Triplet{Row: int(rows[q]), Col: int(cols[q]), Value: vals[q]}
+		}
+		o.fastP, o.fastDangle = sparse.FromTriplets(n, n, ts), dangle
+	}
+	alpha, beta := m.cfg.Alpha, m.cfg.Beta()
+	rel := 1 - alpha - beta
+	x, xn, scratch := make(vec.Vector, n), vec.New(n), vec.New(n)
+	for i := range x {
+		x[i] = 1 / float64(n)
+	}
+	rho := math.Inf(1)
+	var trace []float64
+	for sweep := 0; sweep < m.cfg.MaxIterations; sweep++ {
+		o.fastP.MulVec(x, xn)
+		var lost float64
+		for j, d := range o.fastDangle {
+			lost += d * x[j]
+		}
+		uni := rel * lost / float64(n)
+		for i := range xn {
+			xn[i] = rel*xn[i] + uni + alpha*l[i]
+		}
+		if beta != 0 && m.w != nil {
+			m.w.MulVec(x, scratch)
+			for i := range xn {
+				xn[i] += beta * scratch[i]
+			}
+		}
+		rho = 0
+		for i := range xn {
+			rho += math.Abs(xn[i] - x[i])
+		}
+		x, xn = xn, x
+		trace = append(trace, rho)
+		if rho < m.cfg.Epsilon {
+			break
+		}
+	}
+	z := vec.New(mm)
+	m.r.Apply(x, z)
+	vec.Normalize1(z)
+	return ColumnResult{
+		X: x, Z: z, Restart: l, Seeds: seeds,
+		Iterations: len(trace), Converged: rho < m.cfg.Epsilon, Trace: trace,
+	}
+}
+
+// runFast is Run(WithApproximate) on the reference: every class solved
+// alone by solveFast from its seed vector.
+func (o *oracle) runFast() *Result {
+	m := o.m
+	q := m.graph.Q()
+	res := &Result{Classes: make([]ClassResult, q), n: m.graph.N(), m: m.graph.M(), q: q}
+	for c := range res.Classes {
+		l, seeds := m.seedVector(c)
+		r := o.solveFast(l, seeds)
+		res.Classes[c] = ClassResult{
+			Class: c, X: r.X, Z: r.Z, Iterations: r.Iterations, Converged: r.Converged,
+			Trace: r.Trace, Seeds: r.Seeds, Restart: r.Restart,
+		}
+	}
+	return res
 }

@@ -173,11 +173,14 @@ func WithEquilibriumRestart(on bool) RunOption {
 // WithApproximate(true) selects the linearized fast tier: instead of
 // iterating the coupled (x, z) fixed point, the solver freezes z at the
 // uniform distribution, collapses the tensor into one sparse matrix,
-// and solves the resulting linear system in a fixed number of Jacobi
-// sweeps (contraction rate ≤ 1−α). The answer is approximate — the ICA
-// reseed is dropped and z never re-couples — but needs no tensor
-// streaming; see internal/accel.System for the accuracy bound and the
-// golden suite for the measured envelope. Overrides WithAcceleration.
+// and solves the resulting linear system for every class at once in at
+// most log(ε)/log(1−α) blocked Jacobi sweeps. The answer is approximate
+// — the ICA reseed is dropped and z never re-couples — but needs no
+// tensor streaming; see internal/accel.System for the accuracy bound
+// and the golden suite for the measured envelope. The run's context is
+// checked once, before the sweeps start: cancelled then, every class
+// keeps its seed state; cancelled later, the sweeps finish. Overrides
+// WithAcceleration.
 func WithApproximate(on bool) RunOption {
 	return func(o *runOptions) { o.approximate = on }
 }
