@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test short-test race serve-race chaos recovery-chaos vet fmt-check noasm-check bench bench-stats bench-json bench-accel bench-coldstart bench-stream accel-equivalence artifact-roundtrip stream-equivalence perfbench-check fuzz experiments figures examples clean
+.PHONY: all build test short-test race serve-race chaos recovery-chaos vet fmt-check noasm-check bench bench-stats accel-equivalence artifact-roundtrip stream-equivalence perfbench-check fuzz experiments figures examples clean
 
 all: build vet test race
 
@@ -54,63 +54,6 @@ bench:
 # ica_reseed) per worker count, plus the collector-overhead guard.
 bench-stats:
 	$(GO) test -run xxx -bench 'BenchmarkRunStats|BenchmarkCollectorOverhead' -benchmem -v ./internal/tmark/
-
-# Re-run the sweeps behind the archived BENCH_3.json (the lockstep engine
-# vs the sequential oracle of the tests) and BENCH_4.json (q=8 concurrent
-# queries on a shared warm model: one lockstep batch vs the engine at
-# width 1 per query) as JSON under .bench_build/. The archived files are
-# frozen: both sides of both comparisons have changed since they were
-# recorded, so a re-run is a new measurement to set beside them, never a
-# replacement.
-bench-json:
-	@mkdir -p .bench_build
-	$(GO) test -run xxx -bench BenchmarkBatchedVsSequential -benchmem ./internal/tmark/ > .bench_build/bench_batched.txt
-	$(GO) run ./cmd/benchjson < .bench_build/bench_batched.txt > .bench_build/BENCH_3.json
-	@echo wrote .bench_build/BENCH_3.json
-	$(GO) test -run xxx -bench BenchmarkCoalescedServing -benchmem ./internal/serve/ > .bench_build/bench_serving.txt
-	$(GO) run ./cmd/benchjson < .bench_build/bench_serving.txt > .bench_build/BENCH_4.json
-	@echo wrote .bench_build/BENCH_4.json
-
-# The quality-tier sweep behind the archived BENCH_6.json: exact vs
-# accelerated vs fast on the slow-mixing golden Ring network and the
-# expander-like golden DBLP network, reporting wall time plus committed
-# iterations per solve. The headline row — ring-slowmix/accelerated —
-# must show the ≥2× iteration reduction that
-# TestAccelGoldenSlowMixingTwofold asserts. Writes under .bench_build/:
-# the archived file at the repo root is frozen, and a re-run is a new
-# measurement to set beside it.
-bench-accel:
-	@mkdir -p .bench_build
-	$(GO) test -run xxx -bench BenchmarkAccelTiers -benchmem ./internal/experiments/ > .bench_build/bench_accel.txt
-	$(GO) run ./cmd/benchjson < .bench_build/bench_accel.txt > .bench_build/BENCH_6.json
-	@echo wrote .bench_build/BENCH_6.json
-
-# The model cold-start sweep behind the archived BENCH_7.json: raw build
-# (full tensor normalisation + feature channel W) vs TMARKAR1 artifact
-# activation (mmap + crc64 + strict decode + assemble) per dataset. The
-# headline rows are the top-K sparse feature channel, where activation
-# is about 8× (dblp) and 15× (movies) faster than the rebuild it
-# replaces; the dense rows are checksum-bound at about 3×. (BENCH_7
-# recorded 42–112× while the rebuild still filled an n×n cosine
-# matrix.) Writes under .bench_build/: the archived file at the repo
-# root is frozen.
-bench-coldstart:
-	@mkdir -p .bench_build
-	$(GO) test -run xxx -bench BenchmarkColdStart -benchmem ./internal/artifact/ > .bench_build/bench_coldstart.txt
-	$(GO) run ./cmd/benchjson < .bench_build/bench_coldstart.txt > .bench_build/BENCH_7.json
-	@echo wrote .bench_build/BENCH_7.json
-
-# The streaming-ingest sweep behind the archived BENCH_9.json: one op is
-# a whole delta batch — compose, touched-region renormalisation,
-# re-encode + hash, warm re-solve — per batch size. warm_iters/op vs
-# cold_iters is the warm-restart saving the equivalence suite asserts.
-# Writes under .bench_build/: the archived file at the repo root is
-# frozen.
-bench-stream:
-	@mkdir -p .bench_build
-	$(GO) test -run xxx -bench BenchmarkStreamIngest -benchmem ./internal/stream/ > .bench_build/bench_stream.txt
-	$(GO) run ./cmd/benchjson < .bench_build/bench_stream.txt > .bench_build/BENCH_9.json
-	@echo wrote .bench_build/BENCH_9.json
 
 # The artifact format's focused suite: round-trip bitwise equivalence,
 # registry resolution, damage rejection, and the decoder fuzz seeds.

@@ -201,8 +201,8 @@ func runDiff(args []string) {
 
 // diffRefs opens, activates and fully solves two sealed versions and
 // diffs their predictions and link-type rankings. Both solves run with
-// the stored config but one worker, so the output is deterministic for
-// a given pair of blobs.
+// the stored config but one worker; the answer is the same at any
+// worker count.
 func diffRefs(reg *artifact.Registry, refA, refB string) (*stream.Diff, error) {
 	ra, err := solveRef(reg, refA)
 	if err != nil {

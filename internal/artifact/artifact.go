@@ -8,8 +8,9 @@ import (
 )
 
 // Open maps the artifact file at path and decodes it. On platforms with
-// mmap the hot arrays alias the mapping (the file's pages load lazily
-// and are shared between processes serving the same blob); elsewhere,
+// mmap R's and W's arrays alias the mapping (the file's pages load
+// lazily and are shared between processes serving the same blob) and
+// O's are copied into its row blocks; elsewhere,
 // or if the mapping fails, the file is read into memory instead. Either
 // way the crc64 trailer and every structural invariant are verified
 // before any kernel may touch the data.

@@ -25,10 +25,11 @@ func corrupt(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
 }
 
-// Artifact is one decoded TMARKAR1 model artifact. The substrate's
-// arrays alias the backing bytes (a memory mapping when opened through
-// Open), so the artifact must stay alive — and must not be Closed —
-// while any model assembled from it is still in use.
+// Artifact is one decoded TMARKAR1 model artifact. The substrate's R
+// and W arrays alias the backing bytes (a memory mapping when opened
+// through Open; O is copied into its row blocks), so the artifact must
+// stay alive — and must not be Closed — while any model assembled from
+// it is still in use.
 type Artifact struct {
 	// N, M, Q are the node / relation / class dimensions.
 	N, M, Q int
@@ -55,8 +56,9 @@ type Artifact struct {
 // classification and ranking but cannot be re-normalised.
 func (a *Artifact) Graph() *hin.Graph { return a.graph }
 
-// Substrate returns the decoded model substrate. Its arrays alias the
-// artifact's backing bytes and are strictly read-only.
+// Substrate returns the decoded model substrate. Its R and W arrays
+// alias the artifact's backing bytes, and all of them are strictly
+// read-only.
 func (a *Artifact) Substrate() tmark.Substrate { return a.sub }
 
 // Size returns the artifact's encoded length in bytes.
@@ -96,8 +98,9 @@ func (a *Artifact) CompatibleWith(cfg tmark.Config) error {
 
 // Activate assembles a servable model from the artifact under config
 // cfg (use BuiltConfig to reproduce the compiled model exactly). It
-// costs O(1): every array is aliased from the (typically mmap'd)
-// artifact, none copied.
+// costs O(1): the substrate was built when the artifact was decoded,
+// R and W as views of the (typically mmap'd) artifact, O copied into
+// its row blocks.
 func (a *Artifact) Activate(cfg tmark.Config) (*tmark.Model, error) {
 	if err := a.CompatibleWith(cfg); err != nil {
 		return nil, err
@@ -116,9 +119,9 @@ type section struct {
 // truncation, checksum mismatch, misordered or overlapping sections,
 // and every structural invariant violation error out — it never panics
 // on hostile input and never allocates more than a small multiple of
-// the input size (it is fuzzed: FuzzDecodeArtifact). The decoded
-// substrate aliases data wherever alignment allows; data must therefore
-// stay immutable for the artifact's lifetime.
+// the input size (it is fuzzed: FuzzDecodeArtifact). The decoded R and
+// W alias data wherever alignment allows; data must therefore stay
+// immutable for the artifact's lifetime.
 func DecodeBytes(data []byte) (*Artifact, error) {
 	body, secs, seen, err := parseContainer(data)
 	if err != nil {

@@ -23,6 +23,7 @@ func FuzzReadCOO(f *testing.F) {
 	f.Add("coo 2 1 1\ne 0 -1 1\n")
 	f.Add("coo 99999999999999999999 1 1\n")
 	f.Add("coo 3 2 20000 ")
+	f.Add("coo 1048576 1 1\ne 0 0 1\n")
 	f.Add("coo 2 1 1 # trailing comment\ne 0 0 1 # another\n")
 	f.Add("coo\t2 1 1\r\ne 0 1 0\n")
 	f.Add("")

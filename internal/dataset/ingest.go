@@ -33,15 +33,26 @@ import (
 // unboundedly before any real content is seen.
 const cooMaxDim = 1 << 24
 
-// ReadCOO builds a graph from the COO text format above.
+// cooDimsPerByte caps the declared nodes, relations and classes
+// together at this many per byte of input. Building a declared node
+// costs about 360 bytes, so without the cap the 24-byte input
+// "coo 1048576 1 1\ne 0 0 1\n" would allocate 350 MB. The cap still
+// admits a 22-byte header of 200,000 classes.
+const cooDimsPerByte = 10000
+
+// ReadCOO builds a graph from the COO text format above. It reads and
+// checks the whole body before it builds anything, so a header that
+// declares more than cooDimsPerByte nodes, relations and classes per
+// byte of input is rejected before it allocates them.
 func ReadCOO(r io.Reader) (*hin.Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 
-	line := 0
+	line, read := 0, 0
 	next := func() ([]string, bool) {
 		for sc.Scan() {
 			line++
+			read += len(sc.Bytes()) + 1
 			text := sc.Text()
 			if i := strings.IndexByte(text, '#'); i >= 0 {
 				text = text[:i]
@@ -77,20 +88,6 @@ func ReadCOO(r io.Reader) (*hin.Graph, error) {
 	}
 	n, m, q := dims[0], dims[1], dims[2]
 
-	// The names c0…c(q−1) are unique by construction, so they skip
-	// AddClass's duplicate scan, which would make the header O(q²).
-	classes := make([]string, q)
-	for c := range classes {
-		classes[c] = fmt.Sprintf("c%d", c)
-	}
-	g := hin.New(classes...)
-	for i := 0; i < n; i++ {
-		g.AddNode(fmt.Sprintf("n%d", i), nil)
-	}
-	for k := 0; k < m; k++ {
-		g.AddRelation(fmt.Sprintf("r%d", k), false)
-	}
-
 	index := func(fields []string, pos, limit int, what string) (int, error) {
 		v, err := strconv.Atoi(fields[pos])
 		if err != nil {
@@ -103,11 +100,20 @@ func ReadCOO(r io.Reader) (*hin.Graph, error) {
 	}
 
 	type coord struct{ k, i, j int }
+	type edge struct {
+		coord
+		w float64
+	}
 	type labelCoord struct{ i, c int }
+	type relation struct {
+		name     string
+		directed bool
+	}
+	var edges []edge
+	var labels []labelCoord
 	seenEdge := make(map[coord]bool)
 	seenLabel := make(map[labelCoord]bool)
-	namedRel := make(map[int]bool)
-	edges := 0
+	relations := make(map[int]relation)
 
 	for {
 		fields, ok := next()
@@ -146,8 +152,7 @@ func ReadCOO(r io.Reader) (*hin.Graph, error) {
 				return nil, fmt.Errorf("dataset: coo line %d: duplicate entry (%d, %d, %d)", line, k, i, j)
 			}
 			seenEdge[at] = true
-			g.AddWeightedEdge(k, i, j, w)
-			edges++
+			edges = append(edges, edge{at, w})
 		case "l":
 			if len(fields) != 3 {
 				return nil, fmt.Errorf("dataset: coo line %d: label wants 'l i c', got %d fields", line, len(fields))
@@ -165,7 +170,7 @@ func ReadCOO(r io.Reader) (*hin.Graph, error) {
 				return nil, fmt.Errorf("dataset: coo line %d: duplicate label (%d, %d)", line, i, c)
 			}
 			seenLabel[at] = true
-			g.SetLabels(i, append(append([]int{}, g.Nodes[i].Labels...), c)...)
+			labels = append(labels, at)
 		case "r":
 			if len(fields) != 3 {
 				return nil, fmt.Errorf("dataset: coo line %d: relation wants 'r k name', got %d fields", line, len(fields))
@@ -174,19 +179,14 @@ func ReadCOO(r io.Reader) (*hin.Graph, error) {
 			if err != nil {
 				return nil, err
 			}
-			if namedRel[k] {
+			if _, ok := relations[k]; ok {
 				return nil, fmt.Errorf("dataset: coo line %d: duplicate relation declaration %d", line, k)
 			}
-			namedRel[k] = true
-			name := fields[2]
-			if directed := strings.HasSuffix(name, "!"); directed {
-				name = strings.TrimSuffix(name, "!")
-				g.Relations[k].Directed = true
-			}
+			name, directed := strings.CutSuffix(fields[2], "!")
 			if name == "" {
 				return nil, fmt.Errorf("dataset: coo line %d: empty relation name", line)
 			}
-			g.Relations[k].Name = name
+			relations[k] = relation{name, directed}
 		default:
 			return nil, fmt.Errorf("dataset: coo line %d: unknown record %q", line, fields[0])
 		}
@@ -194,8 +194,36 @@ func ReadCOO(r io.Reader) (*hin.Graph, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("dataset: coo: %w", err)
 	}
-	if edges == 0 {
+	if len(edges) == 0 {
 		return nil, fmt.Errorf("dataset: coo: no edges")
+	}
+	if dims := n + m + q; dims > cooDimsPerByte*read {
+		return nil, fmt.Errorf("dataset: coo: header declares %d nodes, relations and classes in %d bytes of input, over the cap of %d per byte",
+			dims, read, cooDimsPerByte)
+	}
+
+	// The names c0…c(q−1) are unique by construction, so they skip
+	// AddClass's duplicate scan, which would make the header O(q²).
+	classes := make([]string, q)
+	for c := range classes {
+		classes[c] = fmt.Sprintf("c%d", c)
+	}
+	g := hin.New(classes...)
+	for i := 0; i < n; i++ {
+		g.AddNode(fmt.Sprintf("n%d", i), nil)
+	}
+	for k := 0; k < m; k++ {
+		rel, ok := relations[k]
+		if !ok {
+			rel.name = fmt.Sprintf("r%d", k)
+		}
+		g.AddRelation(rel.name, rel.directed)
+	}
+	for _, e := range edges {
+		g.AddWeightedEdge(e.k, e.i, e.j, e.w)
+	}
+	for _, l := range labels {
+		g.SetLabels(l.i, append(append([]int{}, g.Nodes[l.i].Labels...), l.c)...)
 	}
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("dataset: coo: %w", err)

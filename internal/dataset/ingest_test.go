@@ -1,6 +1,8 @@
 package dataset
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -72,6 +74,23 @@ func TestReadCOOManyClassesLinear(t *testing.T) {
 	}
 	if g.Q() != q || g.Classes[0] != "c0" || g.Classes[q-1] != "c199999" {
 		t.Fatalf("classes: %d, first %q, last %q", g.Q(), g.Classes[0], g.Classes[g.Q()-1])
+	}
+}
+
+// A header may not declare more nodes, relations and classes than
+// cooDimsPerByte per byte of input, and the reader rejects it before it
+// builds any of them: this 24-byte input would otherwise allocate 350 MB.
+func TestReadCOOHeaderCappedByInputSize(t *testing.T) {
+	const in = "coo 1048576 1 1\ne 0 0 1\n"
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadCOO(strings.NewReader(in))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("cap of %d per byte", cooDimsPerByte)) {
+		t.Fatalf("ReadCOO(%q) = %v, want the per-byte cap named", in, err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("rejecting a %d-byte header allocated %d bytes, want under 1 MB", len(in), alloc)
 	}
 }
 

@@ -1,6 +1,6 @@
 package experiments
 
-// The quality-tier benchmark behind BENCH_6.json (make bench-accel):
+// The quality-tier benchmark behind the archived BENCH_6.json:
 // one solve per tier on the golden networks, reporting wall time and the
 // committed iteration count per solve. The headline row is the slow-
 // mixing Ring network, where the extrapolated tier converges in ≥2×

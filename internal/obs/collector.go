@@ -12,7 +12,9 @@ import (
 type Kernel uint8
 
 const (
-	// KernelO is the node-transition contraction x' = O ×̄₁ x ×̄₃ z.
+	// KernelO is the node-transition contraction x' = O ×̄₁ x ×̄₃ z. A
+	// fast-tier sweep counts here too: its product P·x contracts O
+	// collapsed at a frozen z̄.
 	KernelO Kernel = iota
 	// KernelR is the relation-transition contraction z' = R ×̄₁ x ×̄₂ x.
 	KernelR

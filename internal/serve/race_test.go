@@ -25,9 +25,10 @@ import (
 // TestServingCoalescedBitwiseEqualUnderRace fires 64 concurrent mixed
 // /classify + cancel requests at an in-process tmarkd on a random port
 // and asserts every completed response carries scores bitwise identical
-// to the corresponding class of an offline Model.RunContext solve.
-// JSON's shortest-round-trip float64 formatting makes the comparison
-// exact across the wire.
+// to the corresponding class of an offline Model.RunContext solve. The
+// server solves on 2 workers and the offline solve on 1: no answer
+// depends on the worker count. JSON's shortest-round-trip float64
+// formatting makes the comparison exact across the wire.
 func TestServingCoalescedBitwiseEqualUnderRace(t *testing.T) {
 	g := testGraph(100)
 	cfg := fastConfig() // Workers=1, ICA off: deterministic, query ≡ class solve
@@ -45,7 +46,9 @@ func TestServingCoalescedBitwiseEqualUnderRace(t *testing.T) {
 		seeds[c] = classSeeds(g, c)
 	}
 
-	s := newTestServer(t, g, cfg, func(o *Options) {
+	srvCfg := cfg
+	srvCfg.Workers = 2
+	s := newTestServer(t, g, srvCfg, func(o *Options) {
 		o.MaxBatch = 8
 		o.QueueDepth = 128
 		o.MaxConcurrent = 2

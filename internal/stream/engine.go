@@ -128,6 +128,11 @@ type Engine struct {
 	cur      *Version
 	pub      atomic.Pointer[Version]
 	poisoned error
+	// curO is cur's O in (k, j, i) order, as RenormalizeNode built it,
+	// when an apply committed cur; nil after any other commit. The next
+	// apply renormalises against it instead of rebuilding the order from
+	// O's row blocks (Raw).
+	curO *tensor.NodeRaw
 
 	// Durability state. srcAO and baseSub pin the pristine source
 	// adjacency and the base substrate (the W channel never moves with
@@ -207,6 +212,7 @@ func (e *Engine) Current() *Version { return e.pub.Load() }
 func (e *Engine) commitLocked(v *Version) {
 	e.cur = v
 	e.pub.Store(v)
+	e.curO = nil
 }
 
 // sealBlob writes an encoded version into reg and returns its content
@@ -375,7 +381,12 @@ func (e *Engine) applyLocked(ctx context.Context, key string, deltas []Delta, lo
 	}
 
 	prevSub := e.cur.Model.Substrate()
-	oRaw := tensor.RenormalizeNode(newAO, prevSub.O.Raw(), func(j, k int32) bool {
+	prevO := e.curO
+	if prevO == nil {
+		raw := prevSub.O.Raw()
+		prevO = &raw
+	}
+	oRaw := tensor.RenormalizeNode(newAO, *prevO, func(j, k int32) bool {
 		return eff.touchedCols[[2]int32{j, k}]
 	})
 	rRaw := tensor.RenormalizeRelation(newAR, prevSub.R.Raw(), func(i, j int32) bool {
@@ -460,6 +471,7 @@ func (e *Engine) applyLocked(ctx context.Context, key string, deltas []Delta, lo
 	// Readers move to the new version at this point, not at the Tag above.
 	e.ao, e.ar = newAO, newAR
 	e.commitLocked(next)
+	e.curO = &oRaw
 	if key != "" {
 		e.rememberLocked(key, out)
 	}

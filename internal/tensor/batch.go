@@ -23,16 +23,20 @@ package tensor
 // reads it off the block it has just written, with no second pass over
 // the tensor (danglingAddend).
 //
+// One body per operator, ApplyBatchParallel (ApplyBatch is its no-pool
+// call), and its float order depends only on the tensor: an O worker
+// owns whole row blocks and scatters straight into their output rows;
+// R's fixed entry chunks scatter into partials of their own that fold
+// in chunk order; the column sums and the stored mass run serially in
+// row order on the caller. So the answer is the same at every worker
+// count.
+//
 // Bitwise contract: column c of a batched result equals the
-// single-vector kernel run on column c alone, path by path. The serial
-// ApplyBatch visits entries and rows in exactly the order of the serial
-// Apply; the parallel ApplyBatchParallel uses shard boundaries that
-// depend only on the tensor and the shard count (par.Split over entry
-// and row counts — all independent of b), sums each worker's partial
-// block and reduces the partials in worker order, like the single-vector
-// sharded reference in the package tests. Columns without dangling mass
-// skip the uniform add entirely, so no column ever sees an extra
-// floating-point operation relative to its single-vector run.
+// single-vector Apply run on column c alone: Apply walks the same row
+// blocks and ApplyPair folds the same chunks in the same order. Columns
+// without dangling mass skip the uniform add entirely, so no column ever
+// sees an extra floating-point operation relative to its single-vector
+// run.
 
 import (
 	"fmt"
@@ -118,33 +122,26 @@ func growBuf(buf *[]float64, size int) []float64 {
 }
 
 // NodeBatchScratch holds the buffers of the blocked NodeTransition
-// contraction: per-shard column sums and stored-column mass, the
-// per-column dangling addend, the zero-padded blocks of a call whose
-// width has no vector body, and (for the parallel path) per-worker
-// partial blocks. Build one per solver run with NewNodeBatchScratch and
-// reuse it; steady-state ApplyBatch / ApplyBatchParallel calls then
-// allocate nothing. A scratch must not be shared by concurrent calls.
+// contraction: the column sums and stored-column mass, the per-column
+// dangling addend, and the zero-padded blocks of a call whose width has
+// no vector body. Build one per solver run with NewNodeBatchScratch and
+// reuse it; steady-state calls then allocate nothing. A scratch must not
+// be shared by concurrent calls.
 type NodeBatchScratch struct {
 	shards  int
 	maxCols int
-	lanes   int // laneCap(maxCols): the widest kernel block
-	// partials is shards × n × lanes, worker-major: worker w owns
-	// [w·n·lanes, (w+1)·n·lanes) and addresses cell (i, c) of a
-	// width-k kernel block at offset i·k+c within its block. Nil when
-	// the scratch was built for one shard (serial-only use).
-	partials []float64
-	sumX     []float64 // shards × lanes per-shard column sums of x
-	sumZ     []float64 // shards × lanes per-shard column sums of z
-	mass     []float64 // shards × lanes per-shard stored-column mass
-	u        []float64 // lanes per-column dangling addend
-	// padX, padZ and padDst hold the padded x, z and (serial path) dst
-	// blocks; they grow on the first padded call.
+	// sumX, sumZ, mass and u hold one value per lane of the widest
+	// kernel block, laneCap(maxCols): the column sums of x and z, the
+	// stored-column mass and the per-column dangling addend.
+	sumX, sumZ, mass, u []float64
+	// padX, padZ and padDst hold the padded x, z and dst blocks; they
+	// grow on the first padded call.
 	padX, padZ, padDst []float64
 	task               nodeBatchTask
 	wg                 sync.WaitGroup
 
-	// Probe, when non-nil, counts ApplyBatchParallel calls, the stored
-	// entries they stream, and the class columns they apply them to.
+	// Probe, when non-nil, counts every call, the stored entries it
+	// streams, and the class columns it applies them to.
 	Probe *obs.Probe
 
 	// NoASM demotes this scratch's contractions to the scalar reference
@@ -156,50 +153,50 @@ type NodeBatchScratch struct {
 }
 
 // NewNodeBatchScratch sizes batch scratch for o with the given shard
-// count and maximum column count. shards < 1 is treated as 1; the
-// per-worker partial blocks are only allocated when shards > 1.
+// count and maximum column count. shards caps the workers one call
+// spreads its row blocks over (shards < 1 is treated as 1); the answer
+// does not depend on it.
 func NewNodeBatchScratch(o *NodeTransition, shards, maxCols int) *NodeBatchScratch {
-	if shards < 1 {
-		shards = 1
-	}
 	if maxCols < 1 {
 		maxCols = 1
 	}
 	lanes := laneCap(maxCols)
 	s := &NodeBatchScratch{
-		shards:  shards,
+		shards:  max(shards, 1),
 		maxCols: maxCols,
-		lanes:   lanes,
-		sumX:    make([]float64, shards*lanes),
-		sumZ:    make([]float64, shards*lanes),
-		mass:    make([]float64, shards*lanes),
+		sumX:    make([]float64, lanes),
+		sumZ:    make([]float64, lanes),
+		mass:    make([]float64, lanes),
 		u:       make([]float64, lanes),
 	}
-	if shards > 1 {
-		s.partials = make([]float64, shards*o.n*lanes)
-	}
 	s.task.o = o
-	s.task.s = s
 	return s
 }
 
-func (s *NodeBatchScratch) checkCols(b int) {
-	if s == nil {
-		panic("tensor: ApplyBatch needs a NodeBatchScratch")
-	}
-	if b < 1 || b > s.maxCols {
-		panic(fmt.Sprintf("tensor: ApplyBatch %d columns, scratch sized for %d", b, s.maxCols))
-	}
+// ApplyBatch is ApplyBatchParallel with no pool: the same row blocks,
+// run inline on the caller.
+func (o *NodeTransition) ApplyBatch(s *NodeBatchScratch, x, z, dst []float64, b int) {
+	o.ApplyBatchParallel(nil, s, x, z, dst, b)
 }
 
-// ApplyBatch computes the blocked contraction dst = O ×̄₁ X ×̄₃ Z for b
-// interleaved class columns: x and dst are n×b blocks, z an m×b block
-// (stride b), and dst must not alias x. Column c of dst is bitwise equal
-// to Apply run on column c of x and z: the stored mass is the column sum
-// of the scattered block, taken before the uniform add.
-func (o *NodeTransition) ApplyBatch(s *NodeBatchScratch, x, z, dst []float64, b int) {
-	s.checkCols(b)
-	checkNodeBlocks(o, "ApplyBatch", len(x), len(z), len(dst), b)
+// ApplyBatchParallel computes the blocked contraction dst = O ×̄₁ X ×̄₃ Z
+// for b interleaved class columns: x and dst are n×b blocks, z an m×b
+// block (stride b), and dst must not alias x. The row blocks are split
+// across the pool by entry count, each worker scattering into the rows
+// it owns; then the caller takes the column sums of x and z and the
+// stored mass (the column sums of the scattered block) in row order, and
+// adds the uniform dangling term. A nil or serial pool runs the same
+// blocks inline. Column c of dst is bitwise equal to Apply run on column
+// c of x and z, at every worker count.
+func (o *NodeTransition) ApplyBatchParallel(p *par.Pool, s *NodeBatchScratch, x, z, dst []float64, b int) {
+	if s == nil || b < 1 || b > s.maxCols {
+		panic(fmt.Sprintf("tensor: ApplyBatch of %d columns needs a scratch sized for them", b))
+	}
+	if len(x) < o.n*b || len(z) < o.m*b || len(dst) < o.n*b {
+		panic(fmt.Sprintf("tensor: NodeTransition.ApplyBatch x/z/dst blocks %d/%d/%d, want %d/%d/%d",
+			len(x), len(z), len(dst), o.n*b, o.m*b, o.n*b))
+	}
+	s.Probe.ObserveCols(len(o.p), b)
 	n := o.n
 	dst = dst[:n*b]
 	asm, w := kernelWidth(b, s.NoASM)
@@ -209,11 +206,13 @@ func (o *NodeTransition) ApplyBatch(s *NodeBatchScratch, x, z, dst []float64, b 
 	if w != b {
 		out = growBuf(&s.padDst, n*w)
 	}
-	clear(out)
+	t := &s.task
+	t.x, t.z, t.out, t.w, t.asm = x, z, out, w, asm
+	p.Run(min(p.Workers(), s.shards, o.blocks()), t, &s.wg)
+	t.x, t.z, t.out = nil, nil, nil
 	sumX, sumZ, mass, u := s.sumX[:w], s.sumZ[:w], s.mass[:w], s.u[:w]
 	colSums(x, w, sumX)
 	colSums(z, w, sumZ)
-	cooScatterBatch(out, x, z, o.i, o.j, o.k, o.p, w, 0, len(o.p), asm)
 	colSums(out, w, mass)
 	for c := range u {
 		u[c] = danglingAddend(sumX[c], sumZ[c], mass[c], n, o.DanglingColumns())
@@ -227,6 +226,28 @@ func (o *NodeTransition) ApplyBatch(s *NodeBatchScratch, x, z, dst []float64, b 
 	}
 }
 
+// nodeBatchTask is the par.Task of one node contraction: shard s takes
+// a run of whole row blocks, balanced by entry count, clears their
+// output rows and scatters their entries into them at kernel width w.
+type nodeBatchTask struct {
+	o         *NodeTransition
+	x, z, out []float64 // the kernel blocks, stride w
+	w         int
+	asm       bool
+}
+
+func (t *nodeBatchTask) RunShard(shard, shards int) {
+	o, w := t.o, t.w
+	nnz := len(o.p)
+	lo, hi := o.blockAtNNZ(shard*nnz/shards), o.blockAtNNZ((shard+1)*nnz/shards)
+	if shard == shards-1 {
+		hi = o.blocks() // trailing empty blocks belong to the last shard
+	}
+	rowLo, rowHi := min(lo*nodeBlockRows, o.n), min(hi*nodeBlockRows, o.n)
+	clear(t.out[rowLo*w : rowHi*w])
+	cooScatterBatch(t.out, t.x, t.z, o.i, o.j, o.k, o.p, w, int(o.blockStart[lo]), int(o.blockStart[hi]), t.asm)
+}
+
 // cooScatterBatch is the shared blocked COO entry loop of both
 // contractions: dst[d·b+c] += p[q]·a[ai·b+c]·bb[bi·b+c] for every stored
 // entry q in [lo, hi) and every column c < b. The node contraction passes
@@ -238,12 +259,13 @@ func (o *NodeTransition) ApplyBatch(s *NodeBatchScratch, x, z, dst []float64, b 
 // the reference the vector bodies are bitwise equal to. Each column
 // accumulates in entry order q in every body.
 // The entry arrays arrive sorted so that the bi index is constant over
-// long contiguous runs (node: entries sorted by (k, j, i) keep z[k]
-// fixed for a whole slab; relation: sorted by (j, i, k) keep x[j] fixed
-// across a node's out-edges), so every body caches that one operand row
-// and reloads it only when the index changes: the reload branch is
-// almost never taken and predicts perfectly. Pure load elimination: no
-// float's value or accumulation order changes.
+// long contiguous runs (node: each row block is sorted by (k, j, i), so
+// z[k] stays fixed for a block's whole slab of relation k; relation:
+// sorted by (j, i, k) keep x[j] fixed across a node's out-edges), so
+// every body caches that one operand row and reloads it only when the
+// index changes: the reload branch is almost never taken and predicts
+// perfectly. Pure load elimination: no float's value or accumulation
+// order changes.
 func cooScatterBatch(dst, a, bb []float64, di, ai, bi []int32, p []float64, cols, lo, hi int, asm bool) {
 	if lo >= hi {
 		return
@@ -301,124 +323,28 @@ func addUniformCols(dst []float64, u []float64, b int) {
 	}
 }
 
-// nodeBatchTask is the two-phase par.Task of ApplyBatchParallel,
-// mirroring nodeApplyTask: a scatter phase contracting entry shards into
-// per-worker partial blocks at the kernel width w and summing each
-// partial's columns, then a strided reduction folding their first b
-// lanes into dst in worker order.
-type nodeBatchTask struct {
-	o      *NodeTransition
-	s      *NodeBatchScratch
-	x, z   []float64 // the kernel blocks, stride w
-	dst    []float64 // the caller's block, stride b
-	b, w   int
-	asm    bool
-	reduce bool
-}
-
-func (t *nodeBatchTask) RunShard(shard, shards int) {
-	o, s, b, w := t.o, t.s, t.b, t.w
-	n := o.n
-	wBase := shard * n * s.lanes
-	if t.reduce {
-		lo, hi := par.Split(n, shards, shard)
-		u := s.u[:b]
-		for i := lo; i < hi; i++ {
-			for c := 0; c < b; c++ {
-				acc := u[c]
-				for k := 0; k < shards; k++ {
-					acc += s.partials[k*n*s.lanes+i*w+c]
-				}
-				t.dst[i*b+c] = acc
-			}
-		}
-		return
-	}
-	part := s.partials[wBase : wBase+n*w]
-	clear(part)
-	x, z := t.x, t.z
-	lo, hi := par.Split(n, shards, shard)
-	colSums(x[lo*w:hi*w], w, s.sumX[shard*s.lanes:shard*s.lanes+w])
-	lo, hi = par.Split(o.m, shards, shard)
-	colSums(z[lo*w:hi*w], w, s.sumZ[shard*s.lanes:shard*s.lanes+w])
-	lo, hi = par.Split(len(o.p), shards, shard)
-	cooScatterBatch(part, x, z, o.i, o.j, o.k, o.p, w, lo, hi, t.asm)
-	colSums(part, w, s.mass[shard*s.lanes:shard*s.lanes+w])
-}
-
-// ApplyBatchParallel computes the blocked contraction like ApplyBatch
-// with the entry shards spread across the pool. Shard boundaries are the
-// single-vector ones (they depend only on the tensor and the shard
-// count, never on b); each worker sums the columns of its own partial
-// block into its stored-mass slot, and the slots and the partials reduce
-// in worker order, so for a fixed worker count column c of the result is
-// bitwise independent of b and equal to the single-vector sharded
-// reference run on column c alone. A nil/serial pool or single-shard
-// scratch falls back to the serial path.
-func (o *NodeTransition) ApplyBatchParallel(p *par.Pool, s *NodeBatchScratch, x, z, dst []float64, b int) {
-	if p.Serial() || s == nil || s.shards <= 1 {
-		o.ApplyBatch(s, x, z, dst, b)
-		return
-	}
-	s.checkCols(b)
-	checkNodeBlocks(o, "ApplyBatchParallel", len(x), len(z), len(dst), b)
-	s.Probe.ObserveCols(len(o.p), b)
-	asm, w := kernelWidth(b, s.NoASM)
-	t := &s.task
-	t.x = padBlock(&s.padX, x[:o.n*b], o.n, b, w)
-	t.z = padBlock(&s.padZ, z[:o.m*b], o.m, b, w)
-	t.dst, t.b, t.w, t.asm = dst[:o.n*b], b, w, asm
-	t.reduce = false
-	p.Run(s.shards, t, &s.wg)
-	u := s.u[:b]
-	for c := 0; c < b; c++ {
-		var sumX, sumZ, stored float64
-		for k := 0; k < s.shards; k++ {
-			sumX += s.sumX[k*s.lanes+c]
-			sumZ += s.sumZ[k*s.lanes+c]
-			stored += s.mass[k*s.lanes+c]
-		}
-		u[c] = danglingAddend(sumX, sumZ, stored, o.n, o.DanglingColumns())
-	}
-	t.reduce = true
-	p.Run(s.shards, t, &s.wg)
-	t.x, t.z, t.dst = nil, nil, nil
-	if fault.Enabled() {
-		fault.Fire(fault.TensorNodeBatch, dst[:o.n*b], b, asm)
-	}
-}
-
-func checkNodeBlocks(o *NodeTransition, op string, lx, lz, ldst, b int) {
-	if lx < o.n*b || ldst < o.n*b {
-		panic(fmt.Sprintf("tensor: NodeTransition.%s x/dst blocks %d/%d, want %d", op, lx, ldst, o.n*b))
-	}
-	if lz < o.m*b {
-		panic(fmt.Sprintf("tensor: NodeTransition.%s z block %d, want %d", op, lz, o.m*b))
-	}
-}
-
 // RelationBatchScratch holds the buffers of the blocked
 // RelationTransition contraction; see NodeBatchScratch for the contract.
-// As in the single-vector path, the small m-dimensional reduction runs
-// serially in the caller.
 type RelationBatchScratch struct {
 	shards  int
 	maxCols int
 	lanes   int // laneCap(maxCols): the widest kernel block
-	// partials is shards × m × lanes, worker-major; nil when built for
-	// one shard.
+	// partials holds the m×lanes partial blocks of chunks 1, 2, …
+	// (chunk 0 scatters straight into the output), chunk-major: chunk
+	// c's block starts at (c−1)·m·lanes and is addressed at the call's
+	// kernel width.
 	partials []float64
-	sumI     []float64 // shards × lanes per-shard column sums of x
-	mass     []float64 // shards × lanes per-shard stored-tube mass
-	u        []float64 // lanes per-column dangling addend
-	// padX and padDst hold the padded x and (serial path) dst blocks;
-	// they grow on the first padded call.
+	// sumI, mass and u hold one value per lane: the column sums of x,
+	// the stored-tube mass and the per-column dangling addend.
+	sumI, mass, u []float64
+	// padX and padDst hold the padded x and dst blocks; they grow on the
+	// first padded call.
 	padX, padDst []float64
 	task         relationBatchTask
 	wg           sync.WaitGroup
 
-	// Probe, when non-nil, counts ApplyBatchParallel calls, the stored
-	// entries they stream, and the class columns they apply them to.
+	// Probe, when non-nil, counts every call, the stored entries it
+	// streams, and the class columns it applies them to.
 	Probe *obs.Probe
 
 	// NoASM demotes this scratch's contractions to the scalar reference
@@ -427,49 +353,62 @@ type RelationBatchScratch struct {
 }
 
 // NewRelationBatchScratch sizes batch scratch for r with the given shard
-// count and maximum column count; shards < 1 is treated as 1.
+// count and maximum column count. shards caps the workers one call
+// spreads its chunks over (shards < 1 is treated as 1); the answer does
+// not depend on it.
 func NewRelationBatchScratch(r *RelationTransition, shards, maxCols int) *RelationBatchScratch {
-	if shards < 1 {
-		shards = 1
-	}
 	if maxCols < 1 {
 		maxCols = 1
 	}
 	lanes := laneCap(maxCols)
 	s := &RelationBatchScratch{
-		shards:  shards,
-		maxCols: maxCols,
-		lanes:   lanes,
-		sumI:    make([]float64, shards*lanes),
-		mass:    make([]float64, shards*lanes),
-		u:       make([]float64, lanes),
-	}
-	if shards > 1 {
-		s.partials = make([]float64, shards*r.m*lanes)
+		shards:   max(shards, 1),
+		maxCols:  maxCols,
+		lanes:    lanes,
+		partials: make([]float64, (r.chunks()-1)*r.m*lanes),
+		sumI:     make([]float64, lanes),
+		mass:     make([]float64, lanes),
+		u:        make([]float64, lanes),
 	}
 	s.task.r = r
 	s.task.s = s
 	return s
 }
 
-func (s *RelationBatchScratch) checkCols(b int) {
-	if s == nil {
-		panic("tensor: ApplyBatch needs a RelationBatchScratch")
+// partial returns chunk ch's output block at kernel width w: the call's
+// output for chunk 0, a partial block of the scratch for the rest.
+func (s *RelationBatchScratch) partial(out []float64, ch, w int) []float64 {
+	if ch == 0 {
+		return out
 	}
-	if b < 1 || b > s.maxCols {
-		panic(fmt.Sprintf("tensor: ApplyBatch %d columns, scratch sized for %d", b, s.maxCols))
-	}
+	base := (ch - 1) * s.task.r.m * s.lanes
+	return s.partials[base : base+s.task.r.m*w]
 }
 
-// ApplyBatch computes the blocked contraction dst = R ×̄₁ X ×̄₂ X for b
-// interleaved class columns: x is an n×b block, dst an m×b block (stride
-// b), and dst must not alias x. Column c of dst is bitwise equal to
-// Apply run on column c of x; the mode-1 and mode-2 sums coincide
-// bitwise when xi == xj, so the sum is computed once and squared, and
-// the stored-tube mass is the column sum of the scattered block.
+// ApplyBatch is ApplyBatchParallel with no pool: the same chunks, run
+// inline on the caller.
 func (r *RelationTransition) ApplyBatch(s *RelationBatchScratch, x, dst []float64, b int) {
-	s.checkCols(b)
-	checkRelationBlocks(r, "ApplyBatch", len(x), len(dst), b)
+	r.ApplyBatchParallel(nil, s, x, dst, b)
+}
+
+// ApplyBatchParallel computes the blocked contraction dst = R ×̄₁ X ×̄₂ X
+// for b interleaved class columns: x is an n×b block, dst an m×b block
+// (stride b), and dst must not alias x. The entry chunks are split
+// across the pool, each scattering into its own partial; then the
+// caller folds the partials in chunk order, takes the column sums of x
+// and the stored mass in row order, and adds the uniform dangling term.
+// The mode-1 and mode-2 sums coincide when the vectors do, so the sum is
+// taken once and squared. A nil or serial pool runs the same chunks
+// inline. Column c of dst is bitwise equal to Apply run on column c of
+// x, at every worker count.
+func (r *RelationTransition) ApplyBatchParallel(p *par.Pool, s *RelationBatchScratch, x, dst []float64, b int) {
+	if s == nil || b < 1 || b > s.maxCols {
+		panic(fmt.Sprintf("tensor: ApplyBatch of %d columns needs a scratch sized for them", b))
+	}
+	if len(x) < r.n*b || len(dst) < r.m*b {
+		panic(fmt.Sprintf("tensor: RelationTransition.ApplyBatch x/dst blocks %d/%d, want %d/%d", len(x), len(dst), r.n*b, r.m*b))
+	}
+	s.Probe.ObserveCols(len(r.p), b)
 	m := r.m
 	dst = dst[:m*b]
 	asm, w := kernelWidth(b, s.NoASM)
@@ -478,10 +417,18 @@ func (r *RelationTransition) ApplyBatch(s *RelationBatchScratch, x, dst []float6
 	if w != b {
 		out = growBuf(&s.padDst, m*w)
 	}
-	clear(out)
+	t := &s.task
+	t.x, t.out, t.w, t.asm = x, out, w, asm
+	chunks := r.chunks()
+	p.Run(min(p.Workers(), s.shards, chunks), t, &s.wg)
+	t.x, t.out = nil, nil
+	for ch := 1; ch < chunks; ch++ {
+		for q, v := range s.partial(out, ch, w) {
+			out[q] += v
+		}
+	}
 	sumI, mass, u := s.sumI[:w], s.mass[:w], s.u[:w]
 	colSums(x, w, sumI)
-	cooScatterBatch(out, x, x, r.k, r.i, r.j, r.p, w, 0, len(r.p), asm)
 	colSums(out, w, mass)
 	for c := range u {
 		u[c] = danglingAddend(sumI[c], sumI[c], mass[c], m, r.DanglingTubes())
@@ -495,76 +442,23 @@ func (r *RelationTransition) ApplyBatch(s *RelationBatchScratch, x, dst []float6
 	}
 }
 
+// relationBatchTask is the par.Task of one relation contraction: shard
+// s scatters a contiguous run of chunks, each into its own partial.
 type relationBatchTask struct {
-	r   *RelationTransition
-	s   *RelationBatchScratch
-	x   []float64 // the kernel block, stride w
-	w   int
-	asm bool
+	r      *RelationTransition
+	s      *RelationBatchScratch
+	x, out []float64 // the kernel blocks, stride w
+	w      int
+	asm    bool
 }
 
 func (t *relationBatchTask) RunShard(shard, shards int) {
-	r, s, w := t.r, t.s, t.w
-	m := r.m
-	part := s.partials[shard*m*s.lanes : shard*m*s.lanes+m*w]
-	clear(part)
-	x := t.x
-	lo, hi := par.Split(r.n, shards, shard)
-	colSums(x[lo*w:hi*w], w, s.sumI[shard*s.lanes:shard*s.lanes+w])
-	lo, hi = par.Split(len(r.p), shards, shard)
-	cooScatterBatch(part, x, x, r.k, r.i, r.j, r.p, w, lo, hi, t.asm)
-	colSums(part, w, s.mass[shard*s.lanes:shard*s.lanes+w])
-}
-
-// ApplyBatchParallel computes the blocked contraction like ApplyBatch
-// with the entry shards spread across the pool, each worker summing the
-// columns of its own m×w partial block, and reduces the m×b output
-// serially in the caller. For a fixed worker count column c of the
-// result is bitwise independent of b and equal to the single-vector
-// sharded reference run on column c alone. A nil/serial pool or
-// single-shard scratch falls back to the serial path.
-func (r *RelationTransition) ApplyBatchParallel(p *par.Pool, s *RelationBatchScratch, x, dst []float64, b int) {
-	if p.Serial() || s == nil || s.shards <= 1 {
-		r.ApplyBatch(s, x, dst, b)
-		return
-	}
-	s.checkCols(b)
-	checkRelationBlocks(r, "ApplyBatchParallel", len(x), len(dst), b)
-	s.Probe.ObserveCols(len(r.p), b)
-	asm, w := kernelWidth(b, s.NoASM)
-	t := &s.task
-	t.x, t.w, t.asm = padBlock(&s.padX, x[:r.n*b], r.n, b, w), w, asm
-	p.Run(s.shards, t, &s.wg)
-	u := s.u[:b]
-	for c := 0; c < b; c++ {
-		var sumI, stored float64
-		for k := 0; k < s.shards; k++ {
-			sumI += s.sumI[k*s.lanes+c]
-			stored += s.mass[k*s.lanes+c]
-		}
-		u[c] = danglingAddend(sumI, sumI, stored, r.m, r.DanglingTubes())
-	}
-	m := r.m
-	for k := 0; k < m; k++ {
-		for c := 0; c < b; c++ {
-			acc := u[c]
-			for sh := 0; sh < s.shards; sh++ {
-				acc += s.partials[sh*m*s.lanes+k*w+c]
-			}
-			dst[k*b+c] = acc
-		}
-	}
-	t.x = nil
-	if fault.Enabled() {
-		fault.Fire(fault.TensorRelationBatch, dst[:m*b], b, asm)
-	}
-}
-
-func checkRelationBlocks(r *RelationTransition, op string, lx, ldst, b int) {
-	if lx < r.n*b {
-		panic(fmt.Sprintf("tensor: RelationTransition.%s x block %d, want %d", op, lx, r.n*b))
-	}
-	if ldst < r.m*b {
-		panic(fmt.Sprintf("tensor: RelationTransition.%s dst block %d, want %d", op, ldst, r.m*b))
+	r := t.r
+	lo, hi := par.Split(r.chunks(), shards, shard)
+	for ch := lo; ch < hi; ch++ {
+		part := t.s.partial(t.out, ch, t.w)
+		clear(part)
+		elo, ehi := r.chunk(ch)
+		cooScatterBatch(part, t.x, t.x, r.k, r.i, r.j, r.p, t.w, elo, ehi, t.asm)
 	}
 }

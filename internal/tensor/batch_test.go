@@ -9,6 +9,25 @@ import (
 	"tmark/internal/par"
 )
 
+// randomVec returns a random distribution (uses the shared
+// randomStochastic helper, tolerating n == 0).
+func randomVec(rng *rand.Rand, n int) []float64 {
+	if n == 0 {
+		return nil
+	}
+	return randomStochastic(rng, n)
+}
+
+func maxAbsDiff(a, b []float64) float64 {
+	d := 0.0
+	for i := range a {
+		if v := math.Abs(a[i] - b[i]); v > d {
+			d = v
+		}
+	}
+	return d
+}
+
 // randomBlock returns a rows×b block whose columns are independent random
 // distributions.
 func randomBlock(rng *rand.Rand, rows, b int) []float64 {
@@ -109,18 +128,28 @@ func scatterO(o *NodeTransition, x, z []float64) []float64 {
 	return dst
 }
 
-// scatterR is R ×̄₁ x ×̄₂ x with no dangling term.
-func scatterR(r *RelationTransition, x []float64) []float64 {
-	dst := make([]float64, r.m)
-	for q, pk := range r.k {
-		dst[pk] += r.p[q] * x[r.i[q]] * x[r.j[q]]
+// scatterR is R ×̄₁ xi ×̄₂ xj with no dangling term: each run of
+// relationChunk entries scattered in entry order into a partial of its
+// own, and the partials added up in chunk order.
+func scatterR(r *RelationTransition, xi, xj []float64) []float64 {
+	dst, part := make([]float64, r.m), make([]float64, r.m)
+	for lo := 0; lo < len(r.p); lo += relationChunk {
+		clear(part)
+		for q := lo; q < min(lo+relationChunk, len(r.p)); q++ {
+			part[r.k[q]] += r.p[q] * xi[r.i[q]] * xj[r.j[q]]
+		}
+		for k, v := range part {
+			dst[k] += v
+		}
 	}
 	return dst
 }
 
 // fullN is the size of the full tensor of the width sweeps: large enough
 // that Σx·Σz minus the stored mass exceeds 1e-15 by rounding alone in
-// some of the sweep's columns, so a uniform add of that residue shows.
+// some of the sweep's columns, so a uniform add of that residue shows,
+// that O spans several row blocks, the last one partial, and that R's
+// ≈40k entries span three chunks.
 const fullN = 200
 
 // Column c of the blocked node contraction must be bitwise equal to the
@@ -198,10 +227,14 @@ func testRelationApplyBatchMatchesSingleColumns(t *testing.T) {
 	}
 
 	// With every tube stored, Apply and ApplyBatch return exactly the
-	// entry-order scatter.
+	// chunk-folded entry-order scatter, and so does ApplyPair on two
+	// distinct vectors.
 	r := NewRelationTransition(fullTensor(rng, fullN, 4))
 	if r.DanglingTubes() != 0 {
 		t.Fatalf("full tensor has %d dangling tubes", r.DanglingTubes())
+	}
+	if r.chunks() < 3 {
+		t.Fatalf("full tensor's R spans %d chunks, want at least 3", r.chunks())
 	}
 	for b := 1; b <= maxWidth; b++ {
 		x := randomBlock(rng, r.N(), b)
@@ -210,21 +243,26 @@ func testRelationApplyBatchMatchesSingleColumns(t *testing.T) {
 		for c := 0; c < b; c++ {
 			label := fmt.Sprintf("full b=%d col %d", b, c)
 			xc := column(x, r.N(), b, c)
-			want := scatterR(r, xc)
+			want := scatterR(r, xc, xc)
 			got := make([]float64, r.M())
 			r.Apply(xc, got)
 			sameBits(t, label+" Apply", got, want)
 			sameBits(t, label+" ApplyBatch", column(dst, r.M(), b, c), want)
+			xj := randomVec(rng, r.N())
+			r.ApplyPair(xc, xj, got)
+			sameBits(t, label+" ApplyPair", got, scatterR(r, xc, xj))
 		}
 	}
 }
 
-// The parallel batched contractions shard by the same boundaries as the
-// single-vector parallel kernels (independent of b), so they must also be
-// bitwise equal to the single-vector parallel results per column — for
-// every worker count and every width, on one scratch sized for the
-// widest block, so b also shrinks below the scratch's capacity (retired
-// classes) and the padded width changes from call to call.
+// Every column of the pooled contractions must be bitwise the
+// single-vector Apply at 1, 2, 3 and 8 workers: the worker count moves
+// which worker runs a row block or chunk, never the order of a float
+// operation. One scratch sized for the widest block serves every width,
+// so b also shrinks below the scratch's capacity (retired classes) and
+// the padded width changes from call to call. The cases span one and
+// several row blocks, one and three R chunks, an all-dangling and an
+// empty tensor.
 func TestApplyBatchParallelMatchesSingleColumns(t *testing.T) {
 	runBothKernelPaths(t, testApplyBatchParallelMatchesSingleColumns)
 }
@@ -239,8 +277,6 @@ func testApplyBatchParallelMatchesSingleColumns(t *testing.T) {
 			p := par.New(workers)
 			so := NewNodeBatchScratch(o, workers, maxWidth)
 			sr := NewRelationBatchScratch(r, workers, maxWidth)
-			soRef := NewNodeApplyScratch(o, workers)
-			srRef := NewRelationApplyScratch(r, workers)
 			for _, b := range []int{maxWidth, 8, 1, 5, 2, 7, 4, 3, 6} {
 				x := negZeros(randomBlock(rng, o.N(), b))
 				z := negZeros(randomBlock(rng, o.M(), b))
@@ -252,10 +288,10 @@ func testApplyBatchParallelMatchesSingleColumns(t *testing.T) {
 					label := fmt.Sprintf("case %d workers %d b=%d col %d", ci, workers, b, c)
 					xc, zc := column(x, o.N(), b, c), column(z, o.M(), b, c)
 					want := make([]float64, o.N())
-					o.ApplyParallel(p, soRef, xc, zc, want)
+					o.Apply(xc, zc, want)
 					sameBits(t, label+" node", column(dst, o.N(), b, c), want)
 					wantZ := make([]float64, r.M())
-					r.ApplyParallel(p, srRef, xc, wantZ)
+					r.Apply(xc, wantZ)
 					sameBits(t, label+" relation", column(dstZ, r.M(), b, c), wantZ)
 				}
 			}
@@ -264,12 +300,14 @@ func testApplyBatchParallelMatchesSingleColumns(t *testing.T) {
 	}
 }
 
-// Steady-state batched contractions must not allocate: partials, column
-// sums, the padded blocks (grown on the first padded call) and the
-// dispatch task all live in the reusable scratch.
+// Steady-state batched contractions must not allocate, serial or pooled:
+// R's chunk partials, the column sums, the padded blocks (grown on the
+// first padded call) and the dispatch task all live in the reusable
+// scratch. The full tensor's R spans three chunks and its O four row
+// blocks, so the pooled calls dispatch.
 func TestApplyBatchZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(104))
-	a := randomTensor(rng, 100, 4, 2000)
+	a := fullTensor(rng, fullN, 4)
 	o := NewNodeTransition(a)
 	r := NewRelationTransition(a)
 	const maxCols = 4

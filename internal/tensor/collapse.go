@@ -10,7 +10,7 @@ import "fmt"
 // of the linearized T-Mark update x' = (1−α−β)·P·x + β·W·x + α·l (the
 // approximate tier freezes z at zbar instead of re-coupling it through
 // eq. (8) every iteration). The stored entries are returned as COO
-// triplets in (j, i) column-grouped order; the implicit dangling columns
+// triplets in O's row-block order; the implicit dangling columns
 // of O contribute uniformly and are summarised per source node instead
 // of materialised: dangle[j] = Σ_(k: column (j,k) dangling) zbar[k], so
 // a matvec adds (Σ_j dangle[j]·x[j])/n to every entry of the result.
@@ -30,11 +30,11 @@ func (o *NodeTransition) CollapseZ(zbar []float64) (rows, cols []int32, vals []f
 	for j := range dangle {
 		dangle[j] = zSum
 	}
-	// Entries are sorted by (k, j, i): for a fixed k each (j, k) column is
-	// a contiguous run, so one pass accumulates P and the per-j stored
-	// column weights. Different k values revisit the same (i, j) pair, so
-	// the triplets carry duplicates — the caller's sparse builder
-	// (sparse.FromTriplets) sums them.
+	// The column list gives the per-j stored column weights; one pass
+	// over the row blocks gives P. Different k values revisit the same
+	// (i, j) pair, so the triplets carry duplicates, in ascending k within
+	// the pair as in the (k, j, i) order — the caller's sparse builder
+	// (sparse.FromTriplets) sums them in that order.
 	for q, cj := range o.colJ {
 		dangle[cj] -= zbar[o.colK[q]]
 	}

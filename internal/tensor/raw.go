@@ -2,21 +2,23 @@ package tensor
 
 // Raw access to the normalised transition layouts. The artifact codec
 // (internal/artifact) serialises a model's O and R into the TMARKAR1
-// format and rebuilds them zero-copy from a memory-mapped file, so the
-// flat arrays behind NodeTransition and RelationTransition need a door:
-// RawArrays exposes them (aliased, read-only by contract) and the
-// FromRaw constructors re-wrap externally owned arrays after structural
-// validation. Everything the kernels assume about the layouts — sort
-// order, alignment of the index/probability slices, tube offsets — is
-// re-checked here, because FromRaw inputs come from disk, not from the
-// normalisation code that upholds those invariants by construction.
+// format and rebuilds them from a memory-mapped file, so the flat arrays
+// behind NodeTransition and RelationTransition need a door: Raw exposes
+// them in the format's order (R's aliased, read-only by contract; O's
+// rebuilt from its row blocks) and the FromRaw constructors take
+// externally owned arrays back after structural validation (R wraps them
+// zero-copy; O copies them into its row blocks). Everything the kernels
+// assume about the layouts — sort order, alignment of the
+// index/probability slices, tube offsets — is re-checked here, because
+// FromRaw inputs come from disk, not from the normalisation code that
+// upholds those invariants by construction.
 
 import "fmt"
 
-// NodeRaw is the flat storage of a NodeTransition: the stored nonzero
-// probabilities in (k, j, i) order plus the sorted (j, k) list of
-// non-dangling columns. All slices alias the transition's own storage —
-// callers must not mutate them.
+// NodeRaw is the flat storage of a NodeTransition in the TMARKAR1
+// layout: the stored nonzero probabilities in (k, j, i) order plus the
+// sorted (k, j) list of non-dangling columns. Callers must not mutate
+// its slices.
 type NodeRaw struct {
 	N, M       int
 	I, J, K    []int32
@@ -24,20 +26,28 @@ type NodeRaw struct {
 	ColJ, ColK []int32
 }
 
-// Raw exposes the transition's storage for serialisation.
+// Raw returns the transition's storage for serialisation. The entry
+// arrays are fresh: the (k, j, i) order is rebuilt from the row blocks
+// by two stable counting passes, by j and then by k, since within one
+// (j, k) column the blocks already list i ascending. The column lists
+// alias the transition's own.
 func (o *NodeTransition) Raw() NodeRaw {
-	return NodeRaw{N: o.n, M: o.m, I: o.i, J: o.j, K: o.k, P: o.p, ColJ: o.colJ, ColK: o.colK}
+	src := cooBuf{o.i, o.j, o.k, o.p}
+	byJ, out := newCooBuf(len(o.p)), newCooBuf(len(o.p))
+	countingPass(src.j, o.n, src, byJ)
+	countingPass(byJ.k, o.m, byJ, out)
+	return NodeRaw{N: o.n, M: o.m, I: out.i, J: out.j, K: out.k, P: out.v, ColJ: o.colJ, ColK: o.colK}
 }
 
-// NodeTransitionFromRaw wraps externally owned arrays (typically views
-// into a memory-mapped artifact) as a NodeTransition. The arrays are
-// aliased, not copied, and must stay immutable and alive for the
-// transition's lifetime. Every structural invariant the kernels rely on
-// is validated: aligned lengths, indices in range, strict (k, j, i)
-// entry order, strict (k, j) column order, and agreement between the
-// entry runs and the column list. Probabilities are checked for
-// finiteness and nonnegativity; exact column stochasticity is the
-// encoder's job and is covered by the artifact checksum.
+// NodeTransitionFromRaw builds a NodeTransition from externally owned
+// arrays (typically views into a memory-mapped artifact). It copies
+// them into its row blocks and keeps no reference to raw. Every
+// structural invariant the kernels rely on is validated first: aligned
+// lengths, indices in range, strict (k, j, i) entry order, strict (k, j)
+// column order, and agreement between the entry runs and the column
+// list. Probabilities are checked for finiteness and nonnegativity;
+// exact column stochasticity is the encoder's job and is covered by the
+// artifact checksum.
 func NodeTransitionFromRaw(raw NodeRaw) (*NodeTransition, error) {
 	if raw.N < 0 || raw.M < 0 {
 		return nil, fmt.Errorf("tensor: raw O shape %dx%d negative", raw.N, raw.M)
@@ -80,11 +90,13 @@ func NodeTransitionFromRaw(raw NodeRaw) (*NodeTransition, error) {
 	if col != len(raw.ColJ) {
 		return nil, fmt.Errorf("tensor: raw O column list has %d extra columns", len(raw.ColJ)-col)
 	}
-	return &NodeTransition{
-		n: raw.N, m: raw.M,
-		i: raw.I, j: raw.J, k: raw.K, p: raw.P,
-		colJ: raw.ColJ, colK: raw.ColK,
-	}, nil
+	o, next := newNodeTransition(raw.N, raw.M, raw.I)
+	for q, p := range raw.P {
+		o.place(next, raw.I[q], raw.J[q], raw.K[q], p)
+	}
+	o.colJ = append([]int32(nil), raw.ColJ...)
+	o.colK = append([]int32(nil), raw.ColK...)
+	return o, nil
 }
 
 // RelationRaw is the flat storage of a RelationTransition: the stored

@@ -14,29 +14,65 @@ import (
 type NodeTransition struct {
 	n, m int
 
-	// Nonzero probabilities sorted by (k, j, i); each (j,k) column sums to 1.
-	i, j, k []int32
-	p       []float64
+	// Nonzero probabilities grouped into row blocks: block b holds the
+	// entries of rows [b·nodeBlockRows, (b+1)·nodeBlockRows) in (k, j, i)
+	// order and starts at entry blockStart[b] (len blocks+1, last = nnz).
+	// Each (j,k) column sums to 1. The TMARKAR1 format stores the plain
+	// (k, j, i) order; Raw rebuilds it.
+	i, j, k    []int32
+	p          []float64
+	blockStart []int32
 
 	// Distinct non-dangling columns, sorted by (k, j), aligned slices.
 	colJ, colK []int32
 }
 
+// nodeBlockRows is the row count of one O entry block. A contraction
+// worker owns whole blocks and so their output rows, and row i's entries
+// arrive in the same (k, j) order whichever worker runs them. One row
+// per block would chain every entry of a run on one output row; 16–256
+// rows all scatter as fast as the plain (k, j, i) order (DESIGN.md).
+const nodeBlockRows = 64
+
+// newNodeTransition allocates an n×n×m O for the entries whose row
+// indices, in (k, j, i) order, are rows, and returns it with each row
+// block's next free slot; place then fills it entry by entry in that
+// order. Together they are one stable counting pass by row block.
+func newNodeTransition(n, m int, rows []int32) (*NodeTransition, []int32) {
+	nnz := len(rows)
+	blocks := (n + nodeBlockRows - 1) / nodeBlockRows
+	o := &NodeTransition{
+		n: n, m: m,
+		i:          make([]int32, nnz),
+		j:          make([]int32, nnz),
+		k:          make([]int32, nnz),
+		p:          make([]float64, nnz),
+		blockStart: make([]int32, blocks+1),
+	}
+	for _, i := range rows {
+		o.blockStart[int(i)/nodeBlockRows+1]++
+	}
+	for b := 1; b <= blocks; b++ {
+		o.blockStart[b] += o.blockStart[b-1]
+	}
+	return o, append([]int32(nil), o.blockStart[:blocks]...)
+}
+
+// place stores entry (i, j, k) with probability p in the next free slot
+// of row i's block.
+func (o *NodeTransition) place(next []int32, i, j, k int32, p float64) {
+	b := int(i) / nodeBlockRows
+	q := next[b]
+	next[b]++
+	o.i[q], o.j[q], o.k[q], o.p[q] = i, j, k, p
+}
+
 // NewNodeTransition normalises the finalized tensor a into O.
 func NewNodeTransition(a *Tensor) *NodeTransition {
 	a.mustBeFinalized("NewNodeTransition")
-	o := &NodeTransition{
-		n: a.n, m: a.m,
-		i: make([]int32, len(a.i)),
-		j: make([]int32, len(a.j)),
-		k: make([]int32, len(a.k)),
-		p: make([]float64, len(a.v)),
-	}
-	copy(o.i, a.i)
-	copy(o.j, a.j)
-	copy(o.k, a.k)
+	o, next := newNodeTransition(a.n, a.m, a.i)
 	// Entries are sorted by (k, j, i), so each (j,k) column is a contiguous
-	// run; normalise run by run.
+	// run; normalise run by run, straight into the row blocks.
 	for start := 0; start < len(a.v); {
 		end := start + 1
 		for end < len(a.v) && a.j[end] == a.j[start] && a.k[end] == a.k[start] {
@@ -47,7 +83,7 @@ func NewNodeTransition(a *Tensor) *NodeTransition {
 			sum += a.v[p]
 		}
 		for p := start; p < end; p++ {
-			o.p[p] = a.v[p] / sum
+			o.place(next, a.i[p], a.j[p], a.k[p], a.v[p]/sum)
 		}
 		o.colJ = append(o.colJ, a.j[start])
 		o.colK = append(o.colK, a.k[start])
@@ -68,12 +104,27 @@ func (o *NodeTransition) NNZ() int { return len(o.p) }
 // DanglingColumns returns the number of implicit uniform columns.
 func (o *NodeTransition) DanglingColumns() int { return o.n*o.m - len(o.colJ) }
 
+// blocks returns the number of row blocks.
+func (o *NodeTransition) blocks() int { return len(o.blockStart) - 1 }
+
+// blockAtNNZ returns the first row block whose start entry is at least
+// target. The targets s·nnz/shards grow with s, so consecutive shards
+// get disjoint block runs that tile the blocks, balanced by entry count
+// as sparse.Matrix.rowAtNNZ balances CSR rows.
+func (o *NodeTransition) blockAtNNZ(target int) int {
+	return sort.Search(o.blocks(), func(b int) bool { return int(o.blockStart[b]) >= target })
+}
+
 // At returns o[i,j,k], including the implicit 1/n of dangling columns.
 func (o *NodeTransition) At(i, j, k int) float64 {
 	if i < 0 || i >= o.n || j < 0 || j >= o.n || k < 0 || k >= o.m {
 		panic(fmt.Sprintf("tensor: NodeTransition.At (%d,%d,%d) out of range", i, j, k))
 	}
-	pos := sort.Search(len(o.p), func(q int) bool {
+	// Row i's block lists its entries in (k, j, i) order.
+	b := i / nodeBlockRows
+	lo, hi := int(o.blockStart[b]), int(o.blockStart[b+1])
+	pos := lo + sort.Search(hi-lo, func(q int) bool {
+		q += lo
 		if o.k[q] != int32(k) {
 			return o.k[q] >= int32(k)
 		}
@@ -82,7 +133,7 @@ func (o *NodeTransition) At(i, j, k int) float64 {
 		}
 		return o.i[q] >= int32(i)
 	})
-	if pos < len(o.p) && o.i[pos] == int32(i) && o.j[pos] == int32(j) && o.k[pos] == int32(k) {
+	if pos < hi && o.i[pos] == int32(i) && o.j[pos] == int32(j) && o.k[pos] == int32(k) {
 		return o.p[pos]
 	}
 	if o.columnDangling(j, k) {
@@ -111,9 +162,10 @@ func (o *NodeTransition) columnDangling(j, k int) bool {
 // spread as 1/n per node. Every stored column sums to one, so the stored
 // term is the sum of the scattered dst itself, taken before the uniform
 // add; no second pass over the stored columns is needed. A tensor with
-// no dangling column skips the add outright (danglingAddend). When x and
-// z are probability vectors the result is again a probability vector
-// (Theorem 1).
+// no dangling column skips the add outright (danglingAddend). The scatter
+// walks the row blocks, which hand row i its entries in the (k, j) order
+// of the blocked contraction. When x and z are probability vectors the
+// result is again a probability vector (Theorem 1).
 func (o *NodeTransition) Apply(x, z, dst []float64) {
 	if len(x) != o.n || len(dst) != o.n {
 		panic(fmt.Sprintf("tensor: NodeTransition.Apply x/dst length %d/%d, want %d", len(x), len(dst), o.n))
@@ -164,26 +216,31 @@ func danglingAddend(sumA, sumB, stored float64, dim, dangling int) float64 {
 }
 
 // ColumnsStochastic reports whether every stored column sums to one within
-// tol; it is a self-check used by tests and validation tooling.
+// tol; it is a self-check used by tests and validation tooling. It walks
+// the (k, j, i) order of Raw, where each column is one run.
 func (o *NodeTransition) ColumnsStochastic(tol float64) bool {
-	for start := 0; start < len(o.p); {
-		end := start + 1
-		for end < len(o.p) && o.j[end] == o.j[start] && o.k[end] == o.k[start] {
-			end++
-		}
-		var sum float64
-		for q := start; q < end; q++ {
-			if o.p[q] < -tol {
+	raw := o.Raw()
+	return runsStochastic(raw.P, func(q int) bool { return raw.J[q] == raw.J[q-1] && raw.K[q] == raw.K[q-1] }, tol)
+}
+
+// runsStochastic reports whether every run of p sums to one within tol
+// with no entry below −tol; sameRun(q) tells whether entry q continues
+// the run of entry q−1.
+func runsStochastic(p []float64, sameRun func(q int) bool, tol float64) bool {
+	var sum float64
+	for q, v := range p {
+		if q > 0 && !sameRun(q) {
+			if math.Abs(sum-1) > tol {
 				return false
 			}
-			sum += o.p[q]
+			sum = 0
 		}
-		if math.Abs(sum-1) > tol {
+		if v < -tol {
 			return false
 		}
-		start = end
+		sum += v
 	}
-	return true
+	return len(p) == 0 || math.Abs(sum-1) <= tol
 }
 
 // RelationTransition is the transition-probability tensor R of eq. (2):
@@ -307,21 +364,37 @@ func (r *RelationTransition) Apply(x, dst []float64) {
 	r.ApplyPair(x, x, dst)
 }
 
+// relationChunk is the entry count of one R chunk. Every R contraction
+// scatters each chunk into a partial of its own and folds the partials
+// in chunk order, whichever worker ran them. An R with at most this
+// many entries is one chunk, the plain entry-order scatter.
+const relationChunk = 16384
+
+// chunks returns the number of entry chunks R's contractions fold; an
+// empty R is one empty chunk.
+func (r *RelationTransition) chunks() int {
+	return max(1, (len(r.p)+relationChunk-1)/relationChunk)
+}
+
+// chunk returns the entry range of chunk ch.
+func (r *RelationTransition) chunk(ch int) (lo, hi int) {
+	lo = ch * relationChunk
+	return lo, min(lo+relationChunk, len(r.p))
+}
+
 // ApplyPair computes dst[k] = Σ_i Σ_j r[i,j,k]·xi[i]·xj[j] with distinct
 // mode-1 and mode-2 vectors; the HAR relevance update contracts R against
 // the authority and hub vectors this way. Apply is the xi == xj special
-// case. The dangling mass is (Σxi)(Σxj) − Σ_(stored tubes) xi[i]xj[j],
-// and every stored tube sums to one, so the stored term is again the sum
-// of the scattered dst.
+// case. The scatter folds R's entry chunks in chunk order, as the blocked
+// contraction does. The dangling mass is (Σxi)(Σxj) − Σ_(stored tubes)
+// xi[i]xj[j], and every stored tube sums to one, so the stored term is
+// again the sum of the scattered dst.
 func (r *RelationTransition) ApplyPair(xi, xj, dst []float64) {
 	if len(xi) != r.n || len(xj) != r.n {
 		panic(fmt.Sprintf("tensor: RelationTransition.ApplyPair x lengths %d/%d, want %d", len(xi), len(xj), r.n))
 	}
 	if len(dst) != r.m {
 		panic(fmt.Sprintf("tensor: RelationTransition.ApplyPair dst length %d, want %d", len(dst), r.m))
-	}
-	for q := range dst {
-		dst[q] = 0
 	}
 	var sumI, sumJ float64
 	for _, v := range xi {
@@ -330,8 +403,26 @@ func (r *RelationTransition) ApplyPair(xi, xj, dst []float64) {
 	for _, v := range xj {
 		sumJ += v
 	}
-	for q, pk := range r.k {
-		dst[pk] += r.p[q] * xi[r.i[q]] * xj[r.j[q]]
+	clear(dst)
+	var part []float64
+	for ch := 0; ch < r.chunks(); ch++ {
+		out := dst
+		if ch > 0 {
+			if part == nil {
+				part = make([]float64, r.m)
+			}
+			out = part
+			clear(out)
+		}
+		lo, hi := r.chunk(ch)
+		for q := lo; q < hi; q++ {
+			out[r.k[q]] += r.p[q] * xi[r.i[q]] * xj[r.j[q]]
+		}
+		if ch > 0 {
+			for q, v := range part {
+				dst[q] += v
+			}
+		}
 	}
 	var storedMass float64
 	for _, v := range dst {
@@ -346,22 +437,5 @@ func (r *RelationTransition) ApplyPair(xi, xj, dst []float64) {
 
 // TubesStochastic reports whether every stored tube sums to one within tol.
 func (r *RelationTransition) TubesStochastic(tol float64) bool {
-	for start := 0; start < len(r.p); {
-		end := start + 1
-		for end < len(r.p) && r.i[end] == r.i[start] && r.j[end] == r.j[start] {
-			end++
-		}
-		var sum float64
-		for q := start; q < end; q++ {
-			if r.p[q] < -tol {
-				return false
-			}
-			sum += r.p[q]
-		}
-		if math.Abs(sum-1) > tol {
-			return false
-		}
-		start = end
-	}
-	return true
+	return runsStochastic(r.p, func(q int) bool { return r.i[q] == r.i[q-1] && r.j[q] == r.j[q-1] }, tol)
 }

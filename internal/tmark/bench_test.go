@@ -113,7 +113,7 @@ func BenchmarkBatchedVsSequential(b *testing.B) {
 				}
 			})
 			b.Run(fmt.Sprintf("nnz=%dk/q=%d/sequential", nnz/1000, q), func(b *testing.B) {
-				o := newOracle(b, m)
+				o := newOracle(m)
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					o.run(nil)

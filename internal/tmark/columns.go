@@ -187,9 +187,9 @@ func (m *Model) SolveColumn(ctx context.Context, q ColumnQuery, opts ...RunOptio
 // fault, or when their own context is cancelled; the run context
 // cancels every remaining column at once. Fast-tier queries sweep the
 // collapsed linear system as a block of their own and never enter the
-// lockstep block. Per column the result is independent of the batch for
-// a fixed worker count (fast answers at any worker count). Query
-// validation errors fail the whole call before any solving happens.
+// lockstep block. Per column the result is bitwise independent of the
+// batch and of the worker count. Query validation errors fail the whole
+// call before any solving happens.
 func (m *Model) SolveColumns(ctx context.Context, queries []ColumnQuery, opts ...RunOption) ([]ColumnResult, error) {
 	ctx = orBackground(ctx)
 	if len(queries) == 0 {

@@ -80,7 +80,7 @@ func TestSolveColumnsMatchesSequential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("SolveColumns: %v", err)
 				}
-				o := newOracle(t, m)
+				o := newOracle(m)
 				for i, q := range queries {
 					ref := o.solveColumn(t, q)
 					got := batched[i]
@@ -189,7 +189,7 @@ func TestSolveColumnsPerColumnCancel(t *testing.T) {
 	// iteration: bitwise equal to the oracle's solve capped there.
 	capCfg := cfg
 	capCfg.MaxIterations = stopAt
-	ref := newOracle(t, mustModel(t, g, capCfg)).solveColumn(t, ColumnQuery{Seeds: classSeeds(g, 0), ICA: true})
+	ref := newOracle(mustModel(t, g, capCfg)).solveColumn(t, ColumnQuery{Seeds: classSeeds(g, 0), ICA: true})
 	sameVec(t, "cancelled.X", out[0].X, ref.X)
 	sameVec(t, "cancelled.Z", out[0].Z, ref.Z)
 	// A retired column's restart set is final: the reseed of the
@@ -337,7 +337,7 @@ func TestSolveColumnsEveryWidthBothKernelPaths(t *testing.T) {
 		cfg := ckConfig(false, workers)
 		cfg.FeatureTopK = 8
 		m := mustModel(t, g, cfg)
-		o := newOracle(t, m)
+		o := newOracle(m)
 		refs := make([]ColumnResult, len(queries))
 		for i, q := range queries {
 			refs[i] = o.solveColumn(t, q)

@@ -94,7 +94,7 @@ func (d *denseTransitions) applyRelation(x, dst vec.Vector) {
 // newDenseOracle is the sequential oracle at the model's worker count
 // with O and R taken from the dense arrays.
 func newDenseOracle(t testing.TB, m *Model) *oracle {
-	o := newOracle(t, m)
+	o := newOracle(m)
 	o.dense = newDenseTransitions(m.graph)
 	return o
 }

@@ -138,7 +138,7 @@ func differential(t *testing.T, label string, g *hin.Graph, cfg Config) bool {
 	t.Helper()
 	ctx := context.Background()
 	m := mustModel(t, g, cfg)
-	o := newOracle(t, m)
+	o := newOracle(m)
 	want := o.run(nil)
 	check := func(leg string, got *Result) {
 		t.Helper()

@@ -26,8 +26,9 @@ package tmark
 // context cancels every column at once.
 //
 // Per column the engine is bitwise independent of the block it rides
-// in, for a fixed worker count: every blocked kernel accumulates each
-// column's floats in single-vector order (internal/tensor/batch.go), the
+// in and of the worker count: every blocked kernel accumulates each
+// column's floats in single-vector order, whichever worker runs them
+// (internal/tensor/batch.go), the
 // per-column simplex projection and residual mirror vec.Normalize1 and
 // vec.Diff1, and retirement only removes a column's storage — no kernel
 // mixes columns. The sequential oracle in the package tests pins this
@@ -38,6 +39,7 @@ import (
 	"math"
 
 	"tmark/internal/accel"
+	"tmark/internal/obs"
 	"tmark/internal/vec"
 )
 
@@ -482,7 +484,7 @@ func (e *engine) reseed() {
 	if k == 0 {
 		return
 	}
-	e.rs.reseedCols(k*e.n, k, func() {
+	e.rs.timeKernel(obs.KernelReseed, k*e.n, k, func() {
 		if e.argmax != nil {
 			for i := range e.argmax {
 				best, bestC := -1.0, -1

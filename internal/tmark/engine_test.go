@@ -83,7 +83,7 @@ func TestBatchedMatchesSequentialBitwise(t *testing.T) {
 				}
 				label := fmt.Sprintf("ica=%v topK=%d workers=%d", ica, topK, workers)
 				got := m.RunContext(context.Background())
-				assertResultsBitwise(t, label, got, newOracle(t, m).run(nil))
+				assertResultsBitwise(t, label, got, newOracle(m).run(nil))
 				for c := range got.Classes {
 					if got.Classes[c].Iterations != got.Classes[0].Iterations {
 						uneven = true
@@ -109,7 +109,7 @@ func TestBatchedMatchesSequentialNoFeatureChannel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertResultsBitwise(t, "gamma=0", m.RunContext(context.Background()), newOracle(t, m).run(nil))
+	assertResultsBitwise(t, "gamma=0", m.RunContext(context.Background()), newOracle(m).run(nil))
 }
 
 // Warm starts must agree as well: both continue from the same previous
@@ -131,7 +131,7 @@ func TestBatchedWarmMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := m2.RunWarmContext(context.Background(), prev)
-	assertResultsBitwise(t, "warm", got, newOracle(t, m2).run(warmFrom(m2, prev, false)))
+	assertResultsBitwise(t, "warm", got, newOracle(m2).run(warmFrom(m2, prev, false)))
 }
 
 // warmFrom is the oracle's warm start from a previous result: its x̄ and
@@ -174,7 +174,7 @@ func TestBatchedCancelMatchesSequentialLockstep(t *testing.T) {
 	}
 	capCfg := cfg
 	capCfg.MaxIterations = 5
-	assertResultsBitwise(t, "cancel", got, newOracle(t, mustModel(t, g, capCfg)).run(nil))
+	assertResultsBitwise(t, "cancel", got, newOracle(mustModel(t, g, capCfg)).run(nil))
 	for c := range got.Classes {
 		if n := got.Classes[c].Iterations; n != 5 {
 			t.Errorf("class %d ran %d iterations, want 5 (lockstep cancellation)", c, n)
@@ -226,7 +226,7 @@ func TestIcaReseedBatchMatchesSequential(t *testing.T) {
 	q := g.Q()
 	// A solved state to reseed from.
 	snap := m.Run()
-	o := newOracle(t, m)
+	o := newOracle(m)
 	states := make([]oracleState, q)
 	xs := make([]vec.Vector, q)
 	for c := 0; c < q; c++ {

@@ -25,6 +25,7 @@ import (
 	"fmt"
 
 	"tmark/internal/accel"
+	"tmark/internal/obs"
 	"tmark/internal/sparse"
 	"tmark/internal/vec"
 )
@@ -116,7 +117,10 @@ func (m *Model) linearSystem() (*accel.System, error) {
 // context, or the run's, is done keeps (l, uniform z) and the context's
 // error; the block then runs to its end, within log(ε)/log(1−α) sweeps.
 // The per-query ICA reseed does not apply, which is part of the
-// documented approximation.
+// documented approximation. Under WithStats each sweep counts as one
+// o_contract call over P's entries (P is O collapsed at z̄), each W
+// product as one w_matvec call, and each column's z as one r_contract
+// call.
 func (m *Model) solveFast(ctx context.Context, cols []columnState, rs *runScratch) []ColumnResult {
 	n, mm := m.graph.N(), m.graph.M()
 	out := make([]ColumnResult, len(cols))
@@ -165,7 +169,7 @@ func (m *Model) solveFast(ctx context.Context, cols []columnState, rs *runScratc
 	}
 	for sweep := 0; sweep < m.cfg.MaxIterations && b > 0; sweep++ {
 		xb, xnb, lb := x[:n*b], xn[:n*b], l[:n*b]
-		sys.ApplyBatch(rs.pool, ms, xb, lb, xnb, b)
+		rs.timeKernel(obs.KernelO, sys.NNZ(), b, func() { sys.ApplyBatch(rs.pool, ms, xb, lb, xnb, b) })
 		if tmp != nil {
 			tb := tmp[:n*b]
 			rs.mulFeatureBatch(xb, tb, b)
@@ -201,7 +205,7 @@ func (m *Model) solveFast(ctx context.Context, cols []columnState, rs *runScratc
 		if r := &out[j]; r.Stopped == nil {
 			r.Iterations = len(r.Trace)
 			r.Z = vec.New(mm)
-			m.r.Apply(r.X, r.Z)
+			rs.timeKernel(obs.KernelR, m.r.NNZ(), 1, func() { m.r.Apply(r.X, r.Z) })
 			vec.Normalize1(r.Z)
 		}
 	}

@@ -3,8 +3,9 @@ package tmark
 // Tests of the linearized fast tier: every fast answer equals the
 // sequential oracle's single-vector sweeps bitwise, whatever the block,
 // the worker count or the kernel bodies; a column cancelled before the
-// block keeps its start state; and every answer stays inside the
-// a-priori bound documented on accel.System.
+// block keeps its start state; every answer stays inside the a-priori
+// bound documented on accel.System; and a fast run's stats cover its
+// kernels.
 
 import (
 	"context"
@@ -14,6 +15,8 @@ import (
 	"testing"
 
 	"tmark/internal/hin"
+	"tmark/internal/obs"
+	"tmark/internal/sparse"
 	"tmark/internal/vec"
 )
 
@@ -73,7 +76,7 @@ func TestFastTierMatchesOracle(t *testing.T) {
 			cfg.MaxIterations = tune.maxIter
 			cfg.Workers = 1
 			m := mustModel(t, g, cfg)
-			o := newOracle(t, m)
+			o := newOracle(m)
 			queries := fastQueries(rand.New(rand.NewSource(int64(7+si))), g)
 			refs := make([]ColumnResult, len(queries))
 			for i, q := range queries {
@@ -121,7 +124,7 @@ func TestFastTierCanceledColumn(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Workers = 2
 	m := mustModel(t, g, cfg)
-	o := newOracle(t, m)
+	o := newOracle(m)
 	done, cancel := context.WithCancel(context.Background())
 	cancel()
 	queries := []ColumnQuery{
@@ -213,4 +216,51 @@ func TestFastTierWithinBound(t *testing.T) {
 		}
 	}
 	t.Logf("largest ‖x_fast − x_exact‖₁ / bound: %.3f", worst)
+}
+
+// A fast run's RunStats must account for its kernels: each sweep of the
+// block is one o_contract call over the collapsed P's entries (P is O
+// collapsed at z̄) applied to the columns still active, each W product
+// one w_matvec call, and each class's z one r_contract call over R's
+// entries. Serial and pooled alike.
+func TestFastTierStats(t *testing.T) {
+	g := benchGraph(150)
+	for _, workers := range []int{1, 2} {
+		cfg := DefaultConfig()
+		cfg.Workers = workers
+		m := mustModel(t, g, cfg)
+		var st RunStats
+		res := m.RunContext(context.Background(), WithApproximate(true), WithStats(&st))
+		if res.Stopped != nil {
+			t.Fatalf("workers=%d: %v", workers, res.Stopped)
+		}
+		sys, err := m.linearSystem()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sweeps, cols := 0, 0
+		for _, cr := range res.Classes {
+			sweeps = max(sweeps, cr.Iterations)
+			cols += cr.Iterations
+		}
+		label := fmt.Sprintf("workers=%d", workers)
+		check := func(k obs.Kernel, calls, items, colsWant int) {
+			t.Helper()
+			ks := st.Kernels[k]
+			if ks.Calls != int64(calls) || ks.Items != int64(items) || ks.Cols != int64(colsWant) || ks.Time <= 0 {
+				t.Errorf("%s %s: %d calls, %d items, %d cols in %v; want %d, %d, %d",
+					label, k, ks.Calls, ks.Items, ks.Cols, ks.Time, calls, items, colsWant)
+			}
+		}
+		wItems := 0
+		switch w := m.w.(type) {
+		case *sparse.Matrix:
+			wItems = w.NNZ()
+		case *vec.Matrix:
+			wItems = w.Rows * w.Cols
+		}
+		check(obs.KernelO, sweeps, sweeps*sys.NNZ(), cols)
+		check(obs.KernelW, sweeps, sweeps*wItems, cols)
+		check(obs.KernelR, g.Q(), g.Q()*m.r.NNZ(), g.Q())
+	}
 }

@@ -19,7 +19,7 @@ func TestStepMatchesSolveClass(t *testing.T) {
 	}
 	want := m.RunClass(0)
 
-	o := newOracle(t, m)
+	o := newOracle(m)
 	l, _ := m.seedVector(0)
 	s := o.newState(vec.Clone(l), vec.Uniform(g.M()), l)
 	for it := 0; it < want.Iterations; it++ {

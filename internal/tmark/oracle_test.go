@@ -1,33 +1,24 @@
 package tmark
 
 // The sequential reference solver: the bitwise oracle every engine path
-// is checked against. It steps one class or query at a time through
-// single-vector kernels — the serial Apply and MulVec at Workers = 1, the
-// blocked kernels at b = 1 on a worker pool otherwise (the single-vector
-// parallel kernels live in internal/tensor's tests as the reference of
-// the blocked ones) — and carries its own copy of the three reseed rules
-// of eq. (12), so it shares no loop, no block layout and no reseed code
-// with the engine. Its fast tier (solveFast) sweeps one column at a time
-// through the serial single-vector MulVec at every worker count, since
-// the blocked CSR product is bitwise MulVec per column on any pool.
+// is checked against. It steps one class or query at a time through the
+// single-vector kernels — O and R's serial Apply and W's MulVec — at
+// every worker count, since no kernel's answer depends on the worker
+// count, and carries its own copy of the three reseed rules of eq. (12),
+// so it shares no loop, no block layout and no reseed code with the
+// engine. Its fast tier (solveFast) sweeps one column at a time through
+// the serial single-vector MulVec.
 
 import (
 	"math"
 	"testing"
 
-	"tmark/internal/par"
 	"tmark/internal/sparse"
-	"tmark/internal/tensor"
 	"tmark/internal/vec"
 )
 
 type oracle struct {
 	m     *Model
-	pool  *par.Pool // nil: serial single-vector kernels
-	ob    *tensor.NodeBatchScratch
-	rb    *tensor.RelationBatchScratch
-	wS    *sparse.MulBatchScratch
-	wD    *vec.MulBatchScratch
 	dense *denseTransitions // non-nil: O and R from explicit dense arrays
 
 	// The fast tier's collapsed operator, built on first use: P with z
@@ -36,19 +27,8 @@ type oracle struct {
 	fastDangle []float64
 }
 
-// newOracle builds the reference solver at the model's worker count.
-func newOracle(t testing.TB, m *Model) *oracle {
-	o := &oracle{m: m}
-	if w := m.cfg.workerCount(); w > 1 {
-		o.pool = par.New(w)
-		o.ob = tensor.NewNodeBatchScratch(m.o, w, 1)
-		o.rb = tensor.NewRelationBatchScratch(m.r, w, 1)
-		o.wS = sparse.NewMulBatchScratch(w)
-		o.wD = vec.NewMulBatchScratch(w)
-	}
-	t.Cleanup(o.pool.Close)
-	return o
-}
+// newOracle builds the reference solver of m.
+func newOracle(m *Model) *oracle { return &oracle{m: m} }
 
 // oracleState is the working set of one class or query.
 type oracleState struct {
@@ -71,11 +51,7 @@ func (o *oracle) applyNode(x, z, dst vec.Vector) {
 		o.dense.applyNode(x, z, dst)
 		return
 	}
-	if o.pool == nil {
-		o.m.o.Apply(x, z, dst)
-		return
-	}
-	o.m.o.ApplyBatchParallel(o.pool, o.ob, x, z, dst, 1)
+	o.m.o.Apply(x, z, dst)
 }
 
 func (o *oracle) applyRelation(x, dst vec.Vector) {
@@ -83,27 +59,7 @@ func (o *oracle) applyRelation(x, dst vec.Vector) {
 		o.dense.applyRelation(x, dst)
 		return
 	}
-	if o.pool == nil {
-		o.m.r.Apply(x, dst)
-		return
-	}
-	o.m.r.ApplyBatchParallel(o.pool, o.rb, x, dst, 1)
-}
-
-func (o *oracle) mulFeature(x, dst vec.Vector) {
-	switch w := o.m.w.(type) {
-	case *sparse.Matrix:
-		if o.pool != nil {
-			w.MulVecBatchParallel(o.pool, o.wS, x, dst, 1)
-			return
-		}
-	case *vec.Matrix:
-		if o.pool != nil {
-			w.MulVecBatchParallel(o.pool, o.wD, x, dst, 1)
-			return
-		}
-	}
-	o.m.w.MulVec(x, dst)
+	o.m.r.Apply(x, dst)
 }
 
 // step performs one iteration of eq. (10) and eq. (8) and returns ρ. A
@@ -118,7 +74,7 @@ func (o *oracle) step(s *oracleState) float64 {
 		vec.Fill(s.xNext, 0)
 	}
 	if beta > 0 && o.m.w != nil {
-		o.mulFeature(s.x, s.tmp)
+		o.m.w.MulVec(s.x, s.tmp)
 		vec.Axpy(beta, s.tmp, s.xNext)
 	}
 	vec.Axpy(alpha, s.l, s.xNext)

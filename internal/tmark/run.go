@@ -129,7 +129,8 @@ func WithProgress(fn func(class, iter int, rho float64)) RunOption {
 
 // WithWorkers overrides Config.Workers for this run only: n = 1 forces a
 // serial solve, n > 1 shards the kernels across n workers. n <= 0 keeps
-// the model's configured value.
+// the model's configured value. The answer is bitwise the same at every
+// n.
 func WithWorkers(n int) RunOption {
 	return func(o *runOptions) {
 		if n > 0 {
@@ -518,8 +519,8 @@ func (m *Model) newRunScratch(ro runOptions, maxCols int) *runScratch {
 	if w > 1 {
 		rs.pool = par.NewObserved(w, rs.col.AttachPool(w))
 	}
-	// The serial blocked kernels need the per-column sum buffers too, so
-	// the batch scratch exists for every worker count.
+	// The tensor kernels run on their batch scratch at every worker
+	// count: it holds the column sums and R's chunk partials.
 	rs.ob = tensor.NewNodeBatchScratch(m.o, w, maxCols)
 	rs.ob.Probe = rs.col.KernelProbe(obs.KernelO)
 	rs.ob.NoASM = ro.noASM
@@ -546,28 +547,19 @@ func (rs *runScratch) close() {
 	}
 }
 
-// The engine's kernel wrappers: the serial or pool-sharded blocked
-// kernels, timed under the collector.
+// The engine's kernel wrappers: the blocked kernels on the run's pool
+// (nil runs them inline), timed under the collector. The tensor
+// scratches count their own items through their probes.
 
 func (rs *runScratch) applyNodeBatch(o *tensor.NodeTransition, x, z, dst []float64, b int) {
 	start := rs.col.Clock()
-	if rs.pool == nil {
-		o.ApplyBatch(rs.ob, x, z, dst, b)
-		rs.col.AddKernelCols(obs.KernelO, int64(o.NNZ()), int64(b))
-	} else {
-		o.ApplyBatchParallel(rs.pool, rs.ob, x, z, dst, b)
-	}
+	o.ApplyBatchParallel(rs.pool, rs.ob, x, z, dst, b)
 	rs.col.StopKernel(obs.KernelO, start)
 }
 
 func (rs *runScratch) applyRelationBatch(r *tensor.RelationTransition, x, dst []float64, b int) {
 	start := rs.col.Clock()
-	if rs.pool == nil {
-		r.ApplyBatch(rs.rb, x, dst, b)
-		rs.col.AddKernelCols(obs.KernelR, int64(r.NNZ()), int64(b))
-	} else {
-		r.ApplyBatchParallel(rs.pool, rs.rb, x, dst, b)
-	}
+	r.ApplyBatchParallel(rs.pool, rs.rb, x, dst, b)
 	rs.col.StopKernel(obs.KernelR, start)
 }
 
@@ -595,15 +587,15 @@ func (rs *runScratch) mulFeatureBatch(x, dst []float64, b int) {
 	rs.col.StopKernel(obs.KernelW, start)
 }
 
-// reseedCols times one reseed pass (fn) under the reseed kernel,
-// crediting the streamed items and the columns they cover.
-func (rs *runScratch) reseedCols(items, cols int, fn func()) {
+// timeKernel times one pass (fn) under kernel k, crediting the streamed
+// items and the columns they cover.
+func (rs *runScratch) timeKernel(k obs.Kernel, items, cols int, fn func()) {
 	if rs.col == nil {
 		fn()
 		return
 	}
 	start := rs.col.Clock()
 	fn()
-	rs.col.StopKernel(obs.KernelReseed, start)
-	rs.col.AddKernelCols(obs.KernelReseed, int64(items), int64(cols))
+	rs.col.StopKernel(k, start)
+	rs.col.AddKernelCols(k, int64(items), int64(cols))
 }

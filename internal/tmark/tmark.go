@@ -63,9 +63,8 @@ type Config struct {
 	// kernels (the O and R tensor contractions and the W·x product) are
 	// sharded across a worker pool of this size, and model construction
 	// uses the same bound for the cosine-similarity build. 0 means
-	// GOMAXPROCS; 1 runs fully serial. Results are deterministic for a
-	// fixed Workers value; different values can differ by float rounding
-	// in the shard reduction only.
+	// GOMAXPROCS; 1 runs fully serial. Results are bitwise the same at
+	// every Workers value: no kernel's float order depends on the pool.
 	Workers int
 }
 

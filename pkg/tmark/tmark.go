@@ -23,8 +23,8 @@
 // Config.Workers bounds the compute concurrency: the hot-loop kernels
 // (tensor contractions and the feature-matrix product) and the cosine
 // construction are sharded across a pool of that many workers. 0 uses
-// GOMAXPROCS, 1 runs fully serial; results are deterministic for any
-// fixed value. WithWorkers overrides the configured count for a single
+// GOMAXPROCS, 1 runs fully serial; results are bitwise the same at
+// every value. WithWorkers overrides the configured count for a single
 // run.
 //
 // Independently of the worker pool, every iterative solve — Run,
