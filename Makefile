@@ -96,7 +96,7 @@ serve-race:
 # The fault-injection suites under the race detector: solver chaos
 # (injected NaN/Inf corruption, the scalar-demoted re-run), serving chaos
 # (build/solve panics, overload shedding, eviction racing a borrowed
-# solve, a drain cancelling a /rank full solve, overlapping batches of
+# solve, a drain cancelling a /v1/rank full solve, overlapping batches of
 # one model meeting the fill rule, a drain and a double panic, artifact
 # leases keeping a retired model mapped through held solves, readers
 # answered while an ingest is held mid-apply) and the tmarkd SIGTERM
@@ -129,16 +129,21 @@ perfbench-check:
 # Short fuzzing passes over the untrusted-input parsers, over the
 # feature-channel builders against their pairwise oracle, and over the
 # blocked tensor contractions against the single-vector and dense ones.
+# Each target fuzzes for 30 s and minimises each new-coverage input for
+# at most 1 s: under go's 60-s default, minimising could take the rest
+# of a target's budget with no input executed. A failing input is still
+# reported and written to testdata/fuzz.
+FUZZFLAGS = -fuzztime 30s -fuzzminimizetime 1s
 fuzz:
-	$(GO) test -fuzz FuzzReadJSON -fuzztime 30s ./internal/hin/
-	$(GO) test -fuzz FuzzReadEdgeCSV -fuzztime 30s ./internal/hin/
-	$(GO) test -fuzz FuzzReadCOO -fuzztime 30s ./internal/dataset/
-	$(GO) test -fuzz FuzzDecodeClassifyRequest -fuzztime 30s ./internal/serve/
-	$(GO) test -fuzz FuzzDecodeIngestRequest -fuzztime 30s ./internal/serve/
-	$(GO) test -fuzz FuzzDecodeArtifact -fuzztime 30s ./internal/artifact/
-	$(GO) test -fuzz FuzzDecodeWALRecord -fuzztime 30s ./internal/wal/
-	$(GO) test -fuzz FuzzFeatureTransition -fuzztime 30s ./internal/markov/
-	$(GO) test -fuzz FuzzApplyBatch -fuzztime 30s ./internal/tensor/
+	$(GO) test -fuzz FuzzReadJSON $(FUZZFLAGS) ./internal/hin/
+	$(GO) test -fuzz FuzzReadEdgeCSV $(FUZZFLAGS) ./internal/hin/
+	$(GO) test -fuzz FuzzReadCOO $(FUZZFLAGS) ./internal/dataset/
+	$(GO) test -fuzz FuzzDecodeClassifyRequest $(FUZZFLAGS) ./internal/serve/
+	$(GO) test -fuzz FuzzDecodeIngestRequest $(FUZZFLAGS) ./internal/serve/
+	$(GO) test -fuzz FuzzDecodeArtifact $(FUZZFLAGS) ./internal/artifact/
+	$(GO) test -fuzz FuzzDecodeWALRecord $(FUZZFLAGS) ./internal/wal/
+	$(GO) test -fuzz FuzzFeatureTransition $(FUZZFLAGS) ./internal/markov/
+	$(GO) test -fuzz FuzzApplyBatch $(FUZZFLAGS) ./internal/tensor/
 
 # Regenerate every table and figure at the quick scale.
 experiments:

@@ -1,7 +1,7 @@
 // Command tmarkd serves T-Mark classification over HTTP: datasets are
 // loaded once at startup, models are built lazily and kept warm in an
-// LRU cache, and concurrent /classify requests against the same model
-// are coalesced into one lockstep batch solve.
+// LRU cache, and concurrent /v1/classify requests against the same
+// model are coalesced into one lockstep batch solve.
 //
 // Usage:
 //
@@ -11,11 +11,12 @@
 //	       [-cache 4] [-max-batch 8] [-queue 64] [-max-concurrent 2]
 //	       [-max-body 1048576] [-drain-timeout 30s] [-retry-after 1s]
 //
-// Each -dataset flag loads one network under a name. The spec is either
-// a file path — .json (hin.Graph JSON codec), .csv (from,to,relation
-// edge list) or .coo (sparse-coordinate tensor text) — or the name of a
-// built-in synthetic generator: example, dblp, movies, nus, acm or ring
-// (seeded by -seed). With no -dataset and no -model-dir flag the
+// Each -dataset flag loads one network under a name, which must be a
+// valid model name (at most 128 of [A-Za-z0-9._-], not starting with .
+// or -). The spec is either a file path — .json (hin.Graph JSON codec),
+// .csv (from,to,relation edge list) or .coo (sparse-coordinate tensor
+// text) — or the name of a built-in synthetic generator: example, dblp,
+// movies, nus, acm or ring (seeded by -seed). With no -dataset and no -model-dir flag the
 // synthetic DBLP network is served. -default selects the model used by
 // requests that name none; it may stay empty when exactly one model is
 // available. Duplicate -dataset names fail fast at flag parsing.
@@ -29,22 +30,21 @@
 // registry's models alone.
 //
 // Endpoints: POST /v1/classify (seed labels in, per-node scores and
-// link rankings out), GET /v1/rank?model=&top= (full-solve link-type
-// ranking), GET /v1/models (every resolvable model and its content
-// hash), POST /v1/ingest (batched edge deltas applied incrementally;
-// each batch warm re-solves and seals a new model version, with the
-// old versions still servable by pinned hash), GET /v1/diff?a=&b=
-// (classification flips and link-type rank shifts between two sealed
-// versions); /classify and /rank remain as frozen legacy aliases. Infra:
-// /healthz (liveness), /readyz (503 while draining), and the
-// observability set /metrics, /vars and /debug/pprof/.
+// link rankings out), GET /v1/rank?model=&top=&quality= (full-solve
+// link-type ranking; any other query key is a 400), GET /v1/models
+// (every resolvable model and its content hash), POST /v1/ingest
+// (batched edge deltas applied incrementally; each batch warm re-solves
+// and seals a new model version, with the old versions still servable
+// by pinned hash), GET /v1/diff?a=&b= (classification flips and
+// link-type rank shifts between two sealed versions). Infra: /healthz (liveness), /readyz (503 while draining),
+// and the observability set /metrics, /vars and /debug/pprof/.
 //
 // On SIGTERM or SIGINT the server stops admitting work (readyz flips to
 // 503 so load balancers fail over), cancels in-flight solves — each
 // returns within one solver iteration with a usable partial result —
 // and shuts the listener down within -drain-timeout. Every 503 (load
 // shed, drain, quarantined model) carries a Retry-After backoff hint
-// (-retry-after). A drained /rank full solve answers with its partial
+// (-retry-after). A drained /v1/rank full solve answers with its partial
 // result; the next process solves it again from scratch.
 package main
 
@@ -131,7 +131,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		maxBatch = fs.Int("max-batch", serve.DefaultMaxBatch, "maximum queries coalesced into one lockstep solve")
 		queue    = fs.Int("queue", serve.DefaultQueueDepth, "admission queue depth per model (full queue → 503)")
 		maxConc  = fs.Int("max-concurrent", serve.DefaultMaxConcurrent, "batch solves running at once across all models; one model can have this many in flight")
-		maxBody  = fs.Int64("max-body", serve.DefaultMaxBodyBytes, "maximum /classify request body bytes")
+		maxBody  = fs.Int64("max-body", serve.DefaultMaxBodyBytes, "maximum /v1/classify and /v1/ingest request body bytes")
 		drain    = fs.Duration("drain-timeout", 30*time.Second, "shutdown deadline after SIGTERM/SIGINT")
 		modelDir = fs.String("model-dir", "", "artifact registry directory: models compiled by `tmark build` activate by mmap instead of rebuilding")
 		walDir   = fs.String("wal-dir", "", "write-ahead log directory for /v1/ingest: batches are fsync'd before applying and replayed after a crash")

@@ -118,7 +118,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 }
 
 // TestRunServesAndDrains drives the full wiring in-process: run() on a
-// real port with a .coo dataset, a /classify round trip, then a context
+// real port with a .coo dataset, a /v1/classify round trip, then a context
 // cancellation standing in for SIGTERM.
 func TestRunServesAndDrains(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -164,7 +164,7 @@ func TestRunServesAndDrains(t *testing.T) {
 	}
 
 	body := `{"seeds":[0],"scores":true}`
-	resp, err := http.Post(base+"/classify", "application/json", strings.NewReader(body))
+	resp, err := http.Post(base+"/v1/classify", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatalf("classify: %v", err)
 	}
@@ -176,8 +176,8 @@ func TestRunServesAndDrains(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("classify status %d", resp.StatusCode)
 	}
-	if out.Dataset != "tiny" || len(out.Scores) != 6 {
-		t.Fatalf("response dataset %q with %d scores, want tiny with 6", out.Dataset, len(out.Scores))
+	if out.Model != "tiny" || len(out.Scores) != 6 {
+		t.Fatalf("response model %q with %d scores, want tiny with 6", out.Model, len(out.Scores))
 	}
 
 	cancel()
@@ -195,8 +195,8 @@ func TestRunServesAndDrains(t *testing.T) {
 }
 
 // TestRunSIGTERMDrainsRankSolve proves the shutdown ordering for a
-// /rank full solve: a SIGTERM (context cancellation) arriving while the
-// solve is mid-flight must cancel it, answer the /rank request with its
+// /v1/rank full solve: a SIGTERM (context cancellation) arriving while
+// the solve is mid-flight must cancel it, answer the request with its
 // partial result, and return from run() within -drain-timeout — long
 // before the 100000-iteration cap could be reached.
 func TestRunSIGTERMDrainsRankSolve(t *testing.T) {
@@ -260,7 +260,7 @@ func TestRunSIGTERMDrainsRankSolve(t *testing.T) {
 
 	rankDone := make(chan int, 1)
 	go func() {
-		resp, err := http.Get(base + "/rank")
+		resp, err := http.Get(base + "/v1/rank")
 		if err != nil {
 			rankDone <- 0
 			return
@@ -282,7 +282,7 @@ func TestRunSIGTERMDrainsRankSolve(t *testing.T) {
 		t.Fatal("run did not return within -drain-timeout")
 	}
 	if status := <-rankDone; status != http.StatusOK {
-		t.Fatalf("/rank during drain: status %d, want 200 (partial result)", status)
+		t.Fatalf("/v1/rank during drain: status %d, want 200 (partial result)", status)
 	}
 	if n := passes.Load(); n >= maxIter {
 		t.Fatalf("the drained solve ran %d kernel passes, want fewer than the %d-iteration cap", n, maxIter)
@@ -386,7 +386,7 @@ func TestRunWALRestartReplays(t *testing.T) {
 
 	base2, stop2 := startDaemon(t)
 	defer stop2()
-	resp, err := http.Post(base2+"/classify", "application/json", strings.NewReader(`{"model":"tiny","seeds":[0]}`))
+	resp, err := http.Post(base2+"/v1/classify", "application/json", strings.NewReader(`{"model":"tiny","seeds":[0]}`))
 	if err != nil {
 		t.Fatalf("classify after restart: %v", err)
 	}

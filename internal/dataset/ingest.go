@@ -33,17 +33,24 @@ import (
 // unboundedly before any real content is seen.
 const cooMaxDim = 1 << 24
 
-// cooDimsPerByte caps the declared nodes, relations and classes
-// together at this many per byte of input. Building a declared node
-// costs about 360 bytes, so without the cap the 24-byte input
-// "coo 1048576 1 1\ne 0 0 1\n" would allocate 350 MB. The cap still
-// admits a 22-byte header of 200,000 classes.
-const cooDimsPerByte = 10000
+// cooNodesPerByte caps the declared nodes and relations together at
+// this many per byte of input, comments included. Building a declared
+// node costs about 350 bytes, so the cap holds a header to about 1.4 KB
+// of graph per input byte. An edge line is at least 8 bytes and names
+// at most two nodes, so the cap still admits 16 times more nodes than
+// the edges can name.
+const cooNodesPerByte = 4
+
+// cooClassesPerByte caps the declared classes at this many per byte of
+// input. A class costs about 120 bytes, and the cap admits a 22-byte
+// header of 200,000 classes.
+const cooClassesPerByte = 10000
 
 // ReadCOO builds a graph from the COO text format above. It reads and
 // checks the whole body before it builds anything, so a header that
-// declares more than cooDimsPerByte nodes, relations and classes per
-// byte of input is rejected before it allocates them.
+// declares more than cooNodesPerByte nodes and relations, or more than
+// cooClassesPerByte classes, per byte of input is rejected before it
+// allocates them.
 func ReadCOO(r io.Reader) (*hin.Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -197,9 +204,13 @@ func ReadCOO(r io.Reader) (*hin.Graph, error) {
 	if len(edges) == 0 {
 		return nil, fmt.Errorf("dataset: coo: no edges")
 	}
-	if dims := n + m + q; dims > cooDimsPerByte*read {
-		return nil, fmt.Errorf("dataset: coo: header declares %d nodes, relations and classes in %d bytes of input, over the cap of %d per byte",
-			dims, read, cooDimsPerByte)
+	if n+m > cooNodesPerByte*read {
+		return nil, fmt.Errorf("dataset: coo: header declares %d nodes and relations in %d bytes of input, over the cap of %d per byte",
+			n+m, read, cooNodesPerByte)
+	}
+	if q > cooClassesPerByte*read {
+		return nil, fmt.Errorf("dataset: coo: header declares %d classes in %d bytes of input, over the cap of %d per byte",
+			q, read, cooClassesPerByte)
 	}
 
 	// The names c0…c(q−1) are unique by construction, so they skip

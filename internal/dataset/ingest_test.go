@@ -77,20 +77,62 @@ func TestReadCOOManyClassesLinear(t *testing.T) {
 	}
 }
 
-// A header may not declare more nodes, relations and classes than
-// cooDimsPerByte per byte of input, and the reader rejects it before it
-// builds any of them: this 24-byte input would otherwise allocate 350 MB.
+// A header may declare at most cooNodesPerByte nodes and relations and
+// cooClassesPerByte classes per byte of input, and the reader rejects it
+// before it builds any of them: the first input would otherwise
+// allocate 350 MB and the second, 23 bytes long, 90 MB.
 func TestReadCOOHeaderCappedByInputSize(t *testing.T) {
-	const in = "coo 1048576 1 1\ne 0 0 1\n"
+	cases := []struct{ in, want string }{
+		{"coo 1048576 1 1\ne 0 0 1\n", fmt.Sprintf("1048577 nodes and relations in 24 bytes of input, over the cap of %d per byte", cooNodesPerByte)},
+		{"coo 229000 1 1\ne 0 0 1\n", fmt.Sprintf("229001 nodes and relations in 23 bytes of input, over the cap of %d per byte", cooNodesPerByte)},
+		{"coo 2 1 230001\ne 0 0 1\n", fmt.Sprintf("230001 classes in 23 bytes of input, over the cap of %d per byte", cooClassesPerByte)},
+	}
+	for _, c := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadCOO(strings.NewReader(c.in))
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("ReadCOO(%q) = %v, want %q", c.in, err, c.want)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Fatalf("rejecting the %d-byte input %q allocated %d bytes, want under 1 MB", len(c.in), c.in, alloc)
+		}
+	}
+}
+
+// At the node cap a header builds about 1.4 KB of graph per byte of
+// input: an 8 KB input declaring exactly cooNodesPerByte nodes and
+// relations per byte is accepted and allocates under 2 KB per input
+// byte, and one more node is rejected.
+func TestReadCOOAllocationPerByteAtNodeCap(t *testing.T) {
+	const size = 8192
+	input := func(n int) string {
+		head := fmt.Sprintf("coo %d 1 1\ne 0 0 1\n", n)
+		return head + "#" + strings.Repeat("x", size-len(head)-2) + "\n"
+	}
+	n := cooNodesPerByte*size - 1 // plus one relation: exactly at the cap
+	in := input(n)
+	if len(in) != size {
+		t.Fatalf("input is %d bytes, want %d", len(in), size)
+	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := ReadCOO(strings.NewReader(in))
+	g, err := ReadCOO(strings.NewReader(in))
 	runtime.ReadMemStats(&after)
-	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("cap of %d per byte", cooDimsPerByte)) {
-		t.Fatalf("ReadCOO(%q) = %v, want the per-byte cap named", in, err)
+	if err != nil {
+		t.Fatalf("ReadCOO at the cap: %v", err)
 	}
-	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
-		t.Fatalf("rejecting a %d-byte header allocated %d bytes, want under 1 MB", len(in), alloc)
+	if g.N() != n || g.M() != 1 {
+		t.Fatalf("built (%d nodes, %d relations), want (%d, 1)", g.N(), g.M(), n)
+	}
+	perByte := float64(after.TotalAlloc-before.TotalAlloc) / size
+	t.Logf("%d nodes from %d bytes: %.0f bytes allocated per input byte", n, size, perByte)
+	if perByte >= 2048 {
+		t.Fatalf("allocated %.0f bytes per input byte at the cap, want under 2048", perByte)
+	}
+	if _, err := ReadCOO(strings.NewReader(input(n + 1))); err == nil {
+		t.Fatalf("one node over the cap accepted")
 	}
 }
 

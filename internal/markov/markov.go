@@ -1,12 +1,11 @@
-// Package markov provides the classic (matrix) Markov-chain machinery that
-// T-Mark composes with its tensor chains: column-stochastic transition
-// matrices, power iteration to a stationary distribution, and personalised
-// PageRank (random walk with restart). The feature-similarity channel W of
-// the paper's eq. (9) is built here.
+// Package markov builds the matrix Markov chain that T-Mark composes
+// with its tensor chains: the feature-similarity channel W of the
+// paper's eq. (9), the column-stochastic transition matrix of a walk
+// between nodes with similar features, dense or sparsified to the top-K
+// entries of each column.
 package markov
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -18,37 +17,6 @@ import (
 	"tmark/internal/sparse"
 	"tmark/internal/vec"
 )
-
-// DefaultTolerance is the convergence threshold used when a caller passes
-// a nonpositive tolerance.
-const DefaultTolerance = 1e-10
-
-// DefaultMaxIterations bounds the power iterations when a caller passes a
-// nonpositive limit.
-const DefaultMaxIterations = 1000
-
-// Chain is a finite Markov chain with a column-stochastic transition
-// matrix P: P[i][j] is the probability of moving to state i from state j.
-type Chain struct {
-	P *vec.Matrix
-
-	// Probe, when non-nil, counts power-iteration steps and the matrix
-	// cells each step touches; the nil default disables observation at the
-	// cost of one branch per iteration.
-	Probe *obs.Probe
-}
-
-// NewChain validates that p is square and column-stochastic within tol and
-// wraps it in a Chain.
-func NewChain(p *vec.Matrix, tol float64) (*Chain, error) {
-	if p.Rows != p.Cols {
-		return nil, fmt.Errorf("markov: transition matrix %dx%d not square", p.Rows, p.Cols)
-	}
-	if !p.IsColumnStochastic(tol) {
-		return nil, errors.New("markov: transition matrix not column-stochastic")
-	}
-	return &Chain{P: p}, nil
-}
 
 // FeatureTransition builds the paper's feature channel: the cosine
 // similarity matrix C of the node features, column-normalised into the
@@ -348,65 +316,4 @@ func kthLargest(xs []float64, k int) float64 {
 		}
 	}
 	return xs[lo]
-}
-
-// Result reports how a fixed-point iteration terminated.
-type Result struct {
-	Iterations int
-	Residual   float64 // L1 distance between the last two iterates
-	Converged  bool
-	Trace      []float64 // residual after each iteration
-}
-
-// Stationary runs power iteration x ← P·x from the uniform distribution
-// until the L1 change falls below tol, returning the stationary
-// distribution estimate and the iteration diagnostics.
-func (c *Chain) Stationary(tol float64, maxIter int) (vec.Vector, Result) {
-	n := c.P.Rows
-	x := vec.Uniform(n)
-	return c.iterate(x, func(cur, next vec.Vector) {
-		c.P.MulVec(cur, next)
-	}, tol, maxIter)
-}
-
-// RandomWalkWithRestart computes the stationary distribution of
-// x ← (1−α)·P·x + α·restart, i.e. personalised PageRank with restart
-// probability alpha and restart distribution restart (must sum to one).
-func (c *Chain) RandomWalkWithRestart(alpha float64, restart vec.Vector, tol float64, maxIter int) (vec.Vector, Result) {
-	if alpha < 0 || alpha > 1 {
-		panic(fmt.Sprintf("markov: restart probability %v out of [0,1]", alpha))
-	}
-	if len(restart) != c.P.Rows {
-		panic(fmt.Sprintf("markov: restart length %d, want %d", len(restart), c.P.Rows))
-	}
-	x := vec.Clone(restart)
-	return c.iterate(x, func(cur, next vec.Vector) {
-		c.P.MulVec(cur, next)
-		vec.Scale(1-alpha, next)
-		vec.Axpy(alpha, restart, next)
-	}, tol, maxIter)
-}
-
-func (c *Chain) iterate(x vec.Vector, step func(cur, next vec.Vector), tol float64, maxIter int) (vec.Vector, Result) {
-	if tol <= 0 {
-		tol = DefaultTolerance
-	}
-	if maxIter <= 0 {
-		maxIter = DefaultMaxIterations
-	}
-	next := vec.New(len(x))
-	var res Result
-	for it := 1; it <= maxIter; it++ {
-		step(x, next)
-		c.Probe.Observe(c.P.Rows * c.P.Cols)
-		res.Iterations = it
-		res.Residual = vec.Diff1(x, next)
-		res.Trace = append(res.Trace, res.Residual)
-		x, next = next, x
-		if res.Residual < tol {
-			res.Converged = true
-			break
-		}
-	}
-	return x, res
 }

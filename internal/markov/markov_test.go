@@ -2,110 +2,8 @@ package markov
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-
-	"tmark/internal/vec"
 )
-
-func twoState() *Chain {
-	// P = [[0.9, 0.5], [0.1, 0.5]] column-stochastic; stationary = [5/6, 1/6].
-	p := vec.FromRows([][]float64{{0.9, 0.5}, {0.1, 0.5}})
-	c, err := NewChain(p, 1e-12)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-func TestNewChainRejects(t *testing.T) {
-	if _, err := NewChain(vec.NewMatrix(2, 3), 1e-9); err == nil {
-		t.Errorf("non-square matrix should be rejected")
-	}
-	bad := vec.FromRows([][]float64{{0.5, 0.5}, {0.4, 0.5}})
-	if _, err := NewChain(bad, 1e-9); err == nil {
-		t.Errorf("non-stochastic matrix should be rejected")
-	}
-}
-
-func TestStationaryTwoState(t *testing.T) {
-	c := twoState()
-	x, res := c.Stationary(1e-12, 0)
-	if !res.Converged {
-		t.Fatalf("did not converge: %+v", res)
-	}
-	want := []float64{5.0 / 6, 1.0 / 6}
-	for i := range want {
-		if math.Abs(x[i]-want[i]) > 1e-8 {
-			t.Errorf("stationary[%d] = %v, want %v", i, x[i], want[i])
-		}
-	}
-	if !vec.IsStochastic(x, 1e-9) {
-		t.Errorf("stationary distribution must be stochastic")
-	}
-}
-
-func TestStationaryIdentityConvergesImmediately(t *testing.T) {
-	c, _ := NewChain(vec.Identity(3), 1e-12)
-	x, res := c.Stationary(1e-12, 0)
-	if !res.Converged || res.Iterations != 1 {
-		t.Errorf("identity chain should converge in one step: %+v", res)
-	}
-	for _, v := range x {
-		if math.Abs(v-1.0/3) > 1e-12 {
-			t.Errorf("identity stationary = %v, want uniform", x)
-		}
-	}
-}
-
-func TestStationaryPeriodicChainDoesNotConverge(t *testing.T) {
-	// A two-cycle flips the distribution forever.
-	p := vec.FromRows([][]float64{{0, 1}, {1, 0}})
-	c, _ := NewChain(p, 1e-12)
-	x, res := c.Stationary(1e-12, 50)
-	// Starting from uniform the iteration is actually at the fixed point.
-	if !res.Converged {
-		t.Fatalf("uniform start on a doubly stochastic chain is stationary")
-	}
-	_ = x
-	// But an RWR with a biased restart breaks periodicity and converges.
-	restart := vec.Vector{1, 0}
-	y, res2 := c.RandomWalkWithRestart(0.2, restart, 1e-12, 500)
-	if !res2.Converged {
-		t.Fatalf("RWR should converge on periodic chain: %+v", res2)
-	}
-	if y[0] <= y[1] {
-		t.Errorf("restart bias should favour state 0: %v", y)
-	}
-}
-
-func TestRandomWalkWithRestartAlphaOneIsRestart(t *testing.T) {
-	c := twoState()
-	restart := vec.Vector{0.3, 0.7}
-	x, res := c.RandomWalkWithRestart(1, restart, 1e-12, 10)
-	if !res.Converged {
-		t.Fatalf("alpha=1 should converge instantly")
-	}
-	for i := range restart {
-		if math.Abs(x[i]-restart[i]) > 1e-12 {
-			t.Errorf("alpha=1 stationary = %v, want restart %v", x, restart)
-		}
-	}
-}
-
-func TestRandomWalkWithRestartPanics(t *testing.T) {
-	c := twoState()
-	mustPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s should panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("alpha>1", func() { c.RandomWalkWithRestart(1.5, vec.Vector{1, 0}, 0, 0) })
-	mustPanic("restart length", func() { c.RandomWalkWithRestart(0.5, vec.Vector{1}, 0, 0) })
-}
 
 func TestFeatureTransitionStochastic(t *testing.T) {
 	features := [][]float64{
@@ -127,63 +25,5 @@ func TestFeatureTransitionStochastic(t *testing.T) {
 	// Similar nodes get more mass than dissimilar ones.
 	if w.At(0, 1) <= w.At(2, 1) {
 		t.Errorf("similar node should out-weigh orthogonal: %v vs %v", w.At(0, 1), w.At(2, 1))
-	}
-}
-
-// Property: RWR output is stochastic for random chains, restarts and alpha.
-func TestRWRStochasticProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 50; trial++ {
-		n := 2 + rng.Intn(10)
-		p := vec.NewMatrix(n, n)
-		for i := range p.Data {
-			p.Data[i] = rng.Float64()
-		}
-		p.NormalizeColumns(true)
-		c, err := NewChain(p, 1e-9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		restart := make(vec.Vector, n)
-		restart[rng.Intn(n)] = 1
-		alpha := rng.Float64()
-		x, _ := c.RandomWalkWithRestart(alpha, restart, 1e-10, 200)
-		if !vec.IsStochastic(x, 1e-8) {
-			t.Fatalf("trial %d: RWR left the simplex: sum=%v", trial, vec.Sum(x))
-		}
-	}
-}
-
-// The stationary distribution satisfies x = P x.
-func TestStationaryIsFixedPoint(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	n := 8
-	p := vec.NewMatrix(n, n)
-	for i := range p.Data {
-		p.Data[i] = rng.Float64() + 0.05 // strictly positive → ergodic
-	}
-	p.NormalizeColumns(true)
-	c, _ := NewChain(p, 1e-9)
-	x, res := c.Stationary(1e-13, 2000)
-	if !res.Converged {
-		t.Fatalf("positive chain must converge")
-	}
-	px := vec.New(n)
-	c.P.MulVec(x, px)
-	if d := vec.Diff1(x, px); d > 1e-9 {
-		t.Errorf("fixed-point residual %v too large", d)
-	}
-}
-
-func TestResultTraceMonotoneTail(t *testing.T) {
-	c := twoState()
-	_, res := c.Stationary(1e-14, 500)
-	if len(res.Trace) != res.Iterations {
-		t.Fatalf("trace length %d != iterations %d", len(res.Trace), res.Iterations)
-	}
-	// For an ergodic 2-state chain the residual should shrink geometrically;
-	// check the last residual is below the first.
-	if res.Trace[len(res.Trace)-1] >= res.Trace[0] {
-		t.Errorf("residual did not decrease: first %v last %v", res.Trace[0], res.Trace[len(res.Trace)-1])
 	}
 }

@@ -11,10 +11,9 @@
 // the hot paths thread telemetry unconditionally and pay a branch, not
 // an atomic, when observation is off.
 //
-// Contention is handled by sharding: instruments updated concurrently by
-// pool workers (PoolStats, ShardedCounter) keep one cache-line-padded
-// slot per worker and sum on read, so the per-shard add never bounces a
-// cache line between cores.
+// Contention is handled by sharding: PoolStats, updated concurrently by
+// pool workers, keeps one cache-line-padded slot per worker and sums on
+// read, so the per-shard add never bounces a cache line between cores.
 package obs
 
 import (
@@ -88,61 +87,6 @@ func (t *Timer) Count() int64 {
 	return t.calls.Load()
 }
 
-// paddedInt is an atomic counter padded to a cache line so adjacent
-// shards never share one (64-byte lines on every target we build for).
-type paddedInt struct {
-	v atomic.Int64
-	_ [56]byte
-}
-
-// ShardedCounter is a counter split across per-worker slots to avoid
-// cross-core contention on concurrent adds. Reads sum the slots. A nil
-// *ShardedCounter is a valid disabled counter.
-type ShardedCounter struct {
-	shards []paddedInt
-}
-
-// NewShardedCounter returns a counter with the given number of slots;
-// shards < 1 is treated as 1.
-func NewShardedCounter(shards int) *ShardedCounter {
-	if shards < 1 {
-		shards = 1
-	}
-	return &ShardedCounter{shards: make([]paddedInt, shards)}
-}
-
-// Add adds n to the slot of the given shard (taken modulo the slot
-// count, so any worker index is safe). No-op on a nil counter.
-func (c *ShardedCounter) Add(shard int, n int64) {
-	if c == nil {
-		return
-	}
-	if shard < 0 {
-		shard = -shard
-	}
-	c.shards[shard%len(c.shards)].v.Add(n)
-}
-
-// Load sums the slots; 0 on a nil counter.
-func (c *ShardedCounter) Load() int64 {
-	if c == nil {
-		return 0
-	}
-	var sum int64
-	for i := range c.shards {
-		sum += c.shards[i].v.Load()
-	}
-	return sum
-}
-
-// Shards returns the slot count; 0 on a nil counter.
-func (c *ShardedCounter) Shards() int {
-	if c == nil {
-		return 0
-	}
-	return len(c.shards)
-}
-
 // Probe counts one kernel call site: invocations, items (stored
 // entries, rows, …) processed, and right-hand-side columns applied.
 // Compute kernels carry an optional *Probe on their scratch objects and
@@ -197,13 +141,20 @@ func (p *Probe) Cols() int64 {
 }
 
 // PoolStats observes a worker pool: dispatches (batch submissions), shard
-// executions, and per-worker busy time. The per-worker series are sharded
-// so concurrent workers never contend on one cache line. A nil *PoolStats
-// disables observation.
+// executions, and per-worker busy time. The per-worker series live in
+// one slot per worker so concurrent workers never contend on one cache
+// line. A nil *PoolStats disables observation.
 type PoolStats struct {
 	dispatches Counter
-	shardsRun  *ShardedCounter
-	busyNS     *ShardedCounter
+	slots      []poolSlot
+}
+
+// poolSlot is one worker's series, padded to a cache line so adjacent
+// slots never share one (64-byte lines on every target we build for).
+type poolSlot struct {
+	shards atomic.Int64
+	busyNS atomic.Int64
+	_      [48]byte
 }
 
 // NewPoolStats returns stats sized for the given worker count.
@@ -211,10 +162,7 @@ func NewPoolStats(workers int) *PoolStats {
 	if workers < 1 {
 		workers = 1
 	}
-	return &PoolStats{
-		shardsRun: NewShardedCounter(workers),
-		busyNS:    NewShardedCounter(workers),
-	}
+	return &PoolStats{slots: make([]poolSlot, workers)}
 }
 
 // Dispatch records one batch submission. No-op on a nil receiver.
@@ -226,13 +174,15 @@ func (s *PoolStats) Dispatch() {
 }
 
 // ObserveShard records one shard executed by the given worker for d.
-// No-op on a nil receiver.
+// Worker indices at or past the slot count wrap around. No-op on a nil
+// receiver.
 func (s *PoolStats) ObserveShard(worker int, d time.Duration) {
 	if s == nil {
 		return
 	}
-	s.shardsRun.Add(worker, 1)
-	s.busyNS.Add(worker, int64(d))
+	sl := &s.slots[worker%len(s.slots)]
+	sl.shards.Add(1)
+	sl.busyNS.Add(int64(d))
 }
 
 // Dispatches returns the batch submissions observed; 0 on nil.
@@ -248,7 +198,11 @@ func (s *PoolStats) ShardsRun() int64 {
 	if s == nil {
 		return 0
 	}
-	return s.shardsRun.Load()
+	var sum int64
+	for i := range s.slots {
+		sum += s.slots[i].shards.Load()
+	}
+	return sum
 }
 
 // Busy returns the summed worker busy time; 0 on nil. Busy time counts
@@ -258,5 +212,9 @@ func (s *PoolStats) Busy() time.Duration {
 	if s == nil {
 		return 0
 	}
-	return time.Duration(s.busyNS.Load())
+	var sum int64
+	for i := range s.slots {
+		sum += s.slots[i].busyNS.Load()
+	}
+	return time.Duration(sum)
 }

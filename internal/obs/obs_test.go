@@ -31,11 +31,6 @@ func TestCounterAndTimerNilSafety(t *testing.T) {
 	if nilS.Dispatches() != 0 || nilS.ShardsRun() != 0 || nilS.Busy() != 0 {
 		t.Errorf("nil pool stats observed something")
 	}
-	var nilSC *ShardedCounter
-	nilSC.Add(0, 1)
-	if nilSC.Load() != 0 || nilSC.Shards() != 0 {
-		t.Errorf("nil sharded counter observed something")
-	}
 }
 
 func TestCounterConcurrent(t *testing.T) {
@@ -56,28 +51,32 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
-func TestShardedCounter(t *testing.T) {
-	c := NewShardedCounter(4)
+// TestPoolStatsWorkerSlots: concurrent workers each add to their own
+// slot, worker indices past the slot count wrap around, and the reads
+// sum every slot.
+func TestPoolStatsWorkerSlots(t *testing.T) {
+	ps := NewPoolStats(4)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				c.Add(w, 2) // worker ids beyond the shard count wrap around
+				ps.ObserveShard(w, 2*time.Nanosecond)
 			}
 		}(w)
 	}
 	wg.Wait()
-	if c.Load() != 8000 {
-		t.Errorf("sharded counter = %d, want 8000", c.Load())
+	if ps.ShardsRun() != 4000 || ps.Busy() != 8000*time.Nanosecond {
+		t.Errorf("pool stats = %d shards, %v busy; want 4000, 8µs", ps.ShardsRun(), ps.Busy())
 	}
-	if c.Shards() != 4 {
-		t.Errorf("shards = %d", c.Shards())
+	if len(ps.slots) != 4 {
+		t.Errorf("slots = %d, want 4", len(ps.slots))
 	}
-	c.Add(-3, 1) // negative ids must not panic
-	if c.Load() != 8001 {
-		t.Errorf("after negative-shard add: %d", c.Load())
+	for i := range ps.slots {
+		if got := ps.slots[i].shards.Load(); got != 1000 {
+			t.Errorf("slot %d ran %d shards, want 1000 (workers %d and %d)", i, got, i, i+4)
+		}
 	}
 }
 

@@ -2,7 +2,7 @@
 // immutable T-Mark models (the normalized tensors O and R and the feature
 // matrix W are fixed per dataset + hyperparameters — only the restart
 // vector changes per request) and a request coalescer that batches
-// concurrent /classify queries against the same warm model into one
+// concurrent /v1/classify queries against the same warm model into one
 // blocked lockstep solve.
 package serve
 
@@ -20,11 +20,11 @@ import (
 // seeds than this is rejected before any work happens.
 const MaxSeeds = 1 << 20
 
-// ClassifyRequest is the wire form of one /classify query: a seed node
+// ClassifyRequest is the wire form of one /v1/classify query: a seed node
 // set (the restart set of eq. 11) plus optional hyperparameter overrides.
 // Overridden hyperparameters select a different warm model from the
-// cache; requests that share dataset and hyperparameters share a model
-// and can coalesce into one lockstep solve.
+// cache; requests that name the same model with the same hyperparameters
+// share a warm model and can coalesce into one lockstep solve.
 type ClassifyRequest struct {
 	// Model references the model to query: a name, a pinned
 	// name@sha256:… or a bare sha256:… content hash. Names resolve
@@ -32,9 +32,6 @@ type ClassifyRequest struct {
 	// with the loaded graph of the same name as fallback. Empty selects
 	// the server's default model.
 	Model string `json:"model,omitempty"`
-	// Dataset is the legacy spelling of Model, kept for pre-/v1 clients;
-	// setting both to different values is an error.
-	Dataset string `json:"dataset,omitempty"`
 	// Seeds are the node indices of the query's restart set.
 	Seeds []int `json:"seeds"`
 	// ICA enables the per-query self-training reseed (the query's seed
@@ -62,7 +59,7 @@ type ClassifyRequest struct {
 	MaxIterations *int     `json:"max_iterations,omitempty"`
 }
 
-// DecodeClassifyRequest parses and validates one /classify body. It is
+// DecodeClassifyRequest parses and validates one /v1/classify body. It is
 // strict — unknown fields, trailing data, non-finite numbers (which
 // encoding/json already rejects) and malformed seed lists all error —
 // and it never panics, whatever the input: it is fuzzed.
@@ -84,21 +81,9 @@ func DecodeClassifyRequest(r io.Reader) (*ClassifyRequest, error) {
 	return &req, nil
 }
 
-// ref returns the model reference the request names: Model, or the
-// legacy Dataset spelling.
-func (r *ClassifyRequest) ref() string {
-	if r.Model != "" {
-		return r.Model
-	}
-	return r.Dataset
-}
-
 // Validate checks the request's model-independent invariants; the
-// server checks seed indices against the dataset's node count later.
+// server checks seed indices against the model's node count later.
 func (r *ClassifyRequest) Validate() error {
-	if r.Model != "" && r.Dataset != "" && r.Model != r.Dataset {
-		return errors.New("serve: model and dataset name different models")
-	}
 	if len(r.Seeds) == 0 {
 		return errors.New("serve: request needs at least one seed node")
 	}
@@ -144,14 +129,14 @@ type LinkScore struct {
 	Score    float64 `json:"score"`
 }
 
-// ClassifyResponse is the wire form of one /classify answer. Scores are
-// emitted through encoding/json's shortest-round-trip float formatting,
-// so the decoded float64 values are bitwise identical to the solver's.
+// ClassifyResponse is the wire form of one /v1/classify answer. Scores
+// are emitted through encoding/json's shortest-round-trip float
+// formatting, so the decoded float64 values are bitwise identical to the
+// solver's.
 type ClassifyResponse struct {
-	// Dataset echoes the legacy model name; Model is the same value
-	// under the /v1 spelling.
-	Dataset string `json:"dataset"`
-	Model   string `json:"model,omitempty"`
+	// Model echoes the model reference that answered (the server's
+	// default when the request named none).
+	Model string `json:"model,omitempty"`
 	// ModelHash is the content identity (sha256:…) of the substrate
 	// that answered: the activated artifact's blob hash, or the
 	// canonical encoding hash of a raw-built model (the two agree for
@@ -177,7 +162,7 @@ type ClassifyResponse struct {
 	Links     []LinkScore `json:"links,omitempty"`
 }
 
-// ClassRanking is one class's slice of a /rank answer.
+// ClassRanking is one class's slice of a /v1/rank answer.
 type ClassRanking struct {
 	Class     int         `json:"class"`
 	Name      string      `json:"name,omitempty"`
@@ -185,14 +170,13 @@ type ClassRanking struct {
 	Links     []LinkScore `json:"links"`
 }
 
-// RankResponse is the wire form of a /rank answer: the per-class
-// link-type rankings of the dataset's own labelled classes. Quality is
+// RankResponse is the wire form of a /v1/rank answer: the per-class
+// link-type rankings of the model's own labelled classes. Quality is
 // the tier that produced the rankings: "exact" (also serving
 // quality=accelerated requests — the full solve is cached once per warm
 // model, so there is no iteration count to cut) or "fast".
 type RankResponse struct {
-	Dataset string `json:"dataset"`
-	Model   string `json:"model,omitempty"`
+	Model string `json:"model,omitempty"`
 	// ModelHash is the substrate's content identity (see
 	// ClassifyResponse.ModelHash).
 	ModelHash string         `json:"model_hash,omitempty"`

@@ -157,19 +157,16 @@ func TestV1SurfaceAndPinnedRefs(t *testing.T) {
 	seeds := classSeeds(g, 0)
 	base := classifyScores(t, ts.URL, &ClassifyRequest{Seeds: seeds})
 
-	// The legacy alias answers identically (modulo the coalesced width,
-	// which is timing-dependent; scores are not).
-	resp, body := postClassify(t, ts.URL, &ClassifyRequest{Seeds: seeds, Scores: true})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy /classify status %d: %s", resp.StatusCode, body)
-	}
-	var legacy ClassifyResponse
-	if err := json.Unmarshal(body, &legacy); err != nil {
-		t.Fatal(err)
+	// Naming the default model answers identically to naming none
+	// (modulo the coalesced width, which is timing-dependent; scores are
+	// not).
+	named := classifyScores(t, ts.URL, &ClassifyRequest{Model: "test", Seeds: seeds})
+	if named.Model != "test" || base.Model != "test" {
+		t.Fatalf("echoed models %q (named) / %q (default), want test", named.Model, base.Model)
 	}
 	for i := range base.Scores {
-		if base.Scores[i] != legacy.Scores[i] {
-			t.Fatal("/v1/classify and /classify disagree")
+		if base.Scores[i] != named.Scores[i] {
+			t.Fatal("the named and the default model disagree")
 		}
 	}
 
@@ -182,22 +179,17 @@ func TestV1SurfaceAndPinnedRefs(t *testing.T) {
 		}
 	}
 	bogus := "sha256:" + "00" + hash[2:]
-	resp, body = postClassify(t, ts.URL+"/v1", &ClassifyRequest{Model: "test@" + bogus, Seeds: seeds})
+	resp, body := postClassify(t, ts.URL, &ClassifyRequest{Model: "test@" + bogus, Seeds: seeds})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("wrong pin: status %d: %s", resp.StatusCode, body)
 	}
 	// A `#` fragment is outside the reference grammar: the ref names no
 	// model, rather than silently serving the whole parent.
 	for _, frag := range []string{"shard=0/2", ""} {
-		resp, body = postClassify(t, ts.URL+"/v1", &ClassifyRequest{Model: "test#" + frag, Seeds: seeds})
+		resp, body = postClassify(t, ts.URL, &ClassifyRequest{Model: "test#" + frag, Seeds: seeds})
 		if resp.StatusCode != http.StatusNotFound {
 			t.Fatalf("fragment ref %q: status %d: %s", "test#"+frag, resp.StatusCode, body)
 		}
-	}
-	// model and dataset naming different models is a 400.
-	resp, body = postClassify(t, ts.URL+"/v1", &ClassifyRequest{Model: "a", Dataset: "b", Seeds: seeds})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("conflicting names: status %d: %s", resp.StatusCode, body)
 	}
 
 	// /v1/models lists the pairing with its hash and default marker.
@@ -354,7 +346,7 @@ func TestArtifactChaosFaultInjection(t *testing.T) {
 		s := newTestServer(t, g, cfg, func(o *Options) { o.ModelDir = dir })
 		ts := httptest.NewServer(s.Handler())
 		defer ts.Close()
-		resp, body := postClassify(t, ts.URL+"/v1", &ClassifyRequest{Model: "sha256:" + hash, Seeds: seeds})
+		resp, body := postClassify(t, ts.URL, &ClassifyRequest{Model: "sha256:" + hash, Seeds: seeds})
 		if resp.StatusCode != http.StatusInternalServerError {
 			t.Fatalf("status %d: %s", resp.StatusCode, body)
 		}
@@ -379,7 +371,7 @@ func TestArtifactRefusedActivationUnmaps(t *testing.T) {
 	defer ts.Close()
 	gamma := 0.5
 	for i := 0; i < 20; i++ {
-		resp, body := postClassify(t, ts.URL+"/v1", &ClassifyRequest{Seeds: []int{0}, Gamma: &gamma})
+		resp, body := postClassify(t, ts.URL, &ClassifyRequest{Seeds: []int{0}, Gamma: &gamma})
 		if resp.StatusCode != http.StatusInternalServerError {
 			t.Fatalf("request %d: status %d, want 500: %s", i, resp.StatusCode, body)
 		}
@@ -403,7 +395,7 @@ func TestArtifactOnlyServing(t *testing.T) {
 		t.Fatalf("echo %q %q", got.Model, got.ModelHash)
 	}
 	// Out-of-range seeds are checked against the artifact's dimensions.
-	resp, body := postClassify(t, ts.URL+"/v1", &ClassifyRequest{Seeds: []int{g.N() + 7}})
+	resp, body := postClassify(t, ts.URL, &ClassifyRequest{Seeds: []int{g.N() + 7}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}

@@ -82,7 +82,7 @@ type warmModel struct {
 	// art is the backing artifact of an mmap-activated entry, nil for a
 	// raw build. It closes when the last lease on the retired entry is
 	// released: an evicted entry's model may still be mid-solve for a
-	// /rank or coalesced borrower, and unmapping under it would fault.
+	// /v1/rank or coalesced borrower, and unmapping under it would fault.
 	art *artifact.Artifact
 	// leases counts the callers using model: every get takes one and
 	// every caller releases it once done. retired is set when the entry
@@ -90,12 +90,12 @@ type warmModel struct {
 	leases  int
 	retired bool
 
-	// The full multi-class solves backing /rank, each computed lazily at
+	// The full multi-class solves backing /v1/rank, each computed lazily at
 	// most once per warm model: the reference solve (serving the exact
 	// and accelerated tiers) and the linearized fast-tier solve. They run
 	// under the server's drain context — NOT the coalescer's solveCtx —
 	// because eviction retires the coalescer (which ends by cancelling
-	// solveCtx) while a /rank borrower may still be mid-solve: an evicted
+	// solveCtx) while a /v1/rank borrower may still be mid-solve: an evicted
 	// model must finish its borrowed work at full quality. Only the
 	// server drain cancels rankCtx.
 	rankCtx  context.Context
@@ -105,7 +105,7 @@ type warmModel struct {
 	fastFull *tmark.Result
 }
 
-// fullResult lazily runs the full multi-class solve for /rank. The
+// fullResult lazily runs the full multi-class solve for /v1/rank. The
 // model's own ICA setting applies here (this is the dataset's real
 // class structure, where the cross-class reseed is meaningful). A
 // server drain cancels rankCtx, and the solve returns its partial
@@ -118,7 +118,7 @@ func (e *warmModel) fullResult() *tmark.Result {
 }
 
 // fastResult lazily runs the linearized approximate solve for
-// /rank?quality=fast: one linear solve per class.
+// /v1/rank?quality=fast: one linear solve per class.
 func (e *warmModel) fastResult() *tmark.Result {
 	e.fastOnce.Do(func() {
 		e.fastFull = e.model.RunContext(e.rankCtx, tmark.WithApproximate(true))
@@ -135,7 +135,7 @@ type modelCache struct {
 	build    func(modelKey) (buildResult, error)
 	newCoal  func(*tmark.Model) *coalescer
 	met      *metrics
-	rankCtx  context.Context // every entry's /rank solve context
+	rankCtx  context.Context // every entry's /v1/rank solve context
 
 	// artifactsOpen counts the artifacts activated by builds and not yet
 	// closed: the tmarkd_artifacts_open gauge.

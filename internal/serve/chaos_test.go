@@ -188,7 +188,7 @@ func TestChaosOverloadShedsOnly503WithRetryAfter(t *testing.T) {
 }
 
 // TestEvictionDoesNotCancelBorrowedRank drives the satellite scenario:
-// a /rank full solve is mid-flight when its model is evicted by cache
+// a /v1/rank full solve is mid-flight when its model is evicted by cache
 // pressure. The eviction retires the coalescer but must NOT cancel the
 // borrowed solve — the response has to match an uninterrupted offline
 // run bitwise.
@@ -219,21 +219,21 @@ func TestEvictionDoesNotCancelBorrowedRank(t *testing.T) {
 
 	rankDone := make(chan *RankResponse, 1)
 	go func() {
-		resp, err := http.Get(ts.URL + "/rank?dataset=test")
+		resp, err := http.Get(ts.URL + "/v1/rank?model=test")
 		if err != nil {
-			t.Errorf("GET /rank: %v", err)
+			t.Errorf("GET /v1/rank: %v", err)
 			rankDone <- nil
 			return
 		}
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			t.Errorf("/rank status %d", resp.StatusCode)
+			t.Errorf("/v1/rank status %d", resp.StatusCode)
 			rankDone <- nil
 			return
 		}
 		var out RankResponse
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Errorf("decode /rank: %v", err)
+			t.Errorf("decode /v1/rank: %v", err)
 			rankDone <- nil
 			return
 		}
@@ -241,9 +241,9 @@ func TestEvictionDoesNotCancelBorrowedRank(t *testing.T) {
 	}()
 
 	<-started
-	// Cache capacity 1: touching the other dataset evicts the model
-	// whose rank solve is still borrowing it.
-	resp, body := postClassify(t, ts.URL, &ClassifyRequest{Dataset: "other", Seeds: []int{0}})
+	// Cache capacity 1: touching the other model evicts the model whose
+	// rank solve is still borrowing it.
+	resp, body := postClassify(t, ts.URL, &ClassifyRequest{Model: "other", Seeds: []int{0}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("classify(other) status %d: %s", resp.StatusCode, body)
 	}
@@ -280,7 +280,7 @@ func TestEvictionDoesNotCancelBorrowedRank(t *testing.T) {
 	}
 }
 
-// TestServeRankDrainCancelsFullSolve: a drain that lands while a /rank
+// TestServeRankDrainCancelsFullSolve: a drain that lands while a /v1/rank
 // full solve is mid-flight cancels it, and the request still answers
 // 200 with the partial result, long before the iteration cap could
 // finish.
@@ -303,7 +303,7 @@ func TestServeRankDrainCancelsFullSolve(t *testing.T) {
 	})
 	rankDone := make(chan int, 1)
 	go func() {
-		resp, err := http.Get(ts.URL + "/rank")
+		resp, err := http.Get(ts.URL + "/v1/rank")
 		if err != nil {
 			rankDone <- 0
 			return
@@ -316,10 +316,10 @@ func TestServeRankDrainCancelsFullSolve(t *testing.T) {
 	select {
 	case status := <-rankDone:
 		if status != http.StatusOK {
-			t.Fatalf("/rank during drain: status %d, want 200 (partial result)", status)
+			t.Fatalf("/v1/rank during drain: status %d, want 200 (partial result)", status)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("/rank did not answer within 10s of the drain")
+		t.Fatal("/v1/rank did not answer within 10s of the drain")
 	}
 	if n := passes.Load(); n >= int64(cfg.MaxIterations) {
 		t.Fatalf("the drained solve ran %d kernel passes, want fewer than the %d-iteration cap", n, cfg.MaxIterations)

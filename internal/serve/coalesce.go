@@ -1,6 +1,6 @@
 package serve
 
-// The request coalescer. Concurrent /classify queries against one warm
+// The request coalescer. Concurrent /v1/classify queries against one warm
 // model are independent single-class solves over the same O/R/W, so
 // instead of q independent runs each re-streaming every tensor entry,
 // the coalescer folds waiting queries into one SolveColumns lockstep

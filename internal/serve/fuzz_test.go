@@ -17,6 +17,8 @@ import (
 func FuzzDecodeClassifyRequest(f *testing.F) {
 	seeds := []string{
 		`{"seeds":[0,1,2]}`,
+		// "dataset" (the retired spelling of "model") is an unknown
+		// field: this seed and the last one exercise its rejection.
 		`{"seeds":[5],"dataset":"dblp","ica":true,"scores":true}`,
 		`{"seeds":[1],"alpha":0.8,"gamma":0.6,"lambda":0.7,"epsilon":1e-8,"max_iterations":100}`,
 		`{"seeds":[3,3,3],"top_nodes":5,"top_links":2}`,

@@ -62,8 +62,8 @@ func (r *IngestRequest) Validate() error {
 
 // IngestResponse is the wire form of one /v1/ingest answer — the sealed
 // version the batch minted. Hashes carry the sha256: prefix like every
-// other model identity on the wire; pin new_hash in later /classify or
-// /v1/diff calls to address exactly this version.
+// other model identity on the wire; pin new_hash in later /v1/classify
+// or /v1/diff calls to address exactly this version.
 type IngestResponse struct {
 	Model   string `json:"model"`
 	Seq     int    `json:"seq"`
@@ -107,23 +107,10 @@ func (s *Server) engine(name string) *stream.Engine {
 }
 
 // walDirFor is the per-model write-ahead-log directory under
-// Options.WALDir, named by the model's filename-safe name.
+// Options.WALDir. New holds every dataset name to artifact.ValidName, so
+// the name is one path element, distinct per model and never . or ..
 func (s *Server) walDirFor(name string) string {
-	return filepath.Join(s.opts.WALDir, safeName(name))
-}
-
-// safeName maps a dataset name onto a filename-safe form.
-func safeName(s string) string {
-	out := []byte(s)
-	for i, b := range out {
-		switch {
-		case b >= 'a' && b <= 'z', b >= 'A' && b <= 'Z', b >= '0' && b <= '9',
-			b == '.', b == '-', b == '_':
-		default:
-			out[i] = '_'
-		}
-	}
-	return string(out)
+	return filepath.Join(s.opts.WALDir, name)
 }
 
 // engineFor returns name's ingest engine, creating it on first use. An

@@ -110,7 +110,7 @@ func leaseServer(t *testing.T, cfg tmark.Config, mutate ...func(*Options)) (*Ser
 	return s, dir, g
 }
 
-// TestLeaseKeepsMappingThroughBorrowedRank: a /rank full solve holds its
+// TestLeaseKeepsMappingThroughBorrowedRank: a /v1/rank full solve holds its
 // lease across an eviction, so the blob stays mapped until the solve is
 // done, and the answer is bitwise the uninterrupted one.
 func TestLeaseKeepsMappingThroughBorrowedRank(t *testing.T) {

@@ -1,8 +1,8 @@
 package serve
 
 // End-to-end tests of the quality knob: per-request tier selection on
-// /classify and /rank, the server-wide default, the response echo, and
-// the hard 400 on unknown spellings.
+// /v1/classify and /v1/rank, the server-wide default, the response
+// echo, and the hard 400 on unknown spellings.
 
 import (
 	"encoding/json"
@@ -102,9 +102,9 @@ func TestClassifyServerDefaultQuality(t *testing.T) {
 
 func rankAt(t *testing.T, url, query string) (*http.Response, RankResponse) {
 	t.Helper()
-	resp, err := http.Get(url + "/rank" + query)
+	resp, err := http.Get(url + "/v1/rank" + query)
 	if err != nil {
-		t.Fatalf("GET /rank%s: %v", query, err)
+		t.Fatalf("GET /v1/rank%s: %v", query, err)
 	}
 	defer resp.Body.Close()
 	var out RankResponse
@@ -135,7 +135,7 @@ func TestRankQualityParam(t *testing.T) {
 		}
 	}
 
-	// The accelerated tier serves the cached reference solve on /rank.
+	// The accelerated tier serves the cached reference solve on /v1/rank.
 	resp, accel := rankAt(t, ts.URL, "?quality=accelerated")
 	if resp.StatusCode != http.StatusOK || accel.Quality != "exact" {
 		t.Fatalf("accelerated rank: status %d, quality %q (want the exact alias)", resp.StatusCode, accel.Quality)

@@ -1,7 +1,7 @@
 package serve
 
 // The coalescing-correctness integration test: tmarkd serving on a real
-// ephemeral TCP port, 64 concurrent /classify requests (with a cancel
+// ephemeral TCP port, 64 concurrent /v1/classify requests (with a cancel
 // mix), against the bitwise reference of offline Model.RunContext class
 // results. Meant to run under -race (`make race` / the CI race
 // job): the coalescer, cache and drain paths are the concurrent code
@@ -23,7 +23,7 @@ import (
 )
 
 // TestServingCoalescedBitwiseEqualUnderRace fires 64 concurrent mixed
-// /classify + cancel requests at an in-process tmarkd on a random port
+// /v1/classify + cancel requests at an in-process tmarkd on a random port
 // and asserts every completed response carries scores bitwise identical
 // to the corresponding class of an offline Model.RunContext solve. The
 // server solves on 2 workers and the offline solve on 1: no answer
@@ -85,7 +85,7 @@ func TestServingCoalescedBitwiseEqualUnderRace(t *testing.T) {
 				defer cancel()
 			}
 			req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-				ts.URL+"/classify", bytes.NewReader(body))
+				ts.URL+"/v1/classify", bytes.NewReader(body))
 			if err != nil {
 				errs <- err
 				return

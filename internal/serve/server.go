@@ -34,9 +34,11 @@ const (
 // Options configures a Server. At least one of Datasets and ModelDir
 // must be set.
 type Options struct {
-	// Datasets maps dataset names to loaded graphs. The graphs must be
-	// fully built (a model is constructed from each on first use) and
-	// must not be mutated afterwards.
+	// Datasets maps model names to loaded graphs. Every name must pass
+	// artifact.ValidName, the grammar of model reference names; a name
+	// is also the model's write-ahead-log directory under WALDir. The
+	// graphs must be fully built (a model is constructed from each on
+	// first use) and must not be mutated afterwards.
 	Datasets map[string]*hin.Graph
 	// Default names the model used by requests that name none. It may
 	// stay empty when exactly one model is available (one loaded
@@ -70,7 +72,8 @@ type Options struct {
 	// flight; a batch keeps filling while another batch of its model
 	// solves.
 	MaxConcurrent int
-	// MaxBodyBytes bounds a /classify request body (default 1 MiB).
+	// MaxBodyBytes bounds a /v1/classify or /v1/ingest request body
+	// (default 1 MiB).
 	MaxBodyBytes int64
 	// RetryAfter is the backoff hint carried in the Retry-After header
 	// of every 503 (load shed, drain, quarantined model); default 1s.
@@ -95,9 +98,9 @@ type Options struct {
 	Registry *obs.Registry
 }
 
-// Server is the tmarkd HTTP service: one mux serving /classify, /rank,
-// /healthz, /readyz plus the obs metrics and pprof endpoints, over a
-// warm-model cache with per-model request coalescers.
+// Server is the tmarkd HTTP service: one mux serving the /v1 model
+// endpoints, /healthz and /readyz plus the obs metrics and pprof
+// endpoints, over a warm-model cache with per-model request coalescers.
 type Server struct {
 	opts     Options
 	registry *artifact.Registry // nil without ModelDir
@@ -126,7 +129,7 @@ type Server struct {
 	streams  sync.Map // name -> *stream.Engine
 
 	// drainCtx is the parent of every coalescer's solve context and the
-	// context of every /rank solve. Drain cancels it first, which reaches
+	// context of every /v1/rank solve. Drain cancels it first, which reaches
 	// the solves of cached models, of models still building and of models
 	// already evicted, quarantined or invalidated but still answering
 	// their queues.
@@ -199,6 +202,11 @@ func (m *metrics) observeBatch(width int, d time.Duration) {
 func New(opts Options) (*Server, error) {
 	if len(opts.Datasets) == 0 && opts.ModelDir == "" {
 		return nil, errors.New("serve: no datasets loaded and no model directory")
+	}
+	for name := range opts.Datasets {
+		if !artifact.ValidName(name) {
+			return nil, fmt.Errorf("serve: dataset %q is not a valid model name (want at most 128 of [A-Za-z0-9._-], not starting with . or -)", name)
+		}
 	}
 	var registry *artifact.Registry
 	var scrub *artifact.ScrubReport
@@ -321,15 +329,11 @@ func New(opts Options) (*Server, error) {
 	})
 
 	mux := http.NewServeMux()
-	// The versioned surface; /classify and /rank remain as frozen legacy
-	// aliases with identical behaviour.
 	mux.HandleFunc("/v1/classify", s.handleClassify)
 	mux.HandleFunc("/v1/rank", s.handleRank)
 	mux.HandleFunc("/v1/models", s.handleModels)
 	mux.HandleFunc("/v1/ingest", s.handleIngest)
 	mux.HandleFunc("/v1/diff", s.handleDiff)
-	mux.HandleFunc("/classify", s.handleClassify)
-	mux.HandleFunc("/rank", s.handleRank)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/readyz", s.handleReadyz)
 	mux.Handle("/metrics", reg.Handler())
@@ -364,7 +368,7 @@ func (s *Server) ScrubReport() *artifact.ScrubReport { return s.scrub }
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Draining reports whether Drain has started. Once it reports true,
-// every classify and /rank solve is already cancelled — on cached
+// every classify and /v1/rank solve is already cancelled — on cached
 // models, on models still building and on models that left the cache
 // but still answer their queues — so no solve runs on a live context.
 func (s *Server) Draining() bool { return s.draining.Load() }
@@ -525,14 +529,10 @@ func (s *Server) resolve(name string, req *ClassifyRequest) (string, *warmModel,
 // which buildModel serves from memory.
 func (s *Server) modelKeyFor(name string, cfg tmark.Config) (modelKey, int, error) {
 	key := modelKey{cfg: cfg}
-	ref, perr := artifact.ParseRef(name)
-	if perr != nil {
-		// Not a well-formed reference; a legacy dataset name may still
-		// use characters the reference grammar rejects.
-		if _, ok := s.opts.Datasets[name]; ok {
-			key.name = name
-			return key, http.StatusOK, nil
-		}
+	ref, err := artifact.ParseRef(name)
+	if err != nil {
+		// New holds every dataset name to the reference grammar, so a
+		// malformed reference names no model.
 		return key, http.StatusNotFound, fmt.Errorf("unknown model %q", name)
 	}
 	if _, ok := s.opts.Datasets[ref.Name]; ok {
@@ -595,7 +595,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		width  int
 	)
 	if !s.admit(func() {
-		name, e, status, err = s.resolve(req.ref(), req)
+		name, e, status, err = s.resolve(req.Model, req)
 		if err != nil {
 			return
 		}
@@ -637,7 +637,6 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 
 	g := e.model.Graph()
 	resp := &ClassifyResponse{
-		Dataset:    name,
 		Model:      name,
 		ModelHash:  e.contentHash(),
 		Seeds:      res.Seeds,
@@ -675,15 +674,26 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		s.unavailable(w, "draining", ReasonDraining)
 		return
 	}
+	q := r.URL.Query()
+	for key := range q {
+		if key != "model" && key != "top" && key != "quality" {
+			// Refused like an unknown classify field, so a misspelt or
+			// retired parameter fails loudly instead of falling back to
+			// the default model or to every link type.
+			s.met.errors.Inc()
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown query parameter %q: want model, top or quality", key))
+			return
+		}
+	}
 	top := 0
-	if v := r.URL.Query().Get("top"); v != "" {
+	if v := q.Get("top"); v != "" {
 		if _, err := fmt.Sscanf(v, "%d", &top); err != nil || top < 0 {
 			s.met.errors.Inc()
 			writeError(w, http.StatusBadRequest, "top must be a non-negative integer")
 			return
 		}
 	}
-	quality, err := tmark.ParseQuality(r.URL.Query().Get("quality"))
+	quality, err := tmark.ParseQuality(q.Get("quality"))
 	if err != nil {
 		s.met.errors.Inc()
 		writeError(w, http.StatusBadRequest, err.Error())
@@ -692,11 +702,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	if quality == tmark.QualityDefault {
 		quality = s.opts.DefaultQuality
 	}
-	ref := r.URL.Query().Get("model")
-	if ref == "" {
-		ref = r.URL.Query().Get("dataset")
-	}
-	name, e, status, err := s.resolve(ref, nil)
+	name, e, status, err := s.resolve(q.Get("model"), nil)
 	if err != nil {
 		s.met.errors.Inc()
 		if status == http.StatusServiceUnavailable {
@@ -707,7 +713,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	g := e.model.Graph()
-	// The full multi-class solve backing /rank is computed at most once
+	// The full multi-class solve backing /v1/rank is computed at most once
 	// per warm model and cached, so the accelerated tier has nothing to
 	// win here: it serves the same cached reference solve as exact. Only
 	// the fast tier gets its own (cheaper) cached solve.
@@ -719,7 +725,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	} else {
 		full = e.fullResult()
 	}
-	resp := &RankResponse{Dataset: name, Model: name, ModelHash: e.contentHash(), Quality: effective}
+	resp := &RankResponse{Model: name, ModelHash: e.contentHash(), Quality: effective}
 	for c := 0; c < full.Q(); c++ {
 		cr := full.Classes[c]
 		resp.Classes = append(resp.Classes, ClassRanking{

@@ -110,9 +110,9 @@ func postClassify(t *testing.T, url string, req any) (*http.Response, []byte) {
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	resp, err := http.Post(url+"/classify", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url+"/v1/classify", "application/json", bytes.NewReader(body))
 	if err != nil {
-		t.Fatalf("POST /classify: %v", err)
+		t.Fatalf("POST /v1/classify: %v", err)
 	}
 	defer resp.Body.Close()
 	var buf bytes.Buffer
@@ -138,9 +138,10 @@ func TestClassifyEndpoint(t *testing.T) {
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	if out.Dataset != "test" || out.Seeds != len(seeds) || !out.Converged || out.Coalesced < 1 {
+	if out.Model != "test" || out.Seeds != len(seeds) || !out.Converged || out.Coalesced < 1 {
 		t.Fatalf("bad response header fields: %+v", out)
 	}
+	requireNoKey(t, body, "dataset")
 	if len(out.Scores) != g.N() {
 		t.Fatalf("scores length %d, want %d", len(out.Scores), g.N())
 	}
@@ -206,7 +207,7 @@ func TestClassifyErrors(t *testing.T) {
 	defer ts.Close()
 
 	post := func(body string) *http.Response {
-		resp, err := http.Post(ts.URL+"/classify", "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/classify", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatalf("POST: %v", err)
 		}
@@ -224,7 +225,11 @@ func TestClassifyErrors(t *testing.T) {
 		{"trailing data", `{"seeds":[1]} {"seeds":[2]}`, http.StatusBadRequest},
 		{"negative seed", `{"seeds":[-1]}`, http.StatusBadRequest},
 		{"out of range seed", `{"seeds":[100000]}`, http.StatusBadRequest},
-		{"unknown dataset", `{"seeds":[1],"dataset":"nope"}`, http.StatusNotFound},
+		{"unknown model", `{"seeds":[1],"model":"nope"}`, http.StatusNotFound},
+		// "dataset" is not a field: a client that sends it fails
+		// instead of being answered by the default model.
+		{"unknown dataset", `{"seeds":[1],"dataset":"nope"}`, http.StatusBadRequest},
+		{"dataset naming the default", `{"seeds":[1],"dataset":"test"}`, http.StatusBadRequest},
 		{"bad alpha", `{"seeds":[1],"alpha":2.0}`, http.StatusBadRequest},
 		{"bad max iterations", `{"seeds":[1],"max_iterations":-3}`, http.StatusBadRequest},
 	}
@@ -233,13 +238,57 @@ func TestClassifyErrors(t *testing.T) {
 			t.Errorf("%s: status %d, want %d", c.name, got, c.want)
 		}
 	}
-	resp, err := http.Get(ts.URL + "/classify")
+	resp, err := http.Get(ts.URL + "/v1/classify")
 	if err != nil {
 		t.Fatalf("GET: %v", err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /classify: status %d, want 405", resp.StatusCode)
+		t.Errorf("GET /v1/classify: status %d, want 405", resp.StatusCode)
+	}
+}
+
+// requireNoKey fails the test when the JSON object body has a top-level
+// key named key.
+func requireNoKey(t *testing.T, body []byte, key string) {
+	t.Helper()
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(body, &fields); err != nil {
+		t.Fatalf("unmarshal %s: %v", body, err)
+	}
+	if v, ok := fields[key]; ok {
+		t.Fatalf("response carries %q: %s", key, v)
+	}
+}
+
+// TestUnversionedRoutesGone: the pre-/v1 aliases are not served, so a
+// client still calling them gets a 404 rather than an answer.
+func TestUnversionedRoutesGone(t *testing.T) {
+	s := newTestServer(t, testGraph(40), fastConfig(), nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for _, c := range []struct{ method, path, body string }{
+		{http.MethodPost, "/classify", `{"seeds":[0]}`},
+		{http.MethodPost, "/classify", `{"seeds":[0],"dataset":"test"}`},
+		{http.MethodGet, "/rank", ""},
+		{http.MethodGet, "/rank?dataset=test&top=2", ""},
+	} {
+		req, err := http.NewRequest(c.method, ts.URL+c.path, strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", c.method, c.path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s: status %d, want 404", c.method, c.path, resp.StatusCode)
+		}
+	}
+	if n := s.met.requests.Load(); n != 0 {
+		t.Errorf("%d requests reached a handler, want 0", n)
 	}
 }
 
@@ -250,21 +299,43 @@ func TestRankEndpoint(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	resp, err := http.Get(ts.URL + "/rank?top=2")
+	resp, err := http.Get(ts.URL + "/v1/rank?top=2")
 	if err != nil {
-		t.Fatalf("GET /rank: %v", err)
+		t.Fatalf("GET /v1/rank: %v", err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		t.Fatalf("read body: %v", err)
+	}
 	var out RankResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if len(out.Classes) != g.Q() {
-		t.Fatalf("classes %d, want %d", len(out.Classes), g.Q())
+	if out.Model != "test" || len(out.Classes) != g.Q() {
+		t.Fatalf("model %q with %d classes, want test with %d", out.Model, len(out.Classes), g.Q())
 	}
+	requireNoKey(t, buf.Bytes(), "dataset")
+	// model, top and quality are the only query keys: the retired
+	// dataset key, or any other, is a 400, not a silent default.
+	for _, query := range []string{"?dataset=test", "?model=test&dataset=test", "?model=test&Top=2", "?top=2&bogus"} {
+		resp, err := http.Get(ts.URL + "/v1/rank" + query)
+		if err != nil {
+			t.Fatalf("GET /v1/rank%s: %v", query, err)
+		}
+		var e ErrorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "unknown query parameter") {
+			t.Errorf("GET /v1/rank%s: status %d %q, want 400 naming the unknown parameter", query, resp.StatusCode, e.Error)
+		}
+	}
+
 	model, err := tmark.New(g, cfg)
 	if err != nil {
 		t.Fatalf("tmark.New: %v", err)
@@ -310,7 +381,7 @@ func TestHealthzReadyzAndDrainFlip(t *testing.T) {
 	}
 	resp, _ := postClassify(t, ts.URL, &ClassifyRequest{Seeds: []int{0}})
 	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("/classify during drain = %d, want 503", resp.StatusCode)
+		t.Fatalf("/v1/classify during drain = %d, want 503", resp.StatusCode)
 	}
 }
 
@@ -336,7 +407,7 @@ func TestDrainCancelsInflight(t *testing.T) {
 	done := make(chan reply, 1)
 	go func() {
 		body, _ := json.Marshal(&ClassifyRequest{Seeds: []int{0, 4}, Scores: true})
-		resp, err := http.Post(ts.URL+"/classify", "application/json", bytes.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/classify", "application/json", bytes.NewReader(body))
 		if err != nil {
 			done <- reply{}
 			return
@@ -421,7 +492,7 @@ func TestDrainIgnoresStalledBody(t *testing.T) {
 	defer conn.Close()
 	req := `{"seeds":[0,4],"scores":true}`
 	half := len(req) / 2
-	if _, err := fmt.Fprintf(conn, "POST /classify HTTP/1.1\r\nHost: tmark\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s", len(req), req[:half]); err != nil {
+	if _, err := fmt.Fprintf(conn, "POST /v1/classify HTTP/1.1\r\nHost: tmark\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s", len(req), req[:half]); err != nil {
 		t.Fatalf("write headers: %v", err)
 	}
 	select {
@@ -496,7 +567,7 @@ func TestDrainCancelsRetiredCoalescer(t *testing.T) {
 	done := make(chan reply, 1)
 	go func() {
 		body, _ := json.Marshal(&ClassifyRequest{Seeds: []int{0, 4}, Scores: true})
-		resp, err := http.Post(ts.URL+"/classify", "application/json", bytes.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/classify", "application/json", bytes.NewReader(body))
 		if err != nil {
 			done <- reply{}
 			return
@@ -692,6 +763,16 @@ func TestNewOptionValidation(t *testing.T) {
 	bad.Alpha = 2
 	if _, err := New(Options{Datasets: map[string]*hin.Graph{"a": g}, Config: bad, Registry: obs.NewRegistry()}); err == nil {
 		t.Errorf("invalid base config should be rejected")
+	}
+	// Every dataset name must be a valid model reference name: one a
+	// reference can address, and one safe as its WAL directory name.
+	for _, name := range []string{"a b", "..", "x@y", "", ".hidden", "-flag", "a/b", strings.Repeat("n", 129)} {
+		opts := Options{Datasets: map[string]*hin.Graph{name: g}, WALDir: t.TempDir(), Registry: obs.NewRegistry()}
+		if _, err := New(opts); err == nil {
+			t.Errorf("dataset name %q accepted, want an error", name)
+		} else if !strings.Contains(err.Error(), "not a valid model name") {
+			t.Errorf("dataset name %q: %v, want the name rule named", name, err)
+		}
 	}
 }
 

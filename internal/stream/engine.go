@@ -25,10 +25,9 @@ import (
 // the quarantine is sticky until the process restarts.
 var ErrQuarantined = errors.New("stream: ingest engine quarantined")
 
-// DefaultDedupWindow bounds the idempotency-key window: how many
-// recently committed batch keys Apply remembers for duplicate
-// detection.
-const DefaultDedupWindow = 1024
+// DedupWindow bounds the idempotency-key window: how many recently
+// committed batch keys Apply remembers for duplicate detection.
+const DedupWindow = 1024
 
 // DefaultWALCheckpointEvery is the log-checkpoint cadence in committed
 // batches: how often the engine snapshots the raw adjacency so the log
@@ -76,16 +75,6 @@ func WithMetrics(reg *obs.Registry) EngineOption {
 			replayed:   reg.Counter("tmarkd_wal_replayed_total"),
 			duplicates: reg.Counter("tmarkd_ingest_duplicates_total"),
 			recoveries: reg.Counter("tmarkd_quarantine_recoveries_total"),
-		}
-	}
-}
-
-// WithDedupWindow overrides the idempotency-key window size (default
-// DefaultDedupWindow).
-func WithDedupWindow(n int) EngineOption {
-	return func(e *Engine) {
-		if n > 0 {
-			e.dedupCap = n
 		}
 	}
 }
@@ -143,7 +132,6 @@ type Engine struct {
 	baseSub  tmark.Substrate
 	dedup    map[string]*ApplyResult
 	dedupQ   []string
-	dedupCap int
 	walEvery int
 }
 
@@ -180,7 +168,6 @@ func NewEngine(name string, g *hin.Graph, cfg tmark.Config, reg *artifact.Regist
 		srcAO:    ao,
 		baseSub:  m.Substrate(),
 		dedup:    map[string]*ApplyResult{},
-		dedupCap: DefaultDedupWindow,
 		walEvery: DefaultWALCheckpointEvery,
 	}
 	for _, opt := range opts {
@@ -479,15 +466,15 @@ func (e *Engine) applyLocked(ctx context.Context, key string, deltas []Delta, lo
 	return out, nil
 }
 
-// rememberLocked records a committed batch's key in the bounded dedup
-// window.
+// rememberLocked records a committed batch's key in the dedup window of
+// the last DedupWindow keys.
 func (e *Engine) rememberLocked(key string, res *ApplyResult) {
 	if _, ok := e.dedup[key]; ok {
 		return
 	}
 	e.dedup[key] = res
 	e.dedupQ = append(e.dedupQ, key)
-	for len(e.dedupQ) > e.dedupCap {
+	for len(e.dedupQ) > DedupWindow {
 		delete(e.dedup, e.dedupQ[0])
 		e.dedupQ = e.dedupQ[1:]
 	}

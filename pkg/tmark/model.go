@@ -1,11 +1,10 @@
 package tmark
 
-// The /v1 model-reference client surface. ClassifyModel and RankModel
+// The model-reference client surface. ClassifyModel and RankModel
 // address models the way the server names them — "dblp",
 // "dblp@sha256:…" or a bare "sha256:…" content hash — and take
 // functional options instead of positional knobs, so adding a request
-// parameter never breaks a caller again. The older Classify/Rank/
-// RankQuality methods keep working against the frozen legacy endpoints.
+// parameter never breaks a caller.
 
 import (
 	"bytes"

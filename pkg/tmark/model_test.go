@@ -65,15 +65,18 @@ func TestClientClassifyModelOptions(t *testing.T) {
 		t.Fatalf("scores %d topnodes %d quality %q", len(resp.Scores), len(resp.TopNodes), resp.Quality)
 	}
 
-	// The deprecated positional call answers bitwise identically: the
-	// two surfaces front the same warm model.
-	legacy, err := c.Classify(ctx, &tmark.ClassifyRequest{Dataset: "toy", Seeds: []int{0}, Scores: true})
+	// Naming no model answers bitwise identically: the default and the
+	// named reference front the same warm model.
+	def, err := c.ClassifyModel(ctx, "", []int{0}, tmark.WithScores())
 	if err != nil {
-		t.Fatalf("Classify: %v", err)
+		t.Fatalf("ClassifyModel(default): %v", err)
+	}
+	if def.Model != "toy" || def.ModelHash != resp.ModelHash {
+		t.Fatalf("default echo model %q hash %q, want toy @ %s", def.Model, def.ModelHash, resp.ModelHash)
 	}
 	for i := range resp.Scores {
-		if resp.Scores[i] != legacy.Scores[i] {
-			t.Fatalf("score[%d]: %v (/v1) vs %v (legacy)", i, resp.Scores[i], legacy.Scores[i])
+		if resp.Scores[i] != def.Scores[i] {
+			t.Fatalf("score[%d]: %v (named) vs %v (default)", i, resp.Scores[i], def.Scores[i])
 		}
 	}
 

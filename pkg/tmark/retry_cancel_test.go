@@ -41,7 +41,7 @@ func TestClientRetryCancelDuringBackoff(t *testing.T) {
 	c.Retry = &tmark.Retry{MaxAttempts: 5, BaseDelay: 10 * time.Millisecond, MaxDelay: time.Minute}
 
 	start := time.Now()
-	_, err := c.Classify(ctx, &tmark.ClassifyRequest{Seeds: []int{0}})
+	_, err := c.ClassifyModel(ctx, "", []int{0})
 	elapsed := time.Since(start)
 
 	// The call returns the last real failure (more useful than a bare
@@ -76,7 +76,7 @@ func TestClientRetryDeadlineDuringBackoff(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := c.Classify(ctx, &tmark.ClassifyRequest{Seeds: []int{0}})
+	_, err := c.ClassifyModel(ctx, "", []int{0})
 	elapsed := time.Since(start)
 
 	if err == nil {

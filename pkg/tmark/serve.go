@@ -8,7 +8,6 @@ package tmark
 // float64 values a Client decodes are bitwise identical to the solver's.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -23,11 +22,11 @@ import (
 	"tmark/internal/serve"
 )
 
-// ClassifyRequest is one /classify query: a seed node set plus optional
-// hyperparameter overrides.
+// ClassifyRequest is one /v1/classify query: a seed node set plus
+// optional hyperparameter overrides.
 type ClassifyRequest = serve.ClassifyRequest
 
-// ClassifyResponse is one /classify answer.
+// ClassifyResponse is one /v1/classify answer.
 type ClassifyResponse = serve.ClassifyResponse
 
 // NodeScore is one entry of a ranked node list.
@@ -36,10 +35,10 @@ type NodeScore = serve.NodeScore
 // LinkScore is one entry of a link-type ranking.
 type LinkScore = serve.LinkScore
 
-// ClassRanking is one class's slice of a /rank answer.
+// ClassRanking is one class's slice of a /v1/rank answer.
 type ClassRanking = serve.ClassRanking
 
-// RankResponse is a /rank answer: per-class link-type rankings.
+// RankResponse is a /v1/rank answer: per-class link-type rankings.
 type RankResponse = serve.RankResponse
 
 // ServiceError is the decoded form of a non-2xx tmarkd answer.
@@ -82,7 +81,7 @@ func (e *ServiceError) Temporary() bool {
 // honoured as the floor of that attempt's delay; MaxDelay caps every
 // delay, hint included, so a client aimed at a long drain still fails
 // over in bounded time. Every solve is a pure function of the immutable
-// warm model, so retrying a /classify POST is safe.
+// warm model, so retrying a /v1/classify POST is safe.
 type Retry struct {
 	// MaxAttempts bounds the total tries, the first call included
 	// (minimum 1; a 1 disables retrying).
@@ -129,7 +128,7 @@ type Client struct {
 	BaseURL string
 	// HTTPClient overrides the transport; nil uses http.DefaultClient.
 	// Request deadlines and cancellation come from the per-call context
-	// (a cancelled /classify retires the query's column server-side
+	// (a cancelled /v1/classify retires the query's column server-side
 	// within one solver iteration).
 	HTTPClient *http.Client
 	// Retry enables automatic retry of transient failures; nil performs
@@ -146,80 +145,6 @@ func (c *Client) http() *http.Client {
 		return c.HTTPClient
 	}
 	return http.DefaultClient
-}
-
-// Classify runs one seed-set query and returns the scored result.
-//
-// Deprecated: use ClassifyModel, which addresses models by reference
-// (name, name@sha256:… or sha256:…) through the /v1 surface and takes
-// functional options. Classify keeps working against the frozen legacy
-// /classify endpoint.
-func (c *Client) Classify(ctx context.Context, req *ClassifyRequest) (*ClassifyResponse, error) {
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	var out ClassifyResponse
-	err = c.do(ctx, func() (*http.Request, error) {
-		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/classify", bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		hreq.Header.Set("Content-Type", "application/json")
-		return hreq, nil
-	}, &out)
-	if err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// Rank fetches the per-class link-type rankings of a dataset from a
-// full warm solve. dataset "" selects the server's default; top bounds
-// each ranking (0 = all link types).
-//
-// Deprecated: use RankModel with WithTop, which addresses models by
-// reference through the /v1 surface. Rank keeps working against the
-// frozen legacy /rank endpoint.
-func (c *Client) Rank(ctx context.Context, dataset string, top int) (*RankResponse, error) {
-	return c.RankQuality(ctx, dataset, top, "")
-}
-
-// RankQuality is Rank with an explicit solve tier: "exact",
-// "accelerated" (served from the same cached reference solve) or "fast"
-// (the linearized approximate tier). "" keeps the server's default; an
-// unknown spelling is rejected by the server with a 400.
-//
-// Deprecated: use RankModel with WithTop and WithQuality — each new
-// request knob was a breaking signature change under this style, and
-// RankModel ends that. RankQuality keeps working against the frozen
-// legacy /rank endpoint.
-func (c *Client) RankQuality(ctx context.Context, dataset string, top int, quality string) (*RankResponse, error) {
-	q := url.Values{}
-	if dataset != "" {
-		q.Set("dataset", dataset)
-	}
-	if top > 0 {
-		q.Set("top", strconv.Itoa(top))
-	}
-	if quality != "" {
-		q.Set("quality", quality)
-	}
-	u := c.BaseURL + "/rank"
-	if enc := q.Encode(); enc != "" {
-		u += "?" + enc
-	}
-	var out RankResponse
-	err := c.do(ctx, func() (*http.Request, error) {
-		return http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	}, &out)
-	if err != nil {
-		return nil, err
-	}
-	return &out, nil
 }
 
 // Ready reports nil when the server is accepting work, and a

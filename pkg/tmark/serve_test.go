@@ -56,12 +56,12 @@ func TestClientClassifyRankReady(t *testing.T) {
 		t.Fatalf("Ready: %v", err)
 	}
 
-	resp, err := c.Classify(ctx, &tmark.ClassifyRequest{Seeds: []int{0}, Scores: true})
+	resp, err := c.ClassifyModel(ctx, "", []int{0}, tmark.WithScores())
 	if err != nil {
-		t.Fatalf("Classify: %v", err)
+		t.Fatalf("ClassifyModel: %v", err)
 	}
-	if resp.Dataset != "toy" || !resp.Converged || len(resp.Scores) != 12 {
-		t.Fatalf("Classify response: dataset %q converged %v scores %d", resp.Dataset, resp.Converged, len(resp.Scores))
+	if resp.Model != "toy" || !resp.Converged || len(resp.Scores) != 12 {
+		t.Fatalf("ClassifyModel response: model %q converged %v scores %d", resp.Model, resp.Converged, len(resp.Scores))
 	}
 	sum := 0.0
 	for _, s := range resp.Scores {
@@ -71,12 +71,12 @@ func TestClientClassifyRankReady(t *testing.T) {
 		t.Errorf("scores sum %v, want ≈1", sum)
 	}
 
-	rank, err := c.Rank(ctx, "toy", 1)
+	rank, err := c.RankModel(ctx, "toy", tmark.WithTop(1))
 	if err != nil {
-		t.Fatalf("Rank: %v", err)
+		t.Fatalf("RankModel: %v", err)
 	}
 	if len(rank.Classes) != 2 || len(rank.Classes[0].Links) != 1 {
-		t.Fatalf("Rank response: %d classes, %d links", len(rank.Classes), len(rank.Classes[0].Links))
+		t.Fatalf("RankModel response: %d classes, %d links", len(rank.Classes), len(rank.Classes[0].Links))
 	}
 }
 
@@ -85,16 +85,16 @@ func TestClientErrors(t *testing.T) {
 	ctx := context.Background()
 
 	// Client-side validation rejects before any network traffic.
-	if _, err := c.Classify(ctx, &tmark.ClassifyRequest{}); err == nil {
+	if _, err := c.ClassifyModel(ctx, "", nil); err == nil {
 		t.Error("empty request accepted")
 	}
 
 	// A server-side rejection surfaces as a ServiceError with the
 	// server's message.
-	_, err := c.Classify(ctx, &tmark.ClassifyRequest{Dataset: "nope", Seeds: []int{0}})
+	_, err := c.ClassifyModel(ctx, "nope", []int{0})
 	se, ok := err.(*tmark.ServiceError)
 	if !ok {
-		t.Fatalf("Classify(bad dataset): %v, want *ServiceError", err)
+		t.Fatalf("ClassifyModel(unknown model): %v, want *ServiceError", err)
 	}
 	if se.StatusCode != 404 || se.Overloaded() {
 		t.Errorf("ServiceError %+v, want status 404, not overloaded", se)
@@ -147,9 +147,9 @@ func TestClientRetriesFlappingServer(t *testing.T) {
 	t.Cleanup(s.Drain)
 
 	c, calls := flaky(t, 3, s.Handler())
-	resp, err := c.Classify(context.Background(), &tmark.ClassifyRequest{Seeds: []int{0}})
+	resp, err := c.ClassifyModel(context.Background(), "", []int{0})
 	if err != nil {
-		t.Fatalf("Classify through flapping server: %v", err)
+		t.Fatalf("ClassifyModel through flapping server: %v", err)
 	}
 	if !resp.Converged {
 		t.Errorf("converged=false after retries")
@@ -163,7 +163,7 @@ func TestClientRetryExhaustionAndNonTransient(t *testing.T) {
 	// Permanent overload: the policy's attempts are spent and the last
 	// ServiceError comes back with the server's Retry-After hint.
 	c, calls := flaky(t, 1000, http.NotFoundHandler())
-	_, err := c.Classify(context.Background(), &tmark.ClassifyRequest{Seeds: []int{0}})
+	_, err := c.ClassifyModel(context.Background(), "", []int{0})
 	se := &tmark.ServiceError{}
 	if !errors.As(err, &se) || !se.Overloaded() {
 		t.Fatalf("exhausted retries: %v, want overloaded ServiceError", err)
@@ -175,7 +175,7 @@ func TestClientRetryExhaustionAndNonTransient(t *testing.T) {
 	// A 404 is not transient: exactly one attempt, however many the
 	// policy allows.
 	c2, calls2 := flaky(t, 0, http.NotFoundHandler())
-	_, err = c2.Classify(context.Background(), &tmark.ClassifyRequest{Seeds: []int{0}})
+	_, err = c2.ClassifyModel(context.Background(), "", []int{0})
 	if !errors.As(err, &se) || se.StatusCode != http.StatusNotFound {
 		t.Fatalf("404: %v, want not-found ServiceError", err)
 	}
