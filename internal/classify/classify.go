@@ -1,8 +1,8 @@
 // Package classify provides the from-scratch base learners the relational
-// baselines are built on: multinomial logistic regression, multinomial
-// naive Bayes, a linear SVM (Pegasos) and cosine k-nearest-neighbours.
-// All trainers are deterministic given their seed, which keeps every
-// experiment in this repository reproducible.
+// baselines are built on: multinomial logistic regression, a linear SVM
+// (Pegasos) and gradient-boosted trees. All trainers are deterministic
+// given their seed, which keeps every experiment in this repository
+// reproducible.
 package classify
 
 import (

@@ -58,7 +58,6 @@ func trainers() map[string]Trainer {
 	return map[string]Trainer{
 		"logistic": NewLogistic(1),
 		"svm":      NewSVM(1),
-		"knn":      NewKNN(),
 	}
 }
 
@@ -85,7 +84,6 @@ func TestBagOfWordsLearners(t *testing.T) {
 		tr  Trainer
 		min float64
 	}{
-		"bayes":    {NewNaiveBayes(), 0.9},
 		"logistic": {NewLogistic(1), 0.9},
 		// Pegasos on raw counts is a little noisier than the probabilistic
 		// learners; it only needs to be a serviceable ensemble member.
@@ -104,9 +102,7 @@ func TestBagOfWordsLearners(t *testing.T) {
 func TestProbabilitiesAreDistributions(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	X, y := bagOfWords(rng, 120, 30)
-	all := trainers()
-	all["bayes"] = NewNaiveBayes()
-	for name, tr := range all {
+	for name, tr := range trainers() {
 		m, err := tr.Train(X, y, 3)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -149,13 +145,6 @@ func TestValidation(t *testing.T) {
 	}
 }
 
-func TestNaiveBayesRejectsNegativeFeatures(t *testing.T) {
-	_, err := NewNaiveBayes().Train([][]float64{{-1}}, []int{0}, 1)
-	if err == nil {
-		t.Errorf("negative features must be rejected")
-	}
-}
-
 func TestDeterminismWithSeed(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	X, y := blobs(rng, 100)
@@ -178,31 +167,6 @@ func TestDeterminismWithSeed(t *testing.T) {
 	}
 }
 
-func TestKNNKLargerThanTrainingSet(t *testing.T) {
-	X := [][]float64{{1, 0}, {0, 1}}
-	y := []int{0, 1}
-	m, err := (&KNN{K: 50}).Train(X, y, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Predict([]float64{1, 0.1}); got != 0 {
-		t.Errorf("Predict = %d, want 0", got)
-	}
-}
-
-func TestKNNCopiesTrainingData(t *testing.T) {
-	X := [][]float64{{1, 0}, {0, 1}}
-	y := []int{0, 1}
-	m, err := NewKNN().Train(X, y, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	X[0][0] = -1 // mutate after training
-	if got := m.Predict([]float64{1, 0}); got != 0 {
-		t.Errorf("model must not alias caller data, got %d", got)
-	}
-}
-
 func TestSoftmaxStability(t *testing.T) {
 	v := []float64{1000, 1001, 999}
 	softmaxInPlace(v)
@@ -222,7 +186,7 @@ func TestSoftmaxStability(t *testing.T) {
 }
 
 func TestStringers(t *testing.T) {
-	for _, s := range []fmt.Stringer{NewKNN(), NewSVM(0), NewNaiveBayes(), NewLogistic(0)} {
+	for _, s := range []fmt.Stringer{NewSVM(0), NewLogistic(0)} {
 		if s.String() == "" {
 			t.Errorf("%T: empty String()", s)
 		}

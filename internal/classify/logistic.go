@@ -1,6 +1,7 @@
 package classify
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 )
@@ -20,6 +21,11 @@ type Logistic struct {
 func NewLogistic(seed int64) *Logistic {
 	return &Logistic{Epochs: 50, LearningRate: 0.1, L2: 1e-4, Seed: seed}
 }
+
+var _ Trainer = (*Logistic)(nil)
+
+// String makes experiment tables self-describing.
+func (t *Logistic) String() string { return fmt.Sprintf("logistic(epochs=%d)", t.Epochs) }
 
 // Train implements Trainer.
 func (t *Logistic) Train(X [][]float64, y []int, q int) (Model, error) {

@@ -1,6 +1,7 @@
 package classify
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 )
@@ -17,6 +18,11 @@ type SVM struct {
 
 // NewSVM returns a trainer with Pegasos defaults.
 func NewSVM(seed int64) *SVM { return &SVM{Epochs: 40, Lambda: 1e-3, Seed: seed} }
+
+var _ Trainer = (*SVM)(nil)
+
+// String makes experiment tables self-describing.
+func (t *SVM) String() string { return fmt.Sprintf("svm(epochs=%d)", t.Epochs) }
 
 // Train implements Trainer.
 func (t *SVM) Train(X [][]float64, y []int, q int) (Model, error) {

@@ -461,3 +461,115 @@ func TestShardRefsInvisibleToServing(t *testing.T) {
 		t.Fatalf("listed %+v, want name=test hash=sha256:%s", got, hash)
 	}
 }
+
+// corruptMid flips one bit in the middle of a blob.
+func corruptMid(b []byte) []byte { b[len(b)/2] ^= 0x20; return b }
+
+// TestV1PinToDamagedVersionIs500: with a live engine, a pin to an older
+// version whose blob is damaged has no bytes left that hash to it — the
+// engine has moved past it and the loaded graph rebuilds only the base
+// version — so classify, rank and diff answer 500 instead of serving the
+// engine's current version under the pin.
+func TestV1PinToDamagedVersionIs500(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestServer(t, testGraph(20), fastConfig(), func(o *Options) { o.ModelDir = dir })
+	var older string
+	for b := 0; b < 2; b++ {
+		rec, res := postIngest(t, s, &IngestRequest{Model: "test", Deltas: ingestDeltas(b)})
+		if res == nil {
+			t.Fatalf("ingest %d: status %d: %s", b, rec.Code, rec.Body.String())
+		}
+		if b == 0 {
+			older = res.NewHash
+		}
+	}
+	damageBlob(t, dir, strings.TrimPrefix(older, "sha256:"), corruptMid)
+
+	pin := "test@" + older
+	for _, req := range []struct{ method, url, body string }{
+		{http.MethodPost, "/v1/classify", fmt.Sprintf(`{"model":%q,"seeds":[0]}`, pin)},
+		{http.MethodGet, "/v1/rank?model=" + pin, ""},
+		{http.MethodGet, "/v1/diff?a=" + pin + "&b=test", ""},
+	} {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(req.method, req.url, strings.NewReader(req.body)))
+		if rec.Code != http.StatusInternalServerError {
+			t.Errorf("%s %s: status %d, want 500: %s", req.method, req.url, rec.Code, rec.Body.String())
+		}
+	}
+}
+
+// TestArtifactPinDamagedAtOtherTopKIs500: a damaged blob compiled at
+// FeatureTopK = 3, pinned on a FeatureTopK = 0 server with no engine. The
+// loaded graph rebuilds at FeatureTopK = 0 to other bytes, so the pin is
+// a 500; the floating name still falls back to that rebuild and echoes
+// the rebuild's own hash.
+func TestArtifactPinDamagedAtOtherTopKIs500(t *testing.T) {
+	g := testGraph(40)
+	built := fastConfig()
+	built.FeatureTopK = 3
+	dir, hash := buildRegistry(t, "test", g, built)
+	damageBlob(t, dir, hash, corruptMid)
+	s := newTestServer(t, g, fastConfig(), func(o *Options) { o.ModelDir = dir })
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	seeds := classSeeds(g, 0)
+	resp, body := postClassify(t, ts.URL, &ClassifyRequest{Model: "test@sha256:" + hash, Seeds: seeds})
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("pin: status %d, want 500: %s", resp.StatusCode, body)
+	}
+	if got := classifyScores(t, ts.URL, &ClassifyRequest{Model: "test", Seeds: seeds}); got.ModelHash == "sha256:"+hash || got.ModelHash == "" {
+		t.Fatalf("floating name echoed %q, want the FeatureTopK = 0 rebuild's own hash", got.ModelHash)
+	}
+}
+
+// TestArtifactChaosPinnedRebuild: a damaged blob whose loaded graph
+// rebuilds to the same bytes still answers its pin with its own hash and
+// bitwise the pristine blob's scores, under the base config and under a
+// request override alike. The bare sha256: pin names no graph, so it is
+// a 500 until the named pin's rebuild is cached; from then on it is
+// answered by that entry, because a pin keys on its hash however it is
+// spelled.
+func TestArtifactChaosPinnedRebuild(t *testing.T) {
+	g := testGraph(60)
+	cfg := fastConfig()
+	seeds := classSeeds(g, 1)
+	alpha := 0.6
+
+	pristineDir, hash := buildRegistry(t, "test", g, cfg)
+	pristine := newTestServer(t, g, cfg, func(o *Options) { o.ModelDir = pristineDir })
+	tsPristine := httptest.NewServer(pristine.Handler())
+	pin := "test@sha256:" + hash
+	want := classifyScores(t, tsPristine.URL, &ClassifyRequest{Model: pin, Seeds: seeds})
+	wantAlpha := classifyScores(t, tsPristine.URL, &ClassifyRequest{Model: pin, Seeds: seeds, Alpha: &alpha})
+	tsPristine.Close()
+
+	dir, _ := buildRegistry(t, "test", g, cfg)
+	damageBlob(t, dir, hash, corruptMid)
+	s := newTestServer(t, g, cfg, func(o *Options) { o.ModelDir = dir })
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	if resp, body := postClassify(t, ts.URL, &ClassifyRequest{Model: "sha256:" + hash, Seeds: seeds}); resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("bare pin before any rebuild: status %d, want 500: %s", resp.StatusCode, body)
+	}
+	for _, c := range []struct {
+		name string
+		req  *ClassifyRequest
+		want *ClassifyResponse
+	}{
+		{"named pin", &ClassifyRequest{Model: pin, Seeds: seeds}, want},
+		{"named pin, alpha override", &ClassifyRequest{Model: pin, Seeds: seeds, Alpha: &alpha}, wantAlpha},
+		{"bare pin after the rebuild", &ClassifyRequest{Model: "sha256:" + hash, Seeds: seeds}, want},
+	} {
+		got := classifyScores(t, ts.URL, c.req)
+		if got.ModelHash != "sha256:"+hash {
+			t.Fatalf("%s: echoed %q, want sha256:%s", c.name, got.ModelHash, hash)
+		}
+		checkBitwise(t, got.Scores, c.want.Scores)
+	}
+	if s.met.artifactFails.Load() == 0 {
+		t.Fatal("damage served without a verify_fail tick")
+	}
+}

@@ -18,8 +18,11 @@ package serve
 // mapped blobs are therefore at most the cache capacity plus the
 // retired entries that still have borrowers. Entries built from a live
 // ingest engine's in-memory version, or from a raw graph, hold no
-// artifact and map nothing; only pinned and artifact-only activations
-// do.
+// artifact and map nothing; only blob activations do.
+//
+// An entry leaves the cache by eviction, by quarantine or by drain, and
+// no other way: every key names fixed bytes (see source), so no entry
+// ever goes stale.
 
 import (
 	"container/list"
@@ -33,13 +36,13 @@ import (
 	"tmark/internal/tmark"
 )
 
-// modelKey identifies one warm model: the resolved model source plus
-// the full hyperparameter set. name is the loaded-graph name usable for
-// a (re)build — empty for a model reachable only through the artifact
-// store; hash is the resolved artifact content hash — empty for a model
-// served from a raw graph with no artifact. At least one is set.
-// tmark.Config is a flat comparable struct, so the key works directly
-// as a map key.
+// modelKey identifies one warm model: the bytes it serves plus the full
+// hyperparameter set. A hash alone names exact bytes — a pin, or a live
+// engine's committed version — and every build of the key hashes to it.
+// A name with a hash is a floating name the registry resolved to that
+// blob, with the name's graph as its rebuild fallback; a name alone is a
+// model built from its loaded graph. tmark.Config is a flat comparable
+// struct, so the key works directly as a map key.
 type modelKey struct {
 	name string
 	hash string
@@ -54,10 +57,11 @@ func (k modelKey) display() string {
 	return "sha256-" + k.hash[:16]
 }
 
-// buildResult is what the cache's build function hands back: the
-// servable model, the content hash identifying the substrate it runs on
-// (the blob's hash for an artifact activation, the canonical encoding's
-// hash for a raw build), and — for activations — the backing artifact.
+// buildResult is what a builder hands back: the servable model, the
+// content hash identifying the substrate it runs on (the blob's hash for
+// an artifact activation, the version's hash for an engine build, the
+// canonical encoding's hash for a raw build), and — for activations —
+// the backing artifact.
 type buildResult struct {
 	model *tmark.Model
 	hash  string
@@ -132,7 +136,6 @@ type modelCache struct {
 	capacity int
 	entries  map[modelKey]*warmModel
 	order    *list.List // front = most recently used
-	build    func(modelKey) (buildResult, error)
 	newCoal  func(*tmark.Model) *coalescer
 	met      *metrics
 	rankCtx  context.Context // every entry's /v1/rank solve context
@@ -142,7 +145,7 @@ type modelCache struct {
 	artifactsOpen atomic.Int64
 }
 
-func newModelCache(rankCtx context.Context, capacity int, build func(modelKey) (buildResult, error), newCoal func(*tmark.Model) *coalescer, met *metrics) *modelCache {
+func newModelCache(rankCtx context.Context, capacity int, newCoal func(*tmark.Model) *coalescer, met *metrics) *modelCache {
 	if capacity < 1 {
 		capacity = 1
 	}
@@ -151,19 +154,18 @@ func newModelCache(rankCtx context.Context, capacity int, build func(modelKey) (
 		capacity: capacity,
 		entries:  make(map[modelKey]*warmModel),
 		order:    list.New(),
-		build:    build,
 		newCoal:  newCoal,
 		met:      met,
 	}
 }
 
-// get returns the ready warm model for key, building it on a miss, and
-// leases it: the caller must release the entry once it is done with the
-// model. The build runs outside the cache lock (models can be
+// get returns the ready warm model for key, building it with build on a
+// miss, and leases it: the caller must release the entry once it is done
+// with the model. The build runs outside the cache lock (models can be
 // expensive), with duplicate requests for the same key waiting on the
 // first builder. Failed builds are not cached: the placeholder is
 // removed so a later request can retry.
-func (c *modelCache) get(key modelKey) (*warmModel, error) {
+func (c *modelCache) get(key modelKey, build builder) (*warmModel, error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.order.MoveToFront(e.elem)
@@ -213,7 +215,7 @@ func (c *modelCache) get(key modelKey) (*warmModel, error) {
 		}(old)
 	}
 
-	br, err := c.buildSafe(key)
+	br, err := c.buildSafe(key, build)
 	if err != nil {
 		e.err = err
 		close(e.ready)
@@ -276,7 +278,7 @@ func (c *modelCache) closeArtifacts(es ...*warmModel) {
 // build fails like an erroring one — the placeholder entry is removed
 // so the next request retries the build — instead of tearing down the
 // request goroutine with waiters still parked on the entry.
-func (c *modelCache) buildSafe(key modelKey) (br buildResult, err error) {
+func (c *modelCache) buildSafe(key modelKey, build builder) (br buildResult, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			br, err = buildResult{}, fmt.Errorf("%w: model build panicked: %v", ErrModelFault, rec)
@@ -291,7 +293,7 @@ func (c *modelCache) buildSafe(key modelKey) (br buildResult, err error) {
 		}
 		fault.Fire(fault.ServeModelBuild, key.display())
 	}
-	return c.build(key)
+	return build()
 }
 
 // quarantine drops a faulting entry from the cache so the next request
@@ -302,8 +304,8 @@ func (c *modelCache) buildSafe(key modelKey) (br buildResult, err error) {
 // ErrModelFault, never a wrong answer. Only an entry still in the cache
 // is quarantined, so each is counted and stopped at most once: a fault
 // on an entry that has already left it (quarantined by an overlapping
-// batch, or evicted, invalidated or drained) changes nothing, because
-// whatever retired the entry has already stopped its coalescer.
+// batch, or evicted or drained) changes nothing, because whatever
+// retired the entry has already stopped its coalescer.
 func (c *modelCache) quarantine(e *warmModel) {
 	c.mu.Lock()
 	if e.retired {
@@ -324,39 +326,6 @@ func (c *modelCache) quarantine(e *warmModel) {
 			e.coal.stop()
 		}
 	}()
-}
-
-// invalidateName drops every entry that would rebuild name from its
-// mutable source (key.hash == ""): after an ingest moves the live
-// version, such entries serve pre-ingest state under a post-ingest
-// name. Hash-keyed entries stay — they are pinned immutable versions,
-// exactly what a mid-ingest reader is entitled to keep. Dropped
-// coalescers retire asynchronously after answering their queues, like
-// an eviction.
-func (c *modelCache) invalidateName(name string) {
-	c.mu.Lock()
-	var dropped, unleased []*warmModel
-	for k, e := range c.entries {
-		if k.name == name && k.hash == "" {
-			dropped = append(dropped, e)
-			if c.removeLocked(e) {
-				unleased = append(unleased, e)
-			}
-		}
-	}
-	c.mu.Unlock()
-	c.closeArtifacts(unleased...)
-	for _, e := range dropped {
-		if c.met != nil {
-			c.met.cacheEvictions.Inc()
-		}
-		go func(e *warmModel) {
-			<-e.ready
-			if e.coal != nil {
-				e.coal.stop()
-			}
-		}(e)
-	}
 }
 
 // snapshot returns the current entries without touching LRU order.

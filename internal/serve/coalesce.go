@@ -290,7 +290,7 @@ func (c *coalescer) solve(queries []tmark.ColumnQuery) (out []tmark.ColumnResult
 
 // stop closes intake and waits until every batch in flight and
 // everything still queued has been answered. Retiring a model
-// (eviction, quarantine, invalidation) leaves the solve context live,
+// (eviction, quarantine) leaves the solve context live,
 // so the accepted work finishes at full quality; the SIGTERM drain
 // cancels the parent context before it stops anything, so those solves
 // return within one solver iteration with partial results.

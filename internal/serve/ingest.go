@@ -19,9 +19,7 @@ import (
 	"net/http"
 	"path/filepath"
 
-	"tmark/internal/artifact"
 	"tmark/internal/stream"
-	"tmark/internal/tmark"
 	"tmark/internal/wal"
 )
 
@@ -144,30 +142,6 @@ func (s *Server) engineFor(name string) (*stream.Engine, error) {
 	return eng, nil
 }
 
-// buildFromEngine serves a cache build for a name with a live ingest
-// engine from the engine's current sealed version instead of the loaded
-// graph: the graph is frozen at startup, so once deltas have applied, a
-// rebuild from it would silently serve pre-ingest data under a
-// post-ingest name. Per-request hyperparameter overrides assemble a new
-// model over the same immutable substrate (O, R and W depend only on
-// the adjacency and features, not the runtime knobs).
-func (s *Server) buildFromEngine(eng *stream.Engine, key modelKey) (buildResult, error) {
-	v := eng.Current()
-	if key.cfg == eng.Config() {
-		return buildResult{model: v.Model, hash: v.Hash}, nil
-	}
-	g, sub := v.Model.Graph(), v.Model.Substrate()
-	m, err := tmark.Assemble(g, key.cfg, sub)
-	if err != nil {
-		return buildResult{}, err
-	}
-	data, err := artifact.EncodeModel(g, key.cfg, sub)
-	if err != nil {
-		return buildResult{}, err
-	}
-	return buildResult{model: m, hash: artifact.Hash(data)}, nil
-}
-
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
@@ -224,14 +198,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	// Cached warm models built from the pre-ingest engine state are now
-	// stale; drop them so the next resolve rebuilds against the new
-	// version. Entries keyed by content hash stay — they ARE pinned
-	// versions, exactly what mid-ingest readers hold. A duplicate moved
-	// nothing, so there is nothing to invalidate.
-	if !res.Duplicate {
-		s.cache.invalidateName(name)
-	}
 	writeJSON(w, http.StatusOK, &IngestResponse{
 		Model:          res.Name,
 		Seq:            res.Seq,
@@ -261,19 +227,15 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
+	top, err := parseQuery(q, "a", "b", "top")
 	refA, refB := q.Get("a"), q.Get("b")
-	if refA == "" || refB == "" {
-		s.met.errors.Inc()
-		writeError(w, http.StatusBadRequest, "a and b model references required")
-		return
+	if err == nil && (refA == "" || refB == "") {
+		err = errors.New("a and b model references required")
 	}
-	top := 0
-	if v := q.Get("top"); v != "" {
-		if _, err := fmt.Sscanf(v, "%d", &top); err != nil || top < 0 {
-			s.met.errors.Inc()
-			writeError(w, http.StatusBadRequest, "top must be a non-negative integer")
-			return
-		}
+	if err != nil {
+		s.met.errors.Inc()
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
 	}
 	_, ea, status, err := s.resolve(refA, nil)
 	if err == nil {

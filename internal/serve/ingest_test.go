@@ -133,16 +133,23 @@ func solveBlob(t *testing.T, reg *artifact.Registry, hash string, workers int, s
 		t.Fatalf("OpenRef(%s): %v", hash, err)
 	}
 	defer a.Close()
+	return solveArtifact(t, a, workers, seeds)
+}
+
+// solveArtifact activates a under its built config on the given worker
+// count and solves the oracle queries on it.
+func solveArtifact(t *testing.T, a *artifact.Artifact, workers int, seeds []int) blobOracle {
+	t.Helper()
 	cfg := a.BuiltConfig
 	cfg.Workers = workers // a deployment knob the blob does not store
 	m, err := a.Activate(cfg)
 	if err != nil {
-		t.Fatalf("Activate(%s): %v", hash, err)
+		t.Fatalf("Activate: %v", err)
 	}
 	out := blobOracle{cols: map[bool]tmark.ColumnResult{}, full: m.RunContext(context.Background())}
 	for _, ica := range []bool{false, true} {
 		if out.cols[ica], err = m.SolveColumn(context.Background(), tmark.ColumnQuery{Seeds: seeds, ICA: ica}); err != nil {
-			t.Fatalf("SolveColumn(%s, ica=%v): %v", hash, ica, err)
+			t.Fatalf("SolveColumn(ica=%v): %v", ica, err)
 		}
 	}
 	return out
@@ -548,6 +555,21 @@ func TestDiffEndpoint(t *testing.T) {
 	} {
 		if rec := get(url); rec.Code == http.StatusOK {
 			t.Errorf("%s unexpectedly succeeded", url)
+		}
+	}
+	// a, b and top are the only query keys, and top is a whole decimal
+	// count: each of these is a 400 naming what it refuses.
+	for _, c := range []struct{ url, want string }{
+		{"/v1/diff?a=test&b=test&top=1e2", "top must be a non-negative integer"},
+		{"/v1/diff?a=test&b=test&tops=1", `unknown query parameter "tops"`},
+	} {
+		rec := get(c.url)
+		var e ErrorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+			t.Fatalf("%s: decode: %v", c.url, err)
+		}
+		if rec.Code != http.StatusBadRequest || !strings.Contains(e.Error, c.want) {
+			t.Errorf("%s: status %d %q, want 400 with %q", c.url, rec.Code, e.Error, c.want)
 		}
 	}
 }

@@ -1,22 +1,36 @@
 package serve
 
-// Model sourcing. A warm model comes from one of three places: the
-// committed version of a live ingest engine, already in memory (what
-// name-only requests for an ingesting model resolve to); an artifact
-// blob resolved through the registry (mmap + verify + O(1) assemble);
-// or a raw build from a loaded graph (the cold path, also the fallback
-// when a resolved blob fails verification). Every entry carries the
-// content hash of the substrate it serves, echoed in every response,
-// so a client can pin the exact model that answered with
-// model@sha256:….
+// Model sourcing. One function, source, decides which bytes answer a
+// model reference, one rule per kind of reference:
+//
+//   - A pin (name@sha256:… or sha256:…) keys on its hash alone and is
+//     answered only by bytes that hash to it: the live engine's
+//     committed version when it is that version, else the verified
+//     blob, else a rebuild of the loaded graph that reproduces the hash.
+//   - A floating name with a live ingest engine keys on the version the
+//     engine had committed when the request resolved, served from that
+//     version's memory.
+//   - A floating name the registry knows activates its blob (mmap +
+//     verify + O(1) assemble), with the loaded graph as the rebuild
+//     fallback.
+//   - Any other name builds from its loaded graph.
+//
+// A key never outlives the bytes it names, so nothing is invalidated
+// when an ingest commits a version: the next floating read keys on the
+// new one and older entries age out of the LRU. Every entry carries the
+// content hash of the substrate it serves, echoed in every response, so
+// a client can pin the exact model that answered with model@sha256:….
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
 
 	"tmark/internal/artifact"
 	"tmark/internal/fault"
+	"tmark/internal/hin"
+	"tmark/internal/stream"
 	"tmark/internal/tmark"
 )
 
@@ -28,80 +42,147 @@ func (e *warmModel) contentHash() string {
 	return "sha256:" + e.hash
 }
 
-// buildModel is the cache's build function: the engine's in-memory
-// version when the key names exactly that version and config, artifact
-// activation when the key resolved to any other blob, raw graph build
-// otherwise — and, when a resolved blob turns out corrupt, truncated or
-// incompatible, the raw build as fallback so a damaged model store
-// degrades to slow cold starts instead of an outage.
-func (s *Server) buildModel(key modelKey) (buildResult, error) {
-	var actErr error
-	if key.hash != "" {
-		if eng := s.engine(key.name); eng != nil && key.cfg == eng.Config() {
-			// The engine holds this version in memory, exactly as it
-			// encoded, hashed and sealed it: serve that, with no blob to
-			// map, checksum or verify. Like any build from the engine, it
-			// counts as an artifact miss.
-			if v := eng.Current(); v.Hash == key.hash {
-				s.met.artifactMisses.Inc()
-				return buildResult{model: v.Model, hash: v.Hash}, nil
-			}
-		}
-		br, err := s.activateArtifact(key)
-		if err == nil {
-			s.met.artifactHits.Inc()
-			return br, nil
-		}
-		s.met.artifactFails.Inc()
-		if key.name == "" {
-			// Nothing to rebuild from: the reference named only bytes.
-			return buildResult{}, fmt.Errorf("serve: artifact sha256:%s failed verification with no graph fallback: %w", key.hash, err)
-		}
-		actErr = err
-	}
-	g, ok := s.opts.Datasets[key.name]
-	if !ok {
-		return buildResult{}, fmt.Errorf("serve: unknown model %q", key.name)
-	}
-	if key.hash == "" {
-		s.met.artifactMisses.Inc()
-	}
-	if eng := s.engine(key.name); eng != nil {
-		// The loaded graph froze at startup; once a live ingest engine
-		// exists for the name, deltas may have moved the model past it,
-		// and a raw rebuild would silently serve pre-ingest data. The
-		// engine's current sealed version is the truth.
-		br, err := s.buildFromEngine(eng, key)
-		if err == nil || actErr == nil {
-			return br, err
-		}
-		return br, fmt.Errorf("%w (after artifact fallback: %v)", err, actErr)
-	}
-	m, err := tmark.New(g, key.cfg)
+// builder builds the warm model of one cache key.
+type builder func() (buildResult, error)
+
+// source resolves the model reference name under config cfg to the
+// cache key naming the bytes that answer it and the builder producing
+// them, or to the HTTP status and error of a reference that names no
+// servable model.
+func (s *Server) source(name string, cfg tmark.Config) (modelKey, builder, int, error) {
+	ref, err := artifact.ParseRef(name)
 	if err != nil {
-		if actErr != nil {
-			err = fmt.Errorf("%w (after artifact fallback: %v)", err, actErr)
+		// New holds every dataset name to the reference grammar, so a
+		// malformed reference names no model.
+		return modelKey{}, nil, http.StatusNotFound, fmt.Errorf("unknown model %q", name)
+	}
+	g := s.opts.Datasets[ref.Name]
+	if eng := s.engine(ref.Name); eng != nil {
+		// A floating name reads the committed version, not refs/<name>: the
+		// engine re-tags that mid-apply, before the version commits, and
+		// reading it costs a file read per request. A pin of that version
+		// is answered from it too.
+		if v := eng.Current(); ref.Hash == "" || ref.Hash == v.Hash {
+			return modelKey{hash: v.Hash, cfg: cfg}, func() (buildResult, error) { return s.fromVersion(v, cfg) }, http.StatusOK, nil
 		}
+	}
+	if s.registry != nil {
+		switch h, err := s.registry.Resolve(ref); {
+		case err == nil:
+			key := modelKey{hash: h, cfg: cfg}
+			rebuild := func() (buildResult, error) { return s.reproduce(g, h, cfg) }
+			if ref.Hash == "" {
+				// A floating name falls back to whatever its graph rebuilds
+				// to, so it keys apart from the pins of the blob it names.
+				key.name = ref.Name
+				rebuild = func() (buildResult, error) { return fromGraph(g, cfg) }
+			}
+			if g == nil {
+				rebuild = nil
+			}
+			return key, func() (buildResult, error) { return s.fromBlob(h, cfg, rebuild) }, http.StatusOK, nil
+		case !errors.Is(err, artifact.ErrNotFound):
+			return modelKey{}, nil, http.StatusInternalServerError, err
+		}
+	}
+	if g == nil || ref.Hash != "" {
+		// A pin nothing here holds names no model: a rebuild is tried only
+		// for a pin whose blob is on file.
+		return modelKey{}, nil, http.StatusNotFound, fmt.Errorf("unknown model %q", name)
+	}
+	return modelKey{name: ref.Name, cfg: cfg}, func() (buildResult, error) {
+		s.met.artifactMisses.Inc()
+		return fromGraph(g, cfg)
+	}, http.StatusOK, nil
+}
+
+// fromVersion serves an engine's committed version from memory, exactly
+// as the engine encoded, hashed and sealed it, with no blob to map,
+// checksum or verify. It echoes the version's hash under any config, as
+// an activation of the version's blob does, and counts as an artifact
+// miss, as a graph build does.
+func (s *Server) fromVersion(v *stream.Version, cfg tmark.Config) (buildResult, error) {
+	s.met.artifactMisses.Inc()
+	m, err := withConfig(v.Model, cfg)
+	if err != nil {
 		return buildResult{}, err
 	}
-	// The canonical encoding names the rebuilt model too: deterministic
-	// compilation means a rebuild and the blob `tmark build` would write
-	// share one identity, so responses stay pinnable either way.
-	data, err := artifact.EncodeModel(g, key.cfg, m.Substrate())
+	return buildResult{model: m, hash: v.Hash}, nil
+}
+
+// fromBlob activates the blob filed under hash. When the blob turns out
+// corrupt, truncated or incompatible, rebuild stands in, so a damaged
+// model store degrades to slow cold starts instead of an outage; with no
+// rebuild the failure is the answer.
+func (s *Server) fromBlob(hash string, cfg tmark.Config, rebuild builder) (buildResult, error) {
+	br, actErr := s.activate(hash, cfg)
+	if actErr == nil {
+		s.met.artifactHits.Inc()
+		return br, nil
+	}
+	s.met.artifactFails.Inc()
+	if rebuild == nil {
+		return buildResult{}, fmt.Errorf("serve: artifact sha256:%s failed verification with no graph fallback: %w", hash, actErr)
+	}
+	br, err := rebuild()
+	if err != nil {
+		return buildResult{}, fmt.Errorf("%w (after artifact fallback: %v)", err, actErr)
+	}
+	return br, nil
+}
+
+// reproduce rebuilds a pinned version from its loaded graph. The pin
+// fixes the bytes, so the rebuild runs under the server's own config —
+// the one every version this server seals is compiled under — and serves
+// only if its canonical encoding hashes to the pin; cfg then assembles
+// over the rebuilt substrate, as it would over the blob's.
+func (s *Server) reproduce(g *hin.Graph, hash string, cfg tmark.Config) (buildResult, error) {
+	br, err := fromGraph(g, s.opts.Config)
+	if err != nil {
+		return buildResult{}, err
+	}
+	if br.hash != hash {
+		return buildResult{}, fmt.Errorf("serve: the loaded graph rebuilds to sha256:%s, not the pinned sha256:%s", br.hash, hash)
+	}
+	if br.model, err = withConfig(br.model, cfg); err != nil {
+		return buildResult{}, err
+	}
+	return br, nil
+}
+
+// fromGraph builds the model for (g, cfg) from scratch. The canonical
+// encoding names it: deterministic compilation means a rebuild and the
+// blob `tmark build` would write share one identity, so responses stay
+// pinnable either way.
+func fromGraph(g *hin.Graph, cfg tmark.Config) (buildResult, error) {
+	m, err := tmark.New(g, cfg)
+	if err != nil {
+		return buildResult{}, err
+	}
+	data, err := artifact.EncodeModel(g, cfg, m.Substrate())
 	if err != nil {
 		return buildResult{}, err
 	}
 	return buildResult{model: m, hash: artifact.Hash(data)}, nil
 }
 
-// activateArtifact opens, verifies and assembles the blob a key
-// resolved to. Every failure — unreadable file, truncation, checksum or
-// content-hash mismatch, incompatible stored channel — comes back as an
-// error for buildModel's fallback logic; none of them can produce a
-// model that serves wrong answers, because nothing unverified reaches
-// the kernels.
-func (s *Server) activateArtifact(key modelKey) (buildResult, error) {
-	a, _, err := s.registry.OpenRef(artifact.Ref{Hash: key.hash})
+// withConfig serves cfg over m's substrate: m itself under its own
+// config, else a model assembled over the same immutable O, R and W,
+// which depend on the adjacency and features, not the runtime knobs.
+func withConfig(m *tmark.Model, cfg tmark.Config) (*tmark.Model, error) {
+	if cfg == m.Config() {
+		return m, nil
+	}
+	return tmark.Assemble(m.Graph(), cfg, m.Substrate())
+}
+
+// activate opens, verifies and assembles the blob filed under hash.
+// Every failure — unreadable file, truncation, checksum or content-hash
+// mismatch, incompatible stored channel — comes back as an error for
+// fromBlob's fallback; none of them can produce a model that serves
+// wrong answers, because nothing unverified reaches the kernels.
+func (s *Server) activate(hash string, cfg tmark.Config) (buildResult, error) {
+	a, _, err := s.registry.OpenRef(artifact.Ref{Hash: hash})
 	if err != nil {
 		return buildResult{}, err
 	}
@@ -116,14 +197,13 @@ func (s *Server) activateArtifact(key modelKey) (buildResult, error) {
 	// server's -topk only governs raw builds. A Gamma mismatch (config
 	// wants a feature channel, artifact stores none) still fails:
 	// Gamma is request-controlled arithmetic the substrate cannot fake.
-	cfg := key.cfg
 	cfg.FeatureTopK = a.BuiltConfig.FeatureTopK
 	m, err := a.Activate(cfg)
 	if err != nil {
 		a.Close()
 		return buildResult{}, err
 	}
-	return buildResult{model: m, hash: key.hash, art: a}, nil
+	return buildResult{model: m, hash: hash, art: a}, nil
 }
 
 // ModelInfo is one /v1/models listing entry.

@@ -7,8 +7,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"os"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,7 +52,9 @@ type Options struct {
 	// a request's model name that the registry knows activates by
 	// mmapping the compiled blob (O(ms)) instead of rebuilding from the
 	// raw graph; a name the registry does not know, or whose blob fails
-	// verification, falls back to the loaded graph of the same name.
+	// verification, falls back to the loaded graph of the same name. A
+	// pinned reference (name@sha256:…) is answered only by bytes that
+	// hash to its pin.
 	ModelDir string
 	// Config is the base hyperparameter set; the zero value means
 	// tmark.DefaultConfig(). Per-request overrides derive new cache keys
@@ -131,8 +136,7 @@ type Server struct {
 	// drainCtx is the parent of every coalescer's solve context and the
 	// context of every /v1/rank solve. Drain cancels it first, which reaches
 	// the solves of cached models, of models still building and of models
-	// already evicted, quarantined or invalidated but still answering
-	// their queues.
+	// already evicted or quarantined but still answering their queues.
 	drainCtx    context.Context
 	drainCancel context.CancelFunc
 
@@ -301,7 +305,6 @@ func New(opts Options) (*Server, error) {
 	s.slots = slots
 	s.drainCtx, s.drainCancel = context.WithCancel(context.Background())
 	s.cache = newModelCache(s.drainCtx, opts.CacheSize,
-		s.buildModel,
 		func(m *tmark.Model) *coalescer {
 			return newCoalescer(s.drainCtx, m, opts.MaxBatch, opts.QueueDepth, slots, s.met)
 		},
@@ -464,13 +467,8 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // resolve maps a request's model reference + overrides onto a warm
-// model. The reference resolves artifact-first: a name (or pin) the
-// registry knows activates the compiled blob, a name it does not know
-// builds from the loaded graph of that name, and a name known to both
-// is the designed pairing — the blob serves, the graph stands by as the
-// rebuild fallback should the blob fail verification. The returned
-// entry is leased: the caller releases it (s.cache.release) once it is
-// done with the model.
+// model, sourced by source's rules. The returned entry is leased: the
+// caller releases it (s.cache.release) once it is done with the model.
 func (s *Server) resolve(name string, req *ClassifyRequest) (string, *warmModel, int, error) {
 	if name == "" {
 		name = s.opts.Default
@@ -496,11 +494,11 @@ func (s *Server) resolve(name string, req *ClassifyRequest) (string, *warmModel,
 			return name, nil, http.StatusBadRequest, err
 		}
 	}
-	key, status, err := s.modelKeyFor(name, cfg)
+	key, build, status, err := s.source(name, cfg)
 	if err != nil {
 		return name, nil, status, err
 	}
-	e, err := s.cache.get(key)
+	e, err := s.cache.get(key, build)
 	if err != nil {
 		// A faulted (panicked) build is transient by construction — the
 		// entry was dropped, so a later request rebuilds from scratch —
@@ -520,47 +518,6 @@ func (s *Server) resolve(name string, req *ClassifyRequest) (string, *warmModel,
 		}
 	}
 	return name, e, http.StatusOK, nil
-}
-
-// modelKeyFor resolves a model reference to the cache key it denotes:
-// the graph name available for builds, the artifact hash available for
-// activation, or both. On a registry-backed server an unpinned name
-// with a live ingest engine floats on the engine's committed version,
-// which buildModel serves from memory.
-func (s *Server) modelKeyFor(name string, cfg tmark.Config) (modelKey, int, error) {
-	key := modelKey{cfg: cfg}
-	ref, err := artifact.ParseRef(name)
-	if err != nil {
-		// New holds every dataset name to the reference grammar, so a
-		// malformed reference names no model.
-		return key, http.StatusNotFound, fmt.Errorf("unknown model %q", name)
-	}
-	if _, ok := s.opts.Datasets[ref.Name]; ok {
-		key.name = ref.Name
-	}
-	if s.registry != nil {
-		if eng := s.engine(key.name); eng != nil && ref.Hash == "" {
-			// Not refs/<name>: the engine re-tags it mid-apply, before the
-			// version commits, and reading it costs a file read per request.
-			key.hash = eng.Current().Hash
-			return key, http.StatusOK, nil
-		}
-		switch h, err := s.registry.Resolve(ref); {
-		case err == nil:
-			key.hash = h
-		case !errors.Is(err, artifact.ErrNotFound):
-			return key, http.StatusInternalServerError, err
-		case ref.Hash != "":
-			// A pin names exact bytes; a rebuild cannot honour it.
-			return key, http.StatusNotFound, fmt.Errorf("unknown model %q", name)
-		}
-	} else if ref.Hash != "" {
-		return key, http.StatusNotFound, fmt.Errorf("model %q is pinned but no model directory is configured", name)
-	}
-	if key.name == "" && key.hash == "" {
-		return key, http.StatusNotFound, fmt.Errorf("unknown model %q", name)
-	}
-	return key, http.StatusOK, nil
 }
 
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
@@ -675,23 +632,11 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	for key := range q {
-		if key != "model" && key != "top" && key != "quality" {
-			// Refused like an unknown classify field, so a misspelt or
-			// retired parameter fails loudly instead of falling back to
-			// the default model or to every link type.
-			s.met.errors.Inc()
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown query parameter %q: want model, top or quality", key))
-			return
-		}
-	}
-	top := 0
-	if v := q.Get("top"); v != "" {
-		if _, err := fmt.Sscanf(v, "%d", &top); err != nil || top < 0 {
-			s.met.errors.Inc()
-			writeError(w, http.StatusBadRequest, "top must be a non-negative integer")
-			return
-		}
+	top, err := parseQuery(q, "model", "top", "quality")
+	if err != nil {
+		s.met.errors.Inc()
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
 	}
 	quality, err := tmark.ParseQuality(q.Get("quality"))
 	if err != nil {
@@ -737,6 +682,30 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	}
 	s.cache.release(e)
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// parseQuery vets a GET endpoint's query string and returns its top
+// parameter. Every key must be one of keys: an unknown key is refused
+// like an unknown classify field, so a misspelt or retired parameter
+// fails loudly instead of falling back to a default. top, when present,
+// must be a non-negative decimal integer and nothing else; absent, it
+// is 0.
+func parseQuery(q url.Values, keys ...string) (int, error) {
+	for key := range q {
+		if !slices.Contains(keys, key) {
+			want := strings.Join(keys[:len(keys)-1], ", ") + " or " + keys[len(keys)-1]
+			return 0, fmt.Errorf("unknown query parameter %q: want %s", key, want)
+		}
+	}
+	v := q.Get("top")
+	if v == "" {
+		return 0, nil
+	}
+	top, err := strconv.Atoi(v)
+	if err != nil || top < 0 {
+		return 0, errors.New("top must be a non-negative integer")
+	}
+	return top, nil
 }
 
 // topNodeScores ranks the nodes by score, descending, ties broken by

@@ -335,6 +335,21 @@ func TestRankEndpoint(t *testing.T) {
 			t.Errorf("GET /v1/rank%s: status %d %q, want 400 naming the unknown parameter", query, resp.StatusCode, e.Error)
 		}
 	}
+	// top is a whole decimal count: nothing after its digits is ignored.
+	for _, query := range []string{"?model=test&top=3.9", "?model=test&top=0x10"} {
+		resp, err := http.Get(ts.URL + "/v1/rank" + query)
+		if err != nil {
+			t.Fatalf("GET /v1/rank%s: %v", query, err)
+		}
+		var e ErrorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "top must be a non-negative integer") {
+			t.Errorf("GET /v1/rank%s: status %d %q, want 400 refusing top", query, resp.StatusCode, e.Error)
+		}
+	}
 
 	model, err := tmark.New(g, cfg)
 	if err != nil {
@@ -538,12 +553,11 @@ func (b *readSignal) Read(p []byte) (int, error) {
 	return b.ReadCloser.Read(p)
 }
 
-// TestDrainCancelsRetiredCoalescer: a batch in flight on a model that an
-// ingest-style invalidation has already dropped from the cache is still
-// cancelled by Drain, so its request gets a partial result within one
-// iteration and Drain does not wait out a full solve. The batch is held
-// at the solve fault point while the model is dropped and the drain
-// starts.
+// TestDrainCancelsRetiredCoalescer: a batch in flight on a model that a
+// quarantine has already dropped from the cache is still cancelled by
+// Drain, so its request gets a partial result within one iteration and
+// Drain does not wait out a full solve. The batch is held at the solve
+// fault point while the model is dropped and the drain starts.
 func TestDrainCancelsRetiredCoalescer(t *testing.T) {
 	g := testGraph(60)
 	s := newTestServer(t, g, slowServeConfig(), nil)
@@ -583,9 +597,9 @@ func TestDrainCancelsRetiredCoalescer(t *testing.T) {
 		t.Fatalf("batch never reached the solver")
 	}
 
-	s.cache.invalidateName("test")
+	s.cache.quarantine(s.cache.snapshot()[0])
 	if n := s.cache.size(); n != 0 {
-		t.Fatalf("cache holds %d entries after invalidation, want 0", n)
+		t.Fatalf("cache holds %d entries after quarantine, want 0", n)
 	}
 	drained := make(chan struct{})
 	go func() { s.Drain(); close(drained) }()
