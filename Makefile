@@ -72,16 +72,18 @@ accel-equivalence:
 	$(GO) test -count=1 -run 'TestAccelGolden|TestFastGolden' -v ./internal/experiments/
 	$(GO) test -count=1 -run 'TestAcceleration|TestSolveColumnQualityTiers|TestSolveColumnsMixedQuality|TestRunApproximate|TestQualityPrecedence|TestFastTier' ./internal/tmark/
 
-# The streaming-ingest equivalence suite: incremental tensor updates
-# bitwise identical to a from-scratch rebuild (engine property tests +
-# touched-column/tube renormalisation), warm re-solves landing on the
-# cold solve's exact predictions on the golden networks in ≥3× fewer
-# iterations, the serve-layer ingest/diff endpoints, the version-pinning
-# guarantee for readers racing an ingest, and the `tmark diff` golden.
-# The focused CI job runs this.
+# The streaming-ingest equivalence suite: every sealed version bitwise
+# identical to a from-scratch build of the mutated graph (engine
+# property tests), the raw-adjacency merge equal entry for entry to a
+# from-scratch tensor with the same O, R and irreducibility flag, and
+# the checks that wrap a raw adjacency for those constructors; warm
+# re-solves landing on the cold solve's exact predictions on the golden
+# networks in ≥3× fewer iterations, the serve-layer ingest/diff
+# endpoints, the version-pinning guarantee for readers racing an
+# ingest, and the `tmark diff` golden. The focused CI job runs this.
 stream-equivalence:
 	$(GO) test -count=1 ./internal/stream/
-	$(GO) test -count=1 -run 'TestIncremental|TestMerge|TestRenormalize' ./internal/tensor/
+	$(GO) test -count=1 -run 'TestIncremental|TestMerge|TestAtKJI|TestFromKJI' ./internal/tensor/
 	$(GO) test -count=1 -run 'TestRunWarm' ./internal/tmark/
 	$(GO) test -count=1 -run 'TestIngest|TestDiff' ./internal/serve/
 	$(GO) test -count=1 -run 'TestDiffGolden|TestLoadDeltas' ./cmd/tmark/

@@ -2,11 +2,12 @@ package main
 
 // `tmark ingest` is the offline twin of tmarkd's POST /v1/ingest: it
 // loads a network, applies one batched edge-delta mutation through the
-// streaming engine — renormalising only the touched tensor columns and
-// tubes — seals the resulting model version into the registry, and
-// prints the new name@sha256:… reference. The engine solves the base
-// model first so the post-ingest re-solve warm-restarts from the
-// previous stationary state, exactly as the long-running daemon would.
+// streaming engine — merging it into the raw adjacency and rebuilding
+// O and R from that — seals the resulting model version into the
+// registry, and prints the new name@sha256:… reference. The engine
+// solves the base model first so the post-ingest re-solve warm-restarts
+// from the previous stationary state, exactly as the long-running
+// daemon would.
 //
 // Usage:
 //

@@ -1,9 +1,9 @@
 package serve
 
 // Streaming ingest. POST /v1/ingest applies one batched edge-delta
-// mutation to a live model through its stream.Engine: the touched O
-// columns / R tubes renormalise incrementally, the new version seals
-// into the artifact registry under a fresh content hash, and the
+// mutation to a live model through its stream.Engine: the batch merges
+// into the raw adjacency, O and R are rebuilt from it, the new version
+// seals into the artifact registry under a fresh content hash, and the
 // stationary solve warm-restarts from the previous (x̄, z̄). The engine
 // then commits the version: from that point a name-only request
 // resolves to it and is answered from the engine's memory, while
@@ -70,7 +70,8 @@ type IngestResponse struct {
 	Deltas  int    `json:"deltas"`
 	Changes int    `json:"changes"`
 	// TouchedColumns/TouchedTubes count the O columns and R tubes the
-	// batch renormalised; everything else kept its previous bytes.
+	// batch touched. Normalisation is per column and per tube, so every
+	// other run kept its previous bytes.
 	TouchedColumns int `json:"touched_columns"`
 	TouchedTubes   int `json:"touched_tubes"`
 	// Sealed reports whether the version was written to the registry

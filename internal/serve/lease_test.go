@@ -193,6 +193,15 @@ func TestLeaseKeepsMappingThroughHeldBatch(t *testing.T) {
 	cfg := fastConfig()
 	s, dir, g := leaseServer(t, cfg)
 	e := s.cache.snapshot()[0]
+	// The warm-up batch answers its job before it frees its solve slot
+	// and leaves running. Wait it out: a collect that still saw it
+	// running would fold the second query below into the first one's
+	// batch, and the queue would never hold one job.
+	for deadline := time.Now().Add(10 * time.Second); e.coal.running.Load() > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the warm-up batch never ended")
+		}
+	}
 
 	held, resume := make(chan struct{}), make(chan struct{})
 	var first, abort atomic.Bool
@@ -215,10 +224,17 @@ func TestLeaseKeepsMappingThroughHeldBatch(t *testing.T) {
 
 	// With every solve slot taken, the dispatcher holds the first job at
 	// the gate and the second queues behind it; both then fold into one
-	// batch once the slots free up.
+	// batch once the slots free up. A failed check must free them too,
+	// or the server's Drain would wait on a batch that never gets one.
 	for i := 0; i < cap(s.slots); i++ {
 		s.slots <- struct{}{}
 	}
+	releaseSlots := sync.OnceFunc(func() {
+		for i := 0; i < cap(s.slots); i++ {
+			<-s.slots
+		}
+	})
+	t.Cleanup(releaseSlots)
 	ctxB, cancelB := context.WithCancel(context.Background())
 	defer cancelB()
 	seedsA, seedsB := classSeeds(g, 0), classSeeds(g, 1)
@@ -227,9 +243,7 @@ func TestLeaseKeepsMappingThroughHeldBatch(t *testing.T) {
 	go func() { doneA <- serveClassify(s, context.Background(), seedsA) }()
 	go func() { doneB <- serveClassify(s, ctxB, seedsB) }()
 	waitDepth(t, e.coal, 1)
-	for i := 0; i < cap(s.slots); i++ {
-		<-s.slots
-	}
+	releaseSlots()
 	select {
 	case <-held:
 	case <-time.After(10 * time.Second):

@@ -1,11 +1,11 @@
 package stream
 
 // The delta-size sweep behind BENCH_9.json: one op is a full ingest
-// batch — compose, touched-region renormalisation, canonical re-encode
-// and hash, warm re-solve — against a fixed random network. The
-// custom metrics put the warm-restart claim on record: warm_iters/op
-// is the average re-solve cost after each batch, cold_iters what the
-// same solve costs from scratch.
+// batch — compose, merge into the raw adjacency, O and R rebuilt from
+// it, canonical re-encode and hash, warm re-solve — against a fixed
+// random network. The custom metrics put the warm-restart claim on
+// record: warm_iters/op is the average re-solve cost after each batch,
+// cold_iters what the same solve costs from scratch.
 
 import (
 	"context"

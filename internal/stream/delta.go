@@ -1,6 +1,6 @@
 // Package stream maintains live, mutating HIN models: batched edge
-// deltas applied incrementally to the normalised tensor substrate
-// (renormalising only the touched O columns and R tubes), warm
+// deltas merged into the raw adjacency tensor, O and R rebuilt from the
+// merged adjacency by the constructors a from-scratch build runs, warm
 // re-solves seeded from the previous stationary (x̄, z̄), and a sealed
 // content-hash version per applied batch in the artifact registry.
 //
@@ -89,12 +89,11 @@ func ValidateDeltas(deltas []Delta) error {
 }
 
 // batchEffect is the composed, validated effect of one delta batch on
-// the raw adjacency: final per-coordinate values plus the touched
-// column/tube sets.
+// the raw adjacency: final per-coordinate values, (k, j, i)-sorted,
+// plus how many O columns (j, k) and R tubes (i, j) they lie in.
 type batchEffect struct {
-	kji, jik     []tensor.Change
-	touchedCols  map[[2]int32]bool // (j, k)
-	touchedTubes map[[2]int32]bool // (i, j)
+	kji                       []tensor.Change
+	touchedCols, touchedTubes int
 }
 
 // compose folds the batch, in order, into final per-coordinate raw
@@ -158,10 +157,8 @@ func compose(g *hin.Graph, ao tensor.COO, deltas []Delta) (*batchEffect, error) 
 			}
 		}
 	}
-	eff := &batchEffect{
-		touchedCols:  map[[2]int32]bool{},
-		touchedTubes: map[[2]int32]bool{},
-	}
+	eff := &batchEffect{}
+	cols, tubes := map[[2]int32]bool{}, map[[2]int32]bool{}
 	for c, st := range pending {
 		if !st.present && !st.inBase {
 			continue // created and destroyed within the batch: no effect
@@ -171,10 +168,10 @@ func compose(g *hin.Graph, ao tensor.COO, deltas []Delta) (*batchEffect, error) 
 			v = 0
 		}
 		eff.kji = append(eff.kji, tensor.Change{I: c[0], J: c[1], K: c[2], V: v})
-		eff.touchedCols[[2]int32{c[1], c[2]}] = true
-		eff.touchedTubes[[2]int32{c[0], c[1]}] = true
+		cols[[2]int32{c[1], c[2]}] = true
+		tubes[[2]int32{c[0], c[1]}] = true
 	}
-	eff.jik = append([]tensor.Change(nil), eff.kji...)
+	eff.touchedCols, eff.touchedTubes = len(cols), len(tubes)
 	sort.Slice(eff.kji, func(a, b int) bool {
 		x, y := eff.kji[a], eff.kji[b]
 		if x.K != y.K {
@@ -184,16 +181,6 @@ func compose(g *hin.Graph, ao tensor.COO, deltas []Delta) (*batchEffect, error) 
 			return x.J < y.J
 		}
 		return x.I < y.I
-	})
-	sort.Slice(eff.jik, func(a, b int) bool {
-		x, y := eff.jik[a], eff.jik[b]
-		if x.J != y.J {
-			return x.J < y.J
-		}
-		if x.I != y.I {
-			return x.I < y.I
-		}
-		return x.K < y.K
 	})
 	return eff, nil
 }

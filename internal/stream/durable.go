@@ -14,10 +14,10 @@ package stream
 //     past X.
 //
 //   - The committed state at any sequence point is a pure function of
-//     the raw adjacency there, and a full renormalisation of that
-//     adjacency is bitwise identical to the engine's incremental path.
-//     Recovery therefore proves its rebuild against the sealed history
-//     by content-hash equality before trusting it.
+//     the raw adjacency there: an apply, a replay and a recovery all
+//     build their substrate from it with substrateAt. Recovery
+//     therefore proves its rebuild against the sealed history by
+//     content-hash equality before trusting it.
 //
 // For the final, un-acknowledged record group (the crash window),
 // replay is at-least-once: each surviving record re-applies in order,
@@ -83,46 +83,33 @@ func fromWALDeltas(ds []wal.Delta) []Delta {
 	return out
 }
 
-// rebuildAt derives the full committed state at a raw adjacency: both
-// sort orders, the assembled model and the content hash it would seal
-// under. The W channel never moves with edges, so it is shared from the
-// base substrate; everything else is recomputed from scratch, which is
-// bitwise identical to the incremental path (renormalisation with every
-// column touched is the same arithmetic NewNodeTransition runs).
-func (e *Engine) rebuildAt(ao tensor.COO) (*tmark.Model, tensor.COO, string, error) {
-	ar := ao.SortedJIK()
-	all2 := func(int32, int32) bool { return true }
-	o, err := tensor.NodeTransitionFromRaw(tensor.RenormalizeNode(ao, tensor.NodeRaw{}, all2))
+// rebuildAt derives the full committed state at a raw adjacency: the
+// assembled model and the content hash it would seal under. The
+// substrate comes from substrateAt, as every applied batch's does, so
+// the rebuild is bitwise the version the engine sealed at that point.
+// substrateAt checks the adjacency before it builds anything, so a
+// damaged WAL snapshot is an error here, never a panic.
+func (e *Engine) rebuildAt(ao tensor.COO) (*tmark.Model, string, error) {
+	sub, err := e.substrateAt(ao)
 	if err != nil {
-		return nil, tensor.COO{}, "", fmt.Errorf("stream: rebuilt O failed validation: %w", err)
-	}
-	r, err := tensor.RelationTransitionFromRaw(tensor.RenormalizeRelation(ar, tensor.RelationRaw{}, all2))
-	if err != nil {
-		return nil, tensor.COO{}, "", fmt.Errorf("stream: rebuilt R failed validation: %w", err)
-	}
-	sub := tmark.Substrate{
-		O:           o,
-		R:           r,
-		WDense:      e.baseSub.WDense,
-		WCSR:        e.baseSub.WCSR,
-		Irreducible: ao.Irreducible(),
+		return nil, "", err
 	}
 	model, err := tmark.Assemble(e.g, e.cfg, sub)
 	if err != nil {
-		return nil, tensor.COO{}, "", err
+		return nil, "", err
 	}
 	data, err := artifact.EncodeModel(e.g, e.cfg, sub)
 	if err != nil {
-		return nil, tensor.COO{}, "", err
+		return nil, "", err
 	}
-	return model, ar, artifact.Hash(data), nil
+	return model, artifact.Hash(data), nil
 }
 
 // foldCommitted folds the log's committed records over (base, baseSeq]
 // up to and including target into a new raw adjacency. Only the last
 // record of each sequence group folds — the earlier members were clean
 // post-append rejections that never moved state. Composition is merge
-// only: no renormalisation, sealing or solving happens here.
+// only: no substrate build, sealing or solving happens here.
 func (e *Engine) foldCommitted(base tensor.COO, baseSeq, target uint64) (tensor.COO, error) {
 	recs := e.log.Records()
 	ao := base
@@ -160,7 +147,7 @@ func (e *Engine) replayLog(ctx context.Context) error {
 				snap.N, snap.M, e.g.N(), e.g.M())
 		}
 		ao := tensor.COO{N: snap.N, M: snap.M, I: snap.I, J: snap.J, K: snap.K, V: snap.V}
-		model, ar, hash, err := e.rebuildAt(ao)
+		model, hash, err := e.rebuildAt(ao)
 		if err != nil {
 			return fmt.Errorf("stream: wal snapshot at seq %d: %w", snap.Seq, err)
 		}
@@ -168,7 +155,7 @@ func (e *Engine) replayLog(ctx context.Context) error {
 			return fmt.Errorf("stream: wal snapshot at seq %d rebuilds to %s, snapshot sealed as %s",
 				snap.Seq, hash, snap.Hash)
 		}
-		e.ao, e.ar = ao, ar
+		e.ao = ao
 		e.commitLocked(&Version{Seq: int(snap.Seq), Hash: hash, Model: model})
 	}
 	for _, rec := range e.log.Records() {
@@ -215,7 +202,7 @@ func (e *Engine) recoverLocked(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("%w: recovery: %v (quarantined by: %v)", ErrQuarantined, err, cause)
 	}
-	model, ar, hash, err := e.rebuildAt(ao)
+	model, hash, err := e.rebuildAt(ao)
 	if err != nil {
 		return fmt.Errorf("%w: recovery: %v (quarantined by: %v)", ErrQuarantined, err, cause)
 	}
@@ -234,7 +221,7 @@ func (e *Engine) recoverLocked(ctx context.Context) error {
 	// The rebuild is proven: install it and lift the quarantine. The
 	// stationary cache is gone with the poisoned version, so the next
 	// Solve runs cold.
-	e.ao, e.ar = ao, ar
+	e.ao = ao
 	e.commitLocked(&Version{Seq: int(target), Hash: hash, Model: model})
 	e.poisoned = nil
 	e.met.recoveries.Inc()

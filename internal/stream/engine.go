@@ -101,7 +101,7 @@ type engineMetrics struct {
 }
 
 // Engine owns the mutable state of one live model: the raw adjacency in
-// both kernel sort orders, the current Version, and the registry the
+// its (k, j, i) order, the current Version, and the registry the
 // versions seal into. All methods are safe for concurrent use; Apply
 // calls serialise, and Current never waits for them.
 type Engine struct {
@@ -111,17 +111,12 @@ type Engine struct {
 	cfg  tmark.Config
 	reg  *artifact.Registry
 
-	ao, ar tensor.COO // raw adjacency, (k,j,i) and (j,i,k) orders
+	ao tensor.COO // raw adjacency of cur, (k,j,i)-ordered
 	// cur is the writer's committed version, under mu. pub publishes the
 	// same pointer to Current's lock-free readers; commitLocked moves both.
 	cur      *Version
 	pub      atomic.Pointer[Version]
 	poisoned error
-	// curO is cur's O in (k, j, i) order, as RenormalizeNode built it,
-	// when an apply committed cur; nil after any other commit. The next
-	// apply renormalises against it instead of rebuilding the order from
-	// O's row blocks (Raw).
-	curO *tensor.NodeRaw
 
 	// Durability state. srcAO and baseSub pin the pristine source
 	// adjacency and the base substrate (the W channel never moves with
@@ -164,7 +159,6 @@ func NewEngine(name string, g *hin.Graph, cfg tmark.Config, reg *artifact.Regist
 		cfg:      cfg,
 		reg:      reg,
 		ao:       ao,
-		ar:       ao.SortedJIK(),
 		srcAO:    ao,
 		baseSub:  m.Substrate(),
 		dedup:    map[string]*ApplyResult{},
@@ -199,7 +193,6 @@ func (e *Engine) Current() *Version { return e.pub.Load() }
 func (e *Engine) commitLocked(v *Version) {
 	e.cur = v
 	e.pub.Store(v)
-	e.curO = nil
 }
 
 // sealBlob writes an encoded version into reg and returns its content
@@ -259,8 +252,9 @@ type ApplyResult struct {
 	// coordinates it resolved to.
 	Deltas  int `json:"deltas"`
 	Changes int `json:"changes"`
-	// TouchedColumns/TouchedTubes count the O columns and R tubes that
-	// were renormalised; everything else kept its previous bytes.
+	// TouchedColumns/TouchedTubes count the O columns and R tubes the
+	// batch touched. Normalisation is per column and per tube, so every
+	// other run kept its previous bytes.
 	TouchedColumns int `json:"touched_columns"`
 	TouchedTubes   int `json:"touched_tubes"`
 	// Sealed reports whether the version was written to a registry.
@@ -284,10 +278,10 @@ func (e *Engine) Apply(ctx context.Context, deltas []Delta) (*ApplyResult, error
 }
 
 // ApplyKeyed validates and applies one delta batch: merge the raw
-// adjacency, renormalise only the touched O columns / R tubes (bitwise
-// identical to a from-scratch rebuild of the mutated graph), assemble
-// the new model sharing the previous W channel, seal the version in
-// the registry, warm re-solve from the previous stationary (x̄, z̄),
+// adjacency, build O and R from the merged adjacency (substrateAt, the
+// same constructors as a from-scratch build of the mutated graph),
+// assemble the new model sharing the base W channel, seal the version
+// in the registry, warm re-solve from the previous stationary (x̄, z̄),
 // and only then publish. A failure before the final assignment leaves
 // the engine on the previous version; a panic additionally quarantines
 // the engine (ErrQuarantined), because a fault mid-ingest means the
@@ -362,37 +356,9 @@ func (e *Engine) applyLocked(ctx context.Context, key string, deltas []Delta, lo
 	if err != nil {
 		return nil, err
 	}
-	newAR, err := tensor.MergeJIK(e.ar, eff.jik)
+	sub, err := e.substrateAt(newAO)
 	if err != nil {
 		return nil, err
-	}
-
-	prevSub := e.cur.Model.Substrate()
-	prevO := e.curO
-	if prevO == nil {
-		raw := prevSub.O.Raw()
-		prevO = &raw
-	}
-	oRaw := tensor.RenormalizeNode(newAO, *prevO, func(j, k int32) bool {
-		return eff.touchedCols[[2]int32{j, k}]
-	})
-	rRaw := tensor.RenormalizeRelation(newAR, prevSub.R.Raw(), func(i, j int32) bool {
-		return eff.touchedTubes[[2]int32{i, j}]
-	})
-	o, err := tensor.NodeTransitionFromRaw(oRaw)
-	if err != nil {
-		return nil, fmt.Errorf("stream: incremental O failed validation: %w", err)
-	}
-	r, err := tensor.RelationTransitionFromRaw(rRaw)
-	if err != nil {
-		return nil, fmt.Errorf("stream: incremental R failed validation: %w", err)
-	}
-	sub := tmark.Substrate{
-		O:           o,
-		R:           r,
-		WDense:      prevSub.WDense, // features never move with edges:
-		WCSR:        prevSub.WCSR,   // the W channel is shared across versions
-		Irreducible: newAO.Irreducible(),
 	}
 	model, err := tmark.Assemble(e.g, e.cfg, sub)
 	if err != nil {
@@ -447,8 +413,8 @@ func (e *Engine) applyLocked(ctx context.Context, key string, deltas []Delta, lo
 		NewHash:        hash,
 		Deltas:         len(deltas),
 		Changes:        len(eff.kji),
-		TouchedColumns: len(eff.touchedCols),
-		TouchedTubes:   len(eff.touchedTubes),
+		TouchedColumns: eff.touchedCols,
+		TouchedTubes:   eff.touchedTubes,
 		Sealed:         sealed,
 		Warm:           warm,
 		Iterations:     res.MaxIterations(),
@@ -456,14 +422,33 @@ func (e *Engine) applyLocked(ctx context.Context, key string, deltas []Delta, lo
 	}
 	// The transaction commits here: every fallible step is behind us.
 	// Readers move to the new version at this point, not at the Tag above.
-	e.ao, e.ar = newAO, newAR
+	e.ao = newAO
 	e.commitLocked(next)
-	e.curO = &oRaw
 	if key != "" {
 		e.rememberLocked(key, out)
 	}
 	e.maybeCheckpointLocked(sealed)
 	return out, nil
+}
+
+// substrateAt builds the substrate of the version whose raw adjacency
+// is ao: O (eq. 1), R (eq. 2) and the irreducibility flag, by the
+// constructors tmark.New runs for the base version, over one tensor
+// wrapped around ao. Features never move with edges, so every version
+// shares the base version's W channel. FromKJI checks ao before
+// anything is built from it: a WAL snapshot arrives here from disk.
+func (e *Engine) substrateAt(ao tensor.COO) (tmark.Substrate, error) {
+	a, err := tensor.FromKJI(ao)
+	if err != nil {
+		return tmark.Substrate{}, fmt.Errorf("stream: raw adjacency: %w", err)
+	}
+	return tmark.Substrate{
+		O:           tensor.NewNodeTransition(a),
+		R:           tensor.NewRelationTransition(a),
+		WDense:      e.baseSub.WDense,
+		WCSR:        e.baseSub.WCSR,
+		Irreducible: a.Irreducible(),
+	}, nil
 }
 
 // rememberLocked records a committed batch's key in the dedup window of

@@ -13,6 +13,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"tmark/internal/artifact"
@@ -336,6 +337,73 @@ func TestRestartReplayFromCheckpoint(t *testing.T) {
 	assertMatchesReference(t, re, [][]Delta{
 		chaosDelta(0), chaosDelta(1), chaosDelta(2), chaosDelta(3),
 	})
+}
+
+// TestRestartRejectsHostileSnapshot: a TMARKWS1 snapshot whose checksum
+// is valid but whose adjacency is not (an index out of range, two
+// entries swapped out of (k, j, i) order, a negative weight) fails
+// NewEngine with an error, not a panic. The untouched snapshot, sealed
+// under the base version's hash, restores.
+func TestRestartRejectsHostileSnapshot(t *testing.T) {
+	base, err := NewEngine("hostile", tinyGraph(), streamConfig(), nil)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	src := tinyGraph().AdjacencyTensor().COOView()
+	cases := []struct {
+		name string
+		bad  func(s *wal.Snapshot) // nil: the snapshot stays intact
+	}{
+		{"intact", nil},
+		{"index-out-of-range", func(s *wal.Snapshot) { s.I[0] = int32(s.N) + 5 }},
+		{"swapped-entries", func(s *wal.Snapshot) {
+			s.I[0], s.I[1] = s.I[1], s.I[0]
+			s.J[0], s.J[1] = s.J[1], s.J[0]
+			s.K[0], s.K[1] = s.K[1], s.K[0]
+			s.V[0], s.V[1] = s.V[1], s.V[0]
+		}},
+		{"negative-weight", func(s *wal.Snapshot) { s.V[0] = -s.V[0] }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			snap := wal.Snapshot{
+				Seq: 1, Hash: base.Current().Hash, N: src.N, M: src.M,
+				I: slices.Clone(src.I), J: slices.Clone(src.J), K: slices.Clone(src.K), V: slices.Clone(src.V),
+			}
+			if tc.bad != nil {
+				tc.bad(&snap)
+			}
+			dir := t.TempDir()
+			l, err := wal.Open(dir, wal.Options{})
+			if err != nil {
+				t.Fatalf("wal.Open: %v", err)
+			}
+			if err := l.Checkpoint(snap); err != nil {
+				t.Fatalf("Checkpoint: %v", err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			// Reopened, the log reads the snapshot back from disk.
+			l, err = wal.Open(dir, wal.Options{})
+			if err != nil {
+				t.Fatalf("reopen wal: %v", err)
+			}
+			if l.SnapshotSeq() != 1 {
+				t.Fatalf("snapshot at seq %d, want 1", l.SnapshotSeq())
+			}
+			_, err = NewEngine("hostile", tinyGraph(), streamConfig(), nil, WithWAL(l))
+			if tc.bad == nil && err != nil {
+				t.Fatalf("intact snapshot: NewEngine: %v", err)
+			}
+			if tc.bad != nil {
+				if err == nil {
+					t.Fatal("NewEngine restored from a damaged snapshot")
+				}
+				t.Logf("NewEngine: %v", err)
+			}
+		})
+	}
 }
 
 // TestApplyKeyedDeduplicates pins the idempotency contract through a

@@ -1,21 +1,18 @@
 package tensor
 
-// Incremental maintenance of the normalised transition layouts. A batch
-// of edge deltas touches a handful of adjacency coordinates; everything
-// outside the affected (j,k) columns of O and (i,j) tubes of R keeps the
-// exact probability bytes it had. The merge below rebuilds the raw COO
-// arrays around the changed coordinates (O(nnz+b) integer work, fresh
-// arrays so served models are never mutated in place), and the
-// renormalisers recompute only the touched runs — accumulating the run
-// sum in the same ascending entry order NewNodeTransition /
-// NewRelationTransition use, so a touched run is bitwise identical to a
-// from-scratch rebuild of the mutated graph, and an untouched run is a
-// straight copy of the previous probabilities.
+// Incremental maintenance of the raw adjacency behind a live model. A
+// batch of edge deltas changes a handful of adjacency coordinates;
+// MergeKJI folds them into the (k, j, i)-ordered COO arrays in one
+// O(nnz+b) pass, into fresh arrays so served models are never mutated
+// in place, and FromKJI wraps the result as a finalized Tensor for
+// NewNodeTransition and NewRelationTransition. Normalisation is per
+// column of O and per tube of R, so a run the batch did not touch keeps
+// its exact probability bytes through that rebuild.
 
 import "fmt"
 
 // COO is a raw coordinate-form slice set: the adjacency values behind a
-// finalized Tensor, or a reordering of them. The arrays are owned by
+// finalized Tensor in its (k, j, i) order. The arrays are owned by
 // whoever built them and are immutable by contract once published.
 type COO struct {
 	N, M    int
@@ -30,22 +27,35 @@ func (t *Tensor) COOView() COO {
 	return COO{N: t.n, M: t.m, I: t.i, J: t.j, K: t.k, V: t.v}
 }
 
+// FromKJI is the inverse of COOView: it wraps c as a finalized Tensor
+// without copying or sorting. c may come from disk (a WAL snapshot), so
+// every entry is checked first — aligned arrays, indices in range,
+// strict (k, j, i) order with no duplicate coordinate, finite positive
+// values — and nothing is built from a list that fails. The tensor
+// aliases c's arrays, which must stay immutable; they are capped at
+// their length, so an Add appends to fresh arrays.
+func FromKJI(c COO) (*Tensor, error) {
+	if c.N < 0 || c.M < 0 {
+		return nil, fmt.Errorf("tensor: COO shape %dx%d negative", c.N, c.M)
+	}
+	nnz := len(c.V)
+	if len(c.I) != nnz || len(c.J) != nnz || len(c.K) != nnz {
+		return nil, fmt.Errorf("tensor: COO arrays misaligned (i=%d j=%d k=%d v=%d)",
+			len(c.I), len(c.J), len(c.K), nnz)
+	}
+	entry := func(q int) Change { return Change{I: c.I[q], J: c.J[q], K: c.K[q], V: c.V[q]} }
+	if err := checkKJI("entry", nnz, c.N, c.M, entry, false); err != nil {
+		return nil, err
+	}
+	return &Tensor{
+		n: c.N, m: c.M,
+		i: c.I[:nnz:nnz], j: c.J[:nnz:nnz], k: c.K[:nnz:nnz], v: c.V[:nnz:nnz],
+		finalized: true,
+	}, nil
+}
+
 // NNZ returns the number of stored entries.
 func (c COO) NNZ() int { return len(c.V) }
-
-// SortedJIK returns a fresh copy of the entries re-sorted into
-// (j, i, k) order — the RelationTransition layout.
-func (c COO) SortedJIK() COO {
-	buf := newCooBuf(len(c.V))
-	copy(buf.i, c.I)
-	copy(buf.j, c.J)
-	copy(buf.k, c.K)
-	copy(buf.v, c.V)
-	if len(c.V) > 0 {
-		buf = sortJIK(buf, c.N, c.M)
-	}
-	return COO{N: c.N, M: c.M, I: buf.i, J: buf.j, K: buf.k, V: buf.v}
-}
 
 // AtKJI looks up the raw value at (i, j, k) in a (k, j, i)-ordered COO.
 func (c COO) AtKJI(i, j, k int32) (float64, bool) {
@@ -64,21 +74,6 @@ func (c COO) AtKJI(i, j, k int32) (float64, bool) {
 	return 0, false
 }
 
-// Irreducible reports whether the aggregated directed graph of the
-// entries is strongly connected, matching Tensor.Irreducible.
-func (c COO) Irreducible() bool {
-	if c.N == 0 {
-		return false
-	}
-	fwd := make([][]int32, c.N)
-	rev := make([][]int32, c.N)
-	for q := range c.V {
-		fwd[c.J[q]] = append(fwd[c.J[q]], c.I[q])
-		rev[c.I[q]] = append(rev[c.I[q]], c.J[q])
-	}
-	return reachesAll(fwd, 0) && reachesAll(rev, 0)
-}
-
 // Change is the final effect of a delta batch on one adjacency
 // coordinate: V > 0 sets the raw value (inserting the entry if absent),
 // V == 0 removes an existing entry.
@@ -92,51 +87,9 @@ type Change struct {
 // an absent coordinate or presenting misordered, duplicate, out-of-range
 // or non-finite changes is an error and leaves nothing published.
 func MergeKJI(a COO, changes []Change) (COO, error) {
-	return mergeSorted(a, changes, keyKJI)
-}
-
-// MergeJIK is MergeKJI for the (j, i, k)-ordered relation layout; the
-// changes must be strictly (j, i, k)-sorted.
-func MergeJIK(a COO, changes []Change) (COO, error) {
-	return mergeSorted(a, changes, keyJIK)
-}
-
-// keyKJI and keyJIK compare a base entry against a change coordinate in
-// the respective lexicographic sort order: negative when (i1,j1,k1)
-// precedes, zero when equal, positive when it follows.
-func keyKJI(i1, j1, k1, i2, j2, k2 int32) int {
-	if k1 != k2 {
-		return int(k1 - k2)
-	}
-	if j1 != j2 {
-		return int(j1 - j2)
-	}
-	return int(i1 - i2)
-}
-
-func keyJIK(i1, j1, k1, i2, j2, k2 int32) int {
-	if j1 != j2 {
-		return int(j1 - j2)
-	}
-	if i1 != i2 {
-		return int(i1 - i2)
-	}
-	return int(k1 - k2)
-}
-
-func mergeSorted(a COO, changes []Change, cmp func(i1, j1, k1, i2, j2, k2 int32) int) (COO, error) {
-	for c := range changes {
-		ch := changes[c]
-		if ch.I < 0 || int(ch.I) >= a.N || ch.J < 0 || int(ch.J) >= a.N || ch.K < 0 || int(ch.K) >= a.M {
-			return COO{}, fmt.Errorf("tensor: change %d coordinate (%d,%d,%d) out of %dx%dx%d",
-				c, ch.I, ch.J, ch.K, a.N, a.N, a.M)
-		}
-		if !(ch.V >= 0) || ch.V > maxFinite {
-			return COO{}, fmt.Errorf("tensor: change %d value %v not a finite nonnegative weight", c, ch.V)
-		}
-		if c > 0 && cmp(changes[c-1].I, changes[c-1].J, changes[c-1].K, ch.I, ch.J, ch.K) >= 0 {
-			return COO{}, fmt.Errorf("tensor: changes not strictly sorted at %d", c)
-		}
+	change := func(q int) Change { return changes[q] }
+	if err := checkKJI("change", len(changes), a.N, a.M, change, true); err != nil {
+		return COO{}, err
 	}
 	out := COO{
 		N: a.N, M: a.M,
@@ -165,7 +118,7 @@ func mergeSorted(a COO, changes []Change, cmp func(i1, j1, k1, i2, j2, k2 int32)
 			emit(changes[c].I, changes[c].J, changes[c].K, changes[c].V)
 			c++
 		default:
-			d := cmp(a.I[p], a.J[p], a.K[p], changes[c].I, changes[c].J, changes[c].K)
+			d := keyKJI(a.I[p], a.J[p], a.K[p], changes[c].I, changes[c].J, changes[c].K)
 			switch {
 			case d < 0:
 				emit(a.I[p], a.J[p], a.K[p], a.V[p])
@@ -189,133 +142,48 @@ func mergeSorted(a COO, changes []Change, cmp func(i1, j1, k1, i2, j2, k2 int32)
 	return out, nil
 }
 
-// maxFinite rejects +Inf (and, via the >= 0 test, NaN) while accepting
-// every finite weight the ingest validators let through.
+// keyKJI compares two in-range coordinates in (k, j, i) order: negative
+// when (i1,j1,k1) precedes, zero when equal, positive when it follows.
+func keyKJI(i1, j1, k1, i2, j2, k2 int32) int {
+	if k1 != k2 {
+		return int(k1 - k2)
+	}
+	if j1 != j2 {
+		return int(j1 - j2)
+	}
+	return int(i1 - i2)
+}
+
+// checkKJI checks a coordinate list that must be strictly (k, j, i)-
+// ordered over an n×n×m tensor, entry by entry as at returns them:
+// indices in range, a finite weight — positive, or zero where
+// zeroRemoves makes zero a removal — and each coordinate strictly after
+// the one before, so none repeats. FromKJI holds adjacency entries to
+// it and MergeKJI its changes.
+func checkKJI(what string, count, n, m int, at func(q int) Change, zeroRemoves bool) error {
+	var prev Change
+	for q := 0; q < count; q++ {
+		x := at(q)
+		if x.I < 0 || int(x.I) >= n || x.J < 0 || int(x.J) >= n || x.K < 0 || int(x.K) >= m {
+			return fmt.Errorf("tensor: %s %d coordinate (%d,%d,%d) out of %dx%dx%d",
+				what, q, x.I, x.J, x.K, n, n, m)
+		}
+		if !(x.V > 0 || (zeroRemoves && x.V == 0)) || x.V > maxFinite {
+			kind := "positive"
+			if zeroRemoves {
+				kind = "nonnegative"
+			}
+			return fmt.Errorf("tensor: %s %d value %v not a finite %s weight", what, q, x.V, kind)
+		}
+		if q > 0 && keyKJI(prev.I, prev.J, prev.K, x.I, x.J, x.K) >= 0 {
+			return fmt.Errorf("tensor: %s %d (%d,%d,%d) not strictly after (%d,%d,%d) in (k,j,i) order",
+				what, q, x.I, x.J, x.K, prev.I, prev.J, prev.K)
+		}
+		prev = x
+	}
+	return nil
+}
+
+// maxFinite rejects +Inf (and, via the > 0 and == 0 tests, NaN) while
+// accepting every finite weight the ingest validators let through.
 const maxFinite = 1.7976931348623157e308
-
-// RenormalizeNode builds the NodeRaw of the merged (k, j, i)-ordered
-// base a: a column (j, k) for which touched returns true has its
-// probabilities recomputed from a's raw values exactly as
-// NewNodeTransition would; every other column's probability run is
-// copied bitwise from prev. The index arrays alias a's. prev must be
-// the raw view of the transition built from a before the merge —
-// untouched runs are cross-checked entry for entry and a disagreement
-// panics, because it means the caller's touched set was wrong.
-func RenormalizeNode(a COO, prev NodeRaw, touched func(j, k int32) bool) NodeRaw {
-	out := NodeRaw{
-		N: a.N, M: a.M,
-		I: a.I, J: a.J, K: a.K,
-		P: make([]float64, len(a.V)),
-	}
-	prevRun := 0 // entry offset of the current run in prev
-	for start := 0; start < len(a.V); {
-		end := start + 1
-		for end < len(a.V) && a.J[end] == a.J[start] && a.K[end] == a.K[start] {
-			end++
-		}
-		j, k := a.J[start], a.K[start]
-		if touched(j, k) {
-			var sum float64
-			for q := start; q < end; q++ {
-				sum += a.V[q]
-			}
-			for q := start; q < end; q++ {
-				out.P[q] = a.V[q] / sum
-			}
-		} else {
-			// Skip prev runs the merge removed; they must all be touched.
-			for prevRun < len(prev.P) && lessKJ(prev.K[prevRun], prev.J[prevRun], k, j) {
-				pj, pk := prev.J[prevRun], prev.K[prevRun]
-				if !touched(pj, pk) {
-					panic(fmt.Sprintf("tensor: untouched O column (%d,%d) vanished in merge", pj, pk))
-				}
-				for prevRun < len(prev.P) && prev.J[prevRun] == pj && prev.K[prevRun] == pk {
-					prevRun++
-				}
-			}
-			if prevRun >= len(prev.P) || prev.J[prevRun] != j || prev.K[prevRun] != k {
-				panic(fmt.Sprintf("tensor: untouched O column (%d,%d) missing from previous layout", j, k))
-			}
-			for q := start; q < end; q++ {
-				if prevRun >= len(prev.P) || prev.I[prevRun] != a.I[q] || prev.J[prevRun] != j || prev.K[prevRun] != k {
-					panic(fmt.Sprintf("tensor: untouched O column (%d,%d) entries changed", j, k))
-				}
-				out.P[q] = prev.P[prevRun]
-				prevRun++
-			}
-			if prevRun < len(prev.P) && prev.J[prevRun] == j && prev.K[prevRun] == k {
-				panic(fmt.Sprintf("tensor: untouched O column (%d,%d) lost entries", j, k))
-			}
-		}
-		out.ColJ = append(out.ColJ, j)
-		out.ColK = append(out.ColK, k)
-		start = end
-	}
-	return out
-}
-
-func lessKJ(k1, j1, k2, j2 int32) bool {
-	return k1 < k2 || (k1 == k2 && j1 < j2)
-}
-
-// RenormalizeRelation is RenormalizeNode for the (j, i, k)-ordered
-// relation layout ar: touched (i, j) tubes are recomputed from ar's raw
-// values exactly as NewRelationTransition would, untouched tubes copy
-// prev's probability bytes, and the tube list/offsets are rebuilt.
-func RenormalizeRelation(ar COO, prev RelationRaw, touched func(i, j int32) bool) RelationRaw {
-	out := RelationRaw{
-		N: ar.N, M: ar.M,
-		I: ar.I, J: ar.J, K: ar.K,
-		P: make([]float64, len(ar.V)),
-	}
-	prevRun := 0
-	for start := 0; start < len(ar.V); {
-		end := start + 1
-		for end < len(ar.V) && ar.I[end] == ar.I[start] && ar.J[end] == ar.J[start] {
-			end++
-		}
-		i, j := ar.I[start], ar.J[start]
-		if touched(i, j) {
-			var sum float64
-			for q := start; q < end; q++ {
-				sum += ar.V[q]
-			}
-			for q := start; q < end; q++ {
-				out.P[q] = ar.V[q] / sum
-			}
-		} else {
-			for prevRun < len(prev.P) && lessJI(prev.J[prevRun], prev.I[prevRun], j, i) {
-				pi, pj := prev.I[prevRun], prev.J[prevRun]
-				if !touched(pi, pj) {
-					panic(fmt.Sprintf("tensor: untouched R tube (%d,%d) vanished in merge", pi, pj))
-				}
-				for prevRun < len(prev.P) && prev.I[prevRun] == pi && prev.J[prevRun] == pj {
-					prevRun++
-				}
-			}
-			if prevRun >= len(prev.P) || prev.I[prevRun] != i || prev.J[prevRun] != j {
-				panic(fmt.Sprintf("tensor: untouched R tube (%d,%d) missing from previous layout", i, j))
-			}
-			for q := start; q < end; q++ {
-				if prevRun >= len(prev.P) || prev.I[prevRun] != i || prev.J[prevRun] != j || prev.K[prevRun] != ar.K[q] {
-					panic(fmt.Sprintf("tensor: untouched R tube (%d,%d) entries changed", i, j))
-				}
-				out.P[q] = prev.P[prevRun]
-				prevRun++
-			}
-			if prevRun < len(prev.P) && prev.I[prevRun] == i && prev.J[prevRun] == j {
-				panic(fmt.Sprintf("tensor: untouched R tube (%d,%d) lost entries", i, j))
-			}
-		}
-		out.TubeI = append(out.TubeI, i)
-		out.TubeJ = append(out.TubeJ, j)
-		out.TubeStart = append(out.TubeStart, int32(start))
-		start = end
-	}
-	out.TubeStart = append(out.TubeStart, int32(len(ar.V)))
-	return out
-}
-
-func lessJI(j1, i1, j2, i2 int32) bool {
-	return j1 < j2 || (j1 == j2 && i1 < i2)
-}

@@ -3,32 +3,30 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 )
 
-// randomBase builds a finalized tensor from random entries (with
-// deliberate duplicate coordinates so the coalescing path is exercised)
-// and returns it plus the distinct coordinate set.
-func randomBase(rng *rand.Rand, n, m int) (*Tensor, map[[3]int32]bool) {
+// randomBase builds a finalized tensor from random entries, with
+// deliberate duplicate coordinates so the coalescing path is exercised.
+func randomBase(rng *rand.Rand, n, m int) *Tensor {
 	t := New(n, m)
-	coords := map[[3]int32]bool{}
 	entries := rng.Intn(4 * n * m)
 	for e := 0; e < entries; e++ {
-		i, j, k := rng.Intn(n), rng.Intn(n), rng.Intn(m)
-		t.Add(i, j, k, 0.1+rng.Float64())
-		coords[[3]int32{int32(i), int32(j), int32(k)}] = true
+		t.Add(rng.Intn(n), rng.Intn(n), rng.Intn(m), 0.1+rng.Float64())
 	}
 	t.Finalize()
-	return t, coords
+	return t
 }
 
-// randomChanges mutates a random subset of existing coordinates
-// (update or remove) and inserts some fresh ones, returning the final
-// per-coordinate values (0 = removed).
-func randomChanges(rng *rand.Rand, n, m int, coords map[[3]int32]bool) map[[3]int32]float64 {
+// randomChanges draws one batch against the entries of a: updates and
+// removes of a random subset, plus inserts at fresh coordinates. It
+// returns each changed coordinate's final value (0 = removed).
+func randomChanges(rng *rand.Rand, a COO) map[[3]int32]float64 {
 	ch := map[[3]int32]float64{}
-	for c := range coords {
+	for q := range a.V {
+		c := [3]int32{a.I[q], a.J[q], a.K[q]}
 		switch rng.Intn(4) {
 		case 0: // update
 			ch[c] = 0.1 + rng.Float64()
@@ -36,124 +34,98 @@ func randomChanges(rng *rand.Rand, n, m int, coords map[[3]int32]bool) map[[3]in
 			ch[c] = 0
 		}
 	}
-	for e := rng.Intn(2 * n); e > 0; e-- {
-		c := [3]int32{int32(rng.Intn(n)), int32(rng.Intn(n)), int32(rng.Intn(m))}
-		if !coords[c] {
-			ch[c] = 0.1 + rng.Float64()
+	for e := rng.Intn(2 * a.N); e > 0; e-- {
+		i, j, k := int32(rng.Intn(a.N)), int32(rng.Intn(a.N)), int32(rng.Intn(a.M))
+		if _, ok := a.AtKJI(i, j, k); !ok {
+			ch[[3]int32{i, j, k}] = 0.1 + rng.Float64()
 		}
 	}
 	return ch
 }
 
-func sortedChanges(ch map[[3]int32]float64, cmp func(a, b [3]int32) bool) []Change {
-	keys := make([][3]int32, 0, len(ch))
-	for c := range ch {
-		keys = append(keys, c)
+// sortedChanges lists a batch in the (k, j, i) order MergeKJI takes.
+func sortedChanges(ch map[[3]int32]float64) []Change {
+	out := make([]Change, 0, len(ch))
+	for c, v := range ch {
+		out = append(out, Change{I: c[0], J: c[1], K: c[2], V: v})
 	}
-	sort.Slice(keys, func(a, b int) bool { return cmp(keys[a], keys[b]) })
-	out := make([]Change, len(keys))
-	for q, c := range keys {
-		out[q] = Change{I: c[0], J: c[1], K: c[2], V: ch[c]}
+	sort.Slice(out, func(a, b int) bool {
+		x, y := out[a], out[b]
+		return keyKJI(x.I, x.J, x.K, y.I, y.J, y.K) < 0
+	})
+	return out
+}
+
+// entriesOf maps every stored coordinate of c to its value.
+func entriesOf(c COO) map[[3]int32]float64 {
+	out := make(map[[3]int32]float64, c.NNZ())
+	for q, v := range c.V {
+		out[[3]int32{c.I[q], c.J[q], c.K[q]}] = v
 	}
 	return out
 }
 
-func kjiLess(a, b [3]int32) bool {
-	if a[2] != b[2] {
-		return a[2] < b[2]
-	}
-	if a[1] != b[1] {
-		return a[1] < b[1]
-	}
-	return a[0] < b[0]
-}
-
-func jikLess(a, b [3]int32) bool {
-	if a[1] != b[1] {
-		return a[1] < b[1]
-	}
-	if a[0] != b[0] {
-		return a[0] < b[0]
-	}
-	return a[2] < b[2]
-}
-
-// rebuildTensor constructs the post-change tensor from scratch: base
-// values for untouched coordinates, change values otherwise.
-func rebuildTensor(base COO, ch map[[3]int32]float64) *Tensor {
-	t := New(base.N, base.M)
-	for q := range base.V {
-		c := [3]int32{base.I[q], base.J[q], base.K[q]}
-		if _, touched := ch[c]; !touched {
-			t.Add(int(c[0]), int(c[1]), int(c[2]), base.V[q])
-		}
-	}
-	for c, v := range ch {
-		if v != 0 {
-			t.Add(int(c[0]), int(c[1]), int(c[2]), v)
-		}
+// tensorFrom builds an n×n×m tensor from scratch, by Add and Finalize,
+// over the given coordinate values.
+func tensorFrom(n, m int, entries map[[3]int32]float64) *Tensor {
+	t := New(n, m)
+	for c, v := range entries {
+		t.Add(int(c[0]), int(c[1]), int(c[2]), v)
 	}
 	t.Finalize()
 	return t
 }
 
-// TestIncrementalBitwiseEquivalence is the core property: after any
-// random add/update/remove batch, the merged COO plus touched-run
-// renormalisation reproduces NewNodeTransition/NewRelationTransition of
-// a from-scratch rebuild bit for bit, and the results pass the strict
-// FromRaw validators and stochasticity checks.
+// TestIncrementalBitwiseEquivalence is the property the stream engine's
+// incremental merge rests on: after each batch of a random
+// add/update/remove sequence, MergeKJI equals the from-scratch tensor of
+// the mutated coordinates entry for entry, bitwise, and the O, R and
+// irreducibility flag built over it through FromKJI equal the
+// rebuild's.
 func TestIncrementalBitwiseEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 200; trial++ {
 		n, m := 1+rng.Intn(8), 1+rng.Intn(3)
-		base, coords := randomBase(rng, n, m)
+		base := randomBase(rng, n, m)
 		a := base.COOView()
-		ar := a.SortedJIK()
-		prevO := NewNodeTransition(base).Raw()
-		prevR := NewRelationTransition(base).Raw()
+		for batch := 0; batch < 3; batch++ {
+			ch := randomChanges(rng, a)
+			merged, err := MergeKJI(a, sortedChanges(ch))
+			if err != nil {
+				t.Fatalf("trial %d batch %d: MergeKJI: %v", trial, batch, err)
+			}
+			cur := entriesOf(a)
+			for c, v := range ch {
+				if v == 0 {
+					delete(cur, c)
+				} else {
+					cur[c] = v
+				}
+			}
+			rebuilt := tensorFrom(n, m, cur)
+			want := rebuilt.COOView()
+			if merged.NNZ() != want.NNZ() {
+				t.Fatalf("trial %d batch %d: merged nnz %d, rebuild %d", trial, batch, merged.NNZ(), want.NNZ())
+			}
+			for q := range want.V {
+				if merged.I[q] != want.I[q] || merged.J[q] != want.J[q] || merged.K[q] != want.K[q] ||
+					math.Float64bits(merged.V[q]) != math.Float64bits(want.V[q]) {
+					t.Fatalf("trial %d batch %d: merged entry %d (%d,%d,%d)=%v, rebuild (%d,%d,%d)=%v",
+						trial, batch, q, merged.I[q], merged.J[q], merged.K[q], merged.V[q],
+						want.I[q], want.J[q], want.K[q], want.V[q])
+				}
+			}
 
-		ch := randomChanges(rng, n, m, coords)
-		touchedCols := map[[2]int32]bool{}
-		touchedTubes := map[[2]int32]bool{}
-		for c := range ch {
-			touchedCols[[2]int32{c[1], c[2]}] = true
-			touchedTubes[[2]int32{c[0], c[1]}] = true
-		}
-
-		merged, err := MergeKJI(a, sortedChanges(ch, kjiLess))
-		if err != nil {
-			t.Fatalf("trial %d: MergeKJI: %v", trial, err)
-		}
-		mergedR, err := MergeJIK(ar, sortedChanges(ch, jikLess))
-		if err != nil {
-			t.Fatalf("trial %d: MergeJIK: %v", trial, err)
-		}
-
-		oRaw := RenormalizeNode(merged, prevO, func(j, k int32) bool { return touchedCols[[2]int32{j, k}] })
-		rRaw := RenormalizeRelation(mergedR, prevR, func(i, j int32) bool { return touchedTubes[[2]int32{i, j}] })
-		o, err := NodeTransitionFromRaw(oRaw)
-		if err != nil {
-			t.Fatalf("trial %d: NodeTransitionFromRaw: %v", trial, err)
-		}
-		r, err := RelationTransitionFromRaw(rRaw)
-		if err != nil {
-			t.Fatalf("trial %d: RelationTransitionFromRaw: %v", trial, err)
-		}
-		if !o.ColumnsStochastic(1e-12) {
-			t.Fatalf("trial %d: touched O columns not stochastic", trial)
-		}
-		if !r.TubesStochastic(1e-12) {
-			t.Fatalf("trial %d: touched R tubes not stochastic", trial)
-		}
-
-		rebuilt := rebuildTensor(a, ch)
-		wantO := NewNodeTransition(rebuilt).Raw()
-		wantR := NewRelationTransition(rebuilt).Raw()
-		compareNodeRaw(t, trial, oRaw, wantO)
-		compareRelationRaw(t, trial, rRaw, wantR)
-
-		if got, want := merged.Irreducible(), rebuilt.Irreducible(); got != want {
-			t.Fatalf("trial %d: COO.Irreducible=%v, rebuilt tensor says %v", trial, got, want)
+			got, err := FromKJI(merged)
+			if err != nil {
+				t.Fatalf("trial %d batch %d: FromKJI: %v", trial, batch, err)
+			}
+			compareNodeRaw(t, trial, NewNodeTransition(got).Raw(), NewNodeTransition(rebuilt).Raw())
+			compareRelationRaw(t, trial, NewRelationTransition(got).Raw(), NewRelationTransition(rebuilt).Raw())
+			if g, w := got.Irreducible(), rebuilt.Irreducible(); g != w {
+				t.Fatalf("trial %d batch %d: merged Irreducible=%v, rebuild says %v", trial, batch, g, w)
+			}
+			a = merged
 		}
 	}
 }
@@ -235,7 +207,7 @@ func TestMergeRejectsBadChanges(t *testing.T) {
 
 func TestMergeEmptyChangesIsIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	base, _ := randomBase(rng, 5, 2)
+	base := randomBase(rng, 5, 2)
 	a := base.COOView()
 	merged, err := MergeKJI(a, nil)
 	if err != nil {
@@ -269,23 +241,63 @@ func TestAtKJI(t *testing.T) {
 	}
 }
 
-func TestRenormalizePanicsOnWrongTouchedSet(t *testing.T) {
-	base := New(3, 1)
-	base.Add(1, 0, 0, 1)
-	base.Add(2, 1, 0, 1)
-	base.Finalize()
-	a := base.COOView()
-	prev := NewNodeTransition(base).Raw()
-	merged, err := MergeKJI(a, []Change{{I: 0, J: 0, K: 0, V: 3}})
-	if err != nil {
-		t.Fatalf("MergeKJI: %v", err)
+// TestFromKJI: a finalized tensor's COO wraps back into an equal tensor
+// whose later Adds leave the wrapped arrays alone, and a list that
+// breaks any of FromKJI's rules is an error.
+func TestFromKJI(t *testing.T) {
+	good := func() COO {
+		base := New(3, 2)
+		base.Add(1, 0, 0, 1)
+		base.Add(2, 1, 0, 2)
+		base.Add(0, 2, 1, 3)
+		base.Finalize()
+		// Spare capacity, as MergeKJI's arrays have.
+		c := base.COOView()
+		return COO{N: c.N, M: c.M,
+			I: append(make([]int32, 0, 8), c.I...), J: append(make([]int32, 0, 8), c.J...),
+			K: append(make([]int32, 0, 8), c.K...), V: append(make([]float64, 0, 8), c.V...)}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("RenormalizeNode accepted an understated touched set")
+	c := good()
+	a, err := FromKJI(c)
+	if err != nil {
+		t.Fatalf("FromKJI: %v", err)
+	}
+	if a.NNZ() != 3 || a.At(2, 1, 0) != 2 || a.At(0, 2, 1) != 3 {
+		t.Fatalf("wrapped tensor: nnz %d, a[2,1,0]=%v, a[0,2,1]=%v", a.NNZ(), a.At(2, 1, 0), a.At(0, 2, 1))
+	}
+	a.Add(0, 0, 0, 5)
+	a.Add(2, 2, 1, 7)
+	a.Finalize()
+	if want := good(); !reflect.DeepEqual(c, want) {
+		t.Fatalf("Add and Finalize on the wrapped tensor rewrote its arrays: %+v, want %+v", c, want)
+	}
+
+	swap := func(c *COO, p, q int) {
+		c.I[p], c.I[q] = c.I[q], c.I[p]
+		c.J[p], c.J[q] = c.J[q], c.J[p]
+		c.K[p], c.K[q] = c.K[q], c.K[p]
+		c.V[p], c.V[q] = c.V[q], c.V[p]
+	}
+	cases := []struct {
+		name string
+		bad  func(c *COO)
+	}{
+		{"out-of-range", func(c *COO) { c.I[1] = 3 }},
+		{"negative-index", func(c *COO) { c.K[0] = -1 }},
+		{"swapped", func(c *COO) { swap(c, 0, 1) }},
+		{"duplicate", func(c *COO) { c.I[1], c.J[1], c.K[1] = c.I[0], c.J[0], c.K[0] }},
+		{"zero", func(c *COO) { c.V[2] = 0 }},
+		{"negative", func(c *COO) { c.V[0] = -1 }},
+		{"nan", func(c *COO) { c.V[1] = math.NaN() }},
+		{"inf", func(c *COO) { c.V[1] = math.Inf(1) }},
+		{"misaligned", func(c *COO) { c.J = c.J[:2] }},
+		{"negative-shape", func(c *COO) { c.M = -1 }},
+	}
+	for _, tc := range cases {
+		c := good()
+		tc.bad(&c)
+		if _, err := FromKJI(c); err == nil {
+			t.Errorf("FromKJI(%s): want error", tc.name)
 		}
-	}()
-	// Column (0,0) gained an entry but is reported untouched: the
-	// cross-check must panic rather than silently serve stale bytes.
-	RenormalizeNode(merged, prev, func(j, k int32) bool { return false })
+	}
 }

@@ -53,7 +53,10 @@ type Snapshot struct {
 	V       []float64
 }
 
-// Validate checks the snapshot's structural invariants.
+// Validate checks the snapshot's structural invariants: the hash
+// length, aligned entry arrays and nonnegative dimensions. The entries
+// themselves (index ranges, order, weights) are for the restoring
+// engine to check before it builds anything from them.
 func (s *Snapshot) Validate() error {
 	if len(s.Hash) > maxSnapHashLen {
 		return fmt.Errorf("wal: snapshot hash of %d bytes exceeds the %d cap", len(s.Hash), maxSnapHashLen)
