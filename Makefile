@@ -129,8 +129,9 @@ perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Short fuzzing passes over the untrusted-input parsers, over the
-# feature-channel builders against their pairwise oracle, and over the
-# blocked tensor contractions against the single-vector and dense ones.
+# feature-channel builders against their pairwise oracle, over the
+# blocked tensor contractions against the single-vector and dense ones,
+# and over the blocked CSR product against the single-vector one.
 # Each target fuzzes for 30 s and minimises each new-coverage input for
 # at most 1 s: under go's 60-s default, minimising could take the rest
 # of a target's budget with no input executed. A failing input is still
@@ -146,6 +147,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecodeWALRecord $(FUZZFLAGS) ./internal/wal/
 	$(GO) test -fuzz FuzzFeatureTransition $(FUZZFLAGS) ./internal/markov/
 	$(GO) test -fuzz FuzzApplyBatch $(FUZZFLAGS) ./internal/tensor/
+	$(GO) test -fuzz FuzzMulVecBatch $(FUZZFLAGS) ./internal/sparse/
 
 # Regenerate every table and figure at the quick scale.
 experiments:

@@ -71,13 +71,13 @@ func NewSystem(n int, rows, cols []int32, vals []float64, dangle []float64, alph
 func (s *System) NNZ() int { return s.p.NNZ() }
 
 // ApplyBatch evaluates one Jacobi sweep without the feature term,
-// dst = rel·(P·x + uniform dangling mass) + α·l, for the b interleaved
-// columns of the n×b blocks x and l (node-major, stride b); dst must not
-// alias x. P·x runs through the blocked CSR product: on the pool, or
-// serially when pool is nil, and on the scalar body when ms.NoASM is
-// set. Every column gets exactly the floats a single-vector sweep of
-// that column computes, so a column's answer does not depend on the
-// block it rides in.
+// dst = rel·(P·x + uniform dangling mass) + α·l, for every lane of the
+// n×b blocks x and l (node-major, stride b); dst must not alias x. A
+// lane that is +0 in x and l comes out +0. P·x runs through the blocked
+// CSR product: on the pool, or serially when pool is nil, and on the
+// scalar body when ms.NoASM is set. Every column gets exactly the floats
+// a single-vector sweep of that column computes, so a column's answer
+// does not depend on the block it rides in.
 func (s *System) ApplyBatch(pool *par.Pool, ms *sparse.MulBatchScratch, x, l, dst []float64, b int) {
 	s.p.MulVecBatchParallel(pool, ms, x, dst, b)
 	for c := 0; c < b; c++ {

@@ -46,6 +46,13 @@ const (
 	// channel W, or the fast tier's collapsed P) writes dst; args are as
 	// for TensorNodeBatch.
 	SparseMulBatch Point = "sparse/mul-batch"
+	// SolverLayout fires after the lockstep engine or the fast block lays
+	// out its blocks: once at the start, and after every retirement that
+	// re-strides them. Args are (active int, stride int, x []float64,
+	// y []float64): the active column count, the lane stride, the
+	// n×stride node block, and the engine's m×stride relation block or
+	// the fast block's n×stride restart block.
+	SolverLayout Point = "tmark/layout"
 	// ServeModelBuild is checked (Check) before a warm-model build; a
 	// registered error fails the build, and a hook that panics simulates
 	// a crashing build.

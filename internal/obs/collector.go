@@ -45,15 +45,13 @@ func Kernels() []Kernel {
 	return ks
 }
 
-// kernelAgg accumulates one kernel's run-local telemetry. The duration
-// and call count are recorded by the driver goroutine around each kernel
-// invocation; the probe accumulates item counts (fed either by the
-// driver or by the kernel's own scratch object). Everything is atomic so
-// concurrent runs sharing nothing but the clock stay race-free.
+// kernelAgg accumulates one kernel's run-local telemetry, recorded by
+// the driver goroutine once per kernel call: the duration, the call, and
+// the items streamed across the call's active columns. Everything is
+// atomic so concurrent runs sharing nothing but the clock stay
+// race-free.
 type kernelAgg struct {
-	ns    Counter
-	calls Counter
-	probe Probe
+	ns, calls, items, cols Counter
 }
 
 // Collector gathers the telemetry of one solver run: per-kernel wall time
@@ -92,35 +90,19 @@ func (c *Collector) Clock() time.Time {
 	return time.Now()
 }
 
-// StopKernel adds the time elapsed since start to kernel k. A nil
-// collector or a zero start (from a nil Clock) is a no-op.
-func (c *Collector) StopKernel(k Kernel, start time.Time) {
+// StopKernel records one call of kernel k that started at start and
+// streamed n items across cols columns — one pass over the items serves
+// cols right-hand sides. A nil collector or a zero start (from a nil
+// Clock) is a no-op.
+func (c *Collector) StopKernel(k Kernel, start time.Time, n, cols int) {
 	if c == nil || start.IsZero() || k >= NumKernels {
 		return
 	}
-	c.kernels[k].ns.Add(int64(time.Since(start)))
-	c.kernels[k].calls.Inc()
-}
-
-// AddKernelCols credits n processed items applied across cols columns
-// to kernel k — one streamed pass over the items serves cols right-hand
-// sides. No-op when nil.
-func (c *Collector) AddKernelCols(k Kernel, n, cols int64) {
-	if c == nil || k >= NumKernels {
-		return
-	}
-	c.kernels[k].probe.items.Add(n)
-	c.kernels[k].probe.cols.Add(cols)
-}
-
-// KernelProbe returns the item/call probe of kernel k, for attaching to a
-// compute kernel's scratch object. A nil collector returns a nil probe,
-// which the kernels accept as "observation off".
-func (c *Collector) KernelProbe(k Kernel) *Probe {
-	if c == nil || k >= NumKernels {
-		return nil
-	}
-	return &c.kernels[k].probe
+	agg := &c.kernels[k]
+	agg.ns.Add(int64(time.Since(start)))
+	agg.calls.Inc()
+	agg.items.Add(int64(n))
+	agg.cols.Add(int64(cols))
 }
 
 // AttachPool creates, stores and returns PoolStats for a pool of the
@@ -151,8 +133,8 @@ func (c *Collector) Finish(s *RunStats) {
 			Name:   k.String(),
 			Time:   time.Duration(agg.ns.Load()),
 			Calls:  agg.calls.Load(),
-			Items:  agg.probe.Items(),
-			Cols:   agg.probe.Cols(),
+			Items:  agg.items.Load(),
+			Cols:   agg.cols.Load(),
 		})
 	}
 	s.PoolDispatches = c.pool.Dispatches()

@@ -6,8 +6,8 @@
 // The package has two design rules. First, zero dependencies: only the
 // standard library, so every compute package can import it freely.
 // Second, disabled must cost nothing measurable: every instrument is
-// usable through a nil pointer — a nil *Collector, *Probe, *PoolStats,
-// *Counter or *Timer turns every method into a nil-checked no-op — so
+// usable through a nil pointer — a nil *Collector, *PoolStats, *Counter
+// or *Timer turns every method into a nil-checked no-op — so
 // the hot paths thread telemetry unconditionally and pay a branch, not
 // an atomic, when observation is off.
 //
@@ -85,59 +85,6 @@ func (t *Timer) Count() int64 {
 		return 0
 	}
 	return t.calls.Load()
-}
-
-// Probe counts one kernel call site: invocations, items (stored
-// entries, rows, …) processed, and right-hand-side columns applied.
-// Compute kernels carry an optional *Probe on their scratch objects and
-// call Observe unconditionally; a nil probe — the default — reduces the
-// call to a branch. The column dimension separates the batched
-// (multi-class) kernels from the single-vector ones: a batched call
-// streams its items once but applies them to `cols` class columns, so
-// items measures memory traffic and cols·items measures arithmetic.
-type Probe struct {
-	calls atomic.Int64
-	items atomic.Int64
-	cols  atomic.Int64
-}
-
-// Observe records one single-column kernel call over n items. No-op on a
-// nil probe.
-func (p *Probe) Observe(n int) { p.ObserveCols(n, 1) }
-
-// ObserveCols records one kernel call that streamed n items across cols
-// right-hand-side columns. No-op on a nil probe.
-func (p *Probe) ObserveCols(n, cols int) {
-	if p == nil {
-		return
-	}
-	p.calls.Add(1)
-	p.items.Add(int64(n))
-	p.cols.Add(int64(cols))
-}
-
-// Calls returns the recorded invocation count; 0 on a nil probe.
-func (p *Probe) Calls() int64 {
-	if p == nil {
-		return 0
-	}
-	return p.calls.Load()
-}
-
-// Items returns the recorded item total; 0 on a nil probe.
-func (p *Probe) Items() int64 {
-	if p == nil {
-		return 0
-	}
-	return p.items.Load()
-}
-
-// Cols returns the recorded column total; 0 on a nil probe.
-func (p *Probe) Cols() int64 {
-	if p == nil {
-		return 0
-	}
-	return p.cols.Load()
 }
 
 // PoolStats observes a worker pool: dispatches (batch submissions), shard

@@ -20,11 +20,6 @@ func TestCounterAndTimerNilSafety(t *testing.T) {
 	if nilT.Total() != 0 || nilT.Count() != 0 {
 		t.Errorf("nil timer observed something")
 	}
-	var nilP *Probe
-	nilP.Observe(10)
-	if nilP.Calls() != 0 || nilP.Items() != 0 {
-		t.Errorf("nil probe observed something")
-	}
 	var nilS *PoolStats
 	nilS.Dispatch()
 	nilS.ObserveShard(3, time.Second)
@@ -103,11 +98,7 @@ func TestCollectorDisabled(t *testing.T) {
 	if !start.IsZero() {
 		t.Errorf("nil collector clock = %v", start)
 	}
-	c.StopKernel(KernelO, start)
-	c.AddKernelCols(KernelR, 5, 1)
-	if p := c.KernelProbe(KernelW); p != nil {
-		t.Errorf("nil collector returned a probe")
-	}
+	c.StopKernel(KernelO, start, 5, 1)
 	if ps := c.AttachPool(4); ps != nil {
 		t.Errorf("nil collector returned pool stats")
 	}
@@ -118,9 +109,9 @@ func TestCollectorRecordsKernels(t *testing.T) {
 	c := NewCollector()
 	start := c.Clock()
 	time.Sleep(time.Millisecond)
-	c.StopKernel(KernelO, start)
-	c.AddKernelCols(KernelO, 100, 1)
-	c.KernelProbe(KernelW).Observe(40)
+	c.StopKernel(KernelO, start, 100, 1)
+	c.StopKernel(KernelW, c.Clock(), 40, 3)
+	c.StopKernel(KernelW, time.Time{}, 7, 1) // a nil collector's clock: ignored
 	ps := c.AttachPool(2)
 	ps.Dispatch()
 	ps.ObserveShard(0, time.Millisecond)
@@ -140,8 +131,8 @@ func TestCollectorRecordsKernels(t *testing.T) {
 	if rs.Kernels[KernelO].Calls != 1 || rs.Kernels[KernelO].Items != 100 {
 		t.Errorf("KernelO calls/items = %d/%d", rs.Kernels[KernelO].Calls, rs.Kernels[KernelO].Items)
 	}
-	if rs.Kernels[KernelW].Items != 40 {
-		t.Errorf("KernelW items = %d", rs.Kernels[KernelW].Items)
+	if kw := rs.Kernels[KernelW]; kw.Calls != 1 || kw.Items != 40 || kw.Cols != 3 {
+		t.Errorf("KernelW calls/items/cols = %d/%d/%d, want 1/40/3", kw.Calls, kw.Items, kw.Cols)
 	}
 	if rs.PoolDispatches != 1 || rs.PoolShards != 2 || rs.PoolBusy != 2*time.Millisecond {
 		t.Errorf("pool = %d/%d/%v", rs.PoolDispatches, rs.PoolShards, rs.PoolBusy)

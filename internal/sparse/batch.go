@@ -7,10 +7,12 @@ package sparse
 // accumulated in the same ascending order as MulVec, so column c of the
 // blocked result is bitwise equal to MulVec run on column c alone.
 //
-// On AVX2 hosts every width 1 ≤ b ≤ 8 runs a vector body that keeps
-// each row's accumulator in registers (see batch_amd64.go); wider
-// blocks, non-amd64 builds and a scratch with NoASM set run the scalar
-// body, the reference the vector one is bitwise equal to.
+// On AVX2 hosts the strides 4 and 8, the strides the solver lays out
+// 1–8 columns at (vec.Stride), run a vector body that keeps each row's
+// accumulator in registers (see batch_amd64.go); every other stride,
+// non-amd64 builds and a scratch with NoASM set run the scalar body, the
+// reference the vector one is bitwise equal to. Either body computes
+// every lane of the block it is handed.
 
 import (
 	"fmt"
@@ -18,8 +20,8 @@ import (
 
 	"tmark/internal/cpuid"
 	"tmark/internal/fault"
-	"tmark/internal/obs"
 	"tmark/internal/par"
+	"tmark/internal/vec"
 )
 
 // useBatchASM selects the AVX2 body. A var, not a const, so tests can
@@ -50,28 +52,23 @@ func (m *Matrix) mulVecBatch(x, dst []float64, b int, noASM bool) {
 	}
 }
 
-// useVector reports whether a b-column product runs the AVX2 body.
+// useVector reports whether a product at stride b runs the AVX2 body.
 func useVector(b int, noASM bool) bool {
-	return useBatchASM && !noASM && b <= 8
+	return useBatchASM && !noASM && vec.VectorStride(b)
 }
-
-// tailMask holds the lane masks of the vector body: the four int64s
-// from tailMask[4-t] have their sign bit set in the first t lanes.
-var tailMask = [8]int64{-1, -1, -1, -1, 0, 0, 0, 0}
 
 // mulBatchRows computes rows [lo, hi) of the blocked product; every
 // output cell is owned by exactly one caller, so disjoint row ranges can
-// run concurrently. vector selects the AVX2 body (b ≤ 8 only).
+// run concurrently. vector selects the AVX2 body (b = 4 or 8 only).
 func (m *Matrix) mulBatchRows(x, dst []float64, b, lo, hi int, vector bool) {
 	if lo >= hi {
 		return
 	}
 	if vector && len(m.values) > 0 {
-		switch {
-		case b <= 4:
-			mulRowsAVX4(&m.rowPtr[lo], &m.colIdx[0], &m.values[0], &x[0], &dst[lo*b], hi-lo, b, &tailMask[4-b])
-		default:
-			mulRowsAVX8(&m.rowPtr[lo], &m.colIdx[0], &m.values[0], &x[0], &dst[lo*b], hi-lo, b, &tailMask[8-b])
+		if b == 4 {
+			mulRowsAVX4(&m.rowPtr[lo], &m.colIdx[0], &m.values[0], &x[0], &dst[lo*b], hi-lo)
+		} else {
+			mulRowsAVX8(&m.rowPtr[lo], &m.colIdx[0], &m.values[0], &x[0], &dst[lo*b], hi-lo)
 		}
 		return
 	}
@@ -98,10 +95,6 @@ type MulBatchScratch struct {
 	shards int
 	task   mulBatchTask
 	wg     sync.WaitGroup
-
-	// Probe, when non-nil, counts MulVecBatchParallel calls, the stored
-	// entries they stream, and the columns they apply them to.
-	Probe *obs.Probe
 
 	// NoASM demotes the products run with this scratch, serial fallback
 	// included, to the scalar body even when the host supports the AVX2
@@ -168,7 +161,6 @@ func (m *Matrix) MulVecBatchParallel(p *par.Pool, s *MulBatchScratch, x, dst []f
 	if b <= 0 || len(x) < m.cols*b || len(dst) < m.rows*b {
 		panic("sparse: MulVecBatchParallel block length mismatch")
 	}
-	s.Probe.ObserveCols(len(m.values), b)
 	vector := useVector(b, s.NoASM)
 	s.task.m, s.task.x, s.task.dst, s.task.b, s.task.vector = m, x, dst, b, vector
 	p.Run(s.shards, &s.task, &s.wg)

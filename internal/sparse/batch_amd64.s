@@ -4,18 +4,14 @@
 
 #include "textflag.h"
 
-// func mulRowsAVX4(rowPtr, colIdx *int32, values, x, dst *float64, rows, b int, mask *int64)
-TEXT ·mulRowsAVX4(SB), NOSPLIT, $0-64
+// func mulRowsAVX4(rowPtr, colIdx *int32, values, x, dst *float64, rows int)
+TEXT ·mulRowsAVX4(SB), NOSPLIT, $0-48
 	MOVQ rowPtr+0(FP), R8
 	MOVQ colIdx+8(FP), R9
 	MOVQ values+16(FP), R10
 	MOVQ x+24(FP), SI
 	MOVQ dst+32(FP), DI
 	MOVQ rows+40(FP), R11
-	MOVQ b+48(FP), R12
-	MOVQ mask+56(FP), AX
-	VMOVDQU (AX), Y7
-	SHLQ $3, R12              // row stride in bytes
 	MOVLQSX (R8), CX          // entry index: the first row's start
 	XORQ R13, R13             // row
 
@@ -27,9 +23,9 @@ row4:
 
 entry4:
 	MOVLQSX (R9)(CX*4), BX
-	IMULQ R12, BX
+	SHLQ $5, BX               // x row offset: 32 bytes a row
 	VBROADCASTSD (R10)(CX*8), Y2
-	VMASKMOVPD (SI)(BX*1), Y7, Y1
+	VMOVUPD (SI)(BX*1), Y1
 	VMULPD Y1, Y2, Y2
 	VADDPD Y2, Y0, Y0
 	INCQ CX
@@ -37,26 +33,22 @@ entry4:
 	JL   entry4
 
 store4:
-	VMASKMOVPD Y0, Y7, (DI)
-	ADDQ R12, DI
+	VMOVUPD Y0, (DI)
+	ADDQ $32, DI
 	INCQ R13
 	CMPQ R13, R11
 	JL   row4
 	VZEROUPPER
 	RET
 
-// func mulRowsAVX8(rowPtr, colIdx *int32, values, x, dst *float64, rows, b int, mask *int64)
-TEXT ·mulRowsAVX8(SB), NOSPLIT, $0-64
+// func mulRowsAVX8(rowPtr, colIdx *int32, values, x, dst *float64, rows int)
+TEXT ·mulRowsAVX8(SB), NOSPLIT, $0-48
 	MOVQ rowPtr+0(FP), R8
 	MOVQ colIdx+8(FP), R9
 	MOVQ values+16(FP), R10
 	MOVQ x+24(FP), SI
 	MOVQ dst+32(FP), DI
 	MOVQ rows+40(FP), R11
-	MOVQ b+48(FP), R12
-	MOVQ mask+56(FP), AX
-	VMOVDQU (AX), Y7
-	SHLQ $3, R12
 	MOVLQSX (R8), CX
 	XORQ R13, R13
 
@@ -69,10 +61,10 @@ row8:
 
 entry8:
 	MOVLQSX (R9)(CX*4), BX
-	IMULQ R12, BX
+	SHLQ $6, BX               // x row offset: 64 bytes a row
 	VBROADCASTSD (R10)(CX*8), Y2
 	VMOVUPD (SI)(BX*1), Y1
-	VMASKMOVPD 32(SI)(BX*1), Y7, Y4
+	VMOVUPD 32(SI)(BX*1), Y4
 	VMULPD Y1, Y2, Y1
 	VMULPD Y4, Y2, Y4
 	VADDPD Y1, Y0, Y0
@@ -83,8 +75,8 @@ entry8:
 
 store8:
 	VMOVUPD Y0, (DI)
-	VMASKMOVPD Y3, Y7, 32(DI)
-	ADDQ R12, DI
+	VMOVUPD Y3, 32(DI)
+	ADDQ $64, DI
 	INCQ R13
 	CMPQ R13, R11
 	JL   row8

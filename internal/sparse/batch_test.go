@@ -41,8 +41,8 @@ func runBothKernelPaths(t *testing.T, f func(t *testing.T)) {
 
 // Column c of the blocked product must be bitwise equal to MulVec on
 // column c alone — signed zeros included — serial and parallel, for
-// every worker count and every width from 1 to 9: the vector body's
-// full, masked-tail and two-register widths and the first scalar one.
+// every worker count and every width from 1 to 9: the vector body's one-
+// and two-register strides (4, 8) and the scalar widths around them.
 // The matrices have empty rows and one heavy row, and one more trial
 // has no entries at all.
 func TestMulVecBatchMatchesSingleColumns(t *testing.T) {
@@ -126,8 +126,8 @@ func TestMulVecBatchWritesOnlyItsBlock(t *testing.T) {
 	}
 }
 
-// Steady-state blocked products must not allocate, at a full vector
-// width and a masked one.
+// Steady-state blocked products must not allocate, at a vector stride
+// and a scalar one.
 func TestMulVecBatchZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	var entries []Triplet

@@ -3,18 +3,17 @@ package tensor
 // Blocked (multi-column) variants of the transition-tensor contractions:
 // the SpMV → SpMM upgrade the solver's lockstep engine runs on. The
 // column distributions are interleaved into one node-major block X
-// (entry (i, c) at i*b+c for b active columns) and each COO entry is
-// streamed once per iteration, applying to every column, so the index
-// and probability loads and the loop overhead of an entry are shared by
-// the b columns.
+// (entry (i, c) at i*b+c at stride b) and each COO entry is streamed
+// once per iteration, applying to every column, so the index and
+// probability loads and the loop overhead of an entry are shared by the
+// b columns.
 //
-// On AVX2 hosts every call with 1 ≤ b ≤ 8 runs a vector body: the
-// bodies exist for b = 4 and b = 8, and any other width is padded up to
-// the next of them with zero lanes (kernelWidth). A zero lane stays
-// exactly +0 through the scatter, its output and column sums are 0, so
-// it adds no dangling mass, and its results are dropped. No body
-// combines values from different columns, so padding changes no real
-// column's bits.
+// On AVX2 hosts a call at stride b = 4 or 8 runs a vector body, and
+// every other stride the scalar one. The solver lays its blocks out at
+// those strides (vec.Stride), with +0 in the lanes past its active
+// columns, so a kernel runs on exactly the block it is handed and
+// treats every lane as a column. A +0 lane stays +0 through the
+// scatter, and its column sums are 0, so it adds no dangling mass.
 //
 // The dangling closed form needs the stored mass of each column, Σ x_j·z_k
 // over the stored (j, k) columns of O (Σ x_i·x_j over the stored tubes
@@ -44,105 +43,32 @@ import (
 
 	"tmark/internal/cpuid"
 	"tmark/internal/fault"
-	"tmark/internal/obs"
 	"tmark/internal/par"
+	"tmark/internal/vec"
 )
 
 // useBatchASM selects the AVX2 bodies. A var, not a const, so tests can
 // run the scalar bodies on any host.
 var useBatchASM = cpuid.AVX2
 
-// kernelWidth returns whether a b-column call runs the AVX2 bodies and
-// the block width its kernels run at: b padded up to 4 or 8 for
-// 1 ≤ b ≤ 8 on the vector bodies, b itself on the scalar body (noASM,
-// no AVX2, or b > 8).
-func kernelWidth(b int, noASM bool) (asm bool, w int) {
-	switch {
-	case !useBatchASM || noASM || b > 8:
-		return false, b
-	case b <= 4:
-		return true, 4
-	default:
-		return true, 8
-	}
-}
-
-// laneCap is the widest block a scratch for maxCols columns runs its
-// kernels at: maxCols, or the vector width maxCols pads up to. It does
-// not depend on the kernel selection, so NoASM and useBatchASM may
-// change between calls on one scratch.
-func laneCap(maxCols int) int {
-	switch {
-	case maxCols <= 4:
-		return 4
-	case maxCols <= 8:
-		return 8
-	default:
-		return maxCols
-	}
-}
-
-// padBlock returns the rows×b block src at stride w, copied into *buf
-// with zeros in lanes b..w-1; with w == b it returns src itself. *buf
-// grows on first use and is reused after.
-func padBlock(buf *[]float64, src []float64, rows, b, w int) []float64 {
-	if w == b {
-		return src
-	}
-	dst := growBuf(buf, rows*w)
-	for i := 0; i < rows; i++ {
-		row, in := dst[i*w:i*w+w], src[i*b:i*b+b]
-		for c := range row {
-			if c < b {
-				row[c] = in[c]
-			} else {
-				row[c] = 0
-			}
-		}
-	}
-	return dst
-}
-
-// unpadBlock copies lanes 0..b-1 of the rows×w block src into the
-// rows×b block dst.
-func unpadBlock(dst, src []float64, rows, b, w int) {
-	for i := 0; i < rows; i++ {
-		row, out := src[i*w:i*w+b], dst[i*b:i*b+b]
-		for c := range out {
-			out[c] = row[c]
-		}
-	}
-}
-
-func growBuf(buf *[]float64, size int) []float64 {
-	if cap(*buf) < size {
-		*buf = make([]float64, size)
-	}
-	return (*buf)[:size]
+// useVector reports whether a call at stride b runs the AVX2 bodies.
+func useVector(b int, noASM bool) bool {
+	return useBatchASM && !noASM && vec.VectorStride(b)
 }
 
 // NodeBatchScratch holds the buffers of the blocked NodeTransition
-// contraction: the column sums and stored-column mass, the per-column
-// dangling addend, and the zero-padded blocks of a call whose width has
-// no vector body. Build one per solver run with NewNodeBatchScratch and
-// reuse it; steady-state calls then allocate nothing. A scratch must not
-// be shared by concurrent calls.
+// contraction: the column sums and stored-column mass and the
+// per-column dangling addend. Build one per solver run with
+// NewNodeBatchScratch and reuse it; steady-state calls then allocate
+// nothing. A scratch must not be shared by concurrent calls.
 type NodeBatchScratch struct {
 	shards  int
 	maxCols int
-	// sumX, sumZ, mass and u hold one value per lane of the widest
-	// kernel block, laneCap(maxCols): the column sums of x and z, the
-	// stored-column mass and the per-column dangling addend.
+	// sumX, sumZ, mass and u hold one value per column: the column sums
+	// of x and z, the stored-column mass and the dangling addend.
 	sumX, sumZ, mass, u []float64
-	// padX, padZ and padDst hold the padded x, z and dst blocks; they
-	// grow on the first padded call.
-	padX, padZ, padDst []float64
-	task               nodeBatchTask
-	wg                 sync.WaitGroup
-
-	// Probe, when non-nil, counts every call, the stored entries it
-	// streams, and the class columns it applies them to.
-	Probe *obs.Probe
+	task                nodeBatchTask
+	wg                  sync.WaitGroup
 
 	// NoASM demotes this scratch's contractions to the scalar reference
 	// bodies even when the host supports the AVX2 kernels. The solver's
@@ -160,14 +86,13 @@ func NewNodeBatchScratch(o *NodeTransition, shards, maxCols int) *NodeBatchScrat
 	if maxCols < 1 {
 		maxCols = 1
 	}
-	lanes := laneCap(maxCols)
 	s := &NodeBatchScratch{
 		shards:  max(shards, 1),
 		maxCols: maxCols,
-		sumX:    make([]float64, lanes),
-		sumZ:    make([]float64, lanes),
-		mass:    make([]float64, lanes),
-		u:       make([]float64, lanes),
+		sumX:    make([]float64, maxCols),
+		sumZ:    make([]float64, maxCols),
+		mass:    make([]float64, maxCols),
+		u:       make([]float64, maxCols),
 	}
 	s.task.o = o
 	return s
@@ -196,31 +121,21 @@ func (o *NodeTransition) ApplyBatchParallel(p *par.Pool, s *NodeBatchScratch, x,
 		panic(fmt.Sprintf("tensor: NodeTransition.ApplyBatch x/z/dst blocks %d/%d/%d, want %d/%d/%d",
 			len(x), len(z), len(dst), o.n*b, o.m*b, o.n*b))
 	}
-	s.Probe.ObserveCols(len(o.p), b)
 	n := o.n
-	dst = dst[:n*b]
-	asm, w := kernelWidth(b, s.NoASM)
-	x = padBlock(&s.padX, x[:n*b], n, b, w)
-	z = padBlock(&s.padZ, z[:o.m*b], o.m, b, w)
-	out := dst
-	if w != b {
-		out = growBuf(&s.padDst, n*w)
-	}
+	x, z, dst = x[:n*b], z[:o.m*b], dst[:n*b]
+	asm := useVector(b, s.NoASM)
 	t := &s.task
-	t.x, t.z, t.out, t.w, t.asm = x, z, out, w, asm
+	t.x, t.z, t.out, t.b, t.asm = x, z, dst, b, asm
 	p.Run(min(p.Workers(), s.shards, o.blocks()), t, &s.wg)
 	t.x, t.z, t.out = nil, nil, nil
-	sumX, sumZ, mass, u := s.sumX[:w], s.sumZ[:w], s.mass[:w], s.u[:w]
-	colSums(x, w, sumX)
-	colSums(z, w, sumZ)
-	colSums(out, w, mass)
+	sumX, sumZ, mass, u := s.sumX[:b], s.sumZ[:b], s.mass[:b], s.u[:b]
+	colSums(x, b, sumX)
+	colSums(z, b, sumZ)
+	colSums(dst, b, mass)
 	for c := range u {
 		u[c] = danglingAddend(sumX[c], sumZ[c], mass[c], n, o.DanglingColumns())
 	}
-	addUniformCols(out, u, w)
-	if w != b {
-		unpadBlock(dst, out, n, b, w)
-	}
+	addUniformCols(dst, u, b)
 	if fault.Enabled() {
 		fault.Fire(fault.TensorNodeBatch, dst, b, asm)
 	}
@@ -228,24 +143,24 @@ func (o *NodeTransition) ApplyBatchParallel(p *par.Pool, s *NodeBatchScratch, x,
 
 // nodeBatchTask is the par.Task of one node contraction: shard s takes
 // a run of whole row blocks, balanced by entry count, clears their
-// output rows and scatters their entries into them at kernel width w.
+// output rows and scatters their entries into them at stride b.
 type nodeBatchTask struct {
 	o         *NodeTransition
-	x, z, out []float64 // the kernel blocks, stride w
-	w         int
+	x, z, out []float64 // the call's blocks, stride b
+	b         int
 	asm       bool
 }
 
 func (t *nodeBatchTask) RunShard(shard, shards int) {
-	o, w := t.o, t.w
+	o, b := t.o, t.b
 	nnz := len(o.p)
 	lo, hi := o.blockAtNNZ(shard*nnz/shards), o.blockAtNNZ((shard+1)*nnz/shards)
 	if shard == shards-1 {
 		hi = o.blocks() // trailing empty blocks belong to the last shard
 	}
 	rowLo, rowHi := min(lo*nodeBlockRows, o.n), min(hi*nodeBlockRows, o.n)
-	clear(t.out[rowLo*w : rowHi*w])
-	cooScatterBatch(t.out, t.x, t.z, o.i, o.j, o.k, o.p, w, int(o.blockStart[lo]), int(o.blockStart[hi]), t.asm)
+	clear(t.out[rowLo*b : rowHi*b])
+	cooScatterBatch(t.out, t.x, t.z, o.i, o.j, o.k, o.p, b, int(o.blockStart[lo]), int(o.blockStart[hi]), t.asm)
 }
 
 // cooScatterBatch is the shared blocked COO entry loop of both
@@ -254,10 +169,9 @@ func (t *nodeBatchTask) RunShard(shard, shards int) {
 // (i, j, k) as (d, ai, bi) with a = X, bb = Z; the relation contraction
 // passes (k, i, j) with a = bb = X. This loop runs nnz·b multiply-adds
 // per call — the solver's hot spot. With asm set, cols 4 and 8 run the
-// AVX2 bodies (callers pad every other width up to one of them; see
-// kernelWidth); everything else runs the scalar body below, which is
-// the reference the vector bodies are bitwise equal to. Each column
-// accumulates in entry order q in every body.
+// AVX2 bodies (useVector); everything else runs the scalar body below,
+// which is the reference the vector bodies are bitwise equal to. Each
+// column accumulates in entry order q in every body.
 // The entry arrays arrive sorted so that the bi index is constant over
 // long contiguous runs (node: each row block is sorted by (k, j, i), so
 // z[k] stays fixed for a block's whole slab of relation k; relation:
@@ -328,24 +242,16 @@ func addUniformCols(dst []float64, u []float64, b int) {
 type RelationBatchScratch struct {
 	shards  int
 	maxCols int
-	lanes   int // laneCap(maxCols): the widest kernel block
-	// partials holds the m×lanes partial blocks of chunks 1, 2, …
+	// partials holds the m×maxCols partial blocks of chunks 1, 2, …
 	// (chunk 0 scatters straight into the output), chunk-major: chunk
-	// c's block starts at (c−1)·m·lanes and is addressed at the call's
-	// kernel width.
+	// c's block starts at (c−1)·m·maxCols and is addressed at the call's
+	// stride.
 	partials []float64
-	// sumI, mass and u hold one value per lane: the column sums of x,
-	// the stored-tube mass and the per-column dangling addend.
+	// sumI, mass and u hold one value per column: the column sums of x,
+	// the stored-tube mass and the dangling addend.
 	sumI, mass, u []float64
-	// padX and padDst hold the padded x and dst blocks; they grow on the
-	// first padded call.
-	padX, padDst []float64
-	task         relationBatchTask
-	wg           sync.WaitGroup
-
-	// Probe, when non-nil, counts every call, the stored entries it
-	// streams, and the class columns it applies them to.
-	Probe *obs.Probe
+	task          relationBatchTask
+	wg            sync.WaitGroup
 
 	// NoASM demotes this scratch's contractions to the scalar reference
 	// bodies; see NodeBatchScratch.NoASM.
@@ -360,29 +266,27 @@ func NewRelationBatchScratch(r *RelationTransition, shards, maxCols int) *Relati
 	if maxCols < 1 {
 		maxCols = 1
 	}
-	lanes := laneCap(maxCols)
 	s := &RelationBatchScratch{
 		shards:   max(shards, 1),
 		maxCols:  maxCols,
-		lanes:    lanes,
-		partials: make([]float64, (r.chunks()-1)*r.m*lanes),
-		sumI:     make([]float64, lanes),
-		mass:     make([]float64, lanes),
-		u:        make([]float64, lanes),
+		partials: make([]float64, (r.chunks()-1)*r.m*maxCols),
+		sumI:     make([]float64, maxCols),
+		mass:     make([]float64, maxCols),
+		u:        make([]float64, maxCols),
 	}
 	s.task.r = r
 	s.task.s = s
 	return s
 }
 
-// partial returns chunk ch's output block at kernel width w: the call's
+// partial returns chunk ch's output block at stride b: the call's
 // output for chunk 0, a partial block of the scratch for the rest.
-func (s *RelationBatchScratch) partial(out []float64, ch, w int) []float64 {
+func (s *RelationBatchScratch) partial(out []float64, ch, b int) []float64 {
 	if ch == 0 {
 		return out
 	}
-	base := (ch - 1) * s.task.r.m * s.lanes
-	return s.partials[base : base+s.task.r.m*w]
+	base := (ch - 1) * s.task.r.m * s.maxCols
+	return s.partials[base : base+s.task.r.m*b]
 }
 
 // ApplyBatch is ApplyBatchParallel with no pool: the same chunks, run
@@ -408,35 +312,26 @@ func (r *RelationTransition) ApplyBatchParallel(p *par.Pool, s *RelationBatchScr
 	if len(x) < r.n*b || len(dst) < r.m*b {
 		panic(fmt.Sprintf("tensor: RelationTransition.ApplyBatch x/dst blocks %d/%d, want %d/%d", len(x), len(dst), r.n*b, r.m*b))
 	}
-	s.Probe.ObserveCols(len(r.p), b)
 	m := r.m
-	dst = dst[:m*b]
-	asm, w := kernelWidth(b, s.NoASM)
-	x = padBlock(&s.padX, x[:r.n*b], r.n, b, w)
-	out := dst
-	if w != b {
-		out = growBuf(&s.padDst, m*w)
-	}
+	x, dst = x[:r.n*b], dst[:m*b]
+	asm := useVector(b, s.NoASM)
 	t := &s.task
-	t.x, t.out, t.w, t.asm = x, out, w, asm
+	t.x, t.out, t.b, t.asm = x, dst, b, asm
 	chunks := r.chunks()
 	p.Run(min(p.Workers(), s.shards, chunks), t, &s.wg)
 	t.x, t.out = nil, nil
 	for ch := 1; ch < chunks; ch++ {
-		for q, v := range s.partial(out, ch, w) {
-			out[q] += v
+		for q, v := range s.partial(dst, ch, b) {
+			dst[q] += v
 		}
 	}
-	sumI, mass, u := s.sumI[:w], s.mass[:w], s.u[:w]
-	colSums(x, w, sumI)
-	colSums(out, w, mass)
+	sumI, mass, u := s.sumI[:b], s.mass[:b], s.u[:b]
+	colSums(x, b, sumI)
+	colSums(dst, b, mass)
 	for c := range u {
 		u[c] = danglingAddend(sumI[c], sumI[c], mass[c], m, r.DanglingTubes())
 	}
-	addUniformCols(out, u, w)
-	if w != b {
-		unpadBlock(dst, out, m, b, w)
-	}
+	addUniformCols(dst, u, b)
 	if fault.Enabled() {
 		fault.Fire(fault.TensorRelationBatch, dst, b, asm)
 	}
@@ -447,8 +342,8 @@ func (r *RelationTransition) ApplyBatchParallel(p *par.Pool, s *RelationBatchScr
 type relationBatchTask struct {
 	r      *RelationTransition
 	s      *RelationBatchScratch
-	x, out []float64 // the kernel blocks, stride w
-	w      int
+	x, out []float64 // the call's blocks, stride b
+	b      int
 	asm    bool
 }
 
@@ -456,9 +351,9 @@ func (t *relationBatchTask) RunShard(shard, shards int) {
 	r := t.r
 	lo, hi := par.Split(r.chunks(), shards, shard)
 	for ch := lo; ch < hi; ch++ {
-		part := t.s.partial(t.out, ch, t.w)
+		part := t.s.partial(t.out, ch, t.b)
 		clear(part)
 		elo, ehi := r.chunk(ch)
-		cooScatterBatch(part, t.x, t.x, r.k, r.i, r.j, r.p, t.w, elo, ehi, t.asm)
+		cooScatterBatch(part, t.x, t.x, r.k, r.i, r.j, r.p, t.b, elo, ehi, t.asm)
 	}
 }

@@ -73,9 +73,9 @@ func sameBits(t *testing.T, label string, got, want []float64) {
 	}
 }
 
-// maxWidth is the widest block the width sweeps run: every vector
-// width 1–8 (padded or not) plus the first width past the vector
-// bodies.
+// maxWidth is the widest block the width sweeps run: the vector
+// strides 4 and 8, the scalar widths between them, and the first width
+// past the vector bodies.
 const maxWidth = 9
 
 // runBothKernelPaths runs f once with the default kernel selection (the
@@ -155,8 +155,8 @@ const fullN = 200
 // Column c of the blocked node contraction must be bitwise equal to the
 // single-vector Apply run on column c alone — the whole point of the
 // batched solver is that batching changes layout, never arithmetic —
-// at every width, padded to a vector body or not, with signed zeros in
-// the input.
+// at every width, on a vector stride or not, with signed zeros in the
+// input.
 func TestNodeApplyBatchMatchesSingleColumns(t *testing.T) {
 	runBothKernelPaths(t, testNodeApplyBatchMatchesSingleColumns)
 }
@@ -260,7 +260,7 @@ func testRelationApplyBatchMatchesSingleColumns(t *testing.T) {
 // which worker runs a row block or chunk, never the order of a float
 // operation. One scratch sized for the widest block serves every width,
 // so b also shrinks below the scratch's capacity (retired classes) and
-// the padded width changes from call to call. The cases span one and
+// the body changes from call to call. The cases span one and
 // several row blocks, one and three R chunks, an all-dangling and an
 // empty tensor.
 func TestApplyBatchParallelMatchesSingleColumns(t *testing.T) {
@@ -301,9 +301,8 @@ func testApplyBatchParallelMatchesSingleColumns(t *testing.T) {
 }
 
 // Steady-state batched contractions must not allocate, serial or pooled:
-// R's chunk partials, the column sums, the padded blocks (grown on the
-// first padded call) and the dispatch task all live in the reusable
-// scratch. The full tensor's R spans three chunks and its O four row
+// R's chunk partials, the column sums and the dispatch task all live in
+// the reusable scratch. The full tensor's R spans three chunks and its O four row
 // blocks, so the pooled calls dispatch.
 func TestApplyBatchZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(104))
@@ -317,7 +316,7 @@ func TestApplyBatchZeroAlloc(t *testing.T) {
 	dstZ := make([]float64, r.M()*maxCols)
 	p := par.New(4)
 	defer p.Close()
-	for _, b := range []int{maxCols, 3} { // a vector width, then a padded one
+	for _, b := range []int{maxCols, 3} { // a vector stride, then a scalar one
 		so1 := NewNodeBatchScratch(o, 1, maxCols)
 		sr1 := NewRelationBatchScratch(r, 1, maxCols)
 		if allocs := testing.AllocsPerRun(50, func() {

@@ -77,8 +77,8 @@ func BenchmarkTransitionConstruction(b *testing.B) {
 
 // BenchmarkApplyBatchWidths times one serial blocked contraction per
 // width b = 1…8 on a 4000-node, 6-relation tensor with 120k entries
-// (the size of the served DBLP network): every width runs a vector body
-// on AVX2 hosts, padded to 4 or 8 when b is neither. ns/op divided by
+// (the size of the served DBLP network): b = 4 and 8 run a vector body
+// on AVX2 hosts, every other width the scalar one. ns/op divided by
 // nnz·b is the per-column entry cost.
 func BenchmarkApplyBatchWidths(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))

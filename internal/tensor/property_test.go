@@ -81,9 +81,9 @@ func TestPropertyTransitionsStochastic(t *testing.T) {
 // TestPropertyApplyBatchPreservesSimplex: one blocked step keeps every
 // column on the probability simplex — non-negative entries summing to 1
 // within float tolerance — for the node contraction (O ×̄₁ X ×̄₃ Z) and
-// the relation contraction (R ×̄₁ X ×̄₂ X) alike, at the vector widths
-// (4, 8), the widths padded to them and the first scalar width, on both
-// kernel paths.
+// the relation contraction (R ×̄₁ X ×̄₂ X) alike, at the vector strides
+// (4, 8), the scalar widths below them and the first width past them, on
+// both kernel paths.
 func TestPropertyApplyBatchPreservesSimplex(t *testing.T) {
 	runBothKernelPaths(t, testPropertyApplyBatchPreservesSimplex)
 }

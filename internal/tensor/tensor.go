@@ -159,25 +159,35 @@ func (t *Tensor) Irreducible() bool {
 	if t.n == 0 {
 		return false
 	}
-	fwd := make([][]int32, t.n)
-	rev := make([][]int32, t.n)
-	t.Each(func(i, j, _ int, _ float64) {
-		fwd[j] = append(fwd[j], int32(i))
-		rev[i] = append(rev[i], int32(j))
-	})
-	return reachesAll(fwd, 0) && reachesAll(rev, 0)
+	return reachesAll(t.n, t.j, t.i) && reachesAll(t.n, t.i, t.j)
 }
 
-func reachesAll(adj [][]int32, start int) bool {
-	n := len(adj)
+// reachesAll reports whether every one of the n nodes is reachable from
+// node 0 along the edges from[q] → to[q]. A counting pass lays the edges
+// out as one offsets array and one targets array, and a stack search
+// walks them.
+func reachesAll(n int, from, to []int32) bool {
+	off := make([]int32, n+1)
+	for _, u := range from {
+		off[u+1]++
+	}
+	for u := 0; u < n; u++ {
+		off[u+1] += off[u]
+	}
+	next := append([]int32(nil), off[:n]...)
+	adj := make([]int32, len(from))
+	for q, u := range from {
+		adj[next[u]] = to[q]
+		next[u]++
+	}
 	seen := make([]bool, n)
-	stack := []int32{int32(start)}
-	seen[start] = true
+	stack := append(make([]int32, 0, n), 0) // each node is pushed at most once
+	seen[0] = true
 	count := 1
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, w := range adj[u] {
+		for _, w := range adj[off[u]:off[u+1]] {
 			if !seen[w] {
 				seen[w] = true
 				count++

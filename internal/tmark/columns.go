@@ -189,7 +189,8 @@ func (m *Model) SolveColumn(ctx context.Context, q ColumnQuery, opts ...RunOptio
 // collapsed linear system as a block of their own and never enter the
 // lockstep block. Per column the result is bitwise independent of the
 // batch and of the worker count. Query validation errors fail the whole
-// call before any solving happens.
+// call before any solving happens. Under WithStats the RunStats holds
+// one ClassStats per query, its Class the query's index.
 func (m *Model) SolveColumns(ctx context.Context, queries []ColumnQuery, opts ...RunOption) ([]ColumnResult, error) {
 	ctx = orBackground(ctx)
 	if len(queries) == 0 {
@@ -228,5 +229,9 @@ func (m *Model) SolveColumns(ctx context.Context, queries []ColumnQuery, opts ..
 	for i := range cols {
 		out[i] = cols[i].res
 	}
+	rs.finishStats(len(out), func(i int) ClassStats {
+		r := &out[i]
+		return columnStats(i, r.Iterations, r.Converged, r.Trace)
+	})
 	return out, nil
 }

@@ -321,8 +321,8 @@ func infRestart(n int) vec.Vector {
 func nan() float64  { z := zero(); return z / z }
 func zero() float64 { return 0 }
 
-// SolveColumns at every block width from 1 to 9 — the widths padded to
-// a vector body, the full vector widths and the first scalar width —
+// SolveColumns at every block width from 1 to 9 — laid out at the vector
+// strides 4 and 8 up to 8 columns, at the first scalar stride past them —
 // must equal the oracle bitwise on both kernel paths, serial and pooled,
 // with a CSR feature channel so W runs its vector body too. Columns
 // retire at different iterations, so every batch also steps down

@@ -3,13 +3,15 @@ package tmark
 // The lockstep column engine: the one iteration loop behind every
 // iterative T-Mark solve. A column is one restart vector iterated through
 // eq. (10) and eq. (8). The engine interleaves its active columns into a
-// node-major n×b block X (entry (i, col) at i*b+col) and an m×b block Z,
+// node-major n×s block X (entry (i, col) at i*s+col) and an m×s block Z,
 // so every kernel pass streams each tensor entry and CSR row once and
-// applies it to all b columns — the kernels are memory-bandwidth-bound,
-// so a block of q columns costs far less than q single-vector solves.
-// Columns retire when they converge, stop or fault: their state is
-// gathered into the column's result and the block is compacted, so late
-// iterations only pay for stragglers.
+// applies it to all b active columns — the kernels are
+// memory-bandwidth-bound, so a block of q columns costs far less than q
+// single-vector solves. The stride s is vec.Stride(b), the width the
+// kernels' vector bodies run at, and lanes b..s−1 hold +0. Columns
+// retire when they converge, stop or fault: their state is gathered into
+// the column's result and the block is compacted to the stride of the
+// survivors, so late iterations only pay for stragglers.
 //
 // Every caller is a column set plus two pieces of data:
 //
@@ -39,6 +41,7 @@ import (
 	"math"
 
 	"tmark/internal/accel"
+	"tmark/internal/fault"
 	"tmark/internal/obs"
 	"tmark/internal/vec"
 )
@@ -65,8 +68,8 @@ type engineCol struct {
 }
 
 // engine is the working set of one lockstep solve. The blocked buffers
-// are sized for the initially active columns and re-sliced to the
-// active stride b as columns retire.
+// are sized for the initial stride and re-sliced to the current one as
+// columns retire.
 type engine struct {
 	m    *Model
 	rs   *runScratch
@@ -83,12 +86,13 @@ type engine struct {
 	// it too. Otherwise a faulting column retires alone.
 	stopOnFault bool
 
-	n, mm int
-	b     int   // active column count
-	colOf []int // active column -> column index, ascending; len b
-	slot  []int // column index -> active column, or -1 once retired
+	n, mm  int
+	b      int   // active column count
+	stride int   // vec.Stride(b): the lane stride of every block
+	colOf  []int // active column -> column index, ascending; len b
+	slot   []int // column index -> active column, or -1 once retired
 
-	x, z   []float64 // committed blocked state, stride b
+	x, z   []float64 // committed blocked state; lanes b..stride−1 hold +0
 	xn, zn []float64 // next iterates
 	tmp    []float64 // feature-channel product W·X
 	keep   []int     // compaction scratch
@@ -123,10 +127,11 @@ func (m *Model) newEngine(rs *runScratch, cols []engineCol) *engine {
 		}
 	}
 	b := len(e.colOf)
-	e.b = b
-	e.x, e.z = make([]float64, n*b), make([]float64, mm*b)
-	e.xn, e.zn = make([]float64, n*b), make([]float64, mm*b)
-	e.tmp = make([]float64, n*b)
+	s := vec.Stride(b)
+	e.b, e.stride = b, s
+	e.x, e.z = make([]float64, n*s), make([]float64, mm*s)
+	e.xn, e.zn = make([]float64, n*s), make([]float64, mm*s)
+	e.tmp = make([]float64, n*s)
 	e.keep = make([]int, 0, b)
 	e.rhos = make([]float64, b)
 	e.bad = make([]string, b)
@@ -140,10 +145,19 @@ func (m *Model) newEngine(rs *runScratch, cols []engineCol) *engine {
 			}
 			x, z = c.l, uniformZ
 		}
-		vec.ScatterCol(x, e.x, col, b)
-		vec.ScatterCol(z, e.z, col, b)
+		vec.ScatterCol(x, e.x, col, s)
+		vec.ScatterCol(z, e.z, col, s)
 	}
+	fireLayout(b, s, e.x, e.z)
 	return e
+}
+
+// fireLayout fires the SolverLayout fault point over a solve's blocks:
+// its active column count, its lane stride and its two blocks.
+func fireLayout(active, stride int, x, y []float64) {
+	if fault.Enabled() {
+		fault.Fire(fault.SolverLayout, active, stride, x, y)
+	}
 }
 
 // run iterates to the end and gathers every still-active column into its
@@ -195,25 +209,25 @@ func (e *engine) iterate(ctx context.Context) *runFault {
 		if t > 2 {
 			e.reseed()
 		}
-		b := e.b
-		x, z, xn, zn := e.x[:n*b], e.z[:mm*b], e.xn[:n*b], e.zn[:mm*b]
+		b, s := e.b, e.stride
+		x, z, xn, zn := e.x[:n*s], e.z[:mm*s], e.xn[:n*s], e.zn[:mm*s]
 		anyJump := false
 		for col := 0; col < b; col++ {
 			if c := e.at(col); c.ex != nil && c.ex.Pending() {
-				c.ex.ScatterCandidate(x, z, col, b)
+				c.ex.ScatterCandidate(x, z, col, s)
 				c.jumped, c.vetoed = true, false
 				anyJump = true
 			}
 		}
 		if rel > 0 {
-			rs.applyNodeBatch(m.o, x, z, xn, b)
+			rs.applyNodeBatch(m.o, x, z, xn, s, b)
 			vec.Scale(rel, xn)
 		} else {
 			vec.Fill(xn, 0)
 		}
 		if beta > 0 && m.w != nil {
-			tmp := e.tmp[:n*b]
-			rs.mulFeatureBatch(x, tmp, b)
+			tmp := e.tmp[:n*s]
+			rs.mulFeatureBatch(x, tmp, s, b)
 			vec.Axpy(beta, tmp, xn)
 		}
 		// The simplex projection: rounding in the dangling-mass closed
@@ -224,18 +238,18 @@ func (e *engine) iterate(ctx context.Context) *runFault {
 		for col := 0; col < b; col++ {
 			c := e.at(col)
 			bad[col] = ""
-			vec.AxpyCol(alpha, c.l, xn, col, b)
-			mass, ok := vec.Normalize1ColMass(xn, col, b)
+			vec.AxpyCol(alpha, c.l, xn, col, s)
+			mass, ok := vec.Normalize1ColMass(xn, col, s)
 			kind, _ := badMass(mass, ok, g)
 			e.probe(c, &bad[col], kind)
 		}
 		if flt := e.corrupt(t); flt != nil {
 			return flt
 		}
-		rs.applyRelationBatch(m.r, xn, zn, b)
+		rs.applyRelationBatch(m.r, xn, zn, s, b)
 		for col := 0; col < b; col++ {
 			if c := e.at(col); bad[col] == "" && !c.vetoed {
-				mass, ok := vec.Normalize1ColMass(zn, col, b)
+				mass, ok := vec.Normalize1ColMass(zn, col, s)
 				kind, _ := badMass(mass, ok, g)
 				e.probe(c, &bad[col], kind)
 			}
@@ -248,7 +262,7 @@ func (e *engine) iterate(ctx context.Context) *runFault {
 		rhos := e.rhos[:b]
 		for col := 0; col < b; col++ {
 			if c := e.at(col); bad[col] == "" && !c.vetoed {
-				rhos[col] = vec.Diff1Col(x, xn, col, b) + vec.Diff1Col(z, zn, col, b)
+				rhos[col] = vec.Diff1Col(x, xn, col, s) + vec.Diff1Col(z, zn, col, s)
 				if nonFinite(rhos[col]) {
 					e.probe(c, &bad[col], faultNonFinite)
 				}
@@ -270,7 +284,7 @@ func (e *engine) iterate(ctx context.Context) *runFault {
 				if !c.vetoed && rhos[col] < last {
 					c.ex.Accept()
 				} else {
-					c.ex.RestoreInto(xn, zn, col, b)
+					c.ex.RestoreInto(xn, zn, col, s)
 					c.ex.Reject()
 					c.vetoed = true
 				}
@@ -289,10 +303,10 @@ func (e *engine) iterate(ctx context.Context) *runFault {
 			regNumericalFaults.Inc()
 			e.at(col).res.Stopped = ErrNumericalFault
 			for r := 0; r < n; r++ {
-				xn[r*b+col] = x[r*b+col]
+				xn[r*s+col] = x[r*s+col]
 			}
 			for r := 0; r < mm; r++ {
-				zn[r*b+col] = z[r*b+col]
+				zn[r*s+col] = z[r*s+col]
 			}
 			done = true
 		}
@@ -355,7 +369,7 @@ func (e *engine) iterate(ctx context.Context) *runFault {
 			c := e.at(col)
 			c.vetoed = false
 			if c.ex != nil && !c.res.Converged && c.res.Stopped == nil {
-				c.ex.Observe(x, z, col, b)
+				c.ex.Observe(x, z, col, s)
 				c.ex.Propose()
 			}
 		}
@@ -396,7 +410,7 @@ func (e *engine) corrupt(t int) *runFault {
 		}
 		for c := 0; c < e.b; c++ {
 			if cc := e.at(c); cc.jumped {
-				cc.ex.RestoreInto(e.x, e.z, c, e.b)
+				cc.ex.RestoreInto(e.x, e.z, c, e.stride)
 				cc.ex.Reject()
 				cc.jumped = false
 			}
@@ -430,18 +444,16 @@ func (e *engine) cancelColumns() bool {
 }
 
 // retire gathers every active column that done selects into its result
-// and left-packs the survivors, shrinking the active stride. Compaction
-// moves each surviving value to an offset no greater than its source
-// (i·b′+nc ≤ i·b+keep[nc] for b′ < b), so the in-place repack never
-// overwrites unread state.
+// and left-packs the survivors at the stride of their count, with +0 in
+// the freed lanes (vec.CompactCols).
 func (e *engine) retire(done func(c *engineCol) bool) {
 	e.keep = e.keep[:0]
 	for col := 0; col < e.b; col++ {
 		j := e.colOf[col]
 		if c := &e.cols[j]; done(c) {
 			c.res.X, c.res.Z = vec.New(e.n), vec.New(e.mm)
-			vec.GatherCol(e.x, col, e.b, c.res.X)
-			vec.GatherCol(e.z, col, e.b, c.res.Z)
+			vec.GatherCol(e.x, col, e.stride, c.res.X)
+			vec.GatherCol(e.z, col, e.stride, c.res.Z)
 			e.slot[j] = -1
 			continue
 		}
@@ -450,15 +462,17 @@ func (e *engine) retire(done func(c *engineCol) bool) {
 	if len(e.keep) == e.b {
 		return
 	}
-	vec.CompactCols(e.x, e.n, e.b, e.keep)
-	vec.CompactCols(e.z, e.mm, e.b, e.keep)
+	s := vec.Stride(len(e.keep))
+	vec.CompactCols(e.x, e.n, e.stride, e.keep, s)
+	vec.CompactCols(e.z, e.mm, e.stride, e.keep, s)
 	for nc, oc := range e.keep {
 		j := e.colOf[oc]
 		e.colOf[nc] = j
 		e.slot[j] = nc
 	}
-	e.b = len(e.keep)
+	e.b, e.stride = len(e.keep), s
 	e.colOf = e.colOf[:e.b]
+	fireLayout(e.b, s, e.x[:e.n*s], e.z[:e.mm*s])
 }
 
 // colX locates column j's current node scores: node i's score is
@@ -466,7 +480,7 @@ func (e *engine) retire(done func(c *engineCol) bool) {
 // its frozen result once retired.
 func (e *engine) colX(j int) (x []float64, off, stride int) {
 	if s := e.slot[j]; s >= 0 {
-		return e.x, s, e.b
+		return e.x, s, e.stride
 	}
 	return e.cols[j].res.X, 0, 1
 }

@@ -280,7 +280,7 @@ func TestEngineDiscardsCorruptIterate(t *testing.T) {
 			cols[c].columnState = m.classColumn(c, nil, false)
 		}
 		e := m.newEngine(rs, cols)
-		e.x[3*e.b] = math.NaN() // node 3 of column 0
+		e.x[3*e.stride] = math.NaN() // node 3 of column 0
 		return e, append([]float64(nil), e.x...)
 	}
 	sameBits := func(label string, got, want []float64) {
@@ -311,7 +311,7 @@ func TestEngineDiscardsCorruptIterate(t *testing.T) {
 			poisoned.Stopped, poisoned.Iterations)
 	}
 	start := make([]float64, e.n)
-	vec.GatherCol(before, 0, 2, start)
+	vec.GatherCol(before, 0, vec.Stride(2), start)
 	sameBits("poisoned column x", poisoned.X, start)
 	if healthy.Stopped != nil || healthy.Iterations == 0 {
 		t.Errorf("healthy column: stopped %v after %d iterations", healthy.Stopped, healthy.Iterations)

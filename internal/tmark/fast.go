@@ -107,13 +107,15 @@ func (m *Model) linearSystem() (*accel.System, error) {
 
 // solveFast answers columns through the linearized tier: Jacobi sweeps
 // of the collapsed system x = rel·(P·x + dangling) + β·W·x + α·l from
-// the uniform start, all columns as one n×b block on the blocked CSR
-// kernels, then one relation contraction for z. A column whose step ρ
-// (the L1 distance between consecutive sweeps) drops below ε retires
-// with that sweep; one that reaches MaxIterations keeps its last. Every
-// kernel computes each column's floats in single-vector order, so an
-// answer depends on neither the block nor the worker count. The
-// contexts are checked once, before the block: a column whose own
+// the uniform start, all columns as one block on the blocked CSR
+// kernels, then one relation contraction for z. The block is laid out at
+// stride vec.Stride(b) for its b active columns, as the engine's is,
+// with +0 in the lanes past them, and re-strided as columns retire. A
+// column whose step ρ (the L1 distance between consecutive sweeps) drops
+// below ε retires with that sweep; one that reaches MaxIterations keeps
+// its last. Every kernel computes each column's floats in single-vector
+// order, so an answer depends on neither the block nor the worker count.
+// The contexts are checked once, before the block: a column whose own
 // context, or the run's, is done keeps (l, uniform z) and the context's
 // error; the block then runs to its end, within log(ε)/log(1−α) sweeps.
 // The per-query ICA reseed does not apply, which is part of the
@@ -149,36 +151,39 @@ func (m *Model) solveFast(ctx context.Context, cols []columnState, rs *runScratc
 	}
 
 	b := len(colOf)
-	x, xn, l := make([]float64, n*b), make([]float64, n*b), make([]float64, n*b)
-	vec.Fill(x, 1/float64(n))
+	s := vec.Stride(b)
+	x, xn, l := make([]float64, n*s), make([]float64, n*s), make([]float64, n*s)
+	uniform := vec.Uniform(n)
 	for col, j := range colOf {
-		vec.ScatterCol(cols[j].l, l, col, b)
+		vec.ScatterCol(uniform, x, col, s)
+		vec.ScatterCol(cols[j].l, l, col, s)
 	}
 	beta := m.cfg.Beta()
 	var tmp []float64
 	if beta > 0 && m.w != nil {
-		tmp = make([]float64, n*b)
+		tmp = make([]float64, n*s)
 	}
 	ms := sparse.NewMulBatchScratch(rs.workers)
 	ms.NoASM = rs.opts.noASM
 	keep := make([]int, 0, b)
+	fireLayout(b, s, x, l)
 	retire := func(col int, src []float64) {
 		r := &out[colOf[col]]
 		r.X = vec.New(n)
-		vec.GatherCol(src, col, b, r.X)
+		vec.GatherCol(src, col, s, r.X)
 	}
 	for sweep := 0; sweep < m.cfg.MaxIterations && b > 0; sweep++ {
-		xb, xnb, lb := x[:n*b], xn[:n*b], l[:n*b]
-		rs.timeKernel(obs.KernelO, sys.NNZ(), b, func() { sys.ApplyBatch(rs.pool, ms, xb, lb, xnb, b) })
+		xb, xnb, lb := x[:n*s], xn[:n*s], l[:n*s]
+		rs.timeKernel(obs.KernelO, sys.NNZ(), b, func() { sys.ApplyBatch(rs.pool, ms, xb, lb, xnb, s) })
 		if tmp != nil {
-			tb := tmp[:n*b]
-			rs.mulFeatureBatch(xb, tb, b)
+			tb := tmp[:n*s]
+			rs.mulFeatureBatch(xb, tb, s, b)
 			vec.Axpy(beta, tb, xnb)
 		}
 		keep = keep[:0]
 		for col := 0; col < b; col++ {
 			r := &out[colOf[col]]
-			rho := vec.Diff1Col(xnb, xb, col, b)
+			rho := vec.Diff1Col(xnb, xb, col, s)
 			r.Trace = append(r.Trace, rho)
 			if rho < m.cfg.Epsilon {
 				r.Converged = true
@@ -189,17 +194,19 @@ func (m *Model) solveFast(ctx context.Context, cols []columnState, rs *runScratc
 		}
 		x, xn = xn, x
 		if len(keep) < b {
-			vec.CompactCols(x, n, b, keep)
-			vec.CompactCols(l, n, b, keep)
+			ns := vec.Stride(len(keep))
+			vec.CompactCols(x, n, s, keep, ns)
+			vec.CompactCols(l, n, s, keep, ns)
 			for nc, oc := range keep {
 				colOf[nc] = colOf[oc]
 			}
-			b = len(keep)
+			b, s = len(keep), ns
 			colOf = colOf[:b]
+			fireLayout(b, s, x[:n*s], l[:n*s])
 		}
 	}
 	for col := range colOf {
-		retire(col, x[:n*b])
+		retire(col, x[:n*s])
 	}
 	for j := range out {
 		if r := &out[j]; r.Stopped == nil {

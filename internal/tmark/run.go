@@ -387,33 +387,49 @@ func (m *Model) finishRun(ctx context.Context, res *Result, rs *runScratch) {
 		}
 	}
 
-	st := rs.opts.stats
-	rs.col.Finish(st)
-	if st != nil {
-		st.Workers = rs.workers
-		st.AccelProposed = rs.accel.Proposed
-		st.AccelAccepted = rs.accel.Accepted
-		st.AccelRejected = rs.accel.Rejected
-		st.Iterations = 0
-		st.Classes = st.Classes[:0]
-		for i := range res.Classes {
-			cr := &res.Classes[i]
-			st.Iterations += cr.Iterations
-			final := 0.0
-			if len(cr.Trace) > 0 {
-				final = cr.Trace[len(cr.Trace)-1]
-			}
-			st.Classes = append(st.Classes, ClassStats{
-				Class:         cr.Class,
-				Iterations:    cr.Iterations,
-				Converged:     cr.Converged,
-				FinalResidual: final,
-				Residuals:     append([]float64(nil), cr.Trace...),
-			})
-		}
-	}
+	rs.finishStats(len(res.Classes), func(i int) ClassStats {
+		cr := &res.Classes[i]
+		return columnStats(cr.Class, cr.Iterations, cr.Converged, cr.Trace)
+	})
 	publishAccel(&rs.accel)
-	publishRun(res, st)
+	publishRun(res, rs.opts.stats)
+}
+
+// finishStats fills the run's RunStats, when it asked for one, with the
+// collector's view, the worker count, the extrapolation counters and
+// the iteration record col(i) of each of its n columns.
+func (rs *runScratch) finishStats(n int, col func(i int) ClassStats) {
+	st := rs.opts.stats
+	if st == nil {
+		return
+	}
+	rs.col.Finish(st)
+	st.Workers = rs.workers
+	st.AccelProposed = rs.accel.Proposed
+	st.AccelAccepted = rs.accel.Accepted
+	st.AccelRejected = rs.accel.Rejected
+	st.Iterations = 0
+	st.Classes = st.Classes[:0]
+	for i := 0; i < n; i++ {
+		cs := col(i)
+		st.Iterations += cs.Iterations
+		st.Classes = append(st.Classes, cs)
+	}
+}
+
+// columnStats summarises one column's iteration history.
+func columnStats(class, iterations int, converged bool, trace []float64) ClassStats {
+	final := 0.0
+	if len(trace) > 0 {
+		final = trace[len(trace)-1]
+	}
+	return ClassStats{
+		Class:         class,
+		Iterations:    iterations,
+		Converged:     converged,
+		FinalResidual: final,
+		Residuals:     append([]float64(nil), trace...),
+	}
 }
 
 // publishAccel adds one run's extrapolation activity to the registry.
@@ -499,8 +515,9 @@ type runScratch struct {
 }
 
 // newRunScratch builds the pool, kernel scratch and collector for one
-// solver run whose engine block holds at most maxCols columns: the
-// graph's q classes for a class run, the query count for SolveColumns.
+// solver run whose blocks hold at most maxCols columns: the graph's q
+// classes for a class run, the query count for SolveColumns. The kernel
+// scratch is sized for the widest stride those columns are laid out at.
 func (m *Model) newRunScratch(ro runOptions, maxCols int) *runScratch {
 	w := m.cfg.workerCount()
 	if ro.workers > 0 {
@@ -521,22 +538,19 @@ func (m *Model) newRunScratch(ro runOptions, maxCols int) *runScratch {
 	}
 	// The tensor kernels run on their batch scratch at every worker
 	// count: it holds the column sums and R's chunk partials.
-	rs.ob = tensor.NewNodeBatchScratch(m.o, w, maxCols)
-	rs.ob.Probe = rs.col.KernelProbe(obs.KernelO)
+	stride := vec.Stride(maxCols)
+	rs.ob = tensor.NewNodeBatchScratch(m.o, w, stride)
 	rs.ob.NoASM = ro.noASM
-	rs.rb = tensor.NewRelationBatchScratch(m.r, w, maxCols)
-	rs.rb.Probe = rs.col.KernelProbe(obs.KernelR)
+	rs.rb = tensor.NewRelationBatchScratch(m.r, w, stride)
 	rs.rb.NoASM = ro.noASM
 	// The CSR scratch exists for every worker count too: it carries the
 	// demotion to the serial product as well as the sharded one.
 	switch {
 	case rs.wS != nil:
 		rs.wCSRb = sparse.NewMulBatchScratch(w)
-		rs.wCSRb.Probe = rs.col.KernelProbe(obs.KernelW)
 		rs.wCSRb.NoASM = ro.noASM
 	case rs.wD != nil && w > 1:
 		rs.wDenb = vec.NewMulBatchScratch(w)
-		rs.wDenb.Probe = rs.col.KernelProbe(obs.KernelW)
 	}
 	return rs
 }
@@ -548,54 +562,45 @@ func (rs *runScratch) close() {
 }
 
 // The engine's kernel wrappers: the blocked kernels on the run's pool
-// (nil runs them inline), timed under the collector. The tensor
-// scratches count their own items through their probes.
+// (nil runs them inline) over blocks at the given stride. Each is timed
+// under the collector as one call over its stored entries, applied to
+// the active columns: the lanes past them are layout, not work.
 
-func (rs *runScratch) applyNodeBatch(o *tensor.NodeTransition, x, z, dst []float64, b int) {
+func (rs *runScratch) applyNodeBatch(o *tensor.NodeTransition, x, z, dst []float64, stride, active int) {
 	start := rs.col.Clock()
-	o.ApplyBatchParallel(rs.pool, rs.ob, x, z, dst, b)
-	rs.col.StopKernel(obs.KernelO, start)
+	o.ApplyBatchParallel(rs.pool, rs.ob, x, z, dst, stride)
+	rs.col.StopKernel(obs.KernelO, start, o.NNZ(), active)
 }
 
-func (rs *runScratch) applyRelationBatch(r *tensor.RelationTransition, x, dst []float64, b int) {
+func (rs *runScratch) applyRelationBatch(r *tensor.RelationTransition, x, dst []float64, stride, active int) {
 	start := rs.col.Clock()
-	r.ApplyBatchParallel(rs.pool, rs.rb, x, dst, b)
-	rs.col.StopKernel(obs.KernelR, start)
+	r.ApplyBatchParallel(rs.pool, rs.rb, x, dst, stride)
+	rs.col.StopKernel(obs.KernelR, start, r.NNZ(), active)
 }
 
-func (rs *runScratch) mulFeatureBatch(x, dst []float64, b int) {
+func (rs *runScratch) mulFeatureBatch(x, dst []float64, stride, active int) {
 	start := rs.col.Clock()
+	var items int
 	switch {
 	case rs.wS != nil:
 		// A nil pool runs the serial product, under the scratch's NoASM.
-		rs.wS.MulVecBatchParallel(rs.pool, rs.wCSRb, x, dst, b)
-		if rs.pool == nil {
-			rs.col.AddKernelCols(obs.KernelW, int64(rs.wS.NNZ()), int64(b))
-		}
+		rs.wS.MulVecBatchParallel(rs.pool, rs.wCSRb, x, dst, stride)
+		items = rs.wS.NNZ()
 	case rs.wD != nil:
-		if rs.pool == nil {
-			rs.wD.MulVecBatch(x, dst, b)
-			rs.col.AddKernelCols(obs.KernelW, int64(rs.wD.Rows*rs.wD.Cols), int64(b))
-		} else {
-			rs.wD.MulVecBatchParallel(rs.pool, rs.wDenb, x, dst, b)
-		}
+		rs.wD.MulVecBatchParallel(rs.pool, rs.wDenb, x, dst, stride)
+		items = rs.wD.Rows * rs.wD.Cols
 	default:
 		// New only ever builds a CSR or dense W; failing loudly beats
 		// silently leaving dst stale.
 		panic("tmark: the engine requires a CSR or dense feature matrix")
 	}
-	rs.col.StopKernel(obs.KernelW, start)
+	rs.col.StopKernel(obs.KernelW, start, items, active)
 }
 
 // timeKernel times one pass (fn) under kernel k, crediting the streamed
 // items and the columns they cover.
 func (rs *runScratch) timeKernel(k obs.Kernel, items, cols int, fn func()) {
-	if rs.col == nil {
-		fn()
-		return
-	}
 	start := rs.col.Clock()
 	fn()
-	rs.col.StopKernel(k, start)
-	rs.col.AddKernelCols(k, int64(items), int64(cols))
+	rs.col.StopKernel(k, start, items, cols)
 }

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"sync"
 
-	"tmark/internal/obs"
 	"tmark/internal/par"
 )
 
@@ -58,10 +57,6 @@ type MulBatchScratch struct {
 	shards int
 	task   denseMulBatchTask
 	wg     sync.WaitGroup
-
-	// Probe, when non-nil, counts MulVecBatchParallel calls, the dense
-	// cells they stream, and the columns they apply them to.
-	Probe *obs.Probe
 }
 
 // NewMulBatchScratch returns batch scratch for the given shard count.
@@ -99,7 +94,6 @@ func (m *Matrix) MulVecBatchParallel(p *par.Pool, s *MulBatchScratch, x, dst []f
 		panic(fmt.Sprintf("vec: MulVecBatchParallel blocks %d/%d for %dx%d with %d columns",
 			len(x), len(dst), m.Rows, m.Cols, b))
 	}
-	s.Probe.ObserveCols(m.Rows*m.Cols, b)
 	s.task.m, s.task.x, s.task.dst, s.task.b = m, x, dst, b
 	p.Run(s.shards, &s.task, &s.wg)
 	s.task.x, s.task.dst = nil, nil

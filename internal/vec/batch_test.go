@@ -1,6 +1,7 @@
 package vec
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -151,14 +152,21 @@ func TestBlockColumnHelpers(t *testing.T) {
 		}
 	}
 
-	// Compact columns {0, 2, 4}: survivors keep their exact values.
+	// Compact columns {0, 2, 4} to stride 4 and to stride 3: survivors
+	// keep their exact values and the freed lanes read +0.
 	keep := []int{0, 2, 4}
-	compact := append([]float64(nil), block...)
-	CompactCols(compact, rows, b, keep)
-	for nc, oc := range keep {
+	for _, stride := range []int{4, 3} {
+		compact := append([]float64(nil), block...)
+		CompactCols(compact, rows, b, keep, stride)
 		for i := 0; i < rows; i++ {
-			if compact[i*len(keep)+nc] != block[i*b+oc] {
-				t.Fatalf("CompactCols col %d->%d row %d mismatch", oc, nc, i)
+			for nc := 0; nc < stride; nc++ {
+				got, want := compact[i*stride+nc], 0.0
+				if nc < len(keep) {
+					want = block[i*b+keep[nc]]
+				}
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("CompactCols to stride %d: row %d lane %d = %v, want %v", stride, i, nc, got, want)
+				}
 			}
 		}
 	}
@@ -171,6 +179,20 @@ func TestBlockColumnHelpers(t *testing.T) {
 	for i := range block {
 		if rt[i] != block[i] {
 			t.Fatalf("Scatter/Gather round trip differs at %d", i)
+		}
+	}
+}
+
+// Stride is the solver's one lane rule: 4 for 1–4 columns, 8 for 5–8,
+// the count itself above 8, and VectorStride holds at exactly 4 and 8.
+func TestStride(t *testing.T) {
+	want := []int{0, 4, 4, 4, 4, 8, 8, 8, 8, 9, 10, 11}
+	for b, w := range want {
+		if got := Stride(b); got != w {
+			t.Errorf("Stride(%d) = %d, want %d", b, got, w)
+		}
+		if got := VectorStride(b); got != (b == 4 || b == 8) {
+			t.Errorf("VectorStride(%d) = %v", b, got)
 		}
 	}
 }

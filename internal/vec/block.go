@@ -88,22 +88,50 @@ func Normalize1ColMass(v []float64, col, stride int) (float64, bool) {
 	return s, true
 }
 
+// Stride returns the block stride the solver lays b active columns out
+// at: 4 for 1–4 columns, 8 for 5–8, and b itself above 8 (0 for none).
+// Lanes b..stride−1 of every row (a lane is one column slot of a row)
+// hold +0. This is the one layout rule of the blocked kernels: O, R and
+// the CSR product have AVX2 bodies at exactly the strides 4 and 8, one
+// or two 256-bit registers per row (VectorStride), so every call of a
+// solve of at most 8 columns runs them, and no kernel pads or masks the
+// block it is handed. A zero lane stays +0 through every kernel (each
+// output cell starts at +0 and only adds products of that lane), and no
+// kernel combines lanes, so the pad lanes change no real column's bits.
+func Stride(b int) int {
+	switch {
+	case b > 8:
+		return b
+	case b > 4:
+		return 8
+	case b > 0:
+		return 4
+	}
+	return 0
+}
+
+// VectorStride reports whether the blocked kernels have a vector body at
+// stride b: one of the strides Stride gives 1–8 columns.
+func VectorStride(b int) bool { return b > 0 && b <= 8 && Stride(b) == b }
+
 // CompactCols left-packs the columns listed in keep (strictly ascending)
-// of an n-row block, shrinking the stride from oldStride to len(keep).
-// The move is in-place safe: for every row the destination offset
-// i*len(keep)+nc never exceeds the source offset i*oldStride+keep[nc],
-// so ascending iteration never overwrites unread data.
-func CompactCols(v []float64, rows, oldStride int, keep []int) {
-	newStride := len(keep)
-	if newStride == oldStride {
-		return
+// of an n-row block at stride oldStride into stride newStride, where
+// len(keep) ≤ newStride ≤ oldStride, and sets lanes
+// len(keep)..newStride−1 of every row to +0. The move is in-place safe:
+// for every row the destination offset i*newStride+nc never exceeds the
+// source offset i*oldStride+keep[nc], so ascending iteration never
+// overwrites unread data, and a row's cleared lanes lie below every
+// later row's source.
+func CompactCols(v []float64, rows, oldStride int, keep []int, newStride int) {
+	if len(keep) > newStride || newStride > oldStride {
+		panic(fmt.Sprintf("vec: CompactCols of %d columns from stride %d to %d", len(keep), oldStride, newStride))
 	}
 	for i := 0; i < rows; i++ {
-		src := i * oldStride
-		dst := i * newStride
+		src, dst := v[i*oldStride:], v[i*newStride:(i+1)*newStride]
 		for nc, oc := range keep {
-			v[dst+nc] = v[src+oc]
+			dst[nc] = src[oc]
 		}
+		clear(dst[len(keep):])
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"tmark/internal/obs"
 	"tmark/internal/par"
 )
 
@@ -20,10 +19,6 @@ type MulScratch struct {
 	shards int
 	task   denseMulTask
 	wg     sync.WaitGroup
-
-	// Probe, when non-nil, counts MulVecParallel calls and the dense cells
-	// they touch; nil disables observation.
-	Probe *obs.Probe
 }
 
 // NewMulScratch returns scratch for the given shard count. shards < 1 is
@@ -69,7 +64,6 @@ func (m *Matrix) MulVecParallel(p *par.Pool, s *MulScratch, x, dst Vector) {
 	if len(dst) != m.Rows {
 		panic(fmt.Sprintf("vec: MulVecParallel dst length %d, want %d", len(dst), m.Rows))
 	}
-	s.Probe.Observe(m.Rows * m.Cols)
 	s.task.m, s.task.x, s.task.dst = m, x, dst
 	p.Run(s.shards, &s.task, &s.wg)
 	s.task.x, s.task.dst = nil, nil
