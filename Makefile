@@ -97,14 +97,14 @@ serve-race:
 
 # The fault-injection suites under the race detector: solver chaos
 # (injected NaN/Inf corruption, the scalar-demoted re-run), serving chaos
-# (build/solve panics, overload shedding, eviction racing a borrowed
-# solve, a drain cancelling a /v1/rank full solve, overlapping batches of
-# one model meeting the fill rule, a drain and a double panic, artifact
-# leases keeping a retired model mapped through held solves, readers
-# answered while an ingest is held mid-apply) and the tmarkd SIGTERM
-# drain test.
+# (build/solve panics, overload shedding, an evicted model finishing a
+# borrowed /v1/rank solve and held batches at full quality and being
+# freed once nothing holds it, a drain cancelling a /v1/rank full solve,
+# overlapping batches of one model meeting the fill rule, a drain and a
+# double panic, readers answered while an ingest is held mid-apply) and
+# the tmarkd SIGTERM drain test.
 chaos:
-	$(GO) test -race -count=1 -run 'TestChaos|TestEviction|TestLease|TestOverlap|TestServeRankDrainCancelsFullSolve|TestRunSIGTERMDrainsRankSolve|TestGuard|TestEngineDiscardsCorruptIterate|TestNoASMDemotion|TestKernelFaultPoint|TestIngestQuarantine|TestIngestPins|TestReaderNeverWaits' ./internal/tmark/ ./internal/serve/ ./internal/tensor/ ./internal/stream/ ./cmd/tmarkd/
+	$(GO) test -race -count=1 -run 'TestChaos|TestEviction|TestOverlap|TestServeRankDrainCancelsFullSolve|TestRunSIGTERMDrainsRankSolve|TestGuard|TestEngineDiscardsCorruptIterate|TestNoASMDemotion|TestKernelFaultPoint|TestIngestQuarantine|TestIngestPins|TestReaderNeverWaits' ./internal/tmark/ ./internal/serve/ ./internal/tensor/ ./internal/stream/ ./cmd/tmarkd/
 
 # The durability suite under the race detector: WAL codec and log
 # lifecycle (torn-tail truncation, rotation, checkpoint pruning), the
@@ -145,6 +145,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecodeIngestRequest $(FUZZFLAGS) ./internal/serve/
 	$(GO) test -fuzz FuzzDecodeArtifact $(FUZZFLAGS) ./internal/artifact/
 	$(GO) test -fuzz FuzzDecodeWALRecord $(FUZZFLAGS) ./internal/wal/
+	$(GO) test -fuzz FuzzDecodeWALSnapshot $(FUZZFLAGS) ./internal/wal/
 	$(GO) test -fuzz FuzzFeatureTransition $(FUZZFLAGS) ./internal/markov/
 	$(GO) test -fuzz FuzzApplyBatch $(FUZZFLAGS) ./internal/tensor/
 	$(GO) test -fuzz FuzzMulVecBatch $(FUZZFLAGS) ./internal/sparse/

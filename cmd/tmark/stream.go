@@ -231,7 +231,6 @@ func solveRef(reg *artifact.Registry, refStr string) (*solvedRef, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", refStr, err)
 	}
-	defer a.Close()
 	cfg := a.BuiltConfig
 	cfg.Workers = 1
 	m, err := a.Activate(cfg)

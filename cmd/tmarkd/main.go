@@ -23,11 +23,11 @@
 //
 // -model-dir points at the content-addressed artifact registry written
 // by `tmark build`. A request's model name that the registry knows is
-// served by memory-mapping the compiled artifact — cold start in
-// milliseconds instead of a full tensor normalisation — with the loaded
-// graph of the same name as rebuild fallback if the blob fails its
-// checksum. With -model-dir and no -dataset flags tmarkd serves the
-// registry's models alone.
+// served by reading the compiled artifact into memory and verifying it
+// — cold start in milliseconds instead of a full tensor normalisation —
+// with the loaded graph of the same name as rebuild fallback if the
+// blob fails its checksum. With -model-dir and no -dataset flags
+// tmarkd serves the registry's models alone.
 //
 // Endpoints: POST /v1/classify (seed labels in, per-node scores and
 // link rankings out), GET /v1/rank?model=&top=&quality= (full-solve
@@ -133,7 +133,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		maxConc  = fs.Int("max-concurrent", serve.DefaultMaxConcurrent, "batch solves running at once across all models; one model can have this many in flight")
 		maxBody  = fs.Int64("max-body", serve.DefaultMaxBodyBytes, "maximum /v1/classify and /v1/ingest request body bytes")
 		drain    = fs.Duration("drain-timeout", 30*time.Second, "shutdown deadline after SIGTERM/SIGINT")
-		modelDir = fs.String("model-dir", "", "artifact registry directory: models compiled by `tmark build` activate by mmap instead of rebuilding")
+		modelDir = fs.String("model-dir", "", "artifact registry directory: models compiled by `tmark build` activate from their verified blobs instead of rebuilding")
 		walDir   = fs.String("wal-dir", "", "write-ahead log directory for /v1/ingest: batches are fsync'd before applying and replayed after a crash")
 		noScrub  = fs.Bool("no-scrub", false, "skip the startup registry scrub (with -model-dir)")
 		retryDur = fs.Duration("retry-after", serve.DefaultRetryAfter, "Retry-After backoff hint stamped on 503 responses")

@@ -187,7 +187,6 @@ func TestOpenMmapServesIdenticalModel(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	defer a.Close()
 	if a.ContentHash() != hash {
 		t.Fatalf("content hash %s, want %s", a.ContentHash(), hash)
 	}
@@ -200,6 +199,74 @@ func TestOpenMmapServesIdenticalModel(t *testing.T) {
 		t.Fatalf("Activate: %v", err)
 	}
 	sameResults(t, raw.Run(), activated.Run())
+}
+
+// TestActivatedModelSurvivesBlobRewrite: a model activated from a
+// registry blob serves from the bytes OpenRef read and verified, so a
+// rewrite of the blob file in place after activation — one bit of one
+// stored R probability, every byte set to 0xff, or a truncation to 0
+// bytes — changes neither its answers nor its artifact's content hash.
+func TestActivatedModelSurvivesBlobRewrite(t *testing.T) {
+	cfg := tmark.DefaultConfig()
+	cfg.FeatureTopK = 8
+	data, hash := mustCompile(t, dataset.DBLP(dataset.DefaultDBLPConfig(1)), cfg)
+	_, secs, seen, err := parseContainer(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The top mantissa bit of the middle stored R probability.
+	rp := secs[seen[secRP]]
+	flipAt := int64(rp.off + rp.len/16*8 + 6)
+	reg, err := OpenRegistry(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		rewrite func(*os.File) error
+	}{
+		{"flip-one-R-probability-bit", func(f *os.File) error {
+			_, err := f.WriteAt([]byte{data[flipAt] ^ 0x08}, flipAt)
+			return err
+		}},
+		{"all-0xff", func(f *os.File) error {
+			_, err := f.WriteAt(bytes.Repeat([]byte{0xff}, len(data)), 0)
+			return err
+		}},
+		{"truncate-to-0", func(f *os.File) error { return f.Truncate(0) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Put rewrites a damaged blob, so each case starts intact.
+			if _, err := reg.Put(data); err != nil {
+				t.Fatal(err)
+			}
+			a, _, err := reg.OpenRef(Ref{Hash: hash})
+			if err != nil {
+				t.Fatalf("OpenRef: %v", err)
+			}
+			m, err := a.Activate(a.BuiltConfig)
+			if err != nil {
+				t.Fatalf("Activate: %v", err)
+			}
+			want := m.Run()
+
+			f, err := os.OpenFile(reg.BlobPath(hash), os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.rewrite(f); err != nil {
+				t.Fatalf("rewrite: %v", err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			sameResults(t, want, m.Run())
+			if got := a.ContentHash(); got != hash {
+				t.Fatalf("content hash %s after the rewrite, want %s", got, hash)
+			}
+		})
+	}
 }
 
 func TestCompatibleWith(t *testing.T) {

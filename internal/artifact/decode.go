@@ -26,10 +26,9 @@ func corrupt(format string, args ...any) error {
 }
 
 // Artifact is one decoded TMARKAR1 model artifact. The substrate's R
-// and W arrays alias the backing bytes (a memory mapping when opened
-// through Open; O is copied into its row blocks), so the artifact must
-// stay alive — and must not be Closed — while any model assembled from
-// it is still in use.
+// and W arrays alias the artifact's bytes (O is copied into its row
+// blocks), so every model assembled from it keeps those bytes reachable
+// for as long as the model is; the garbage collector frees them after.
 type Artifact struct {
 	// N, M, Q are the node / relation / class dimensions.
 	N, M, Q int
@@ -46,8 +45,7 @@ type Artifact struct {
 	sub   tmark.Substrate
 	wKind uint8
 
-	data   []byte
-	munmap func() error
+	data []byte
 }
 
 // Graph returns the artifact's reconstructed graph: dimensions, class /
@@ -57,24 +55,16 @@ type Artifact struct {
 func (a *Artifact) Graph() *hin.Graph { return a.graph }
 
 // Substrate returns the decoded model substrate. Its R and W arrays
-// alias the artifact's backing bytes, and all of them are strictly
-// read-only.
+// alias the artifact's bytes, and all of them are strictly read-only.
 func (a *Artifact) Substrate() tmark.Substrate { return a.sub }
 
 // Size returns the artifact's encoded length in bytes.
 func (a *Artifact) Size() int { return len(a.data) }
 
-// Close releases the backing memory mapping, if any. Models assembled
-// from the artifact must not be used afterwards.
-func (a *Artifact) Close() error {
-	if a.munmap == nil {
-		return nil
-	}
-	f := a.munmap
-	a.munmap = nil
-	a.data = nil
-	return f()
-}
+// Close frees nothing and returns nil: the garbage collector owns the
+// artifact's bytes, and models assembled from it stay valid. It is
+// kept for callers that close what they open.
+func (a *Artifact) Close() error { return nil }
 
 // CompatibleWith reports whether the artifact's substrate can serve a
 // model with config cfg. O and R are config-independent; the feature
@@ -99,8 +89,8 @@ func (a *Artifact) CompatibleWith(cfg tmark.Config) error {
 // Activate assembles a servable model from the artifact under config
 // cfg (use BuiltConfig to reproduce the compiled model exactly). It
 // costs O(1): the substrate was built when the artifact was decoded,
-// R and W as views of the (typically mmap'd) artifact, O copied into
-// its row blocks.
+// R and W as views of the artifact's bytes, O copied into its row
+// blocks.
 func (a *Artifact) Activate(cfg tmark.Config) (*tmark.Model, error) {
 	if err := a.CompatibleWith(cfg); err != nil {
 		return nil, err
@@ -312,8 +302,8 @@ var nativeLittleEndian = func() bool {
 
 // viewI32 reinterprets b as []int32 without copying when the host is
 // little-endian and b is 4-byte aligned; otherwise it decodes a copy.
-// Zero-copy views are read-only by contract (the backing store may be a
-// PROT_READ mapping — a write faults).
+// Zero-copy views are read-only by contract: every model assembled from
+// the artifact shares them.
 func viewI32(b []byte) []int32 {
 	n := len(b) / 4
 	if n == 0 {

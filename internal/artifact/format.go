@@ -1,7 +1,7 @@
 // Package artifact implements the content-addressed model artifact
-// store: compiled T-Mark models as versioned, checksummed, memory-
-// mappable TMARKAR1 files, plus the registry that resolves
-// name[@sha256:…] model references to blobs on disk.
+// store: compiled T-Mark models as versioned, checksummed TMARKAR1
+// files, plus the registry that resolves name[@sha256:…] model
+// references to blobs on disk.
 //
 // A tmarkd model is, once built, exactly the normalised transition
 // tensors O and R, the optional feature channel W, and the graph's
@@ -10,8 +10,10 @@
 // adjacency stream, the O(n²·d) cosine matrix); everything afterwards
 // only reads flat arrays. TMARKAR1 therefore serialises the flat
 // arrays exactly as the kernels consume them, each in its own 8-byte
-// aligned section, so activation is: mmap the file, verify the
-// checksum, wrap the sections as slices — zero copies, O(ms).
+// aligned section, so activation is: read the file into memory, verify
+// the checksum, wrap R's and W's sections as slices in place and copy
+// O's into its row blocks — O(ms). The garbage collector frees the
+// bytes once no model assembled from them is reachable.
 //
 // # TMARKAR1 layout (little-endian)
 //

@@ -245,11 +245,12 @@ func (r *Registry) Resolve(ref Ref) (string, error) {
 	return h, nil
 }
 
-// OpenRef resolves a reference, opens its blob and verifies that the
+// OpenRef resolves a reference, reads its blob and verifies that the
 // blob's actual content hash matches the hash it resolved to — a
 // swapped, renamed or silently rewritten blob is rejected here rather
-// than trusted because of its filename. The resolved hash is returned
-// alongside the artifact.
+// than trusted because of its filename. The bytes hashed are the bytes
+// the artifact serves from. The resolved hash is returned alongside
+// the artifact.
 func (r *Registry) OpenRef(ref Ref) (*Artifact, string, error) {
 	hash, err := r.Resolve(ref)
 	if err != nil {
@@ -260,7 +261,6 @@ func (r *Registry) OpenRef(ref Ref) (*Artifact, string, error) {
 		return nil, hash, err
 	}
 	if got := a.ContentHash(); got != hash {
-		a.Close()
 		return nil, hash, corrupt("blob filed under sha256:%s hashes to sha256:%s", hash, got)
 	}
 	return a, hash, nil

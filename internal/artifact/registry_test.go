@@ -88,10 +88,8 @@ func TestRegistryPutTagResolveOpen(t *testing.T) {
 	if got, err = r.Put(data); err != nil || got != hash {
 		t.Fatalf("repair Put = %q, %v", got, err)
 	}
-	if a, _, err := r.OpenRef(Ref{Hash: hash}); err != nil {
+	if _, _, err := r.OpenRef(Ref{Hash: hash}); err != nil {
 		t.Fatalf("open after repair: %v", err)
-	} else {
-		a.Close()
 	}
 	if err := r.Tag("example", hash); err != nil {
 		t.Fatalf("Tag: %v", err)
@@ -116,7 +114,6 @@ func TestRegistryPutTagResolveOpen(t *testing.T) {
 		if _, err := a.Activate(a.BuiltConfig); err != nil {
 			t.Fatalf("activate via %q: %v", ref, err)
 		}
-		a.Close()
 	}
 
 	if _, err := r.Resolve(Ref{Name: "nosuch"}); !errors.Is(err, ErrNotFound) {

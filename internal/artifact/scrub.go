@@ -45,8 +45,9 @@ func (s *ScrubReport) String() string {
 // next applied batch.
 //
 // Scrub is safe to run against a registry with live readers: blobs are
-// immutable, quarantine is a rename (open handles and mmaps keep their
-// bytes), and hash-pinned readers are unaffected by ref rollbacks.
+// immutable, quarantine is a rename (an activated model serves from its
+// own copy of the bytes), and hash-pinned readers are unaffected by ref
+// rollbacks.
 func (r *Registry) Scrub() (*ScrubReport, error) {
 	rep := &ScrubReport{}
 	blobDir := filepath.Join(r.dir, "blobs")

@@ -92,11 +92,9 @@ func TestScrubQuarantinesCorruptBlobAndRepairsRef(t *testing.T) {
 		t.Fatalf("head resolves to %s (%v), want %s", got, err, hashA)
 	}
 	// The repaired ref opens and verifies like any other.
-	a, _, err := r.OpenRef(Ref{Name: "head"})
-	if err != nil {
+	if _, _, err := r.OpenRef(Ref{Name: "head"}); err != nil {
 		t.Fatalf("OpenRef after repair: %v", err)
 	}
-	a.Close()
 	// A second pass finds nothing left to fix.
 	rep2, err := r.Scrub()
 	if err != nil {

@@ -71,9 +71,9 @@ const (
 	// wrong distribution exercises the in-loop non-monotone-residual
 	// rejection and its fallback to plain iteration.
 	AccelPropose Point = "accel/propose"
-	// ArtifactOpen is checked (Check) before an artifact blob is opened
-	// and mapped; a registered error simulates an unreadable blob and
-	// forces the serve cache onto the rebuild path.
+	// ArtifactOpen is checked (Check) before an artifact blob is read;
+	// a registered error simulates an unreadable blob and forces the
+	// serve cache onto the rebuild path.
 	ArtifactOpen Point = "artifact/open"
 	// ArtifactDecode fires with the raw artifact bytes (data []byte)
 	// after the blob is read but before DecodeBytes parses it. A hook

@@ -1,6 +1,6 @@
 package serve
 
-// Artifact-backed serving: equivalence (an mmap-activated model must be
+// Artifact-backed serving: equivalence (an activated model must be
 // bitwise indistinguishable from a raw build), the /v1 surface, and the
 // chaos cases — truncated, corrupted and swapped blobs must fall back
 // to a rebuild and keep serving correct answers.
@@ -353,12 +353,11 @@ func TestArtifactChaosFaultInjection(t *testing.T) {
 	})
 }
 
-// TestArtifactRefusedActivationUnmaps: a gamma > 0 request against a
-// Gamma = 0 blob, which stores no feature channel, refuses activation.
-// With no graph fallback each refusal is a 500 and is not cached, so
-// every request maps and hashes the blob again; the refused artifact
-// must be closed each time, not left mapped.
-func TestArtifactRefusedActivationUnmaps(t *testing.T) {
+// TestArtifactRefusedActivationAnswers500: a gamma > 0 request against
+// a Gamma = 0 blob, which stores no feature channel, refuses
+// activation. With no graph fallback each refusal is a 500 and is not
+// cached, so every request reads, hashes and refuses the blob again.
+func TestArtifactRefusedActivationAnswers500(t *testing.T) {
 	g := testGraph(40)
 	cfg := fastConfig()
 	cfg.Gamma = 0
@@ -376,7 +375,63 @@ func TestArtifactRefusedActivationUnmaps(t *testing.T) {
 			t.Fatalf("request %d: status %d, want 500: %s", i, resp.StatusCode, body)
 		}
 	}
-	checkMapped(t, s, dir, 0)
+	if got := s.met.artifactFails.Load(); got != 20 {
+		t.Fatalf("tmark_artifact_verify_fail_total = %d, want 20 (refusals are not cached)", got)
+	}
+}
+
+// TestArtifactPinnedSurvivesBlobRewrite: once a pinned classify has
+// activated its blob, rewriting the blob file in place — same length,
+// every byte 0xff — changes nothing the cached model answers: the next
+// pinned classify is a cache hit with the same scores and the same
+// echoed hash, because the model serves from the bytes that were read
+// and verified, not from the file.
+func TestArtifactPinnedSurvivesBlobRewrite(t *testing.T) {
+	g := testGraph(60)
+	cfg := fastConfig()
+	dir, hash := buildRegistry(t, "test", g, cfg)
+	s := newTestServer(t, g, cfg, func(o *Options) { o.ModelDir = dir })
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	pin := "test@sha256:" + hash
+	seeds := classSeeds(g, 2)
+	before := classifyScores(t, ts.URL, &ClassifyRequest{Model: pin, Seeds: seeds})
+	if got := s.met.artifactHits.Load(); got != 1 {
+		t.Fatalf("tmark_artifact_hit_total = %d, want 1", got)
+	}
+
+	reg, err := artifact.OpenRegistry(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := reg.BlobPath(hash)
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(bytes.Repeat([]byte{0xff}, int(st.Size())), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	hits := s.met.cacheHits.Load()
+	after := classifyScores(t, ts.URL, &ClassifyRequest{Model: pin, Seeds: seeds})
+	if got := s.met.cacheHits.Load(); got != hits+1 {
+		t.Fatalf("cache hits %d -> %d: the pinned classify was not answered from its entry", hits, got)
+	}
+	if after.ModelHash != "sha256:"+hash || after.ModelHash != before.ModelHash {
+		t.Fatalf("echoed hash %s after the rewrite, %s before, want sha256:%s", after.ModelHash, before.ModelHash, hash)
+	}
+	checkBitwise(t, after.Scores, before.Scores)
+	if after.Iterations != before.Iterations {
+		t.Fatalf("iterations %d after the rewrite, %d before", after.Iterations, before.Iterations)
+	}
 }
 
 func TestArtifactOnlyServing(t *testing.T) {

@@ -10,15 +10,11 @@ package serve
 // against its model; eviction retires the coalescer gracefully (accepted
 // work finishes at full quality) while new requests rebuild the entry.
 //
-// An mmap-activated entry's model reads its substrate straight out of
-// the artifact mapping, so the mapping must outlive every solve on it.
-// The rule is one lease per use: get hands out a leased entry, the
-// handler releases it once it is done with the model, and the last
-// release on an entry that has left the cache unmaps its artifact. The
-// mapped blobs are therefore at most the cache capacity plus the
-// retired entries that still have borrowers. Entries built from a live
-// ingest engine's in-memory version, or from a raw graph, hold no
-// artifact and map nothing; only blob activations do.
+// A retired entry's model may still be in use: its coalescer answers
+// the batches it accepted, and a /v1/rank or /v1/diff borrower may be
+// mid-solve on it. Nothing has to be released for that. Activation
+// reads a blob into memory and verifies it, and the garbage collector
+// frees those bytes once no entry or solve holds the model.
 //
 // An entry leaves the cache by eviction, by quarantine or by drain, and
 // no other way: every key names fixed bytes (see source), so no entry
@@ -29,9 +25,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
-	"tmark/internal/artifact"
 	"tmark/internal/fault"
 	"tmark/internal/tmark"
 )
@@ -57,15 +51,13 @@ func (k modelKey) display() string {
 	return "sha256-" + k.hash[:16]
 }
 
-// buildResult is what a builder hands back: the servable model, the
+// buildResult is what a builder hands back: the servable model and the
 // content hash identifying the substrate it runs on (the blob's hash for
 // an artifact activation, the version's hash for an engine build, the
-// canonical encoding's hash for a raw build), and — for activations —
-// the backing artifact.
+// canonical encoding's hash for a raw build).
 type buildResult struct {
 	model *tmark.Model
 	hash  string
-	art   *artifact.Artifact
 }
 
 // warmModel is one cache entry. ready is closed once the build finished
@@ -83,15 +75,8 @@ type warmModel struct {
 	// echoed in every response, so a client can pin exactly what
 	// answered it.
 	hash string
-	// art is the backing artifact of an mmap-activated entry, nil for a
-	// raw build. It closes when the last lease on the retired entry is
-	// released: an evicted entry's model may still be mid-solve for a
-	// /v1/rank or coalesced borrower, and unmapping under it would fault.
-	art *artifact.Artifact
-	// leases counts the callers using model: every get takes one and
-	// every caller releases it once done. retired is set when the entry
-	// leaves the cache. Both are guarded by modelCache.mu.
-	leases  int
+	// retired is set when the entry leaves the cache, under
+	// modelCache.mu.
 	retired bool
 
 	// The full multi-class solves backing /v1/rank, each computed lazily at
@@ -139,10 +124,6 @@ type modelCache struct {
 	newCoal  func(*tmark.Model) *coalescer
 	met      *metrics
 	rankCtx  context.Context // every entry's /v1/rank solve context
-
-	// artifactsOpen counts the artifacts activated by builds and not yet
-	// closed: the tmarkd_artifacts_open gauge.
-	artifactsOpen atomic.Int64
 }
 
 func newModelCache(rankCtx context.Context, capacity int, newCoal func(*tmark.Model) *coalescer, met *metrics) *modelCache {
@@ -160,8 +141,7 @@ func newModelCache(rankCtx context.Context, capacity int, newCoal func(*tmark.Mo
 }
 
 // get returns the ready warm model for key, building it with build on a
-// miss, and leases it: the caller must release the entry once it is done
-// with the model. The build runs outside the cache lock (models can be
+// miss. The build runs outside the cache lock (models can be
 // expensive), with duplicate requests for the same key waiting on the
 // first builder. Failed builds are not cached: the placeholder is
 // removed so a later request can retry.
@@ -169,31 +149,26 @@ func (c *modelCache) get(key modelKey, build builder) (*warmModel, error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.order.MoveToFront(e.elem)
-		e.leases++
 		c.mu.Unlock()
 		if c.met != nil {
 			c.met.cacheHits.Inc()
 		}
 		<-e.ready
 		if e.err != nil {
-			c.release(e)
 			return nil, e.err
 		}
 		return e, nil
 	}
-	e := &warmModel{key: key, ready: make(chan struct{}), rankCtx: c.rankCtx, leases: 1}
+	e := &warmModel{key: key, ready: make(chan struct{}), rankCtx: c.rankCtx}
 	e.elem = c.order.PushFront(e)
 	c.entries[key] = e
-	var evicted, unleased []*warmModel
+	var evicted []*warmModel
 	for len(c.entries) > c.capacity {
 		old := c.order.Back().Value.(*warmModel)
 		evicted = append(evicted, old)
-		if c.removeLocked(old) {
-			unleased = append(unleased, old)
-		}
+		c.removeLocked(old)
 	}
 	c.mu.Unlock()
-	c.closeArtifacts(unleased...)
 	if c.met != nil {
 		c.met.cacheMisses.Inc()
 	}
@@ -224,54 +199,21 @@ func (c *modelCache) get(key modelKey, build builder) (*warmModel, error) {
 			c.removeLocked(e)
 		}
 		c.mu.Unlock()
-		c.release(e)
 		return nil, err
 	}
-	e.model, e.hash, e.art = br.model, br.hash, br.art
-	if e.art != nil {
-		c.artifactsOpen.Add(1)
-	}
+	e.model, e.hash = br.model, br.hash
 	e.coal = c.newCoal(e.model)
 	e.coal.onPanic = func() { c.quarantine(e) }
 	close(e.ready)
 	return e, nil
 }
 
-// release drops one lease on e. The last release on a retired entry
-// closes its artifact: no solve can read the mapping any more, because
-// every solve runs for a caller that still holds its lease.
-func (c *modelCache) release(e *warmModel) {
-	c.mu.Lock()
-	e.leases--
-	last := e.retired && e.leases == 0
-	c.mu.Unlock()
-	if last {
-		c.closeArtifacts(e)
-	}
-}
-
 // removeLocked takes e, which must be in the cache, out of it under
-// c.mu and retires it. It reports whether no lease holds e, in which
-// case the caller closes e's artifact once it has dropped the lock. An
-// entry is removed at most once and only cached entries take new
-// leases, so exactly one caller sees a retired entry's count at zero
-// and closes the artifact: Artifact.Close is not safe to call
-// concurrently.
-func (c *modelCache) removeLocked(e *warmModel) bool {
+// c.mu and retires it.
+func (c *modelCache) removeLocked(e *warmModel) {
 	delete(c.entries, e.key)
 	c.order.Remove(e.elem)
 	e.retired = true
-	return e.leases == 0
-}
-
-// closeArtifacts unmaps the artifacts of retired, unleased entries.
-func (c *modelCache) closeArtifacts(es ...*warmModel) {
-	for _, e := range es {
-		if e.art != nil {
-			e.art.Close()
-			c.artifactsOpen.Add(-1)
-		}
-	}
 }
 
 // buildSafe runs the model build behind a panic barrier. A crashing
@@ -312,11 +254,8 @@ func (c *modelCache) quarantine(e *warmModel) {
 		c.mu.Unlock()
 		return
 	}
-	unleased := c.removeLocked(e)
+	c.removeLocked(e)
 	c.mu.Unlock()
-	if unleased {
-		c.closeArtifacts(e)
-	}
 	if c.met != nil {
 		c.met.quarantines.Inc()
 	}
@@ -360,19 +299,15 @@ func (c *modelCache) queueDepth() int {
 // batches in flight and its queue; entries still building are stopped
 // once they are ready. Drain calls it after cancelling the server's
 // drain context, so every answer is a partial result returned within
-// one solver iteration. Retiring unmaps every artifact no request still leases, so
-// a drained server keeps no mapping past its last borrower.
+// one solver iteration.
 func (c *modelCache) stopAll() {
 	c.mu.Lock()
-	var all, unleased []*warmModel
+	var all []*warmModel
 	for _, e := range c.entries {
 		all = append(all, e)
-		if c.removeLocked(e) {
-			unleased = append(unleased, e)
-		}
+		c.removeLocked(e)
 	}
 	c.mu.Unlock()
-	c.closeArtifacts(unleased...)
 	var wg sync.WaitGroup
 	for _, e := range all {
 		wg.Add(1)

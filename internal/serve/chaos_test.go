@@ -191,8 +191,19 @@ func TestChaosOverloadShedsOnly503WithRetryAfter(t *testing.T) {
 // a /v1/rank full solve is mid-flight when its model is evicted by cache
 // pressure. The eviction retires the coalescer but must NOT cancel the
 // borrowed solve — the response has to match an uninterrupted offline
-// run bitwise.
+// run bitwise, whether the model was built from its graph or activated
+// from a registry blob.
 func TestEvictionDoesNotCancelBorrowedRank(t *testing.T) {
+	for _, registry := range []bool{false, true} {
+		name := "graph"
+		if registry {
+			name = "registry"
+		}
+		t.Run(name, func(t *testing.T) { testEvictionDoesNotCancelBorrowedRank(t, registry) })
+	}
+}
+
+func testEvictionDoesNotCancelBorrowedRank(t *testing.T, registry bool) {
 	t.Cleanup(fault.Reset)
 	g := testGraph(60)
 	other := testGraph(40)
@@ -203,19 +214,26 @@ func TestEvictionDoesNotCancelBorrowedRank(t *testing.T) {
 		o.Datasets["other"] = other
 		o.Default = "test"
 		o.CacheSize = 1
+		if registry {
+			o.ModelDir, _ = buildRegistry(t, "test", g, cfg)
+		}
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// The node-contraction fault point is the chaos hook: it tells us
-	// the rank solve started and stretches every pass long enough for
-	// the eviction to land mid-flight. It only sleeps, so no bits move.
-	started := make(chan struct{})
-	var once sync.Once
+	// The node-contraction fault point is the chaos hook: it holds the
+	// rank solve in its first pass until the eviction has landed. It
+	// only waits, so no bits move.
+	started, resume := make(chan struct{}), make(chan struct{})
+	var first atomic.Bool
 	fault.Inject(fault.TensorNodeBatch, func(...any) {
-		once.Do(func() { close(started) })
-		time.Sleep(time.Millisecond)
+		if first.CompareAndSwap(false, true) {
+			close(started)
+			<-resume
+		}
 	})
+	resumeSolve := sync.OnceFunc(func() { close(resume) })
+	t.Cleanup(resumeSolve)
 
 	rankDone := make(chan *RankResponse, 1)
 	go func() {
@@ -240,7 +258,18 @@ func TestEvictionDoesNotCancelBorrowedRank(t *testing.T) {
 		rankDone <- &out
 	}()
 
-	<-started
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("rank solve never started")
+	}
+	var activations int64
+	if registry {
+		activations = 1
+	}
+	if got := s.met.artifactHits.Load(); got != activations {
+		t.Fatalf("tmark_artifact_hit_total = %d, want %d", got, activations)
+	}
 	// Cache capacity 1: touching the other model evicts the model whose
 	// rank solve is still borrowing it.
 	resp, body := postClassify(t, ts.URL, &ClassifyRequest{Model: "other", Seeds: []int{0}})
@@ -251,7 +280,13 @@ func TestEvictionDoesNotCancelBorrowedRank(t *testing.T) {
 		t.Fatalf("evictions = %d, want 1", got)
 	}
 
-	out := <-rankDone
+	resumeSolve()
+	var out *RankResponse
+	select {
+	case out = <-rankDone:
+	case <-time.After(10 * time.Second):
+		t.Fatal("/v1/rank never returned")
+	}
 	if out == nil {
 		t.Fatal("rank request failed")
 	}

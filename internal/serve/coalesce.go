@@ -125,15 +125,17 @@ func newCoalescer(parent context.Context, model *tmark.Model, maxBatch, queueDep
 // ErrOverloaded on a full queue and ErrDraining once the coalescer is
 // stopping.
 //
-// The coalescer takes no lease on its model's cache entry; the callers'
-// leases cover every batch. do returns only after the batch holding its
-// job has answered it, or after done closed without an answer, and it
-// has deliberately no ctx.Done() case: a cancelled request still waits
-// for its batch. done closes only once every batch has answered, so a
-// job that is still in a running batch — or in a batch still filling —
-// has its caller blocked here. So every job in every batch of this
-// model, however many overlap, belongs to a caller holding the lease
-// that keeps the model's artifact mapped until that batch ends.
+// do returns only after the batch holding its job has answered it, or
+// after done closed without an answer. It has deliberately no
+// ctx.Done() case: a cancelled request still waits for its batch. Its
+// column retires within one solver iteration and the partial result
+// comes back through the normal path, so the wait is short, and no
+// request counts as finished while its column still occupies a batch.
+// done closes only once every batch has answered, so a job that is
+// still in a running batch — or in a batch still filling — has its
+// caller blocked here. Retiring the model's cache entry changes none of
+// this: stop waits for done, and each batch holds the model it solves
+// on, so an evicted entry finishes its accepted work at full quality.
 func (c *coalescer) do(ctx context.Context, q tmark.ColumnQuery) (tmark.ColumnResult, int, error) {
 	if c.closed.Load() {
 		return tmark.ColumnResult{}, 0, ErrDraining

@@ -245,7 +245,6 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 			s.serveDiff(w, refA, refB, top, ea, eb)
 			return
 		}
-		s.cache.release(ea)
 	}
 	s.met.errors.Inc()
 	if status == http.StatusServiceUnavailable {
@@ -255,12 +254,10 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	writeError(w, status, err.Error())
 }
 
-// serveDiff runs (or reuses) the two versions' cached full solves,
-// releases both leased entries and writes the diff.
+// serveDiff runs (or reuses) the two versions' cached full solves and
+// writes the diff.
 func (s *Server) serveDiff(w http.ResponseWriter, refA, refB string, top int, ea, eb *warmModel) {
 	d, err := stream.DiffResults(refA, refB, ea.model.Graph(), ea.fullResult(), eb.fullResult())
-	s.cache.release(ea)
-	s.cache.release(eb)
 	if err != nil {
 		s.met.errors.Inc()
 		writeError(w, http.StatusBadRequest, err.Error())

@@ -10,7 +10,7 @@ package serve
 //   - A floating name with a live ingest engine keys on the version the
 //     engine had committed when the request resolved, served from that
 //     version's memory.
-//   - A floating name the registry knows activates its blob (mmap +
+//   - A floating name the registry knows activates its blob (read +
 //     verify + O(1) assemble), with the loaded graph as the rebuild
 //     fallback.
 //   - Any other name builds from its loaded graph.
@@ -97,7 +97,7 @@ func (s *Server) source(name string, cfg tmark.Config) (modelKey, builder, int, 
 }
 
 // fromVersion serves an engine's committed version from memory, exactly
-// as the engine encoded, hashed and sealed it, with no blob to map,
+// as the engine encoded, hashed and sealed it, with no blob to read,
 // checksum or verify. It echoes the version's hash under any config, as
 // an activation of the version's blob does, and counts as an artifact
 // miss, as a graph build does.
@@ -176,11 +176,13 @@ func withConfig(m *tmark.Model, cfg tmark.Config) (*tmark.Model, error) {
 	return tmark.Assemble(m.Graph(), cfg, m.Substrate())
 }
 
-// activate opens, verifies and assembles the blob filed under hash.
+// activate reads, verifies and assembles the blob filed under hash.
 // Every failure — unreadable file, truncation, checksum or content-hash
 // mismatch, incompatible stored channel — comes back as an error for
 // fromBlob's fallback; none of them can produce a model that serves
-// wrong answers, because nothing unverified reaches the kernels.
+// wrong answers, because nothing unverified reaches the kernels. The
+// model serves from the bytes that were verified, so a later rewrite
+// of the blob on disk cannot change its answers.
 func (s *Server) activate(hash string, cfg tmark.Config) (buildResult, error) {
 	a, _, err := s.registry.OpenRef(artifact.Ref{Hash: hash})
 	if err != nil {
@@ -188,7 +190,6 @@ func (s *Server) activate(hash string, cfg tmark.Config) (buildResult, error) {
 	}
 	if fault.Enabled() {
 		if err := fault.Check(fault.ArtifactActivate); err != nil {
-			a.Close()
 			return buildResult{}, err
 		}
 	}
@@ -200,10 +201,9 @@ func (s *Server) activate(hash string, cfg tmark.Config) (buildResult, error) {
 	cfg.FeatureTopK = a.BuiltConfig.FeatureTopK
 	m, err := a.Activate(cfg)
 	if err != nil {
-		a.Close()
 		return buildResult{}, err
 	}
-	return buildResult{model: m, hash: hash, art: a}, nil
+	return buildResult{model: m, hash: hash}, nil
 }
 
 // ModelInfo is one /v1/models listing entry.
@@ -215,8 +215,8 @@ type ModelInfo struct {
 	// to; empty for a graph-only model that has never been compiled.
 	Hash string `json:"hash,omitempty"`
 	// Source tells where queries against this model are served from:
-	// "artifact" (mmap activation), "graph" (raw build), or
-	// "artifact+graph" (activation with rebuild fallback).
+	// "artifact" (activation of the verified blob), "graph" (raw build),
+	// or "artifact+graph" (activation with rebuild fallback).
 	Source string `json:"source"`
 	// Default marks the model serving requests that name none.
 	Default bool `json:"default,omitempty"`

@@ -145,7 +145,6 @@ func solveOffline(t *testing.T, g *hin.Graph, cfg tmark.Config, seeds []int) off
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	defer a.Close()
 	return offlineVersion{hash: "sha256:" + hash, seeds: seeds, blobOracle: solveArtifact(t, a, 1, seeds)}
 }
 

@@ -31,14 +31,12 @@ type heldBatch struct {
 // holdBatches parks the first n batches to reach the serve/batch-solve
 // fault point and hands each to the test, in arrival order; later
 // batches pass straight through. Cleanup resumes every batch still
-// parked — after a failed test through the panic barrier, unsolved,
-// because a lease test's substrate may already be unmapped.
+// parked.
 func holdBatches(t *testing.T, n int) <-chan heldBatch {
 	t.Helper()
 	held := make(chan heldBatch, n)
 	all := make(chan struct{})
 	var arrived atomic.Int64
-	var abort atomic.Bool
 	fault.Inject(fault.ServeBatchSolve, func(args ...any) {
 		if arrived.Add(1) > int64(n) {
 			return
@@ -49,14 +47,8 @@ func holdBatches(t *testing.T, n int) <-chan heldBatch {
 		case <-b.resume:
 		case <-all:
 		}
-		if abort.Load() {
-			panic("overlap test failed: the held batch is answered unsolved")
-		}
 	})
-	t.Cleanup(func() {
-		abort.Store(t.Failed())
-		close(all)
-	})
+	t.Cleanup(func() { close(all) })
 	return held
 }
 

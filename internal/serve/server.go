@@ -50,11 +50,11 @@ type Options struct {
 	// ModelDir roots the content-addressed artifact registry (see
 	// `tmark build`). When set, model references resolve artifact-first:
 	// a request's model name that the registry knows activates by
-	// mmapping the compiled blob (O(ms)) instead of rebuilding from the
-	// raw graph; a name the registry does not know, or whose blob fails
-	// verification, falls back to the loaded graph of the same name. A
-	// pinned reference (name@sha256:…) is answered only by bytes that
-	// hash to its pin.
+	// reading and verifying the compiled blob (O(ms)) instead of
+	// rebuilding from the raw graph; a name the registry does not know,
+	// or whose blob fails verification, falls back to the loaded graph
+	// of the same name. A pinned reference (name@sha256:…) is answered
+	// only by bytes that hash to its pin.
 	ModelDir string
 	// Config is the base hyperparameter set; the zero value means
 	// tmark.DefaultConfig(). Per-request overrides derive new cache keys
@@ -312,7 +312,6 @@ func New(opts Options) (*Server, error) {
 
 	reg.SetGauge("tmarkd_queue_depth", func() float64 { return float64(s.cache.queueDepth()) })
 	reg.SetGauge("tmarkd_batches_inflight", func() float64 { return float64(s.met.inflight.Load()) })
-	reg.SetGauge("tmarkd_artifacts_open", func() float64 { return float64(s.cache.artifactsOpen.Load()) })
 	reg.SetGauge("tmarkd_coalesce_ratio", func() float64 {
 		b := s.met.batches.Load()
 		if b == 0 {
@@ -467,8 +466,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // resolve maps a request's model reference + overrides onto a warm
-// model, sourced by source's rules. The returned entry is leased: the
-// caller releases it (s.cache.release) once it is done with the model.
+// model, sourced by source's rules.
 func (s *Server) resolve(name string, req *ClassifyRequest) (string, *warmModel, int, error) {
 	if name == "" {
 		name = s.opts.Default
@@ -511,7 +509,6 @@ func (s *Server) resolve(name string, req *ClassifyRequest) (string, *warmModel,
 	if req != nil {
 		for _, seed := range req.Seeds {
 			if seed >= e.model.Graph().N() {
-				s.cache.release(e)
 				return name, nil, http.StatusBadRequest,
 					fmt.Errorf("seed %d out of range: model %q has %d nodes", seed, name, e.model.Graph().N())
 			}
@@ -559,9 +556,6 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		res, width, err = e.coal.do(r.Context(), tmark.ColumnQuery{Seeds: req.Seeds, ICA: req.ICA, Quality: quality})
 		s.met.latency.Observe(time.Since(start))
-		// The response reads only the heap-decoded graph and the
-		// solver-owned vectors, so the lease ends with the solve.
-		s.cache.release(e)
 	}) {
 		s.met.rejected.Inc()
 		s.unavailable(w, "draining", ReasonDraining)
@@ -680,7 +674,6 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 			Links:     linkScores(g, cr.Z, top),
 		})
 	}
-	s.cache.release(e)
 	writeJSON(w, http.StatusOK, resp)
 }
 

@@ -790,6 +790,9 @@ func TestNewOptionValidation(t *testing.T) {
 	}
 }
 
+// TestMetricsEndpointExposesServingGauges: one classify shows on
+// /metrics. A batch answers its jobs before it leaves the in-flight
+// gauge, so the scrape polls until the gauge reads 0.
 func TestMetricsEndpointExposesServingGauges(t *testing.T) {
 	g := testGraph(40)
 	dir, _ := buildRegistry(t, "test", g, fastConfig())
@@ -799,14 +802,22 @@ func TestMetricsEndpointExposesServingGauges(t *testing.T) {
 	if resp, _ := postClassify(t, ts.URL, &ClassifyRequest{Seeds: []int{0}}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("classify failed")
 	}
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatalf("GET /metrics: %v", err)
+	var text string
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatalf("GET /metrics: %v", err)
+		}
+		var buf bytes.Buffer
+		_, _ = buf.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if text = buf.String(); strings.Contains(text, "tmarkd_batches_inflight 0") {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("/metrics never read tmarkd_batches_inflight 0:\n%s", text)
+		}
 	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	_, _ = buf.ReadFrom(resp.Body)
-	text := buf.String()
 	for _, want := range []string{
 		"tmarkd_requests_total 1",
 		"tmarkd_batches_total 1",
@@ -814,8 +825,7 @@ func TestMetricsEndpointExposesServingGauges(t *testing.T) {
 		"tmarkd_queue_depth",
 		"tmarkd_classify_latency_p50_seconds",
 		"tmarkd_classify_latency_p99_seconds",
-		"tmarkd_artifacts_open 1", // the classify activated the blob
-		"tmarkd_batches_inflight 0",
+		"tmark_artifact_hit_total 1", // the classify activated the blob
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)

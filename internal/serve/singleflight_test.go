@@ -1,7 +1,7 @@
 package serve
 
 // The warm-model cache's build singleflight under real concurrency: N
-// simultaneous requests pinning the same artifact reference must mmap
+// simultaneous requests pinning the same artifact reference must read
 // and activate the blob exactly once, with every other request parked
 // on the first builder's ready channel — asserted through the cache
 // and artifact counters, and meaningful mainly under -race, where any
@@ -47,7 +47,7 @@ func TestConcurrentActivationSingleflight(t *testing.T) {
 			t.Fatalf("request %d: %v", i, err)
 		}
 	}
-	// One build, one activation: the first request in misses and mmaps;
+	// One build, one activation: the first request in misses and reads;
 	// the other N−1 coalesce onto it as hits whether they arrived
 	// during the build or after it.
 	if got := s.met.cacheMisses.Load(); got != 1 {
@@ -57,7 +57,7 @@ func TestConcurrentActivationSingleflight(t *testing.T) {
 		t.Errorf("cache hits = %d, want %d", got, workers-1)
 	}
 	if got := s.met.artifactHits.Load(); got != 1 {
-		t.Errorf("artifact activations = %d, want exactly 1 mmap", got)
+		t.Errorf("artifact activations = %d, want exactly 1", got)
 	}
 	if got := s.met.artifactFails.Load(); got != 0 {
 		t.Errorf("artifact failures = %d, want 0", got)

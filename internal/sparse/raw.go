@@ -2,9 +2,9 @@ package sparse
 
 // Raw access to the CSR storage for the artifact codec: Raw exposes the
 // flat arrays for serialisation and FromRaw re-wraps externally owned
-// (typically memory-mapped) arrays after validating every invariant the
-// kernels assume. The arrays are aliased, never copied — FromRaw inputs
-// must stay immutable and alive for the matrix's lifetime.
+// arrays (typically views into an artifact's bytes) after validating
+// every invariant the kernels assume. The arrays are aliased, never
+// copied — FromRaw inputs must stay immutable for the matrix's lifetime.
 
 import "fmt"
 

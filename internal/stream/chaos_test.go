@@ -114,7 +114,6 @@ func TestChaosSealPanicNeverHalfSeals(t *testing.T) {
 	if err != nil {
 		t.Fatalf("orphan blob unreadable: %v", err)
 	}
-	defer a.Close()
 	if _, err := a.Activate(a.BuiltConfig); err != nil {
 		t.Fatalf("orphan blob does not activate: %v", err)
 	}

@@ -211,12 +211,10 @@ func (e *Engine) recoverLocked(ctx context.Context) error {
 			ErrQuarantined, target, hash, e.cur.Hash, cause)
 	}
 	if e.reg != nil {
-		a, _, rerr := e.reg.OpenRef(artifact.Ref{Hash: hash})
-		if rerr != nil {
+		if _, _, rerr := e.reg.OpenRef(artifact.Ref{Hash: hash}); rerr != nil {
 			return fmt.Errorf("%w: recovery: sealed version %s unavailable: %v (quarantined by: %v)",
 				ErrQuarantined, hash, rerr, cause)
 		}
-		a.Close()
 	}
 	// The rebuild is proven: install it and lift the quarantine. The
 	// stationary cache is gone with the poisoned version, so the next

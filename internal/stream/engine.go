@@ -139,7 +139,7 @@ type Engine struct {
 // replays its live records, so a restarted process resumes exactly
 // where the crashed one's last durable append left off.
 func NewEngine(name string, g *hin.Graph, cfg tmark.Config, reg *artifact.Registry, opts ...EngineOption) (*Engine, error) {
-	m, err := tmark.New(g, cfg)
+	m, a, err := tmark.NewWithAdjacency(g, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -151,7 +151,6 @@ func NewEngine(name string, g *hin.Graph, cfg tmark.Config, reg *artifact.Regist
 	if err != nil {
 		return nil, fmt.Errorf("stream: sealing base version: %w", err)
 	}
-	a := g.AdjacencyTensor()
 	ao := a.COOView()
 	e := &Engine{
 		name:     name,

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tmark/internal/artifact"
+	"tmark/internal/dataset"
 	"tmark/internal/hin"
 	"tmark/internal/tmark"
 )
@@ -265,6 +266,48 @@ func TestEngineSharesFeatureChannel(t *testing.T) {
 	}
 }
 
+// TestNewEngineBaseIsNewBuild: the base version NewEngine compiles from
+// its one adjacency build is bitwise the model tmark.New builds, and
+// hashes to the blob artifact.Compile writes, feature channel included.
+func TestNewEngineBaseIsNewBuild(t *testing.T) {
+	g := dataset.DBLP(dataset.DefaultDBLPConfig(1))
+	cfg := tmark.DefaultConfig()
+	cfg.Workers = 1
+	cfg.FeatureTopK = 8
+	eng, err := NewEngine("base", g, cfg, nil)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	_, wantHash, err := artifact.Compile(g, cfg)
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	if got := eng.Current().Hash; got != wantHash {
+		t.Fatalf("base version hashes to %s, Compile to %s", got, wantHash)
+	}
+	m, err := tmark.New(g, cfg)
+	if err != nil {
+		t.Fatalf("tmark.New: %v", err)
+	}
+	want, got := m.Run(), eng.Current().Model.Run()
+	for c := range want.Classes {
+		wc, gc := want.Classes[c], got.Classes[c]
+		if wc.Iterations != gc.Iterations {
+			t.Fatalf("class %d: %d iterations, tmark.New's model %d", c, gc.Iterations, wc.Iterations)
+		}
+		for i := range wc.X {
+			if wc.X[i] != gc.X[i] {
+				t.Fatalf("class %d: x[%d] = %v, tmark.New's model %v (bitwise)", c, i, gc.X[i], wc.X[i])
+			}
+		}
+		for k := range wc.Z {
+			if wc.Z[k] != gc.Z[k] {
+				t.Fatalf("class %d: z[%d] = %v, tmark.New's model %v (bitwise)", c, k, gc.Z[k], wc.Z[k])
+			}
+		}
+	}
+}
+
 // TestEngineSealsVersions runs the engine against a real registry and
 // checks the version chain: every applied batch tags the floating name
 // to the new hash while the previous blobs stay addressable.
@@ -309,7 +352,6 @@ func TestEngineSealsVersions(t *testing.T) {
 		if _, err := a.Activate(a.BuiltConfig); err != nil {
 			t.Fatalf("Activate(%s): %v", h, err)
 		}
-		a.Close()
 	}
 }
 

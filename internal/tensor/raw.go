@@ -2,7 +2,7 @@ package tensor
 
 // Raw access to the normalised transition layouts. The artifact codec
 // (internal/artifact) serialises a model's O and R into the TMARKAR1
-// format and rebuilds them from a memory-mapped file, so the flat arrays
+// format and rebuilds them from the file's bytes, so the flat arrays
 // behind NodeTransition and RelationTransition need a door: Raw exposes
 // them in the format's order (R's aliased, read-only by contract; O's
 // rebuilt from its row blocks) and the FromRaw constructors take
@@ -40,7 +40,7 @@ func (o *NodeTransition) Raw() NodeRaw {
 }
 
 // NodeTransitionFromRaw builds a NodeTransition from externally owned
-// arrays (typically views into a memory-mapped artifact). It copies
+// arrays (typically views into an artifact's bytes). It copies
 // them into its row blocks and keeps no reference to raw. Every
 // structural invariant the kernels rely on is validated first: aligned
 // lengths, indices in range, strict (k, j, i) entry order, strict (k, j)

@@ -5,7 +5,7 @@ package tmark
 // transition tensors O and R plus the optional feature channel W — all
 // immutable once constructed. Substrate exposes those parts for
 // serialisation and Assemble rebuilds a Model around externally
-// constructed parts (typically views into a memory-mapped artifact)
+// constructed parts (typically views into a decoded artifact's bytes)
 // without paying the normalisation cost New incurs: no adjacency-tensor
 // build, no cosine matrix, no counting sorts.
 

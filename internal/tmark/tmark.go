@@ -143,14 +143,23 @@ type Model struct {
 // (their restart vector falls back to uniform) but unlabeled-only graphs
 // are rejected.
 func New(g *hin.Graph, cfg Config) (*Model, error) {
+	m, _, err := NewWithAdjacency(g, cfg)
+	return m, err
+}
+
+// NewWithAdjacency is New that also returns the adjacency tensor it
+// normalised into O and R, for a caller that keeps the raw adjacency (a
+// streaming engine folds deltas into it) and would otherwise build it
+// a second time. The model holds no reference to the tensor.
+func NewWithAdjacency(g *hin.Graph, cfg Config) (*Model, *tensor.Tensor, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := g.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if g.Q() == 0 {
-		return nil, errors.New("tmark: graph has no classes")
+		return nil, nil, errors.New("tmark: graph has no classes")
 	}
 	anyLabel := false
 	for i := 0; i < g.N(); i++ {
@@ -160,7 +169,7 @@ func New(g *hin.Graph, cfg Config) (*Model, error) {
 		}
 	}
 	if !anyLabel {
-		return nil, errors.New("tmark: graph has no labelled nodes")
+		return nil, nil, errors.New("tmark: graph has no labelled nodes")
 	}
 	a := g.AdjacencyTensor()
 	m := &Model{
@@ -181,7 +190,7 @@ func New(g *hin.Graph, cfg Config) (*Model, error) {
 		}
 		pool.Close()
 	}
-	return m, nil
+	return m, a, nil
 }
 
 // workerCount resolves the Workers knob: 0 means GOMAXPROCS.

@@ -2,7 +2,9 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc64"
 	"testing"
 )
 
@@ -48,6 +50,45 @@ func FuzzDecodeWALRecord(f *testing.F) {
 		// so replay and re-logging can never drift from what was stored.
 		if !bytes.Equal(rec.Encode(), data[:n]) {
 			t.Fatalf("accepted frame does not re-encode to itself")
+		}
+	})
+}
+
+// FuzzDecodeWALSnapshot does the same for the TMARKWS1 checkpoint
+// decoder, which reads whatever a crash left of checkpoint.tmws. It
+// must never panic; a failed decode returns no snapshot, and an
+// accepted snapshot validates and re-encodes to the identical bytes.
+//
+// The seeds are a valid snapshot, a truncated one, one with a flipped
+// crc byte, and one whose nnz claims more entries than its body holds
+// under a correct crc, so only the length check can refuse it.
+func FuzzDecodeWALSnapshot(f *testing.F) {
+	valid := (&Snapshot{Seq: 4, Hash: "ab12", N: 3, M: 2,
+		I: []int32{0, 2}, J: []int32{1, 1}, K: []int32{0, 1}, V: []float64{1, 0.5}}).Encode()
+	f.Add(valid)
+	f.Add(valid[:len(valid)-5])
+	flipped := append([]byte(nil), valid...)
+	flipped[len(flipped)-1] ^= 0x01
+	f.Add(flipped)
+	long := append([]byte(nil), valid[:len(valid)-8]...)
+	// nnz follows the magic, seq, the hash length, the 4-byte hash, n and m.
+	binary.LittleEndian.PutUint32(long[8+8+2+4+4+4:], 3)
+	long = binary.LittleEndian.AppendUint64(long, crc64.Checksum(long, crcTable))
+	f.Add(long)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := DecodeSnapshot(data)
+		if err != nil {
+			if s != nil {
+				t.Fatalf("failed decode returned a snapshot: %v", err)
+			}
+			return
+		}
+		if verr := s.Validate(); verr != nil {
+			t.Fatalf("decoder accepted an invalid snapshot: %v", verr)
+		}
+		if !bytes.Equal(s.Encode(), data) {
+			t.Fatalf("accepted snapshot does not re-encode to itself")
 		}
 	})
 }
