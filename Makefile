@@ -74,13 +74,13 @@ accel-equivalence:
 
 # The streaming-ingest equivalence suite: every sealed version bitwise
 # identical to a from-scratch build of the mutated graph (engine
-# property tests), the raw-adjacency merge equal entry for entry to a
-# from-scratch tensor with the same O, R and irreducibility flag, and
-# the checks that wrap a raw adjacency for those constructors; warm
-# re-solves landing on the cold solve's exact predictions on the golden
-# networks in ≥3× fewer iterations, the serve-layer ingest/diff
-# endpoints, the version-pinning guarantee for readers racing an
-# ingest, and the `tmark diff` golden. The focused CI job runs this.
+# property tests, the golden networks included), the raw-adjacency
+# merge equal entry for entry to a from-scratch tensor with the same O,
+# R and irreducibility flag, and the checks that wrap a raw adjacency
+# for those constructors; the offline warm restart (RunWarm), the
+# serve-layer ingest/diff endpoints, the version-pinning guarantee for
+# readers racing an ingest, and the `tmark diff` golden. The focused CI
+# job runs this.
 stream-equivalence:
 	$(GO) test -count=1 ./internal/stream/
 	$(GO) test -count=1 -run 'TestIncremental|TestMerge|TestAtKJI|TestFromKJI' ./internal/tensor/
@@ -128,7 +128,8 @@ recovery-chaos:
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# Short fuzzing passes over the untrusted-input parsers, over the
+# Short fuzzing passes over the untrusted-input parsers, over the model
+# build and one solve of every graph they accept, over the
 # feature-channel builders against their pairwise oracle, over the
 # blocked tensor contractions against the single-vector and dense ones,
 # and over the blocked CSR product against the single-vector one.
@@ -141,6 +142,7 @@ fuzz:
 	$(GO) test -fuzz FuzzReadJSON $(FUZZFLAGS) ./internal/hin/
 	$(GO) test -fuzz FuzzReadEdgeCSV $(FUZZFLAGS) ./internal/hin/
 	$(GO) test -fuzz FuzzReadCOO $(FUZZFLAGS) ./internal/dataset/
+	$(GO) test -fuzz FuzzModelBuild $(FUZZFLAGS) ./internal/tmark/
 	$(GO) test -fuzz FuzzDecodeClassifyRequest $(FUZZFLAGS) ./internal/serve/
 	$(GO) test -fuzz FuzzDecodeIngestRequest $(FUZZFLAGS) ./internal/serve/
 	$(GO) test -fuzz FuzzDecodeArtifact $(FUZZFLAGS) ./internal/artifact/

@@ -69,11 +69,7 @@ func TestDiffGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	ctx := context.Background()
-	if _, err := eng.Solve(ctx); err != nil {
-		t.Fatalf("base solve: %v", err)
-	}
-	res, err := eng.Apply(ctx, []stream.Delta{
+	res, err := eng.Apply(context.Background(), []stream.Delta{
 		{Op: stream.OpAdd, From: 4, To: 5, Relation: 0, Weight: 4},
 		{Op: stream.OpAdd, From: 5, To: 6, Relation: 2, Weight: 10},
 	})

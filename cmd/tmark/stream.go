@@ -4,10 +4,9 @@ package main
 // loads a network, applies one batched edge-delta mutation through the
 // streaming engine — merging it into the raw adjacency and rebuilding
 // O and R from that — seals the resulting model version into the
-// registry, and prints the new name@sha256:… reference. The engine
-// solves the base model first so the post-ingest re-solve warm-restarts
-// from the previous stationary state, exactly as the long-running
-// daemon would.
+// registry, and prints the new name@sha256:… reference. Like the
+// daemon, it solves nothing: `tmark diff` or a tmarkd read solves the
+// sealed version.
 //
 // Usage:
 //
@@ -116,20 +115,12 @@ func runIngest(args []string) {
 	if err != nil {
 		log.Fatalf("ingest: %v", err)
 	}
-	// Solve the base model so the post-ingest re-solve warm-restarts.
-	if _, err := eng.Solve(context.Background()); err != nil {
-		log.Fatalf("ingest: base solve: %v", err)
-	}
 	res, err := eng.Apply(context.Background(), batch)
 	if err != nil {
 		log.Fatalf("ingest: apply: %v", err)
 	}
-	mode := "cold"
-	if res.Warm {
-		mode = "warm"
-	}
-	fmt.Fprintf(os.Stderr, "applied %d deltas (%d coordinates): touched %d columns, %d tubes; %s re-solve in %d iterations\n",
-		res.Deltas, res.Changes, res.TouchedColumns, res.TouchedTubes, mode, res.Iterations)
+	fmt.Fprintf(os.Stderr, "applied %d deltas (%d coordinates): touched %d columns, %d tubes\n",
+		res.Deltas, res.Changes, res.TouchedColumns, res.TouchedTubes)
 	fmt.Fprintf(os.Stderr, "sealed seq %d: sha256:%s -> sha256:%s\n", res.Seq, res.OldHash[:12], res.NewHash[:12])
 	// The reference is the command's output: pin it in requests or diffs.
 	fmt.Println(artifact.Ref{Name: tag, Hash: res.NewHash}.String())

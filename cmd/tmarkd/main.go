@@ -33,10 +33,11 @@
 // link rankings out), GET /v1/rank?model=&top=&quality= (full-solve
 // link-type ranking; any other query key is a 400), GET /v1/models
 // (every resolvable model and its content hash), POST /v1/ingest
-// (batched edge deltas applied incrementally; each batch warm re-solves
-// and seals a new model version, with the old versions still servable
-// by pinned hash), GET /v1/diff?a=&b= (classification flips and
-// link-type rank shifts between two sealed versions). Infra: /healthz (liveness), /readyz (503 while draining),
+// (batched edge deltas applied incrementally; each batch seals a new
+// model version, solved only when a request reads it, with the old
+// versions still servable by pinned hash), GET /v1/diff?a=&b=
+// (classification flips and link-type rank shifts between two sealed
+// versions). Infra: /healthz (liveness), /readyz (503 while draining),
 // and the observability set /metrics, /vars and /debug/pprof/.
 //
 // On SIGTERM or SIGINT the server stops admitting work (readyz flips to

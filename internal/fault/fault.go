@@ -97,11 +97,6 @@ const (
 	// window: the blob may exist untagged, but the name must still
 	// resolve to the previous version.
 	StreamSeal Point = "stream/seal"
-	// StreamWarm is checked (Check) before a warm re-solve seeded from
-	// the previous stationary distributions; a registered error forces
-	// the cold path, and a panicking hook simulates a crashing warm
-	// restart after the version was sealed.
-	StreamWarm Point = "stream/warm"
 	// WALAppend is checked (Check) before a delta batch is appended to
 	// the write-ahead log — a registered error simulates a failing log
 	// disk (the batch is rejected cleanly) — and fires (Fire) right

@@ -8,6 +8,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -52,9 +53,11 @@ func errorBody(t *testing.T, rec *httptest.ResponseRecorder) ErrorResponse {
 }
 
 // TestIngestIdempotencyKey: a resent key is answered with the original
-// sealed version — Duplicate set, nothing re-applied — and an oversized
-// key rejects before anything runs.
+// sealed version — Duplicate set, nothing re-applied — an oversized key
+// rejects before anything runs, and a batch the log fails to take is
+// the server's 500, not the client's 400.
 func TestIngestIdempotencyKey(t *testing.T) {
+	t.Cleanup(fault.Reset)
 	s := newTestServer(t, testGraph(20), fastConfig(), func(o *Options) {
 		o.ModelDir = t.TempDir()
 		o.WALDir = t.TempDir()
@@ -87,6 +90,20 @@ func TestIngestIdempotencyKey(t *testing.T) {
 	rec, _ = postIngestKeyed(t, s, strings.Repeat("k", 257), first)
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("oversized key: status %d, want 400", rec.Code)
+	}
+
+	remove := fault.InjectErr(fault.WALAppend, func() error { return errors.New("disk full") })
+	third := &IngestRequest{Model: "test", Deltas: ingestDeltas(2)}
+	rec, _ = postIngestKeyed(t, s, "batch-9", third)
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("failed WAL append: status %d, want 500 (%s)", rec.Code, rec.Body.String())
+	}
+	if got := s.engine("test").Current().Seq; got != 2 {
+		t.Fatalf("failed WAL append moved the engine to seq %d", got)
+	}
+	remove()
+	if _, res := postIngestKeyed(t, s, "batch-9", third); res == nil || res.Duplicate || res.Seq != 3 {
+		t.Fatalf("batch after the WAL recovered: %+v", res)
 	}
 }
 

@@ -2,12 +2,13 @@ package serve
 
 // Streaming ingest. POST /v1/ingest applies one batched edge-delta
 // mutation to a live model through its stream.Engine: the batch merges
-// into the raw adjacency, O and R are rebuilt from it, the new version
-// seals into the artifact registry under a fresh content hash, and the
-// stationary solve warm-restarts from the previous (x̄, z̄). The engine
-// then commits the version: from that point a name-only request
-// resolves to it and is answered from the engine's memory, while
-// in-flight requests keep their pinned pre-ingest model.
+// into the raw adjacency, O and R are rebuilt from it, and the new
+// version seals into the artifact registry under a fresh content hash.
+// Nothing is solved at ingest. The engine then commits the version:
+// from that point a name-only request resolves to it and is solved on
+// it from the engine's memory, while in-flight requests keep their
+// pinned pre-ingest model. A batch refused for its content is a 400; a
+// well-formed batch the server failed to log or seal is a 500.
 // GET /v1/diff compares the full solves of two sealed versions: per-node
 // classification flips and per-class link-type ranking shifts.
 
@@ -77,11 +78,14 @@ type IngestResponse struct {
 	// Sealed reports whether the version was written to the registry
 	// (false when the server runs without -model-dir).
 	Sealed bool `json:"sealed"`
-	// Warm reports whether the re-solve was seeded from the previous
-	// stationary state.
-	Warm       bool `json:"warm"`
-	Iterations int  `json:"iterations"`
-	Converged  bool `json:"converged"`
+	// Warm and Iterations are never set: an ingest runs no solve, and
+	// omitempty keeps both off the wire.
+	//
+	// Deprecated: they remain only because the benchmark under
+	// perfbench/ still reads them; ROADMAP.md item 1, the change that
+	// edits the benchmark, stops reading them and deletes both.
+	Warm       bool `json:"warm,omitempty"`
+	Iterations int  `json:"iterations,omitempty"`
 	// Duplicate reports that the request's Idempotency-Key matched an
 	// already-applied batch: nothing was re-applied, and the fields above
 	// describe the version the original request sealed.
@@ -194,9 +198,15 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		s.met.rejected.Inc()
 		s.unavailable(w, err.Error(), reasonFor(err))
 		return
-	case err != nil:
+	case errors.Is(err, stream.ErrInvalidBatch):
 		s.met.errors.Inc()
 		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	case err != nil:
+		// A well-formed batch the engine failed to take: a WAL append,
+		// a build or a registry seal failed on the server's side.
+		s.met.errors.Inc()
+		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, &IngestResponse{
@@ -209,9 +219,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		TouchedColumns: res.TouchedColumns,
 		TouchedTubes:   res.TouchedTubes,
 		Sealed:         res.Sealed,
-		Warm:           res.Warm,
-		Iterations:     res.Iterations,
-		Converged:      res.Converged,
 		Duplicate:      res.Duplicate,
 	})
 }

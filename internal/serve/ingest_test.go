@@ -90,14 +90,19 @@ func TestIngestEndpoint(t *testing.T) {
 	if res.TouchedColumns == 0 || res.TouchedTubes == 0 {
 		t.Fatalf("batch touched nothing: %+v", res)
 	}
-	// The first batch has no previous stationary state (no Solve ran on
-	// the base version), so it re-solves cold; the second warms.
+	// An ingest solves nothing, so its answer reports no solve.
+	var wire map[string]json.RawMessage
+	if err := json.Unmarshal(rec.Body.Bytes(), &wire); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"warm", "iterations", "converged"} {
+		if _, ok := wire[key]; ok {
+			t.Fatalf("ingest answer carries %q: %s", key, rec.Body.String())
+		}
+	}
 	_, res2 := postIngest(t, s, &IngestRequest{Model: "test", Deltas: ingestDeltas(1)})
 	if res2 == nil {
 		t.Fatal("second ingest failed")
-	}
-	if !res2.Warm {
-		t.Fatal("second batch did not warm-restart")
 	}
 	if res2.OldHash != res.NewHash {
 		t.Fatalf("version chain broken: %s -> %s", res.NewHash, res2.OldHash)
@@ -374,6 +379,7 @@ func TestIngestErrors(t *testing.T) {
 		{"unknown model", `{"model":"nope","deltas":[{"op":"add","from":0,"to":1,"relation":0,"weight":1}]}`, http.StatusNotFound},
 		{"relation out of range", `{"model":"test","deltas":[{"op":"add","from":0,"to":1,"relation":9,"weight":1}]}`, http.StatusBadRequest},
 		{"remove absent edge", `{"model":"test","deltas":[{"op":"remove","from":0,"to":0,"relation":0}]}`, http.StatusBadRequest},
+		{"add overflows", `{"model":"test","deltas":[{"op":"add","from":0,"to":1,"relation":0,"weight":1e308},{"op":"add","from":0,"to":1,"relation":0,"weight":1e308}]}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		if rec := post(tc.body); rec.Code != tc.code {

@@ -1,11 +1,11 @@
 package stream
 
-// Chaos tests for the ingest path: injected faults in delta apply,
-// version seal and warm restart must leave the engine either cleanly
-// rejecting (error, state untouched) or quarantined (ErrQuarantined,
-// last version still serving, registry still consistent) — never
-// half-applied. Run with -race (the `make chaos` target does) so the
-// recovery paths are also proven free of data races.
+// Chaos tests for the ingest path: injected faults in delta apply and
+// version seal must leave the engine either cleanly rejecting (error,
+// state untouched) or quarantined (ErrQuarantined, last version still
+// serving, registry still consistent) — never half-applied. Run with
+// -race (the `make chaos` target does) so the recovery paths are also
+// proven free of data races.
 
 import (
 	"context"
@@ -59,9 +59,6 @@ func TestChaosApplyPanicQuarantines(t *testing.T) {
 	// refuse: quarantine is sticky until the process restarts.
 	if _, err := eng.Apply(context.Background(), chaosDelta(1)); !errors.Is(err, ErrQuarantined) {
 		t.Fatalf("Apply after quarantine: err = %v, want ErrQuarantined", err)
-	}
-	if _, err := eng.Solve(context.Background()); !errors.Is(err, ErrQuarantined) {
-		t.Fatalf("Solve after quarantine: err = %v, want ErrQuarantined", err)
 	}
 }
 
@@ -119,36 +116,6 @@ func TestChaosSealPanicNeverHalfSeals(t *testing.T) {
 	}
 }
 
-// TestChaosWarmFaultFallsBackCold: an error at the warm-restart point
-// must not fail or quarantine the ingest — the engine re-solves cold
-// and the version seals normally.
-func TestChaosWarmFaultFallsBackCold(t *testing.T) {
-	t.Cleanup(fault.Reset)
-	eng, err := NewEngine("chaos", tinyGraph(), streamConfig(), nil)
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
-	}
-	if _, err := eng.Solve(context.Background()); err != nil {
-		t.Fatalf("base solve: %v", err)
-	}
-	remove := fault.InjectErr(fault.StreamWarm, func() error { return errors.New("chaos: warm state unavailable") })
-	defer remove()
-
-	res, err := eng.Apply(context.Background(), chaosDelta(0))
-	if err != nil {
-		t.Fatalf("Apply under warm fault: %v", err)
-	}
-	if res.Warm {
-		t.Fatal("warm fault did not force the cold path")
-	}
-	if !res.Converged {
-		t.Fatal("cold fallback did not converge")
-	}
-	if eng.Quarantined() != nil {
-		t.Fatal("warm fallback quarantined the engine")
-	}
-}
-
 // TestChaosApplyCheckRejectsCleanly: an error (not panic) at the apply
 // entry point is an ordinary rejection — no quarantine, and the next
 // batch applies once the fault clears.
@@ -182,9 +149,6 @@ func TestChaosConcurrentReadsDuringApply(t *testing.T) {
 	eng, err := NewEngine("chaos", tinyGraph(), streamConfig(), nil)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
-	}
-	if _, err := eng.Solve(context.Background()); err != nil {
-		t.Fatalf("base solve: %v", err)
 	}
 	remove := fault.Inject(fault.StreamApply, fault.Nth(3, func(...any) { panic("chaos: mid-stream crash") }))
 	defer remove()

@@ -1,8 +1,9 @@
 // Package stream maintains live, mutating HIN models: batched edge
 // deltas merged into the raw adjacency tensor, O and R rebuilt from the
-// merged adjacency by the constructors a from-scratch build runs, warm
-// re-solves seeded from the previous stationary (x̄, z̄), and a sealed
-// content-hash version per applied batch in the artifact registry.
+// merged adjacency by the constructors a from-scratch build runs, and a
+// sealed content-hash version per applied batch in the artifact
+// registry. The engine solves nothing: readers solve the version they
+// read.
 //
 // The engine is transactional: a batch is validated completely, every
 // derived structure is built off to the side, and the engine's visible
@@ -15,6 +16,7 @@ package stream
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"tmark/internal/hin"
@@ -102,8 +104,14 @@ type batchEffect struct {
 // does — a[to, from, k], plus the mirror for an undirected relation
 // with from != to — and add composes v += w left to right, so the
 // result is bitwise what a graph rebuild with the same mutations would
-// produce. Any rule violation rejects the whole batch.
-func compose(g *hin.Graph, ao tensor.COO, deltas []Delta) (*batchEffect, error) {
+// produce. Any rule violation, an add that overflows the edge's weight
+// included, rejects the whole batch with an ErrInvalidBatch.
+func compose(g *hin.Graph, ao tensor.COO, deltas []Delta) (_ *batchEffect, err error) {
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("%w: %w", ErrInvalidBatch, err)
+		}
+	}()
 	if err := ValidateDeltas(deltas); err != nil {
 		return nil, err
 	}
@@ -143,6 +151,9 @@ func compose(g *hin.Graph, ao tensor.COO, deltas []Delta) (*batchEffect, error) 
 				} else {
 					st.v = d.Weight
 					st.present = true
+				}
+				if math.IsInf(st.v, 0) {
+					return nil, fmt.Errorf("delta %d: add overflows the weight of edge (%d→%d, relation %d)", q, d.From, d.To, d.Relation)
 				}
 			case OpUpdate:
 				if !st.present {

@@ -26,7 +26,6 @@ package stream
 // of double-applying.
 
 import (
-	"context"
 	"fmt"
 
 	"tmark/internal/artifact"
@@ -109,7 +108,7 @@ func (e *Engine) rebuildAt(ao tensor.COO) (*tmark.Model, string, error) {
 // up to and including target into a new raw adjacency. Only the last
 // record of each sequence group folds — the earlier members were clean
 // post-append rejections that never moved state. Composition is merge
-// only: no substrate build, sealing or solving happens here.
+// only: no substrate build or sealing happens here.
 func (e *Engine) foldCommitted(base tensor.COO, baseSeq, target uint64) (tensor.COO, error) {
 	recs := e.log.Records()
 	ao := base
@@ -140,7 +139,7 @@ func (e *Engine) foldCommitted(base tensor.COO, baseSeq, target uint64) (tensor.
 // un-acknowledged crash window and replays at-least-once — but a panic
 // mid-replay fails construction rather than publishing a state the log
 // cannot vouch for.
-func (e *Engine) replayLog(ctx context.Context) error {
+func (e *Engine) replayLog() error {
 	if snap := e.log.Snapshot(); snap != nil {
 		if snap.N != e.g.N() || snap.M != e.g.M() {
 			return fmt.Errorf("stream: wal snapshot is %dx%d, graph is %dx%d — wrong dataset?",
@@ -162,7 +161,7 @@ func (e *Engine) replayLog(ctx context.Context) error {
 		if rec.Seq <= uint64(e.cur.Seq) {
 			continue
 		}
-		if _, err := e.applyLocked(ctx, rec.Key, fromWALDeltas(rec.Deltas), false); err != nil {
+		if _, err := e.applyLocked(rec.Key, fromWALDeltas(rec.Deltas), false); err != nil {
 			if e.poisoned != nil {
 				return fmt.Errorf("stream: wal replay at seq %d: %w", rec.Seq, err)
 			}
@@ -182,7 +181,7 @@ func (e *Engine) replayLog(ctx context.Context) error {
 // logged-but-unsealed suffix replay. Any mismatch keeps the quarantine:
 // a log that cannot re-derive the published state is worse than no log.
 // Callers hold e.mu.
-func (e *Engine) recoverLocked(ctx context.Context) error {
+func (e *Engine) recoverLocked() error {
 	cause := e.poisoned
 	if e.log == nil {
 		return fmt.Errorf("%w: %v (no write-ahead log; restart required)", ErrQuarantined, cause)
@@ -216,9 +215,7 @@ func (e *Engine) recoverLocked(ctx context.Context) error {
 				ErrQuarantined, hash, rerr, cause)
 		}
 	}
-	// The rebuild is proven: install it and lift the quarantine. The
-	// stationary cache is gone with the poisoned version, so the next
-	// Solve runs cold.
+	// The rebuild is proven: install it and lift the quarantine.
 	e.ao = ao
 	e.commitLocked(&Version{Seq: int(target), Hash: hash, Model: model})
 	e.poisoned = nil
@@ -229,7 +226,7 @@ func (e *Engine) recoverLocked(ctx context.Context) error {
 		if rec.Seq <= target {
 			continue
 		}
-		if _, aerr := e.applyLocked(ctx, rec.Key, fromWALDeltas(rec.Deltas), false); aerr != nil {
+		if _, aerr := e.applyLocked(rec.Key, fromWALDeltas(rec.Deltas), false); aerr != nil {
 			if e.poisoned != nil {
 				return fmt.Errorf("%w: replay re-poisoned at seq %d: %v", ErrQuarantined, rec.Seq, e.poisoned)
 			}

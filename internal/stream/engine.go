@@ -19,11 +19,19 @@ import (
 // ErrQuarantined marks an engine poisoned by a mid-ingest fault. The
 // last published version keeps serving (it was never touched). With a
 // write-ahead log attached the quarantine is self-healing: the next
-// Apply or Solve discards the poisoned substrate, rebuilds from the
-// log's snapshot, proves the rebuild against the sealed history by
+// Apply discards the poisoned substrate, rebuilds from the log's
+// snapshot, proves the rebuild against the sealed history by
 // content-hash equality and replays the logged suffix. Without a log
 // the quarantine is sticky until the process restarts.
 var ErrQuarantined = errors.New("stream: ingest engine quarantined")
+
+// ErrInvalidBatch marks a batch refused for its content: a delta that
+// breaks a static rule, addresses an edge or relation the graph does
+// not have, updates or removes an absent edge, or adds a weight that
+// overflows. Such a refusal happens before the write-ahead point, so
+// nothing was logged and nothing moved. Every other Apply error is the
+// engine's own failure.
+var ErrInvalidBatch = errors.New("stream: invalid delta batch")
 
 // DedupWindow bounds the idempotency-key window: how many recently
 // committed batch keys Apply remembers for duplicate detection.
@@ -34,9 +42,8 @@ const DedupWindow = 1024
 // can prune its sealed prefix.
 const DefaultWALCheckpointEvery = 64
 
-// Version is one sealed model state: the substrate after some prefix of
-// the applied batches, its content hash, and (once solved) the
-// stationary result that seeds the next warm restart.
+// Version is one sealed model state: the model after some prefix of the
+// applied batches and its content hash.
 type Version struct {
 	// Seq counts applied batches; 0 is the unmutated source graph.
 	Seq int
@@ -46,12 +53,7 @@ type Version struct {
 	Hash string
 	// Model is the assembled servable model for this version.
 	Model *tmark.Model
-
-	res *tmark.Result
 }
-
-// Result returns the version's stationary solve, if one has run.
-func (v *Version) Result() *tmark.Result { return v.res }
 
 // EngineOption configures NewEngine beyond its required arguments.
 type EngineOption func(*Engine)
@@ -169,7 +171,7 @@ func NewEngine(name string, g *hin.Graph, cfg tmark.Config, reg *artifact.Regist
 	// Nothing else can reach the engine yet, so no lock is needed.
 	e.commitLocked(&Version{Seq: 0, Hash: hash, Model: m})
 	if e.log != nil {
-		if err := e.replayLog(context.Background()); err != nil {
+		if err := e.replayLog(); err != nil {
 			return nil, err
 		}
 	}
@@ -220,24 +222,6 @@ func (e *Engine) WALSize() int64 {
 	return e.log.Size()
 }
 
-// Solve runs (and caches) the current version's stationary solve. The
-// first call after engine creation is cold; versions minted by Apply
-// carry the warm re-solve Apply already ran. A quarantined engine
-// attempts its in-process recovery first.
-func (e *Engine) Solve(ctx context.Context) (*tmark.Result, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.poisoned != nil {
-		if err := e.recoverLocked(ctx); err != nil {
-			return nil, err
-		}
-	}
-	if e.cur.res == nil {
-		e.cur.res = e.cur.Model.RunContext(ctx)
-	}
-	return e.cur.res, nil
-}
-
 // ApplyResult summarises one applied batch.
 type ApplyResult struct {
 	// Name is the engine's model name.
@@ -258,12 +242,6 @@ type ApplyResult struct {
 	TouchedTubes   int `json:"touched_tubes"`
 	// Sealed reports whether the version was written to a registry.
 	Sealed bool `json:"sealed"`
-	// Warm reports whether the re-solve was seeded from the previous
-	// stationary state; Iterations is its max per-class iteration
-	// count and Converged its convergence flag.
-	Warm       bool `json:"warm"`
-	Iterations int  `json:"iterations"`
-	Converged  bool `json:"converged"`
 	// Duplicate reports that the batch's idempotency key matched an
 	// already-committed batch: nothing was re-applied and the original
 	// sealed version's summary is returned.
@@ -271,7 +249,7 @@ type ApplyResult struct {
 }
 
 // Apply validates and applies one delta batch without an idempotency
-// key; see ApplyKeyed.
+// key; see ApplyKeyed. The context is not consulted.
 func (e *Engine) Apply(ctx context.Context, deltas []Delta) (*ApplyResult, error) {
 	return e.ApplyKeyed(ctx, "", deltas)
 }
@@ -280,13 +258,14 @@ func (e *Engine) Apply(ctx context.Context, deltas []Delta) (*ApplyResult, error
 // adjacency, build O and R from the merged adjacency (substrateAt, the
 // same constructors as a from-scratch build of the mutated graph),
 // assemble the new model sharing the base W channel, seal the version
-// in the registry, warm re-solve from the previous stationary (x̄, z̄),
-// and only then publish. A failure before the final assignment leaves
-// the engine on the previous version; a panic additionally quarantines
-// the engine (ErrQuarantined), because a fault mid-ingest means the
-// process can no longer prove its in-memory adjacency matches the
-// sealed history — with a WAL attached, the next call re-proves it and
-// heals.
+// in the registry, and only then publish. It solves nothing — each
+// answer is solved for its request on the version it reads — so the
+// context is not consulted. A batch refused for its content is an
+// ErrInvalidBatch. A failure before the final assignment leaves the
+// engine on the previous version; a panic additionally quarantines the
+// engine (ErrQuarantined), because a fault mid-ingest means the process
+// can no longer prove its in-memory adjacency matches the sealed
+// history — with a WAL attached, the next call re-proves it and heals.
 //
 // A non-empty key makes the batch idempotent: after the batch commits,
 // a later ApplyKeyed carrying the same key returns the original sealed
@@ -294,20 +273,20 @@ func (e *Engine) Apply(ctx context.Context, deltas []Delta) (*ApplyResult, error
 // contract that makes client retries safe. With a WAL attached the
 // batch is logged durably before anything mutates, so an acknowledged
 // batch survives a crash at any later point.
-func (e *Engine) ApplyKeyed(ctx context.Context, key string, deltas []Delta) (*ApplyResult, error) {
+func (e *Engine) ApplyKeyed(_ context.Context, key string, deltas []Delta) (*ApplyResult, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.poisoned != nil {
-		if err := e.recoverLocked(ctx); err != nil {
+		if err := e.recoverLocked(); err != nil {
 			return nil, err
 		}
 	}
-	return e.applyLocked(ctx, key, deltas, true)
+	return e.applyLocked(key, deltas, true)
 }
 
 // applyLocked is the transaction body shared by live applies (logIt)
 // and WAL replay (the record is already durable). Callers hold e.mu.
-func (e *Engine) applyLocked(ctx context.Context, key string, deltas []Delta, logIt bool) (ar *ApplyResult, err error) {
+func (e *Engine) applyLocked(key string, deltas []Delta, logIt bool) (ar *ApplyResult, err error) {
 	if key != "" {
 		if prev, ok := e.dedup[key]; ok {
 			dup := *prev
@@ -385,26 +364,7 @@ func (e *Engine) applyLocked(ctx context.Context, key string, deltas []Delta, lo
 		}
 	}
 
-	prevRes := e.cur.res
-	warm := prevRes != nil
-	if warm && fault.Enabled() {
-		if ferr := fault.Check(fault.StreamWarm); ferr != nil {
-			warm = false
-		} else {
-			fault.Fire(fault.StreamWarm, e.cur.Seq+1)
-		}
-	}
-	var res *tmark.Result
-	if warm {
-		// Deltas mutate edges only — labels cannot change — so the
-		// previous equilibrium restart is still valid and the warm solve
-		// may skip the ICA schedule replay.
-		res = model.RunWarmContext(ctx, prevRes, tmark.WithEquilibriumRestart(true))
-	} else {
-		res = model.RunContext(ctx)
-	}
-
-	next := &Version{Seq: e.cur.Seq + 1, Hash: hash, Model: model, res: res}
+	next := &Version{Seq: e.cur.Seq + 1, Hash: hash, Model: model}
 	out := &ApplyResult{
 		Name:           e.name,
 		Seq:            next.Seq,
@@ -415,9 +375,6 @@ func (e *Engine) applyLocked(ctx context.Context, key string, deltas []Delta, lo
 		TouchedColumns: eff.touchedCols,
 		TouchedTubes:   eff.touchedTubes,
 		Sealed:         sealed,
-		Warm:           warm,
-		Iterations:     res.MaxIterations(),
-		Converged:      res.Converged(),
 	}
 	// The transaction commits here: every fallible step is behind us.
 	// Readers move to the new version at this point, not at the Tag above.

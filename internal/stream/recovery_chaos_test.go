@@ -57,11 +57,7 @@ func referenceState(t *testing.T, batches [][]Delta) (string, []int) {
 			t.Fatalf("reference batch %d: %v", q, err)
 		}
 	}
-	res, err := ref.Solve(context.Background())
-	if err != nil {
-		t.Fatalf("reference Solve: %v", err)
-	}
-	return ref.Current().Hash, res.Predict()
+	return ref.Current().Hash, ref.Current().Model.Run().Predict()
 }
 
 // assertMatchesReference proves crash equivalence: hash and predictions
@@ -75,11 +71,7 @@ func assertMatchesReference(t *testing.T, eng *Engine, batches [][]Delta) {
 	if eng.Current().Seq != len(batches) {
 		t.Fatalf("recovered seq %d, want %d", eng.Current().Seq, len(batches))
 	}
-	res, err := eng.Solve(context.Background())
-	if err != nil {
-		t.Fatalf("recovered Solve: %v", err)
-	}
-	if !reflect.DeepEqual(res.Predict(), wantPred) {
+	if !reflect.DeepEqual(eng.Current().Model.Run().Predict(), wantPred) {
 		t.Fatalf("recovered predictions diverge from the uninterrupted reference")
 	}
 }
@@ -136,7 +128,8 @@ func TestRecoveryHealsApplyPanic(t *testing.T) {
 
 // TestRecoveryHealsSealPanic: a crash between the blob write and the
 // tag move recovers too — the rebuild proves against the last published
-// version, and the crashed batch's replay re-seals and re-tags it.
+// version, and the crashed batch's replay re-seals and re-tags it
+// before the next batch applies on top.
 func TestRecoveryHealsSealPanic(t *testing.T) {
 	t.Cleanup(fault.Reset)
 	eng, reg, _ := walEngine(t)
@@ -151,11 +144,12 @@ func TestRecoveryHealsSealPanic(t *testing.T) {
 		t.Fatalf("Apply under seal panic: err = %v, want ErrQuarantined", err)
 	}
 
-	if _, err := eng.Solve(ctx); err != nil {
-		t.Fatalf("Solve did not self-heal: %v", err)
+	if _, err := eng.Apply(ctx, chaosDelta(2)); err != nil {
+		t.Fatalf("Apply did not self-heal: %v", err)
 	}
-	assertMatchesReference(t, eng, [][]Delta{chaosDelta(0), chaosDelta(1)})
-	// The replayed seal finished the interrupted tag move.
+	assertMatchesReference(t, eng, [][]Delta{chaosDelta(0), chaosDelta(1), chaosDelta(2)})
+	// The replayed seal finished the interrupted tag move, and the next
+	// batch moved the name on.
 	got, err := reg.Resolve(artifact.Ref{Name: "durable"})
 	if err != nil {
 		t.Fatalf("Resolve after heal: %v", err)
@@ -178,10 +172,10 @@ func TestRecoveryHealsAppendHookPanic(t *testing.T) {
 	if _, err := eng.Apply(ctx, chaosDelta(0)); !errors.Is(err, ErrQuarantined) {
 		t.Fatalf("Apply under append-hook panic: err = %v, want ErrQuarantined", err)
 	}
-	if _, err := eng.Solve(ctx); err != nil {
-		t.Fatalf("Solve did not self-heal: %v", err)
+	if _, err := eng.Apply(ctx, chaosDelta(1)); err != nil {
+		t.Fatalf("Apply did not self-heal: %v", err)
 	}
-	assertMatchesReference(t, eng, [][]Delta{chaosDelta(0)})
+	assertMatchesReference(t, eng, [][]Delta{chaosDelta(0), chaosDelta(1)})
 }
 
 // TestWALAppendErrorRejectsCleanly: an append that fails before the
@@ -237,10 +231,12 @@ func TestRecoveryFaultKeepsQuarantineSticky(t *testing.T) {
 		t.Fatal("blocked recovery moved the serving version")
 	}
 	blocked()
-	if _, err := eng.Solve(ctx); err != nil {
-		t.Fatalf("Solve after recovery unblocked: %v", err)
+	// The refused batch was never logged, so it applies once, on top of
+	// the healed history.
+	if _, err := eng.Apply(ctx, chaosDelta(2)); err != nil {
+		t.Fatalf("Apply after recovery unblocked: %v", err)
 	}
-	assertMatchesReference(t, eng, [][]Delta{chaosDelta(0), chaosDelta(1)})
+	assertMatchesReference(t, eng, [][]Delta{chaosDelta(0), chaosDelta(1), chaosDelta(2)})
 }
 
 // TestNoWALQuarantineStaysSticky: without a log, recovery must refuse —
@@ -257,8 +253,8 @@ func TestNoWALQuarantineStaysSticky(t *testing.T) {
 	if _, err := eng.Apply(context.Background(), chaosDelta(0)); !errors.Is(err, ErrQuarantined) {
 		t.Fatalf("poisoning Apply: err = %v", err)
 	}
-	if _, err := eng.Solve(context.Background()); !errors.Is(err, ErrQuarantined) {
-		t.Fatalf("Solve healed without a log: err = %v", err)
+	if _, err := eng.Apply(context.Background(), chaosDelta(1)); !errors.Is(err, ErrQuarantined) {
+		t.Fatalf("Apply healed without a log: err = %v", err)
 	}
 }
 

@@ -2,14 +2,17 @@ package stream
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"tmark/internal/artifact"
 	"tmark/internal/dataset"
+	"tmark/internal/eval"
 	"tmark/internal/hin"
 	"tmark/internal/tmark"
+	"tmark/internal/wal"
 )
 
 // edgeKey addresses one graph edge (not one adjacency coordinate): the
@@ -228,6 +231,108 @@ func TestEngineMatchesFullRebuild(t *testing.T) {
 	}
 }
 
+// goldenFixture is one of the networks the repository's golden
+// tripwires watch (internal/experiments/golden_test.go: same generator
+// configs, split seed and masking), with a single-edge delta to apply.
+type goldenFixture struct {
+	name  string
+	build func() *hin.Graph
+	delta Delta
+}
+
+var goldenFixtures = []goldenFixture{
+	{"dblp", func() *hin.Graph {
+		cfg := dataset.DefaultDBLPConfig(5)
+		cfg.AuthorsPerArea = 30
+		cfg.CrossAttendance = 20
+		return dataset.DBLP(cfg)
+	}, Delta{Op: OpAdd, From: 1, To: 19, Relation: 0, Weight: 0.01}},
+	{"movies", func() *hin.Graph {
+		cfg := dataset.DefaultMoviesConfig(5)
+		cfg.MoviesPerGenre = 25
+		cfg.Directors = 30
+		return dataset.Movies(cfg)
+	}, Delta{Op: OpAdd, From: 90, To: 19, Relation: 5, Weight: 0.01}},
+	{"ring", func() *hin.Graph {
+		cfg := dataset.DefaultRingConfig(5)
+		cfg.ArcLength = 30
+		return dataset.Ring(cfg)
+	}, Delta{Op: OpAdd, From: 66, To: 76, Relation: 2, Weight: 0.01}},
+}
+
+// maskedGolden rebuilds the fixture from scratch (the generators are
+// config-seeded and deterministic) and applies the golden label mask.
+// Each call returns an independent graph, safe to mutate separately.
+func maskedGolden(f goldenFixture) *hin.Graph {
+	g := f.build()
+	split := eval.StratifiedSplit(g, 0.3, rand.New(rand.NewSource(17)))
+	masked, _ := eval.MaskLabels(g, split)
+	return masked
+}
+
+// checkGoldenDeltas applies deltas one batch each to an engine over f,
+// feature channel on, and after every step requires the sealed version
+// to hash to artifact.Compile of the mutated graph rebuilt from scratch
+// and the engine's model to predict bitwise what tmark.New of that
+// graph predicts.
+func checkGoldenDeltas(t *testing.T, f goldenFixture, deltas []Delta) {
+	t.Helper()
+	cfg := tmark.DefaultConfig()
+	cfg.Workers = 1
+	eng, err := NewEngine(f.name, maskedGolden(f), cfg, nil)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	rebuilt := maskedGolden(f)
+	for step, d := range deltas {
+		res, err := eng.Apply(context.Background(), []Delta{d})
+		if err != nil {
+			t.Fatalf("step %d: Apply: %v", step, err)
+		}
+		rebuilt.AddWeightedEdge(d.Relation, d.From, d.To, d.Weight)
+		_, wantHash, err := artifact.Compile(rebuilt, cfg)
+		if err != nil {
+			t.Fatalf("step %d: Compile: %v", step, err)
+		}
+		if res.NewHash != wantHash {
+			t.Fatalf("step %d: incremental hash %s, full rebuild %s", step, res.NewHash, wantHash)
+		}
+		m, err := tmark.New(rebuilt, cfg)
+		if err != nil {
+			t.Fatalf("step %d: tmark.New(rebuilt): %v", step, err)
+		}
+		want, got := m.Run().Predict(), eng.Current().Model.Run().Predict()
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("step %d node %d: engine predicts %d, full rebuild %d", step, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestEngineMatchesFullRebuildGolden is TestEngineMatchesFullRebuild on
+// the golden fixtures, whose feature channel is on, with predictions
+// checked as well as hashes.
+func TestEngineMatchesFullRebuildGolden(t *testing.T) {
+	for _, f := range goldenFixtures {
+		t.Run(f.name, func(t *testing.T) {
+			checkGoldenDeltas(t, f, []Delta{f.delta})
+		})
+	}
+}
+
+// TestEngineChainMatchesFullRebuild drives consecutive single-edge
+// batches through one engine over the golden DBLP network and checks
+// every intermediate version against a from-scratch rebuild, so the
+// incremental substrate accumulates no drift across a chain.
+func TestEngineChainMatchesFullRebuild(t *testing.T) {
+	checkGoldenDeltas(t, goldenFixtures[0], []Delta{
+		{Op: OpAdd, From: 1, To: 19, Relation: 0, Weight: 0.01},
+		{Op: OpAdd, From: 0, To: 37, Relation: 1, Weight: 0.01},
+		{Op: OpAdd, From: 0, To: 84, Relation: 2, Weight: 0.01},
+	})
+}
+
 // TestEngineSharesFeatureChannel verifies the structural-sharing claim:
 // edge deltas never rebuild W, so every version aliases the base
 // version's feature channel, and the sealed hash still matches a full
@@ -356,11 +461,16 @@ func TestEngineSealsVersions(t *testing.T) {
 }
 
 // TestEngineRejectsBadBatches: validation failures reject the whole
-// batch atomically — the engine stays on its version and a subsequent
-// valid batch behaves as if the bad one never arrived.
+// batch atomically with an ErrInvalidBatch before the write-ahead point
+// — the engine stays on its version, the log holds no record of it, and
+// a subsequent valid batch behaves as if the bad one never arrived.
 func TestEngineRejectsBadBatches(t *testing.T) {
 	g := tinyGraph()
-	eng, err := NewEngine("atomic", g, streamConfig(), nil)
+	l, err := wal.Open(t.TempDir(), wal.Options{})
+	if err != nil {
+		t.Fatalf("wal.Open: %v", err)
+	}
+	eng, err := NewEngine("atomic", g, streamConfig(), nil, WithWAL(l))
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
@@ -377,17 +487,25 @@ func TestEngineRejectsBadBatches(t *testing.T) {
 		{{Op: OpRemove, From: 1, To: 4, Relation: 1}},            // 1-4 coauthor does not exist
 		// Valid head, invalid tail: nothing of the batch may land.
 		{{Op: OpAdd, From: 0, To: 1, Relation: 0, Weight: 1}, {Op: OpRemove, From: 0, To: 4, Relation: 0}},
+		// Each weight is finite; their sum on one edge is +Inf.
+		{{Op: OpAdd, From: 0, To: 1, Relation: 0, Weight: 1e308}, {Op: OpAdd, From: 0, To: 1, Relation: 0, Weight: 1e308}},
 	}
 	for q, batch := range bad {
-		if _, err := eng.Apply(context.Background(), batch); err == nil {
-			t.Fatalf("bad batch %d accepted", q)
+		if _, err := eng.Apply(context.Background(), batch); !errors.Is(err, ErrInvalidBatch) {
+			t.Fatalf("bad batch %d: err = %v, want ErrInvalidBatch", q, err)
 		}
 		if cur := eng.Current(); cur != before {
 			t.Fatalf("bad batch %d moved the engine to seq %d", q, cur.Seq)
 		}
+		if n := len(l.Records()); n != 0 {
+			t.Fatalf("bad batch %d: the log holds %d records, want 0", q, n)
+		}
 	}
 	if _, err := eng.Apply(context.Background(), []Delta{{Op: OpAdd, From: 0, To: 1, Relation: 0, Weight: 1}}); err != nil {
 		t.Fatalf("valid batch after rejections: %v", err)
+	}
+	if n := len(l.Records()); n != 1 {
+		t.Fatalf("the log holds %d records after one valid batch, want 1", n)
 	}
 }
 
@@ -435,10 +553,7 @@ func TestDiffResults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	ra, err := eng.Solve(context.Background())
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
+	ra := eng.Current().Model.Run()
 	aHash := eng.Current().Hash
 	// A heavy rewiring so at least the link rankings move.
 	if _, err := eng.Apply(context.Background(), []Delta{
@@ -448,7 +563,7 @@ func TestDiffResults(t *testing.T) {
 		t.Fatalf("Apply: %v", err)
 	}
 	cur := eng.Current()
-	d, err := DiffResults("sha256:"+aHash, "sha256:"+cur.Hash, g, ra, cur.Result())
+	d, err := DiffResults("sha256:"+aHash, "sha256:"+cur.Hash, g, ra, cur.Model.Run())
 	if err != nil {
 		t.Fatalf("DiffResults: %v", err)
 	}

@@ -131,22 +131,18 @@ func TestBatchedWarmMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := m2.RunWarmContext(context.Background(), prev)
-	assertResultsBitwise(t, "warm", got, newOracle(m2).run(warmFrom(m2, prev, false)))
+	assertResultsBitwise(t, "warm", got, newOracle(m2).run(warmFrom(prev)))
 }
 
 // warmFrom is the oracle's warm start from a previous result: its x̄ and
-// z̄, plus — with eqRestart under the ICA update — its reconciled
-// equilibrium restart.
-func warmFrom(m *Model, prev *Result, eqRestart bool) warmFn {
-	return func(c int) (x, z, l vec.Vector, ok bool) {
+// z̄.
+func warmFrom(prev *Result) warmFn {
+	return func(c int) (x, z vec.Vector, ok bool) {
 		if c >= len(prev.Classes) {
-			return nil, nil, nil, false
+			return nil, nil, false
 		}
 		pc := &prev.Classes[c]
-		if eqRestart && m.cfg.ICAUpdate {
-			l = m.reconcileRestart(c, pc.Restart)
-		}
-		return vec.Clone(pc.X), vec.Clone(pc.Z), l, true
+		return vec.Clone(pc.X), vec.Clone(pc.Z), true
 	}
 }
 
@@ -193,8 +189,8 @@ func reseedClasses(t *testing.T, m *Model, xs []vec.Vector, retired ...int) []ve
 	cols := make([]engineCol, q)
 	uniformZ := vec.Uniform(m.graph.M())
 	for c := range cols {
-		cols[c].columnState = m.classColumn(c, func(int) (x, z, l vec.Vector, ok bool) {
-			return xs[c], uniformZ, nil, true
+		cols[c].columnState = m.classColumn(c, func(int) (x, z vec.Vector, ok bool) {
+			return xs[c], uniformZ, true
 		}, false)
 	}
 	e := m.newEngine(rs, cols)

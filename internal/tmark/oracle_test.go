@@ -107,7 +107,7 @@ func (o *oracle) advance(s *oracleState) bool {
 // iteration from t = 3 first rebuilds every class's restart vector from
 // the prediction matrix (eq. 12), converged classes included; then each
 // unconverged class takes one step. warm, when non-nil, supplies a
-// class's start state and (optionally) its restart vector.
+// class's start state.
 func (o *oracle) run(warm warmFn) *Result {
 	m := o.m
 	n, mm, q := m.graph.N(), m.graph.M(), m.graph.Q()
@@ -118,11 +118,8 @@ func (o *oracle) run(warm warmFn) *Result {
 		seeds[c] = k
 		x, z := vec.Clone(l), vec.Uniform(mm)
 		if warm != nil {
-			if wx, wz, wl, ok := warm(c); ok {
+			if wx, wz, ok := warm(c); ok {
 				x, z = wx, wz
-				if wl != nil {
-					l = wl
-				}
 			}
 		}
 		states[c] = o.newState(x, z, l)

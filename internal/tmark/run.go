@@ -96,10 +96,6 @@ type runOptions struct {
 	// approximate replaces the fixed-point loop with the linearized
 	// single-solve tier; see WithApproximate.
 	approximate bool
-	// eqRestart has RunWarmContext seed each class's restart vector from
-	// the previous equilibrium restart, not just x̄/z̄; see
-	// WithEquilibriumRestart.
-	eqRestart bool
 }
 
 // RunOption configures one solver run; see WithStats, WithProgress and
@@ -154,21 +150,6 @@ func WithWorkers(n int) RunOption {
 // proposing, bounding the vet overhead.
 func WithAcceleration(on bool) RunOption {
 	return func(o *runOptions) { o.accelerate = on }
-}
-
-// WithEquilibriumRestart(true) has RunWarmContext seed each class's
-// restart vector from the previous result's equilibrium restart (its
-// labels plus accepted pseudo-seeds) instead of replaying the ICA
-// schedule from the bare seed vector. This is what makes a warm restart
-// actually cheap — the iterations before the reseed window opens no
-// longer drag x̄ off its stationary point — but it is only sound when
-// the previous equilibrium is still meaningful: the caller must
-// guarantee the labels did not change between the runs (edge-only
-// mutations, the streaming-ingest setting). After a label change the
-// pseudo-seed set must be re-earned from scratch; leave this off and
-// pay the schedule replay. Ignored by cold runs and without ICAUpdate.
-func WithEquilibriumRestart(on bool) RunOption {
-	return func(o *runOptions) { o.eqRestart = on }
 }
 
 // WithApproximate(true) selects the linearized fast tier: instead of
@@ -226,12 +207,8 @@ func (m *Model) RunContext(ctx context.Context, opts ...RunOption) *Result {
 	return m.runClasses(orBackground(ctx), nil, resolveOptions(opts))
 }
 
-// warmFn supplies per-class warm starting vectors; nil starts cold. The
-// restart vector l is optional: nil keeps the class's own seed vector,
-// non-nil carries a previous run's equilibrium restart (labels plus
-// accepted pseudo-seeds) so the iterations before the ICA reseed window
-// opens (t > 2) do not drag a warm x̄ away from its stationary point.
-type warmFn func(c int) (x, z, l vec.Vector, ok bool)
+// warmFn supplies per-class warm starting vectors; nil starts cold.
+type warmFn func(c int) (x, z vec.Vector, ok bool)
 
 // runClasses runs the class solve once and, when the attempt hits a
 // retryable corruption fault, re-runs it exactly once from its own start
@@ -310,7 +287,7 @@ func (m *Model) solveClasses(ctx context.Context, res *Result, warm warmFn, rs *
 // classColumn builds class c's engine column: the eq. (11) seed restart
 // vector, the class's reseed roles under the ICA update (its own labels
 // seed, other classes' labels are excluded), and — when warm supplies
-// them — the warm start and equilibrium restart.
+// one — the warm start.
 func (m *Model) classColumn(c int, warm warmFn, accelerate bool) columnState {
 	l, seeds := m.seedVector(c)
 	cs := columnState{l: l, seeds: seeds, quality: QualityExact}
@@ -329,11 +306,8 @@ func (m *Model) classColumn(c int, warm warmFn, accelerate bool) columnState {
 		}
 	}
 	if warm != nil {
-		if x, z, wl, ok := warm(c); ok {
+		if x, z, ok := warm(c); ok {
 			cs.warmX, cs.warmZ = x, z
-			if wl != nil {
-				cs.l = wl
-			}
 		}
 	}
 	return cs

@@ -31,48 +31,15 @@ func (m *Model) RunWarmContext(ctx context.Context, prev *Result, opts ...RunOpt
 			prev.n, prev.m, m.graph.N(), m.graph.M()))
 	}
 	n, mm := m.graph.N(), m.graph.M()
-	ro := resolveOptions(opts)
-	warm := func(c int) (x, z, l vec.Vector, ok bool) {
+	warm := func(c int) (x, z vec.Vector, ok bool) {
 		if c >= len(prev.Classes) {
-			return nil, nil, nil, false
+			return nil, nil, false
 		}
 		pc := &prev.Classes[c]
 		if len(pc.X) != n || len(pc.Z) != mm {
-			return nil, nil, nil, false
+			return nil, nil, false
 		}
-		if ro.eqRestart && m.cfg.ICAUpdate && len(pc.Restart) == n {
-			l = m.reconcileRestart(c, pc.Restart)
-		}
-		return vec.Clone(pc.X), vec.Clone(pc.Z), l, true
+		return vec.Clone(pc.X), vec.Clone(pc.Z), true
 	}
-	return m.runClasses(orBackground(ctx), warm, ro)
-}
-
-// reconcileRestart rebuilds a previous equilibrium restart vector
-// against the current labels: every current seed of class c is in, a
-// previous pseudo-seed survives only while its node is still
-// unlabelled. With unchanged labels this reproduces the previous
-// equilibrium exactly; after a label change it degrades gracefully to
-// the consistent subset. Only meaningful under ICAUpdate — without the
-// reseed, l is the problem definition and must stay the seed vector —
-// so callers gate on the config. Returns nil (cold restart) when the
-// reconciled set is empty.
-func (m *Model) reconcileRestart(c int, prev vec.Vector) vec.Vector {
-	l := vec.New(len(prev))
-	count := 0
-	for i := range prev {
-		accept := m.graph.HasLabel(i, c)
-		if !accept && prev[i] > 0 && !m.graph.Labeled(i) {
-			accept = true
-		}
-		if accept {
-			l[i] = 1
-			count++
-		}
-	}
-	if count == 0 {
-		return nil
-	}
-	vec.Scale(1/float64(count), l)
-	return l
+	return m.runClasses(orBackground(ctx), warm, resolveOptions(opts))
 }

@@ -2,10 +2,10 @@ package tmark
 
 // The streaming client surface. Ingest pushes one batched edge
 // mutation into a live model via POST /v1/ingest; the server applies
-// it incrementally, re-solves warm from the previous equilibrium and
-// seals a new content-addressed version. Diff compares two sealed
-// versions via GET /v1/diff: which nodes changed class, which link
-// types moved in a class's ranking.
+// it incrementally and seals a new content-addressed version, which
+// later reads solve. Diff compares two sealed versions via GET
+// /v1/diff: which nodes changed class, which link types moved in a
+// class's ranking.
 //
 // An ingest is not naturally idempotent — an add delta accumulates
 // weight, so blindly replaying a batch whose first attempt actually
@@ -50,9 +50,10 @@ type Delta = stream.Delta
 type IngestRequest = serve.IngestRequest
 
 // IngestResponse reports what one ingest batch did: the sealed
-// version's sequence number and hashes, the touched tensor regions and
-// the re-solve cost. Duplicate marks an answer served from the server's
-// idempotency window rather than a fresh apply.
+// version's sequence number and hashes and the touched tensor regions.
+// An ingest runs no solve, so it reports none. Duplicate marks an
+// answer served from the server's idempotency window rather than a
+// fresh apply.
 type IngestResponse = serve.IngestResponse
 
 // DiffResponse is one /v1/diff answer.

@@ -59,7 +59,7 @@ func TestClientIngestDiff(t *testing.T) {
 	if err != nil {
 		t.Fatalf("second Ingest: %v", err)
 	}
-	if r2.Seq != 2 || r2.OldHash != r1.NewHash || !r2.Warm {
+	if r2.Seq != 2 || r2.OldHash != r1.NewHash {
 		t.Fatalf("second ingest: %+v", r2)
 	}
 
